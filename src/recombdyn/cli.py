@@ -25,11 +25,12 @@ from .dynamics import (
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    _field_function,
     _rk4_run,
     coefficient_a,
     coefficient_b,
+    compile_field,
     crossover_solution,
+    output_grid,
     product_flow_apply,
     trajectory_to_csv_string,
     trajectory_to_json_dict,
@@ -176,17 +177,46 @@ def _expect(doc: dict, key: str, types, where: str):
     return value
 
 
+def _reject_constant(name: str):
+    raise ScenarioParseError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    # Literals such as 1e999 overflow to infinity without being constants.
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
+def _float_range_int(text: str) -> int:
+    # Times, rates and weights become floats downstream, where an integer past
+    # the float range overflows; int() itself raises ValueError past the
+    # interpreter's digit limit.
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ScenarioParseError(f"integer {text[:20]}... exceeds the float range")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+            parse_int=_float_range_int,
+        )
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise ScenarioParseError(f"{path}: {exc}") from exc
     return Scenario.from_dict(doc)
 
 
@@ -234,6 +264,8 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 
     rates = scenario.rates
     kind = rates["kind"]
+    # Closed-form-only runs never evaluate the field, so none is compiled.
+    needs_field = scenario.solver in ("rk4", "both")
     try:
         if kind == "general":
             rate_map = RateMap.from_pairs(
@@ -248,7 +280,7 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                     "general rate maps have no closed form; use solver 'rk4'"
                 )
             return _Runtime(scenario, space, omega0, None,
-                            _field_function(space, rate_map), METHOD_RK4)
+                            compile_field(space, rate_map), METHOD_RK4)
         if kind == "disjoint-stretch":
             system = DisjointStretchSystem(
                 tuple(
@@ -257,12 +289,12 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 )
             )
             closed = lambda t: product_flow_apply(omega0, system, [t] * len(system))
-            field = _field_function(space, system.as_rate_map())
+            field = compile_field(space, system.as_rate_map()) if needs_field else None
             return _Runtime(scenario, space, omega0, closed, field, METHOD_CLOSED_FORM)
         if kind == "crossover":
             per_link = [float(r) for r in rates["per_link"]]
             closed = lambda t: crossover_solution(omega0, per_link, t)
-            field = _field_function(space, RateMap.crossover(per_link))
+            field = compile_field(space, RateMap.crossover(per_link)) if needs_field else None
             # Probe once so malformed rates surface as validation errors.
             closed(0.0)
             return _Runtime(scenario, space, omega0, closed, field, METHOD_CROSSOVER)
@@ -286,7 +318,8 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 )
                 return rho * (twisted - w)
 
-            return _Runtime(scenario, space, omega0, closed, field, METHOD_CLOSED_FORM)
+            return _Runtime(scenario, space, omega0, closed,
+                            field if needs_field else None, METHOD_CLOSED_FORM)
     except ScenarioValidationError:
         raise
     except ValueError as exc:
@@ -322,7 +355,7 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
 
     closed_traj = None
     if solver in ("closed-form", "both"):
-        grid = rk4_traj.times if rk4_traj is not None else _output_grid(scenario.t_end, h, scenario.stride)
+        grid = output_grid(scenario.t_end, h, scenario.stride)
         states = tuple(runtime.closed_form(t) for t in grid)
         closed_traj = Trajectory(tuple(grid), states, runtime.method)
 
@@ -354,15 +387,6 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     return EXIT_OK
 
 
-def _output_grid(t_end: float, h: float, stride: int) -> list[float]:
-    # Same points the RK4 runner stores: stride multiples of h plus the end.
-    n_full = int(math.floor(t_end / h + 1e-9))
-    grid = [i * h for i in range(0, n_full + 1, stride)]
-    if grid[-1] < t_end - h * 1e-12:
-        grid.append(t_end)
-    return grid
-
-
 def _write_trajectory(traj: Trajectory, out_path: Path, fmt: str) -> None:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -386,15 +410,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     suffix = ".csv" if args.format == "csv" else ".json"
     codes = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = {
+        futures = [
             pool.submit(
-                _run_one, cfg, out / (Path(cfg).stem + suffix), args.format, scale
-            ): cfg
+                _run_isolated, cfg, out / (Path(cfg).stem + suffix), args.format, scale
+            )
             for cfg in configs
-        }
+        ]
         for future in concurrent.futures.as_completed(futures):
             codes.append(future.result())
     return max(codes)
+
+
+def _run_isolated(config: str, out_path: Path, fmt: str, scale: float) -> int:
+    # One scenario of a batch: its parse or validation error is reported with
+    # its path and becomes its exit code; the other scenarios still run.
+    try:
+        return _run_one(config, out_path, fmt, scale)
+    except ScenarioParseError as exc:
+        print(f"{config}: parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ScenarioValidationError as exc:
+        print(f"{config}: validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +464,9 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
     if not rates or any(r <= 0 or not math.isfinite(r) for r in rates):
         print("per-link rates must all be positive", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.t_end < 0 or args.t_step <= 0:
-        print("need t-end >= 0 and t-step > 0", file=sys.stderr)
+    if not (math.isfinite(args.t_end) and math.isfinite(args.t_step)) \
+            or args.t_end < 0 or args.t_step <= 0:
+        print("need finite t-end >= 0 and t-step > 0", file=sys.stderr)
         return EXIT_VALIDATION
     n_links = len(rates)
     subsets = list(all_link_sets(n_links))

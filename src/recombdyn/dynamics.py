@@ -16,6 +16,17 @@ summed over cut sets G.  Three solvable regimes get closed forms here:
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form.  General overlapping-stretch rate
 maps are integrated numerically only; no closed form is claimed for them.
+
+The integrator evaluates a field compiled once per rate map by
+``compile_field``.  Per evaluation it sums |omega| once, forms each distinct
+block marginal once however many cut sets share the block, and folds every
+``-rho_G omega`` into one term.  Small spaces, where the stacked 0/1
+block-marginal operator has at most ``DENSE_FIELD_MAX_ENTRIES`` entries, use
+a dense kernel: one matrix product for all marginals, one gather and product
+for all terms.  Larger spaces use a strided kernel that reduces the flat
+weights as (left, block, right) arrays and builds each term by outer
+products.  ``recombine_weights`` remains the reference the field is tested
+against.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from .lattice import (
 )
 from .measure import Measure, ProductSpace, total_variation
 from .recombinator import (
+    ZERO_TOTAL_VARIATION,
     _require_full_space,
     recombine,
     recombine_weights,
@@ -182,32 +194,112 @@ def vector_field(omega: Measure, rates: RateMap) -> Measure:
         raise ValueError("rate map does not match the measure's link count")
     if omega.nodes != tuple(range(omega.space.n_nodes)):
         raise ValueError("vector_field acts on measures over the full chain")
-    out = np.zeros_like(omega.weights)
-    sizes = omega.space.sizes
-    n_nodes = omega.space.n_nodes
-    for links, rate in rates.items():
-        blocks = _cached_blocks(links.bits, n_nodes)
-        out += rate * (recombine_weights(omega.weights, sizes, blocks) - omega.weights)
-    return Measure(omega.space, out, omega.nodes)
+    field = compile_field(omega.space, rates)
+    return Measure(omega.space, field(omega.weights), omega.nodes)
 
 
-def _field_function(
+# The stacked block-marginal operator of the dense kernel has one row per
+# block state and one column per state; above this many entries the strided
+# kernel, which never forms it, is faster and needs no O(S * N) memory.
+DENSE_FIELD_MAX_ENTRIES = 1 << 18
+
+
+def compile_field(
     space: ProductSpace, rates: RateMap
 ) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile ``w -> sum_G rho_G (R_G(w) - w)`` for flat weight vectors.
+
+    Everything that depends only on the space and the rate map is worked out
+    here, once: the distinct blocks of all cut sets as (left, block, right)
+    extents of the flat index, and each term's rate and blocks.  Zero rates
+    are dropped.  Each call of the returned function sums |w| once, forms
+    every distinct block marginal once, and folds the ``-rho_G w`` parts into
+    one term.  Like ``recombine_weights``, it divides every marginal by |w|
+    so no power of |w| can overflow, and it maps |w| below
+    ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state
+    between calls, so one compiled field may be shared across threads.
+    """
+    if rates.n_links != space.n_links:
+        raise ValueError("rate map does not match the space's link count")
     sizes = space.sizes
+    n_states = space.total_states
     terms = [
         (rate, _cached_blocks(links.bits, space.n_nodes))
         for links, rate in rates.items()
         if rate != 0.0
     ]
+    if not terms:
+        return lambda w: np.zeros_like(w)
+    total_rate = math.fsum(rate for rate, _ in terms)
+    term_rates = np.array([rate for rate, _ in terms])
 
-    def field(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        for rate, blocks in terms:
-            out += rate * (recombine_weights(w, sizes, blocks) - w)
+    block_ids: dict[tuple[int, ...], int] = {}
+    for _, blocks in terms:
+        for block in blocks:
+            block_ids.setdefault(block, len(block_ids))
+    extents = [
+        (
+            math.prod(sizes[: block[0]]),
+            math.prod(sizes[block[0] : block[-1] + 1]),
+            math.prod(sizes[block[-1] + 1 :]),
+        )
+        for block in block_ids
+    ]
+    term_blocks = [[block_ids[block] for block in blocks] for _, blocks in terms]
+
+    n_rows = sum(size for _, size, _ in extents)
+    if n_rows * n_states <= DENSE_FIELD_MAX_ENTRIES:
+        # Row offset + block coordinate of every state, for every block; one
+        # extra row past the marginals holds the neutral factor 1.
+        offsets = np.cumsum([0] + [size for _, size, _ in extents])
+        flat = np.arange(n_states)
+        rows = [
+            offsets[b] + (flat // right) % size
+            for b, (_, size, right) in enumerate(extents)
+        ]
+        operator = np.zeros((n_rows, n_states))
+        for row in rows:
+            operator[row, flat] = 1.0
+        width = max(len(ids) for ids in term_blocks)
+        gather = np.full((len(terms), width, n_states), n_rows)
+        for t, ids in enumerate(term_blocks):
+            for j, b in enumerate(ids):
+                gather[t, j] = rows[b]
+
+        def dense_field(w: np.ndarray) -> np.ndarray:
+            tv = float(np.abs(w).sum())
+            if tv < ZERO_TOTAL_VARIATION:
+                return -total_rate * w
+            scaled = np.empty(n_rows + 1)
+            np.matmul(operator, w, out=scaled[:n_rows])
+            scaled[n_rows] = tv
+            scaled /= tv
+            products = scaled[gather].prod(axis=1)
+            return (term_rates * tv) @ products - total_rate * w
+
+        return dense_field
+
+    ones = {n: np.ones(n) for extent in extents for n in (extent[0], extent[2])}
+
+    def strided_field(w: np.ndarray) -> np.ndarray:
+        tv = float(np.abs(w).sum())
+        out = -total_rate * w
+        if tv < ZERO_TOTAL_VARIATION:
+            return out
+        scaled = []
+        for left, size, right in extents:
+            m = w if left == 1 else ones[left] @ w.reshape(left, size * right)
+            if right > 1:
+                m = m.reshape(size, right) @ ones[right]
+            scaled.append(m / tv)
+        for rate, ids in zip(term_rates, term_blocks):
+            acc = (rate * tv) * scaled[ids[0]]
+            for b in ids[1:]:
+                acc = np.multiply.outer(acc, scaled[b]).ravel()
+            out += acc
         return out
 
-    return field
+    return strided_field
 
 
 def _rk4_step(
@@ -220,6 +312,34 @@ def _rk4_step(
     return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _step_plan(t_end: float, h: float, stride: int) -> tuple[int, list[int], float]:
+    # Full steps of h, the ones after which the state is stored, and the
+    # length of a final short step that lands on t_end (0.0 when none).
+    n_full = int(math.floor(t_end / h + 1e-9))
+    remainder = t_end - n_full * h
+    if remainder <= h * 1e-12:
+        remainder = 0.0
+    stored = list(range(stride, n_full + 1, stride))
+    if remainder == 0.0 and n_full % stride:
+        stored.append(n_full)
+    return n_full, stored, remainder
+
+
+def output_grid(t_end: float, h: float, stride: int) -> list[float]:
+    """Times at which a run stores states: 0, every stride-th step, t_end.
+
+    The last time is ``t_end`` itself, also when the steps reach it only up
+    to rounding.  RK4 and the closed forms both report on this grid.
+    """
+    _, stored, remainder = _step_plan(t_end, h, stride)
+    times = [0.0] + [i * h for i in stored]
+    if remainder > 0.0:
+        times.append(t_end)
+    elif stored:
+        times[-1] = t_end
+    return times
+
+
 def _rk4_run(
     field: Callable[[np.ndarray], np.ndarray],
     w0: np.ndarray,
@@ -227,23 +347,18 @@ def _rk4_run(
     h: float,
     store_stride: int,
 ) -> tuple[list[float], list[np.ndarray]]:
-    times = [0.0]
+    n_full, stored, remainder = _step_plan(t_end, h, store_stride)
+    keep = set(stored)
     states = [w0.copy()]
-    n_full = int(math.floor(t_end / h + 1e-9))
-    remainder = t_end - n_full * h
-    if remainder <= h * 1e-12:
-        remainder = 0.0
     w = w0
     for i in range(1, n_full + 1):
         w = _rk4_step(field, w, h)
-        if i % store_stride == 0 or (i == n_full and remainder == 0.0):
-            times.append(i * h)
+        if i in keep:
             states.append(w)
     if remainder > 0.0:
         w = _rk4_step(field, w, remainder)
-        times.append(t_end)
         states.append(w)
-    return times, states
+    return output_grid(t_end, h, store_stride), states
 
 
 def rk4_integrate(
@@ -260,16 +375,16 @@ def rk4_integrate(
     stored.  Transient slightly negative intermediate weights are left as
     computed so integrator defects remain visible to the checks downstream.
     """
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if t_end < 0.0:
-        raise ValueError(f"end time must be nonnegative, got {t_end}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step size must be finite and positive, got {h}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"end time must be finite and nonnegative, got {t_end}")
     if store_stride < 1:
         raise ValueError("store_stride must be a positive integer")
     if rates.n_links != omega0.space.n_links:
         raise ValueError("rate map does not match the measure's link count")
     require_positive(omega0, "rk4_integrate")
-    field = _field_function(omega0.space, rates)
+    field = compile_field(omega0.space, rates)
     times, raw = _rk4_run(field, np.array(omega0.weights), float(t_end), float(h), store_stride)
     states = tuple(Measure(omega0.space, w, omega0.nodes) for w in raw)
     return Trajectory(tuple(times), states, METHOD_RK4)

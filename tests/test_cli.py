@@ -103,6 +103,34 @@ def test_run_parse_failures(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"time": {"t_end": math.inf, "stride": 1}},
+        {"rk4_step": math.nan},
+        {"initial": {"kind": "weights", "weights": [math.inf] + [0.0] * 11},
+         "solver": "closed-form"},
+        {"time": {"t_end": "1e999", "stride": 1}},
+        {"time": {"t_end": "1" + "0" * 400, "stride": 1}},
+        {"time": {"t_end": "1" + "0" * 5000, "stride": 1}},
+    ],
+    ids=["t_end-Infinity", "rk4_step-NaN", "initial-Infinity", "overflowing-literal",
+         "int-past-float-range", "int-past-digit-limit"],
+)
+def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
+    config = tmp_path / "scenario.json"
+    write_scenario(config, **overrides)
+    # json.dumps writes Infinity/NaN; the oversized literals go in unquoted.
+    text = config.read_text()
+    literal = overrides.get("time", {}).get("t_end")
+    if isinstance(literal, str):
+        text = text.replace(f'"{literal}"', literal)
+    config.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
 def test_run_size_mismatch_is_validation_error(tmp_path):
     config = tmp_path / "scenario.json"
     write_scenario(config, initial={"kind": "weights", "weights": [0.5, 0.5]})
@@ -165,6 +193,35 @@ def test_run_batch_jobs(tmp_path):
     for i in range(3):
         assert (out_dir / f"s{i}.csv").exists()
         assert (out_dir / f"s{i}.csv.report.json").exists()
+
+
+def test_run_batch_isolates_a_bad_config(tmp_path, capsys):
+    good = tmp_path / "ok.json"
+    write_scenario(good)
+    bad = tmp_path / "nan.json"
+    write_scenario(bad, rk4_step=math.nan)
+    out_dir = tmp_path / "batch"
+    code = main(["run", "--out", str(out_dir), "--config", str(good),
+                 "--config", str(bad)])
+    assert code == EXIT_PARSE
+    assert (out_dir / "ok.csv").exists()
+    assert not (out_dir / "nan.csv").exists()
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+
+
+def test_run_solvers_share_the_output_grid(tmp_path):
+    times = {}
+    for solver in ("closed-form", "rk4", "both"):
+        config = tmp_path / f"{solver}.json"
+        write_scenario(config, solver=solver, rk4_step=0.1,
+                       time={"t_end": 0.3, "stride": 2})
+        out = tmp_path / f"{solver}.json.out"
+        code = main(["run", "--config", str(config), "--out", str(out),
+                     "--format", "json"])
+        assert code in (EXIT_OK, EXIT_NUMERIC)
+        times[solver] = json.loads(out.read_text())["times"]
+    assert times["closed-form"] == times["rk4"] == times["both"] == [0.0, 0.2, 0.3]
 
 
 def test_scenario_round_trip(tmp_path):
@@ -248,6 +305,13 @@ def test_coefficients_two_links_quarters(tmp_path):
 def test_coefficients_rejects_nonpositive_rate(tmp_path):
     assert main(["coefficients", "--rates", "1.0,0.0", "--t-end", "1",
                  "--t-step", "0.5", "--out", str(tmp_path / "c.csv")]) \
+        == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("t_end,t_step", [("inf", "0.5"), ("1", "nan")])
+def test_coefficients_rejects_non_finite_times(tmp_path, t_end, t_step):
+    assert main(["coefficients", "--rates", "1.0", "--t-end", t_end,
+                 "--t-step", t_step, "--out", str(tmp_path / "c.csv")]) \
         == EXIT_VALIDATION
 
 

@@ -11,8 +11,10 @@ from recombdyn.dynamics import (
     check_linearization,
     coefficient_a,
     coefficient_b,
+    compile_field,
     crossover_solution,
     moebius_transform,
+    output_grid,
     product_flow_apply,
     rk4_integrate,
     semigroup_apply,
@@ -20,7 +22,7 @@ from recombdyn.dynamics import (
     trajectory_to_json_dict,
     vector_field,
 )
-from recombdyn.lattice import LinkSet, all_link_sets
+from recombdyn.lattice import LinkSet, _cached_blocks, all_link_sets
 from recombdyn.measure import (
     Measure,
     ProductSpace,
@@ -28,7 +30,7 @@ from recombdyn.measure import (
     tensor,
     total_variation,
 )
-from recombdyn.recombinator import recombine
+from recombdyn.recombinator import recombine, recombine_weights
 
 SPACE = ProductSpace((2, 2))
 CUT = LinkSet.from_indices([0], 1)
@@ -65,6 +67,76 @@ def test_vector_field_total_weight_is_zero_on_positives():
     assert abs(vector_field(omega, rates).mass) <= 1e-14
 
 
+def reference_field(space, rates, w):
+    """sum_G rho_G (R_G(w) - w), one recombine_weights call per term."""
+    out = np.zeros_like(w)
+    for links, rate in rates.items():
+        blocks = _cached_blocks(links.bits, space.n_nodes)
+        out += rate * (recombine_weights(w, space.sizes, blocks) - w)
+    return out
+
+
+# (2,3,2,3) and 3^5 take the dense kernel; 4^6 stacks more than 2^18
+# marginal-operator entries and takes the strided one.  The cut sets share
+# blocks ({0} and {0,2} share node block (0,); {2} and {0,2} share the
+# block after link 2) and one entry has rate zero.
+FIELD_CASES = [
+    ((2, 3, 2, 3), "dense_field"),
+    ((3, 3, 3, 3, 3), "dense_field"),
+    ((4, 4, 4, 4, 4, 4), "strided_field"),
+]
+
+
+def _shared_block_rates(n_links):
+    return RateMap.from_pairs(
+        [
+            (LinkSet.from_indices([0], n_links), 0.7),
+            (LinkSet.from_indices([2], n_links), 1.3),
+            (LinkSet.from_indices([0, 2], n_links), 0.4),
+            (LinkSet.from_indices([1], n_links), 0.0),
+            (LinkSet.full(n_links), 0.25),
+        ],
+        n_links,
+    )
+
+
+@pytest.mark.parametrize("sizes,kernel", FIELD_CASES)
+def test_compile_field_matches_recombine_weights(sizes, kernel):
+    space = ProductSpace(sizes)
+    rates = _shared_block_rates(space.n_links)
+    field = compile_field(space, rates)
+    assert field.__name__ == kernel
+    rng = np.random.default_rng(len(sizes))
+    positive = random_probability(space, 4).weights
+    signed = rng.standard_normal(space.total_states)
+    # Below ZERO_TOTAL_VARIATION R(w) = 0, so the field is -sum(rho) w.
+    below_zero_tv = 5e-301 * signed / np.abs(signed).sum()
+    for w in (positive, signed, 1e-200 * signed, below_zero_tv):
+        bound = 1e-15 * np.abs(w).sum()
+        assert np.abs(field(w) - reference_field(space, rates, w)).max() <= bound
+
+
+@pytest.mark.parametrize("sizes,kernel", FIELD_CASES)
+def test_compile_field_zero_measure_and_empty_rates(sizes, kernel):
+    space = ProductSpace(sizes)
+    zero = np.zeros(space.total_states)
+    field = compile_field(space, _shared_block_rates(space.n_links))
+    assert field.__name__ == kernel
+    np.testing.assert_array_equal(field(zero), zero)
+    w = random_probability(space, 2).weights
+    empty = compile_field(space, RateMap.empty(space.n_links))
+    np.testing.assert_array_equal(empty(w), zero)
+    only_zero_rate = compile_field(
+        space, RateMap.single(LinkSet.from_indices([1], space.n_links), 0.0)
+    )
+    np.testing.assert_array_equal(only_zero_rate(w), zero)
+
+
+def test_compile_field_rejects_mismatched_links():
+    with pytest.raises(ValueError):
+        compile_field(ProductSpace((2, 2, 2)), RateMap.single(CUT, 1.0))
+
+
 def test_ratemap_validation():
     with pytest.raises(ValueError):
         RateMap.single(LinkSet.empty(2), 1.0)
@@ -96,6 +168,18 @@ def test_rk4_partial_final_step_lands_on_t_end():
     assert len(traj) == 4
 
 
+def test_rk4_strided_grid_ends_exactly_at_t_end():
+    # Three steps of 0.1 sum to 0.30000000000000004; the stored time is t_end.
+    omega = random_probability(SPACE, 5)
+    traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.3, h=0.1,
+                         store_stride=2)
+    assert traj.times == (0.0, 0.2, 0.3)
+    assert list(traj.times) == output_grid(0.3, 0.1, 2)
+    assert output_grid(0.0, 0.1, 3) == [0.0]
+    assert output_grid(0.25, 0.1, 2) == [0.0, 0.2, 0.25]
+    assert output_grid(0.5, 0.1, 2) == [0.0, 0.2, 0.4, 0.5]
+
+
 def test_rk4_matches_semigroup():
     omega = random_probability(ProductSpace((2, 3, 2)), 7)
     cut = LinkSet.from_indices([0], 2)
@@ -114,6 +198,11 @@ def test_rk4_argument_validation():
         rk4_integrate(omega, rates, t_end=1.0, h=0.0)
     with pytest.raises(ValueError):
         rk4_integrate(omega, rates, t_end=-1.0, h=0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            rk4_integrate(omega, rates, t_end=1.0, h=bad)
+        with pytest.raises(ValueError):
+            rk4_integrate(omega, rates, t_end=bad, h=0.1)
     signed = Measure(SPACE, [0.5, 0.6, -0.1, 0.0])
     with pytest.raises(ValueError):
         rk4_integrate(signed, rates, t_end=1.0, h=0.1)
