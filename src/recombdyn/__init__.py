@@ -6,125 +6,44 @@ products of its block marginals.  The package provides the recombinators,
 their closed-form nonlinear semigroups, the inclusion-exclusion transform
 that linearizes the single-crossover flow, a cyclically twisted
 generalization, and a fixed-step Runge-Kutta oracle to check all of it.
+
+The top level holds the core types and the closed form of each rate kind;
+every other helper is imported from its submodule (``recombdyn.dynamics``,
+``recombdyn.generalized``, ``recombdyn.lattice``, ``recombdyn.measure``,
+``recombdyn.recombinator``).
 """
 
 from .dynamics import (
-    METHOD_CLOSED_FORM,
-    METHOD_CROSSOVER,
-    METHOD_RK4,
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    check_linearization,
-    coefficient_a,
-    coefficient_b,
     crossover_solution,
-    moebius_transform,
     product_flow_apply,
     rk4_integrate,
     semigroup_apply,
-    trajectory_to_csv,
-    trajectory_to_csv_string,
-    trajectory_to_json_dict,
-    vector_field,
 )
-from .generalized import (
-    CyclicOperator,
-    GFunTable,
-    check_flow_commutation,
-    check_generalized_ode,
-    cyclic_apply,
-    flow_coefficients,
-    generalized_flow_apply,
-    gfun,
-    gfun_asymptotic_check,
-    gfun_scaled,
-    roots_of_unity_mean,
-)
-from .lattice import (
-    MAX_LINKS,
-    LinkSet,
-    OrderedPartition,
-    Stretch,
-    all_link_sets,
-    moebius_sign,
-    partition_of,
-    stretch_of,
-    stretches_disjoint,
-    subsets_of,
-    supersets_of,
-)
-from .measure import (
-    Measure,
-    ProductSpace,
-    is_positive,
-    marginal,
-    random_probability,
-    tensor,
-    total_variation,
-)
-from .recombinator import (
-    POSITIVITY_TOL,
-    ZERO_TOTAL_VARIATION,
-    check_gen_cond,
-    lipschitz_ratio,
-    recombine,
-)
+from .generalized import CyclicOperator, generalized_flow_apply
+from .lattice import LinkSet
+from .measure import Measure, ProductSpace, random_probability, total_variation
+from .recombinator import recombine
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_LINKS",
-    "METHOD_CLOSED_FORM",
-    "METHOD_CROSSOVER",
-    "METHOD_RK4",
-    "POSITIVITY_TOL",
-    "ZERO_TOTAL_VARIATION",
     "CyclicOperator",
     "DisjointStretchSystem",
-    "GFunTable",
     "LinkSet",
     "Measure",
-    "OrderedPartition",
     "ProductSpace",
     "RateMap",
-    "Stretch",
     "Trajectory",
-    "all_link_sets",
-    "check_flow_commutation",
-    "check_gen_cond",
-    "check_generalized_ode",
-    "check_linearization",
-    "coefficient_a",
-    "coefficient_b",
     "crossover_solution",
-    "cyclic_apply",
-    "flow_coefficients",
     "generalized_flow_apply",
-    "gfun",
-    "gfun_asymptotic_check",
-    "gfun_scaled",
-    "is_positive",
-    "lipschitz_ratio",
-    "marginal",
-    "moebius_sign",
-    "moebius_transform",
-    "partition_of",
     "product_flow_apply",
     "random_probability",
     "recombine",
     "rk4_integrate",
-    "roots_of_unity_mean",
     "semigroup_apply",
-    "stretch_of",
-    "stretches_disjoint",
-    "subsets_of",
-    "supersets_of",
-    "tensor",
     "total_variation",
-    "trajectory_to_csv",
-    "trajectory_to_csv_string",
-    "trajectory_to_json_dict",
-    "vector_field",
     "__version__",
 ]

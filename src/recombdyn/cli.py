@@ -19,26 +19,22 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import (
-    METHOD_CLOSED_FORM,
-    METHOD_CROSSOVER,
-    METHOD_RK4,
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    _rk4_run,
     coefficient_a,
     coefficient_b,
     compile_field,
     crossover_solution,
+    integrate_field,
     output_grid,
     product_flow_apply,
     trajectory_to_csv_string,
     trajectory_to_json_dict,
 )
-from .generalized import CyclicOperator, _relabel_block0, generalized_flow_apply
-from .lattice import LinkSet, _cached_blocks, all_link_sets
+from .generalized import CyclicOperator, cyclic_field, generalized_flow_apply
+from .lattice import LinkSet, all_link_sets
 from .measure import Measure, ProductSpace, is_positive, random_probability
-from .recombinator import recombine_weights
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -48,6 +44,11 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
 BOTH_MODE_TOLERANCE = 1e-6
+
+# Memory bounds of one run, checked before any state is allocated: states of
+# the space, and weights of one stored trajectory (grid points x states).
+MAX_STATES = 1 << 24
+MAX_STORED_WEIGHTS = 1 << 27
 
 SOLVERS = ("closed-form", "rk4", "both")
 RATE_KINDS = ("general", "disjoint-stretch", "crossover", "cyclic")
@@ -69,8 +70,8 @@ def _tolerance_scale() -> float:
         scale = float(raw)
     except ValueError as exc:
         raise ScenarioValidationError(f"RECO_TOLERANCE_SCALE={raw!r} is not a float") from exc
-    if scale <= 0:
-        raise ScenarioValidationError("RECO_TOLERANCE_SCALE must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ScenarioValidationError("RECO_TOLERANCE_SCALE must be finite and positive")
     return scale
 
 
@@ -88,16 +89,6 @@ class Scenario:
     stride: int
     solver: str
     rk4_step: float
-
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "initial": _plain(self.initial),
-            "rates": _plain(self.rates),
-            "time": {"t_end": self.t_end, "stride": self.stride},
-            "solver": self.solver,
-            "rk4_step": self.rk4_step,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -227,27 +218,27 @@ def load_scenario(path: str | Path) -> Scenario:
 
 @dataclass
 class _Runtime:
-    scenario: Scenario
-    space: ProductSpace
     omega0: Measure
+    grid: list[float]
     closed_form: Callable[[float], Measure] | None
-    field: Callable[[np.ndarray], np.ndarray] | None
-    method: str
+    field: Callable[[np.ndarray], np.ndarray]
 
 
 def _build_runtime(scenario: Scenario) -> _Runtime:
     try:
         space = ProductSpace(scenario.sizes)
+        grid = output_grid(scenario.t_end, scenario.rk4_step, scenario.stride)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
     if space.n_links < 1:
         raise ScenarioValidationError("a scenario needs at least two nodes")
-    if scenario.t_end < 0:
-        raise ScenarioValidationError("time.t_end must be nonnegative")
-    if scenario.stride < 1:
-        raise ScenarioValidationError("time.stride must be a positive integer")
-    if scenario.rk4_step <= 0:
-        raise ScenarioValidationError("rk4_step must be positive")
+    if space.total_states > MAX_STATES:
+        raise ScenarioValidationError(f"{space.total_states} states exceed the cap of {MAX_STATES}")
+    stored = len(grid) * space.total_states
+    if stored > MAX_STORED_WEIGHTS:
+        raise ScenarioValidationError(
+            f"{stored} stored weights exceed the cap of {MAX_STORED_WEIGHTS}"
+        )
 
     if scenario.initial["kind"] == "random":
         omega0 = random_probability(space, scenario.initial["seed"])
@@ -264,8 +255,6 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 
     rates = scenario.rates
     kind = rates["kind"]
-    # Closed-form-only runs never evaluate the field, so none is compiled.
-    needs_field = scenario.solver in ("rk4", "both")
     try:
         if kind == "general":
             rate_map = RateMap.from_pairs(
@@ -279,8 +268,7 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 raise ScenarioValidationError(
                     "general rate maps have no closed form; use solver 'rk4'"
                 )
-            return _Runtime(scenario, space, omega0, None,
-                            compile_field(space, rate_map), METHOD_RK4)
+            return _Runtime(omega0, grid, None, compile_field(space, rate_map))
         if kind == "disjoint-stretch":
             system = DisjointStretchSystem(
                 tuple(
@@ -289,42 +277,25 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 )
             )
             closed = lambda t: product_flow_apply(omega0, system, [t] * len(system))
-            field = compile_field(space, system.as_rate_map()) if needs_field else None
-            return _Runtime(scenario, space, omega0, closed, field, METHOD_CLOSED_FORM)
+            return _Runtime(omega0, grid, closed, compile_field(space, system.as_rate_map()))
         if kind == "crossover":
             per_link = [float(r) for r in rates["per_link"]]
             closed = lambda t: crossover_solution(omega0, per_link, t)
-            field = compile_field(space, RateMap.crossover(per_link)) if needs_field else None
             # Probe once so malformed rates surface as validation errors.
             closed(0.0)
-            return _Runtime(scenario, space, omega0, closed, field, METHOD_CROSSOVER)
-        if kind == "cyclic":
-            op = CyclicOperator(
-                space,
-                LinkSet.from_indices(rates["links"], space.n_links),
-                tuple(int(p) for p in rates["permutation"]),
-                int(rates["order"]),
-            )
-            rho = float(rates["rate"])
-            if rho <= 0:
-                raise ScenarioValidationError("cyclic rate must be positive")
-            closed = lambda t: generalized_flow_apply(omega0, op, rho, t)
-            sizes = space.sizes
-            blocks = _cached_blocks(op.cuts.bits, space.n_nodes)
-
-            def field(w: np.ndarray) -> np.ndarray:
-                twisted = _relabel_block0(
-                    recombine_weights(w, sizes, blocks), op.perm, op.block0_states
-                )
-                return rho * (twisted - w)
-
-            return _Runtime(scenario, space, omega0, closed,
-                            field if needs_field else None, METHOD_CLOSED_FORM)
-    except ScenarioValidationError:
-        raise
+            return _Runtime(omega0, grid, closed, compile_field(space, RateMap.crossover(per_link)))
+        # Scenario.from_dict admits no other kind than these four.
+        op = CyclicOperator(
+            space,
+            LinkSet.from_indices(rates["links"], space.n_links),
+            tuple(int(p) for p in rates["permutation"]),
+            int(rates["order"]),
+        )
+        rho = float(rates["rate"])
+        closed = lambda t: generalized_flow_apply(omega0, op, rho, t)
+        return _Runtime(omega0, grid, closed, cyclic_field(op, rho))
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
-    raise ScenarioValidationError(f"unsupported rates kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +306,16 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     scenario = load_scenario(config)
     runtime = _build_runtime(scenario)
-    h = scenario.rk4_step
     solver = scenario.solver
 
-    rk4_traj = None
+    rk4_traj = closed_traj = None
     if solver in ("rk4", "both"):
-        times, raw = _rk4_run(
-            runtime.field,
-            np.array(runtime.omega0.weights),
-            scenario.t_end,
-            h,
-            scenario.stride,
+        rk4_traj = integrate_field(
+            runtime.field, runtime.omega0, scenario.t_end, scenario.rk4_step, scenario.stride
         )
-        rk4_traj = Trajectory(
-            tuple(times),
-            tuple(Measure(runtime.space, w, runtime.omega0.nodes) for w in raw),
-            "rk4",
-        )
-
-    closed_traj = None
     if solver in ("closed-form", "both"):
-        grid = output_grid(scenario.t_end, h, scenario.stride)
-        states = tuple(runtime.closed_form(t) for t in grid)
-        closed_traj = Trajectory(tuple(grid), states, runtime.method)
+        states = tuple(runtime.closed_form(t) for t in runtime.grid)
+        closed_traj = Trajectory(tuple(runtime.grid), states)
 
     primary = closed_traj if closed_traj is not None else rk4_traj
     _write_trajectory(primary, out_path, fmt)

@@ -14,8 +14,11 @@ summed over cut sets G.  Three solvable regimes get closed forms here:
       a_G(t)  = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t})
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
-numerical oracle for every closed form.  General overlapping-stretch rate
-maps are integrated numerically only; no closed form is claimed for them.
+numerical oracle for every closed form: ``integrate_field`` on any flat
+field, ``rk4_integrate`` on a rate map's.  The time grid is validated, with
+at most ``MAX_STEPS`` steps, before anything is allocated.  General
+overlapping-stretch rate maps are integrated numerically only; no closed
+form is claimed for them.
 
 The integrator evaluates a field compiled once per rate map by
 ``compile_field``.  Per evaluation it sums |omega| once, forms each distinct
@@ -54,10 +57,6 @@ from .recombinator import (
     recombine_weights,
     require_positive,
 )
-
-METHOD_CLOSED_FORM = "closed-form"
-METHOD_RK4 = "rk4"
-METHOD_CROSSOVER = "crossover-expansion"
 
 
 @dataclass(frozen=True)
@@ -165,11 +164,10 @@ class DisjointStretchSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus the state at each grid point, tagged by generator."""
+    """Time grid plus the state at each grid point."""
 
     times: tuple[float, ...]
     states: tuple[Measure, ...]
-    method: str
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.states) or not self.times:
@@ -190,8 +188,6 @@ class Trajectory:
 
 def vector_field(omega: Measure, rates: RateMap) -> Measure:
     """Right-hand side sum_G rho_G (R_G(omega) - omega); signed in general."""
-    if rates.n_links != omega.space.n_links:
-        raise ValueError("rate map does not match the measure's link count")
     if omega.nodes != tuple(range(omega.space.n_nodes)):
         raise ValueError("vector_field acts on measures over the full chain")
     field = compile_field(omega.space, rates)
@@ -312,10 +308,24 @@ def _rk4_step(
     return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+# Work bound of one run: 5,000 steps is the largest plan the tests and the
+# benchmark make, and a plan past this cap fails before anything is allocated.
+MAX_STEPS = 10**7
+
+
 def _step_plan(t_end: float, h: float, stride: int) -> tuple[int, list[int], float]:
     # Full steps of h, the ones after which the state is stored, and the
     # length of a final short step that lands on t_end (0.0 when none).
-    n_full = int(math.floor(t_end / h + 1e-9))
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"step size must be finite and positive, got {h}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"end time must be finite and nonnegative, got {t_end}")
+    if stride < 1:
+        raise ValueError(f"store stride must be a positive integer, got {stride}")
+    steps = t_end / h
+    if not (math.isfinite(steps) and math.floor(steps) <= MAX_STEPS):
+        raise ValueError(f"t_end / h = {steps:.3g} exceeds the cap of {MAX_STEPS} steps")
+    n_full = int(math.floor(steps + 1e-9))
     remainder = t_end - n_full * h
     if remainder <= h * 1e-12:
         remainder = 0.0
@@ -361,6 +371,25 @@ def _rk4_run(
     return output_grid(t_end, h, store_stride), states
 
 
+def integrate_field(
+    field: Callable[[np.ndarray], np.ndarray],
+    omega0: Measure,
+    t_end: float,
+    h: float,
+    store_stride: int = 1,
+) -> Trajectory:
+    """Integrate  d/dt w = field(w)  on flat weights with classical fixed-step RK4.
+
+    States are stored on ``output_grid(t_end, h, store_stride)``; the final
+    step is shortened to land exactly on ``t_end``.  Transient slightly
+    negative intermediate weights are left as computed so integrator
+    defects remain visible to the checks downstream.
+    """
+    times, raw = _rk4_run(field, np.array(omega0.weights), float(t_end), float(h), store_stride)
+    states = tuple(Measure(omega0.space, w, omega0.nodes) for w in raw)
+    return Trajectory(tuple(times), states)
+
+
 def rk4_integrate(
     omega0: Measure,
     rates: RateMap,
@@ -368,26 +397,9 @@ def rk4_integrate(
     h: float,
     store_stride: int = 1,
 ) -> Trajectory:
-    """Integrate the rate-driven ODE with classical fixed-step RK4.
-
-    The final step is shortened to land exactly on ``t_end``; with
-    ``store_stride > 1`` only every stride-th step (plus the endpoint) is
-    stored.  Transient slightly negative intermediate weights are left as
-    computed so integrator defects remain visible to the checks downstream.
-    """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step size must be finite and positive, got {h}")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"end time must be finite and nonnegative, got {t_end}")
-    if store_stride < 1:
-        raise ValueError("store_stride must be a positive integer")
-    if rates.n_links != omega0.space.n_links:
-        raise ValueError("rate map does not match the measure's link count")
+    """``integrate_field`` on the compiled field of a rate map, from a positive state."""
     require_positive(omega0, "rk4_integrate")
-    field = compile_field(omega0.space, rates)
-    times, raw = _rk4_run(field, np.array(omega0.weights), float(t_end), float(h), store_stride)
-    states = tuple(Measure(omega0.space, w, omega0.nodes) for w in raw)
-    return Trajectory(tuple(times), states, METHOD_RK4)
+    return integrate_field(compile_field(omega0.space, rates), omega0, t_end, h, store_stride)
 
 
 # ---------------------------------------------------------------------------

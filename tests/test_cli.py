@@ -1,17 +1,18 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from recombdyn import cli
 from recombdyn.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PROPERTY,
     EXIT_VALIDATION,
-    Scenario,
-    load_scenario,
     main,
 )
 
@@ -131,6 +132,29 @@ def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"time": {"t_end": -1.0, "stride": 1}},
+        {"time": {"t_end": 0.5, "stride": 0}},
+        {"rk4_step": 0.0},
+        {"time": {"t_end": 1e308, "stride": 1}},
+        {"time": {"t_end": 1e5, "stride": 1}},
+        {"sizes": [2] * 25},
+        {"sizes": [2] * 20, "time": {"t_end": 200.0, "stride": 1}, "rk4_step": 1.0},
+    ],
+    ids=["negative-t_end", "zero-stride", "zero-rk4_step", "steps-overflow",
+         "steps-past-cap", "states-past-cap", "stored-weights-past-cap"],
+)
+def test_run_bad_grid_and_caps_are_validation_errors(tmp_path, overrides):
+    # The caps are checked before any state is allocated, so these run fast.
+    config = tmp_path / "scenario.json"
+    write_scenario(config, solver="closed-form", **overrides)
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 def test_run_size_mismatch_is_validation_error(tmp_path):
     config = tmp_path / "scenario.json"
     write_scenario(config, initial={"kind": "weights", "weights": [0.5, 0.5]})
@@ -224,14 +248,6 @@ def test_run_solvers_share_the_output_grid(tmp_path):
     assert times["closed-form"] == times["rk4"] == times["both"] == [0.0, 0.2, 0.3]
 
 
-def test_scenario_round_trip(tmp_path):
-    config = tmp_path / "scenario.json"
-    write_scenario(config)
-    scenario = load_scenario(config)
-    again = Scenario.from_dict(scenario.to_dict())
-    assert again == scenario
-
-
 def test_run_deterministic_json_output(tmp_path):
     config = tmp_path / "scenario.json"
     write_scenario(config, solver="closed-form")
@@ -275,6 +291,25 @@ def test_verify_tampered_tolerance_fails(tmp_path, monkeypatch):
     code = main(["verify", "--suite", "moebius", "--seed", "9",
                  "--out", str(tmp_path / "r.json")])
     assert code == EXIT_PROPERTY
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_verify_rejects_non_finite_tolerance_scale(monkeypatch, scale):
+    monkeypatch.setenv("RECO_TOLERANCE_SCALE", scale)
+    assert main(["verify", "--suite", "generalized"]) == EXIT_VALIDATION
+
+
+def test_cli_imports_no_private_package_names():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("recombdyn"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_coefficients_single_link(tmp_path):

@@ -13,6 +13,7 @@ from recombdyn.dynamics import (
     coefficient_b,
     compile_field,
     crossover_solution,
+    integrate_field,
     moebius_transform,
     output_grid,
     product_flow_apply,
@@ -149,7 +150,6 @@ def test_ratemap_validation():
 def test_rk4_empty_rates_constant_trajectory():
     omega = random_probability(SPACE, 5)
     traj = rk4_integrate(omega, RateMap.empty(1), t_end=0.5, h=0.1)
-    assert traj.method == "rk4"
     for state in traj.states:
         np.testing.assert_array_equal(state.weights, omega.weights)
 
@@ -191,6 +191,18 @@ def test_rk4_matches_semigroup():
         assert state.weights.min() >= -1e-9
 
 
+def test_integrate_field_is_rk4_integrate():
+    space = ProductSpace((2, 3, 2))
+    omega = random_probability(space, 9)
+    rates = RateMap.crossover([1.0, 0.3])
+    field = compile_field(space, rates)
+    ours = integrate_field(field, omega, t_end=0.25, h=0.1, store_stride=2)
+    oracle = rk4_integrate(omega, rates, t_end=0.25, h=0.1, store_stride=2)
+    assert ours.times == oracle.times
+    for a, b in zip(ours.states, oracle.states):
+        assert np.array_equal(a.weights, b.weights)
+
+
 def test_rk4_argument_validation():
     omega = random_probability(SPACE, 5)
     rates = RateMap.single(CUT, 1.0)
@@ -203,6 +215,8 @@ def test_rk4_argument_validation():
             rk4_integrate(omega, rates, t_end=1.0, h=bad)
         with pytest.raises(ValueError):
             rk4_integrate(omega, rates, t_end=bad, h=0.1)
+    with pytest.raises(ValueError, match="cap"):
+        rk4_integrate(omega, rates, t_end=1e308, h=1e-3)
     signed = Measure(SPACE, [0.5, 0.6, -0.1, 0.0])
     with pytest.raises(ValueError):
         rk4_integrate(signed, rates, t_end=1.0, h=0.1)
@@ -429,9 +443,9 @@ def test_transform_decay_matches_cumulative_coefficient():
 def test_trajectory_validation():
     omega = random_probability(SPACE, 1)
     with pytest.raises(ValueError):
-        Trajectory((0.0, 0.0), (omega, omega), "rk4")
+        Trajectory((0.0, 0.0), (omega, omega))
     with pytest.raises(ValueError):
-        Trajectory((0.5,), (omega,), "rk4")
+        Trajectory((0.5,), (omega,))
 
 
 def test_trajectory_csv_round_trip():

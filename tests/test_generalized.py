@@ -9,6 +9,7 @@ from recombdyn.generalized import (
     check_flow_commutation,
     check_generalized_ode,
     cyclic_apply,
+    cyclic_field,
     flow_coefficients,
     generalized_flow_apply,
     gfun,
@@ -194,6 +195,16 @@ def test_cyclic_apply_rejects_signed_input():
     signed = Measure(op.space, np.linspace(-1, 1, op.space.total_states))
     with pytest.raises(ValueError):
         cyclic_apply(signed, op, 1)
+
+
+def test_cyclic_field_is_the_generator():
+    op, omega = three_cycle()
+    for rho in (1.0, 0.37):
+        expected = rho * (cyclic_apply(omega, op, 1).weights - omega.weights)
+        assert np.array_equal(cyclic_field(op, rho)(omega.weights), expected)
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            cyclic_field(op, rho)
 
 
 def test_flow_time_zero_is_identity():
