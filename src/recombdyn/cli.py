@@ -50,6 +50,10 @@ BOTH_MODE_TOLERANCE = 1e-6
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
+# Work bound of one `coefficients` table: times x link sets.  The largest
+# table the tests and the benchmark make has 11 x 256 cells.
+MAX_TABLE_CELLS = 1 << 20
+
 SOLVERS = ("closed-form", "rk4", "both")
 RATE_KINDS = ("general", "disjoint-stretch", "crossover", "cyclic")
 
@@ -94,7 +98,7 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioParseError("scenario document must be a JSON object")
-        sizes = _expect(doc, "sizes", list, "scenario")
+        sizes = _expect(doc, "sizes", list, "scenario", items=int)
         initial = _expect(doc, "initial", dict, "scenario")
         rates = _expect(doc, "rates", dict, "scenario")
         time_spec = _expect(doc, "time", dict, "scenario")
@@ -110,7 +114,7 @@ class Scenario:
         if kind == "random":
             _expect(initial, "seed", int, "scenario.initial")
         elif kind == "weights":
-            _expect(initial, "weights", list, "scenario.initial")
+            _expect(initial, "weights", list, "scenario.initial", items=(int, float))
         else:
             raise ScenarioParseError(
                 f"scenario.initial.kind: expected 'random' or 'weights', got {kind!r}"
@@ -121,14 +125,14 @@ class Scenario:
             for i, entry in enumerate(entries):
                 if not isinstance(entry, dict):
                     raise ScenarioParseError(f"scenario.rates.entries[{i}]: expected object")
-                _expect(entry, "links", list, f"scenario.rates.entries[{i}]")
+                _expect(entry, "links", list, f"scenario.rates.entries[{i}]", items=int)
                 _expect(entry, "rate", (int, float), f"scenario.rates.entries[{i}]")
         elif rates_kind == "crossover":
-            _expect(rates, "per_link", list, "scenario.rates")
+            _expect(rates, "per_link", list, "scenario.rates", items=(int, float))
         elif rates_kind == "cyclic":
-            _expect(rates, "links", list, "scenario.rates")
+            _expect(rates, "links", list, "scenario.rates", items=int)
             _expect(rates, "order", int, "scenario.rates")
-            _expect(rates, "permutation", list, "scenario.rates")
+            _expect(rates, "permutation", list, "scenario.rates", items=int)
             _expect(rates, "rate", (int, float), "scenario.rates")
         else:
             raise ScenarioParseError(
@@ -138,8 +142,6 @@ class Scenario:
             raise ScenarioParseError(
                 f"scenario.solver: expected one of {SOLVERS}, got {solver!r}"
             )
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in sizes):
-            raise ScenarioParseError("scenario.sizes: expected a list of integers")
         return cls(
             sizes=tuple(int(k) for k in sizes),
             initial=_plain(initial),
@@ -159,12 +161,17 @@ def _plain(value):
     return value
 
 
-def _expect(doc: dict, key: str, types, where: str):
+def _expect(doc: dict, key: str, types, where: str, items=None):
+    # ``items``, for a list field, is the type every element must have.
     if key not in doc:
         raise ScenarioParseError(f"{where}.{key}: missing field")
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
         raise ScenarioParseError(f"{where}.{key}: wrong type {type(value).__name__}")
+    if items is not None:
+        for i, item in enumerate(value):
+            if not isinstance(item, items) or isinstance(item, bool):
+                raise ScenarioParseError(f"{where}.{key}[{i}]: wrong type {type(item).__name__}")
     return value
 
 
@@ -427,6 +434,12 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
         print("need finite t-end >= 0 and t-step > 0", file=sys.stderr)
         return EXIT_VALIDATION
     n_links = len(rates)
+    # An upper bound of the time count below, checked before any loop runs.
+    steps = args.t_end / args.t_step
+    cells = (math.floor(steps) + 2) << n_links if math.isfinite(steps) else math.inf
+    if cells > MAX_TABLE_CELLS:
+        print(f"the table needs over {MAX_TABLE_CELLS} cells", file=sys.stderr)
+        return EXIT_VALIDATION
     subsets = list(all_link_sets(n_links))
     times = []
     t = 0.0

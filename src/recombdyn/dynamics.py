@@ -9,9 +9,12 @@ summed over cut sets G.  Three solvable regimes get closed forms here:
 
 * one cut set A:            omega_t = e^{-rho t} omega_0 + (1 - e^{-rho t}) R_A(omega_0)
 * cut sets with pairwise disjoint stretches: the product of the one-set flows
-* one rate per single link: the subset expansion
+* one rate per single link: singletons have disjoint stretches, so this is the
+  product of the n one-link flows.  Multiplied out, it is the paper's subset
+  expansion
       omega_t = sum_G a_G(t) R_G(omega_0),
-      a_G(t)  = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t})
+      a_G(t)  = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t}),
+  which the verify suite keeps as the reference for the product.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``integrate_field`` on any flat
@@ -43,20 +46,13 @@ import numpy as np
 
 from .lattice import (
     LinkSet,
-    _cached_blocks,
     moebius_sign,
+    partition_of,
     stretches_disjoint,
-    subsets_of,
     supersets_of,
 )
 from .measure import Measure, ProductSpace, total_variation
-from .recombinator import (
-    ZERO_TOTAL_VARIATION,
-    _require_full_space,
-    recombine,
-    recombine_weights,
-    require_positive,
-)
+from .recombinator import ZERO_TOTAL_VARIATION, recombine, require_positive
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ def compile_field(
     sizes = space.sizes
     n_states = space.total_states
     terms = [
-        (rate, _cached_blocks(links.bits, space.n_nodes))
+        (rate, partition_of(links, space.n_nodes).blocks)
         for links, rate in rates.items()
         if rate != 0.0
     ]
@@ -308,9 +304,11 @@ def _rk4_step(
     return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-# Work bound of one run: 5,000 steps is the largest plan the tests and the
-# benchmark make, and a plan past this cap fails before anything is allocated.
+# Work and memory bounds of one run: no plan of the tests or the benchmark
+# takes over 5,000 steps or stores over 1,001 grid points, and a plan past
+# either cap fails before anything is allocated.
 MAX_STEPS = 10**7
+MAX_GRID_POINTS = 10**5
 
 
 def _step_plan(t_end: float, h: float, stride: int) -> tuple[int, list[int], float]:
@@ -326,6 +324,10 @@ def _step_plan(t_end: float, h: float, stride: int) -> tuple[int, list[int], flo
     if not (math.isfinite(steps) and math.floor(steps) <= MAX_STEPS):
         raise ValueError(f"t_end / h = {steps:.3g} exceeds the cap of {MAX_STEPS} steps")
     n_full = int(math.floor(steps + 1e-9))
+    if n_full // stride + 1 > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{n_full // stride + 1} stored grid points exceed the cap of {MAX_GRID_POINTS}"
+        )
     remainder = t_end - n_full * h
     if remainder <= h * 1e-12:
         remainder = 0.0
@@ -476,35 +478,38 @@ def coefficient_a(links: LinkSet, link_rates: Sequence[float], t: float) -> floa
 
 
 def coefficient_b(links: LinkSet, link_rates: Sequence[float], t: float) -> float:
-    """Cumulative expansion weight: the sum of ``coefficient_a`` over subsets."""
-    return sum(coefficient_a(sub, link_rates, t) for sub in subsets_of(links))
+    """Cumulative expansion weight: the sum of ``coefficient_a`` over subsets.
+
+    The sum telescopes to the chance that no link outside the set has
+    recombined by time t, prod_{a not in G} e^{-rho_a t}, formed here in
+    ``coefficient_a``'s factor order.
+    """
+    rates = _validated_link_rates(link_rates, links.n_links)
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    value = 1.0
+    for i, rate in enumerate(rates):
+        if i not in links:
+            value *= math.exp(-rate * t)
+    return value
 
 
 def crossover_solution(
     omega0: Measure, link_rates: Sequence[float], t: float
 ) -> Measure:
-    """Closed-form single-crossover flow: subset expansion over all cut sets."""
+    """Closed-form single-crossover flow: the product of the one-link flows.
+
+    Singleton cut sets have disjoint stretches, so their flows commute and
+    the n of them compose to the solution, one recombination each.  The
+    paper's subset expansion over all 2^n cut sets gives the same measure;
+    the verify suite keeps it as the reference.
+    """
     n_links = omega0.space.n_links
     rates = _validated_link_rates(link_rates, n_links)
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    require_positive(omega0, "crossover_solution")
-    decays = [math.exp(-r * t) for r in rates]
-    sizes = omega0.space.sizes
-    n_nodes = omega0.space.n_nodes
-    acc = np.zeros_like(omega0.weights)
-    for bits in range(1 << n_links):
-        weight = 1.0
-        for i in range(n_links):
-            weight *= (1.0 - decays[i]) if bits >> i & 1 else decays[i]
-        if weight == 0.0:
-            continue
-        if bits == 0:
-            acc += weight * omega0.weights
-        else:
-            blocks = _cached_blocks(bits, n_nodes)
-            acc += weight * recombine_weights(omega0.weights, sizes, blocks)
-    return Measure(omega0.space, acc, omega0.nodes)
+    system = DisjointStretchSystem(RateMap.crossover(rates).entries)
+    return product_flow_apply(omega0, system, [t] * n_links)
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +525,10 @@ def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
     Along a single-crossover trajectory each transform decays along its own
     exponential, which is what makes the flow linearizable.
     """
-    _require_full_space(omega, links, "moebius_transform")
     require_positive(omega, "moebius_transform")
-    sizes = omega.space.sizes
-    n_nodes = omega.space.n_nodes
     acc = np.zeros_like(omega.weights)
     for upper in supersets_of(links):
-        if len(upper) == 0:
-            term = omega.weights
-        else:
-            blocks = _cached_blocks(upper.bits, n_nodes)
-            term = recombine_weights(omega.weights, sizes, blocks)
+        term = recombine(omega, upper).weights
         if moebius_sign(links, upper) > 0:
             acc += term
         else:
@@ -546,12 +544,12 @@ def check_linearization(
 ) -> float:
     """Max defect of  T_G(omega_t) = exp(-t * sum_{a not in G} rho_a) T_G(omega_0).
 
-    The trajectory is produced by the closed-form crossover expansion; the
-    comparison line is the decoupled linear decay the transform predicts.
+    The trajectory is produced by ``crossover_solution``; the comparison line
+    is the decoupled linear decay the transform predicts, with the factor
+    ``coefficient_b(G, t)``.
     """
-    rates = _validated_link_rates(link_rates, links.n_links)
+    _validated_link_rates(link_rates, links.n_links)
     require_positive(omega0, "check_linearization")
-    outside_rate = sum(r for i, r in enumerate(rates) if i not in links)
     base = moebius_transform(omega0, links)
     worst = 0.0
     for t in times:
@@ -559,7 +557,7 @@ def check_linearization(
         if t < 0.0:
             raise ValueError("grid times must be nonnegative")
         state = crossover_solution(omega0, link_rates, t)
-        predicted = math.exp(-outside_rate * t) * base
+        predicted = coefficient_b(links, link_rates, t) * base
         defect = total_variation(moebius_transform(state, links) - predicted)
         worst = max(worst, defect)
     return worst

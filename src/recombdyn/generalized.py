@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import LinkSet, _cached_blocks
+from .lattice import LinkSet, partition_of
 from .measure import Measure, ProductSpace
 from .recombinator import recombine, recombine_weights, require_positive
 
@@ -167,7 +167,7 @@ class CyclicOperator:
             raise ValueError("cut set does not match the space's link count")
         perm = tuple(int(p) for p in self.perm)
         object.__setattr__(self, "perm", perm)
-        block0 = _cached_blocks(self.cuts.bits, self.space.n_nodes)[0]
+        block0 = partition_of(self.cuts, self.space.n_nodes).blocks[0]
         block0_states = math.prod(self.space.sizes[ax] for ax in block0)
         if sorted(perm) != list(range(block0_states)):
             raise ValueError(
@@ -227,7 +227,7 @@ def cyclic_field(op: CyclicOperator, rho: float) -> Callable[[np.ndarray], np.nd
     if not rho > 0.0:
         raise ValueError(f"rate must be positive, got {rho}")
     sizes = op.space.sizes
-    blocks = _cached_blocks(op.cuts.bits, op.space.n_nodes)
+    blocks = partition_of(op.cuts, op.space.n_nodes).blocks
 
     def field(w: np.ndarray) -> np.ndarray:
         twisted = _relabel_block0(recombine_weights(w, sizes, blocks), op.perm, op.block0_states)

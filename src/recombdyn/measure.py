@@ -106,14 +106,6 @@ class Measure:
     def zero(cls, space: ProductSpace, nodes: tuple[int, ...] | None = None) -> "Measure":
         return cls(space, np.zeros(space.total_states), nodes)
 
-    @classmethod
-    def point_mass(
-        cls, space: ProductSpace, coords: Sequence[int], weight: float = 1.0
-    ) -> "Measure":
-        w = np.zeros(space.total_states)
-        w[space.flat_index(coords)] = weight
-        return cls(space, w)
-
     # -- views and scalars -----------------------------------------------------
 
     def as_tensor(self) -> np.ndarray:

@@ -35,16 +35,6 @@ def require_positive(omega: Measure, operation: str, tol: float = POSITIVITY_TOL
         )
 
 
-def _require_full_space(omega: Measure, links: LinkSet, operation: str) -> None:
-    if omega.nodes != tuple(range(omega.space.n_nodes)):
-        raise ValueError(f"{operation} acts on measures over the full chain")
-    if links.n_links != omega.space.n_links:
-        raise ValueError(
-            f"link set over {links.n_links} links does not match a space "
-            f"with {omega.space.n_links} links"
-        )
-
-
 def recombine_weights(
     w: np.ndarray,
     sizes: tuple[int, ...],
@@ -73,7 +63,13 @@ def recombine_weights(
 
 def recombine(omega: Measure, links: LinkSet) -> Measure:
     """Apply the recombinator attached to a cut set.  Total on signed input."""
-    _require_full_space(omega, links, "recombine")
+    if omega.nodes != tuple(range(omega.space.n_nodes)):
+        raise ValueError("recombine acts on measures over the full chain")
+    if links.n_links != omega.space.n_links:
+        raise ValueError(
+            f"link set over {links.n_links} links does not match a space "
+            f"with {omega.space.n_links} links"
+        )
     if len(links) == 0:
         return omega
     blocks = _cached_blocks(links.bits, omega.space.n_nodes)

@@ -23,7 +23,7 @@ from recombdyn.dynamics import (
     trajectory_to_json_dict,
     vector_field,
 )
-from recombdyn.lattice import LinkSet, _cached_blocks, all_link_sets
+from recombdyn.lattice import LinkSet, _cached_blocks, all_link_sets, subsets_of
 from recombdyn.measure import (
     Measure,
     ProductSpace,
@@ -217,6 +217,8 @@ def test_rk4_argument_validation():
             rk4_integrate(omega, rates, t_end=bad, h=0.1)
     with pytest.raises(ValueError, match="cap"):
         rk4_integrate(omega, rates, t_end=1e308, h=1e-3)
+    with pytest.raises(ValueError, match="grid points"):
+        rk4_integrate(omega, rates, t_end=2e5, h=1.0)
     signed = Measure(SPACE, [0.5, 0.6, -0.1, 0.0])
     with pytest.raises(ValueError):
         rk4_integrate(signed, rates, t_end=1.0, h=0.1)
@@ -352,27 +354,48 @@ def test_coefficient_sum_is_one():
 
 
 def test_coefficient_validation():
-    with pytest.raises(ValueError):
-        coefficient_a(LinkSet.empty(2), [1.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        coefficient_a(LinkSet.empty(2), [1.0], 1.0)
+    for coefficient in (coefficient_a, coefficient_b):
+        with pytest.raises(ValueError):
+            coefficient(LinkSet.empty(2), [1.0, 0.0], 1.0)
+        with pytest.raises(ValueError):
+            coefficient(LinkSet.empty(2), [1.0], 1.0)
+        with pytest.raises(ValueError):
+            coefficient(LinkSet.empty(2), [1.0, 0.5], -0.1)
     omega = random_probability(ProductSpace((2, 2, 2)), 0)
     with pytest.raises(ValueError):
         crossover_solution(omega, [1.0, -0.5], 1.0)
 
 
+def subset_expansion(omega, rates, t):
+    """The paper's sum_G a_G(t) R_G(omega) over all cut sets."""
+    terms = (
+        coefficient_a(ls, rates, t) * recombine(omega, ls)
+        for ls in all_link_sets(len(rates))
+    )
+    return sum(terms, start=Measure.zero(omega.space))
+
+
 def test_crossover_equals_singleton_product_flow():
+    # crossover_solution is the product of the one-link flows; the subset
+    # expansion is the independent second opinion.
     space = ProductSpace((2, 3, 2, 2))
     rates = [1.0, 0.4, 0.9]
-    system = DisjointStretchSystem(
-        tuple((LinkSet.from_indices([i], 3), rates[i]) for i in range(3))
-    )
     for seed in range(5):
         omega = random_probability(space, seed)
         for t in (0.2, 0.9, 2.5):
-            expansion = crossover_solution(omega, rates, t)
-            product = product_flow_apply(omega, system, [t] * 3)
+            expansion = subset_expansion(omega, rates, t)
+            product = crossover_solution(omega, rates, t)
             assert total_variation(expansion - product) <= 1e-10
+
+
+def test_coefficient_b_is_the_subset_sum_of_coefficient_a():
+    rates = [1.0, 0.3, 0.8, 1.7]
+    for t in (0.0, 0.3, 1.0, 5.0):
+        for links in all_link_sets(4):
+            subset_sum = math.fsum(
+                coefficient_a(sub, rates, t) for sub in subsets_of(links)
+            )
+            assert abs(coefficient_b(links, rates, t) - subset_sum) <= 1e-15
 
 
 def test_moebius_transform_two_point_lattice():
