@@ -1,7 +1,8 @@
 """Command line: scenario runs, invariant verification, coefficient tables.
 
 Exit codes: 0 ok, 1 property failure, 2 parse error, 3 validation error,
-4 numerical contract violation in `both` mode.
+4 numerical contract violation: a non-finite state, or `both` mode's solvers
+disagree.
 """
 
 from __future__ import annotations
@@ -248,7 +249,10 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
         )
 
     if scenario.initial["kind"] == "random":
-        omega0 = random_probability(space, scenario.initial["seed"])
+        seed = scenario.initial["seed"]
+        if seed < 0:
+            raise ScenarioValidationError(f"initial seed must be nonnegative, got {seed}")
+        omega0 = random_probability(space, seed)
     else:
         weights = scenario.initial["weights"]
         if len(weights) != space.total_states:
@@ -259,6 +263,8 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
         omega0 = Measure(space, np.asarray(weights, dtype=np.float64))
         if not is_positive(omega0, 1e-12):
             raise ScenarioValidationError("initial weights must form a positive measure")
+        if not math.isfinite(omega0.mass):
+            raise ScenarioValidationError("initial weights must have a finite total")
 
     rates = scenario.rates
     kind = rates["kind"]
@@ -324,6 +330,12 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
         states = tuple(runtime.closed_form(t) for t in runtime.grid)
         closed_traj = Trajectory(tuple(runtime.grid), states)
 
+    # A state that left the floating-point range is no result: nothing is written.
+    for name, traj in (("rk4", rk4_traj), ("closed-form", closed_traj)):
+        if traj is not None and not all(np.isfinite(s.weights).all() for s in traj.states):
+            print(f"{config}: the {name} trajectory is not finite", file=sys.stderr)
+            return EXIT_NUMERIC
+
     primary = closed_traj if closed_traj is not None else rk4_traj
     _write_trajectory(primary, out_path, fmt)
 
@@ -340,8 +352,7 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
             "tolerance": tolerance,
             "passed": max(gaps) <= tolerance,
         }
-        report_path = out_path.with_suffix(out_path.suffix + ".report.json")
-        report_path.write_text(_dump_json(report))
+        _write_atomic(_report_path(out_path), _dump_json(report))
         if not report["passed"]:
             print(
                 f"{config}: closed form and rk4 disagree by {max(gaps):.3e} "
@@ -352,12 +363,29 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     return EXIT_OK
 
 
+def _report_path(out_path: Path) -> Path:
+    return out_path.with_suffix(out_path.suffix + ".report.json")
+
+
 def _write_trajectory(traj: Trajectory, out_path: Path, fmt: str) -> None:
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        out_path.write_text(trajectory_to_csv_string(traj))
+        _write_atomic(out_path, trajectory_to_csv_string(traj))
     else:
-        out_path.write_text(_dump_json(trajectory_to_json_dict(traj)))
+        _write_atomic(out_path, _dump_json(trajectory_to_json_dict(traj)))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    # The whole text or nothing: readers never see a partial file, and an
+    # interrupted write leaves neither a truncated artifact nor its temp file.
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x") as stream:
+            stream.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dump_json(payload: dict) -> str:
@@ -370,16 +398,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if len(configs) == 1:
         return _run_one(configs[0], out, args.format, scale)
-    # Batch mode: the output path is a directory, one artifact per scenario.
-    out.mkdir(parents=True, exist_ok=True)
+    # Batch mode: the output path is a directory, one artifact (and report)
+    # per scenario, named after the config; no two scenarios may share one.
     suffix = ".csv" if args.format == "csv" else ".json"
+    targets = [out / (Path(cfg).stem + suffix) for cfg in configs]
+    owners: dict[Path, str] = {}
+    for cfg, target in zip(configs, targets):
+        for path in (target, _report_path(target)):
+            if path in owners:
+                raise ScenarioValidationError(
+                    f"{owners[path]} and {cfg} would both write {path}"
+                )
+            owners[path] = cfg
     codes = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         futures = [
-            pool.submit(
-                _run_isolated, cfg, out / (Path(cfg).stem + suffix), args.format, scale
-            )
-            for cfg in configs
+            pool.submit(_run_isolated, cfg, target, args.format, scale)
+            for cfg, target in zip(configs, targets)
         ]
         for future in concurrent.futures.as_completed(futures):
             codes.append(future.result())
@@ -409,7 +444,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, args.seed, scale)
     text = _dump_json(report)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_atomic(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_PROPERTY
@@ -450,7 +485,6 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
     rows_b = [[coefficient_b(ls, rates, t) for ls in subsets] for t in times]
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         header = ["t"]
         header += [f"a{ls.bits}" for ls in subsets]
@@ -459,18 +493,10 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
         for t, ra, rb in zip(times, rows_a, rows_b):
             cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in ra + rb]
             lines.append(",".join(cells))
-        out.write_text("\n".join(lines) + "\n")
+        _write_atomic(out, "\n".join(lines) + "\n")
     else:
-        out.write_text(
-            _dump_json(
-                {
-                    "times": times,
-                    "subsets": [ls.bits for ls in subsets],
-                    "a": rows_a,
-                    "b": rows_b,
-                }
-            )
-        )
+        table = {"times": times, "subsets": [ls.bits for ls in subsets], "a": rows_a, "b": rows_b}
+        _write_atomic(out, _dump_json(table))
     return EXIT_OK
 
 

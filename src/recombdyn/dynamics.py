@@ -26,13 +26,16 @@ form is claimed for them.
 The integrator evaluates a field compiled once per rate map by
 ``compile_field``.  Per evaluation it sums |omega| once, forms each distinct
 block marginal once however many cut sets share the block, and folds every
-``-rho_G omega`` into one term.  Small spaces, where the stacked 0/1
-block-marginal operator has at most ``DENSE_FIELD_MAX_ENTRIES`` entries, use
-a dense kernel: one matrix product for all marginals, one gather and product
-for all terms.  Larger spaces use a strided kernel that reduces the flat
-weights as (left, block, right) arrays and builds each term by outer
-products.  ``recombine_weights`` remains the reference the field is tested
-against.
+``-rho_G omega`` into one term.  Small spaces, whose block marginals have at
+most ``STACKED_FIELD_MAX_ENTRIES`` rows x states, use the stacked kernel:
+one ``bincount`` for all marginals, one gather and product for all terms and
+one ``bincount`` scatter back to the states, driven by index tables.  Larger
+spaces use a strided kernel that reduces the flat weights as (left, block,
+right) arrays and builds each term by outer products.
+``rk4_integrate_many`` integrates independent problems on one grid: the
+small ones laid end to end in one vector, under one stacked field with one
+|omega| per problem, so many tiny runs cost one run's interpreter overhead.
+``recombine_weights`` remains the reference the field is tested against.
 """
 
 from __future__ import annotations
@@ -77,6 +80,9 @@ class RateMap:
                 raise ValueError(f"duplicate rate entry for {links}")
             seen.add(links.bits)
             normalized.append((links, rate))
+        # Rates are >= 0, so a plain sum overflows exactly when the total does.
+        if not math.isfinite(sum(rate for _, rate in normalized)):
+            raise ValueError("the rates' total exceeds the float range")
         normalized.sort(key=lambda e: e[0].bits)
         object.__setattr__(self, "entries", tuple(normalized))
 
@@ -190,10 +196,63 @@ def vector_field(omega: Measure, rates: RateMap) -> Measure:
     return Measure(omega.space, field(omega.weights), omega.nodes)
 
 
-# The stacked block-marginal operator of the dense kernel has one row per
-# block state and one column per state; above this many entries the strided
-# kernel, which never forms it, is faster and needs no O(S * N) memory.
-DENSE_FIELD_MAX_ENTRIES = 1 << 18
+# The marginal rows (one per block state, summed over the distinct blocks)
+# times the states of a problem.  Problems above this take the strided
+# kernel, whose few large numpy calls beat the stacked kernel's gathers there
+# (2^11 states, 10 crossover links: 193 vs 485 us per evaluation on one
+# shared CPU core); the others share one stacked vector.
+STACKED_FIELD_MAX_ENTRIES = 1 << 18
+
+
+@dataclass(frozen=True)
+class _FieldTerms:
+    """What the field of one rate map on one space needs, worked out once.
+
+    ``extents`` are the distinct blocks of all cut sets as (left, block,
+    right) extents of the flat index; each nonzero-rate term has its rate and
+    the ids of its blocks in that list.
+    """
+
+    n_states: int
+    extents: tuple[tuple[int, int, int], ...]
+    term_blocks: tuple[tuple[int, ...], ...]
+    term_rates: tuple[float, ...]
+    total_rate: float
+
+    @property
+    def stacks(self) -> bool:
+        rows = sum(size for _, size, _ in self.extents)
+        return rows * self.n_states <= STACKED_FIELD_MAX_ENTRIES
+
+
+def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
+    if rates.n_links != space.n_links:
+        raise ValueError("rate map does not match the space's link count")
+    sizes = space.sizes
+    terms = [
+        (rate, partition_of(links, space.n_nodes).blocks)
+        for links, rate in rates.items()
+        if rate != 0.0
+    ]
+    block_ids: dict[tuple[int, ...], int] = {}
+    for _, blocks in terms:
+        for block in blocks:
+            block_ids.setdefault(block, len(block_ids))
+    extents = tuple(
+        (
+            math.prod(sizes[: block[0]]),
+            math.prod(sizes[block[0] : block[-1] + 1]),
+            math.prod(sizes[block[-1] + 1 :]),
+        )
+        for block in block_ids
+    )
+    return _FieldTerms(
+        n_states=space.total_states,
+        extents=extents,
+        term_blocks=tuple(tuple(block_ids[block] for block in blocks) for _, blocks in terms),
+        term_rates=tuple(rate for rate, _ in terms),
+        total_rate=math.fsum(rate for rate, _ in terms),
+    )
 
 
 def compile_field(
@@ -202,75 +261,80 @@ def compile_field(
     """Compile ``w -> sum_G rho_G (R_G(w) - w)`` for flat weight vectors.
 
     Everything that depends only on the space and the rate map is worked out
-    here, once: the distinct blocks of all cut sets as (left, block, right)
-    extents of the flat index, and each term's rate and blocks.  Zero rates
-    are dropped.  Each call of the returned function sums |w| once, forms
-    every distinct block marginal once, and folds the ``-rho_G w`` parts into
-    one term.  Like ``recombine_weights``, it divides every marginal by |w|
-    so no power of |w| can overflow, and it maps |w| below
-    ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state
+    here, once; zero rates are dropped.  Each call of the returned function
+    sums |w| once, forms every distinct block marginal once, and folds the
+    ``-rho_G w`` parts into one term.  Like ``recombine_weights``, it divides
+    every marginal by |w| so no power of |w| can overflow, and it maps |w|
+    below ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state
     between calls, so one compiled field may be shared across threads.
     """
-    if rates.n_links != space.n_links:
-        raise ValueError("rate map does not match the space's link count")
-    sizes = space.sizes
-    n_states = space.total_states
-    terms = [
-        (rate, partition_of(links, space.n_nodes).blocks)
-        for links, rate in rates.items()
-        if rate != 0.0
-    ]
-    if not terms:
+    terms = _field_terms(space, rates)
+    return _stacked_field([terms]) if terms.stacks else _strided_field(terms)
+
+
+def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.ndarray]:
+    # Independent problems laid end to end: part p owns the next n_states
+    # weights.  Index tables give every (block, state) pair its marginal row
+    # and every (term, state) pair the rows of its factors, so one call makes
+    # the same few numpy calls for any number of problems, blocks and terms.
+    if not any(part.term_rates for part in parts):
         return lambda w: np.zeros_like(w)
-    total_rate = math.fsum(rate for rate, _ in terms)
-    term_rates = np.array([rate for rate, _ in terms])
+    marginal_rows, marginal_states, row_part = [], [], []
+    factor_rows, targets, target_rates, target_part = [], [], [], []
+    start = n_rows = 0
+    for p, part in enumerate(parts):
+        flat = np.arange(part.n_states)
+        states = start + flat
+        rows = []
+        for _, size, right in part.extents:
+            rows.append(n_rows + (flat // right) % size)
+            row_part.append(np.full(size, p))
+            n_rows += size
+        marginal_rows += rows
+        marginal_states += [states] * len(rows)
+        for rate, ids in zip(part.term_rates, part.term_blocks):
+            factor_rows.append([rows[b] for b in ids])
+            targets.append(states)
+            target_rates.append(np.full(part.n_states, rate))
+            target_part.append(np.full(part.n_states, p))
+        start += part.n_states
+    n_states, n_parts = start, len(parts)
+    counts = [part.n_states for part in parts]
+    state_part = np.repeat(np.arange(n_parts), counts)
+    state_rates = np.repeat([part.total_rate for part in parts], counts)
+    marginal_rows = np.concatenate(marginal_rows)
+    marginal_states = np.concatenate(marginal_states)
+    row_part = np.concatenate(row_part)
+    targets = np.concatenate(targets)
+    target_rates = np.concatenate(target_rates)
+    target_part = np.concatenate(target_part)
+    # One column per (term, state); slots past a term's last block point at
+    # the extra row after the marginals, which holds the neutral factor 1.
+    width = max(len(rows) for rows in factor_rows)
+    table = np.full((width, targets.size), n_rows)
+    col = 0
+    for rows in factor_rows:
+        for j, row in enumerate(rows):
+            table[j, col : col + row.size] = row
+        col += rows[0].size
 
-    block_ids: dict[tuple[int, ...], int] = {}
-    for _, blocks in terms:
-        for block in blocks:
-            block_ids.setdefault(block, len(block_ids))
-    extents = [
-        (
-            math.prod(sizes[: block[0]]),
-            math.prod(sizes[block[0] : block[-1] + 1]),
-            math.prod(sizes[block[-1] + 1 :]),
-        )
-        for block in block_ids
-    ]
-    term_blocks = [[block_ids[block] for block in blocks] for _, blocks in terms]
+    def stacked_field(w: np.ndarray) -> np.ndarray:
+        tv = np.bincount(state_part, weights=np.abs(w), minlength=n_parts)
+        live = tv >= ZERO_TOTAL_VARIATION
+        scaled = np.empty(n_rows + 1)
+        marginals = np.bincount(marginal_rows, weights=w[marginal_states], minlength=n_rows)
+        np.divide(marginals, np.where(live, tv, 1.0)[row_part], out=scaled[:n_rows])
+        scaled[n_rows] = 1.0
+        terms = scaled[table].prod(axis=0) * (target_rates * np.where(live, tv, 0.0)[target_part])
+        return np.bincount(targets, weights=terms, minlength=n_states) - state_rates * w
 
-    n_rows = sum(size for _, size, _ in extents)
-    if n_rows * n_states <= DENSE_FIELD_MAX_ENTRIES:
-        # Row offset + block coordinate of every state, for every block; one
-        # extra row past the marginals holds the neutral factor 1.
-        offsets = np.cumsum([0] + [size for _, size, _ in extents])
-        flat = np.arange(n_states)
-        rows = [
-            offsets[b] + (flat // right) % size
-            for b, (_, size, right) in enumerate(extents)
-        ]
-        operator = np.zeros((n_rows, n_states))
-        for row in rows:
-            operator[row, flat] = 1.0
-        width = max(len(ids) for ids in term_blocks)
-        gather = np.full((len(terms), width, n_states), n_rows)
-        for t, ids in enumerate(term_blocks):
-            for j, b in enumerate(ids):
-                gather[t, j] = rows[b]
+    return stacked_field
 
-        def dense_field(w: np.ndarray) -> np.ndarray:
-            tv = float(np.abs(w).sum())
-            if tv < ZERO_TOTAL_VARIATION:
-                return -total_rate * w
-            scaled = np.empty(n_rows + 1)
-            np.matmul(operator, w, out=scaled[:n_rows])
-            scaled[n_rows] = tv
-            scaled /= tv
-            products = scaled[gather].prod(axis=1)
-            return (term_rates * tv) @ products - total_rate * w
 
-        return dense_field
-
+def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
+    # Reduces the flat weights as (left, block, right) arrays and builds each
+    # term by outer products; never forms an index table.
+    extents, total_rate = terms.extents, terms.total_rate
     ones = {n: np.ones(n) for extent in extents for n in (extent[0], extent[2])}
 
     def strided_field(w: np.ndarray) -> np.ndarray:
@@ -284,7 +348,7 @@ def compile_field(
             if right > 1:
                 m = m.reshape(size, right) @ ones[right]
             scaled.append(m / tv)
-        for rate, ids in zip(term_rates, term_blocks):
+        for rate, ids in zip(terms.term_rates, terms.term_blocks):
             acc = (rate * tv) * scaled[ids[0]]
             for b in ids[1:]:
                 acc = np.multiply.outer(acc, scaled[b]).ravel()
@@ -399,9 +463,49 @@ def rk4_integrate(
     h: float,
     store_stride: int = 1,
 ) -> Trajectory:
-    """``integrate_field`` on the compiled field of a rate map, from a positive state."""
-    require_positive(omega0, "rk4_integrate")
-    return integrate_field(compile_field(omega0.space, rates), omega0, t_end, h, store_stride)
+    """``integrate_field`` on the compiled field of a rate map, from a positive state.
+
+    This is ``rk4_integrate_many`` with one problem.
+    """
+    return rk4_integrate_many([(omega0, rates)], t_end, h, store_stride)[0]
+
+
+def rk4_integrate_many(
+    problems: Sequence[tuple[Measure, RateMap]],
+    t_end: float,
+    h: float,
+    store_stride: int = 1,
+) -> list[Trajectory]:
+    """``rk4_integrate`` for independent ``(omega0, rates)`` problems on one grid.
+
+    The problems the stacked kernel takes (see ``STACKED_FIELD_MAX_ENTRIES``)
+    are concatenated into one flat vector, which one compiled field and one
+    RK4 run step together; each larger problem runs alone on the strided
+    kernel.  Every problem keeps its own |w|, so each trajectory is the one
+    ``rk4_integrate`` gives for that problem alone.
+    """
+    problems = list(problems)
+    if not problems:
+        raise ValueError("rk4_integrate_many needs at least one problem")
+    terms = []
+    for omega0, rates in problems:
+        require_positive(omega0, "rk4_integrate")
+        terms.append(_field_terms(omega0.space, rates))
+    stacked = [i for i, part in enumerate(terms) if part.stacks]
+    runs = [(stacked, _stacked_field([terms[i] for i in stacked]))] if stacked else []
+    runs += [([i], _strided_field(part)) for i, part in enumerate(terms) if not part.stacks]
+    trajectories: list[Trajectory] = [None] * len(problems)
+    for members, field in runs:
+        w0 = np.concatenate([problems[i][0].weights for i in members])
+        times, raw = _rk4_run(field, w0, float(t_end), float(h), store_stride)
+        start = 0
+        for i in members:
+            omega0 = problems[i][0]
+            stop = start + omega0.space.total_states
+            states = tuple(Measure(omega0.space, w[start:stop], omega0.nodes) for w in raw)
+            trajectories[i] = Trajectory(tuple(times), states)
+            start = stop
+    return trajectories
 
 
 # ---------------------------------------------------------------------------

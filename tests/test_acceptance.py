@@ -12,7 +12,7 @@ from recombdyn.dynamics import (
     coefficient_a,
     crossover_solution,
     product_flow_apply,
-    rk4_integrate,
+    rk4_integrate_many,
     semigroup_apply,
 )
 from recombdyn.generalized import (
@@ -37,36 +37,36 @@ def report(num, label, ok, detail):
 
 @pytest.fixture(scope="module")
 def disjoint_runs():
-    # shared by criteria 3 and 8
+    # shared by criteria 3 and 8; all systems are drawn, then integrated at once
     rng = np.random.default_rng(20260801)
-    runs = []
+    draws = []
     for _ in range(20):
         space = random_space(rng)
         omega0 = random_positive(space, rng)
-        system = sample_disjoint_system(rng, space.n_links)
-        traj = rk4_integrate(
-            omega0, system.as_rate_map(), t_end=5.0, h=1e-3, store_stride=50
-        )
-        runs.append((omega0, system, traj))
-    return runs
+        draws.append((omega0, sample_disjoint_system(rng, space.n_links)))
+    trajectories = rk4_integrate_many(
+        [(omega0, system.as_rate_map()) for omega0, system in draws],
+        t_end=5.0, h=1e-3, store_stride=50,
+    )
+    return [(omega0, system, traj) for (omega0, system), traj in zip(draws, trajectories)]
 
 
 @pytest.fixture(scope="module")
 def crossover_runs():
-    # shared by criteria 6 and 8
+    # shared by criteria 6 and 8; all maps are drawn, then integrated at once
     rng = np.random.default_rng(20260806)
-    runs = []
+    draws = []
     for i in range(10):
         n_links = (2, 3, 4)[i % 3]
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1))
         space = ProductSpace(sizes)
         omega0 = random_positive(space, rng)
-        rates = rng.uniform(0.3, 1.5, size=n_links).tolist()
-        traj = rk4_integrate(
-            omega0, RateMap.crossover(rates), t_end=2.0, h=1e-3, store_stride=100
-        )
-        runs.append((omega0, rates, traj))
-    return runs
+        draws.append((omega0, rng.uniform(0.3, 1.5, size=n_links).tolist()))
+    trajectories = rk4_integrate_many(
+        [(omega0, RateMap.crossover(rates)) for omega0, rates in draws],
+        t_end=2.0, h=1e-3, store_stride=100,
+    )
+    return [(omega0, rates, traj) for (omega0, rates), traj in zip(draws, trajectories)]
 
 
 def test_criterion_01_recombinator_algebra():

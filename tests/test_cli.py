@@ -151,10 +151,11 @@ def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
         {"sizes": [2] * 25},
         {"sizes": [2] * 20, "time": {"t_end": 200.0, "stride": 1}, "rk4_step": 1.0},
         {"time": {"t_end": 2e5, "stride": 1}, "rk4_step": 1.0},
+        {"rates": {"kind": "crossover", "per_link": [1.7e308, 1.7e308]}},
     ],
     ids=["negative-t_end", "zero-stride", "zero-rk4_step", "steps-overflow",
          "steps-past-cap", "states-past-cap", "stored-weights-past-cap",
-         "grid-points-past-cap"],
+         "grid-points-past-cap", "rate-total-past-float-range"],
 )
 def test_run_bad_grid_and_caps_are_validation_errors(tmp_path, overrides):
     # The caps are checked before any state is allocated, so these run fast.
@@ -163,6 +164,39 @@ def test_run_bad_grid_and_caps_are_validation_errors(tmp_path, overrides):
     out = tmp_path / "o.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"initial": {"kind": "random", "seed": -1}},
+        {"initial": {"kind": "weights", "weights": [1.7e308] * 2 + [0.0] * 10}},
+    ],
+    ids=["negative-seed", "overflowing-total"],
+)
+def test_run_bad_initial_state_is_validation_error(tmp_path, overrides):
+    config = tmp_path / "scenario.json"
+    write_scenario(config, **overrides)
+    out = tmp_path / "o.csv"
+    with np.errstate(over="ignore"):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["rk4", "both"])
+def test_run_non_finite_trajectory_is_numeric_error_and_writes_nothing(
+    tmp_path, capsys, solver
+):
+    # RK4 with rate * h = 1e299 leaves the floating-point range at once.
+    config = tmp_path / "scenario.json"
+    write_scenario(config, solver=solver, rk4_step=0.1, time={"t_end": 0.5, "stride": 1},
+                   rates={"kind": "crossover", "per_link": [1e300, 1.0]})
+    out = tmp_path / "o.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+    assert "rk4 trajectory is not finite" in capsys.readouterr().err
 
 
 def test_run_size_mismatch_is_validation_error(tmp_path):
@@ -242,6 +276,82 @@ def test_run_batch_isolates_a_bad_config(tmp_path, capsys):
     assert not (out_dir / "nan.csv").exists()
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_batch_rejects_colliding_outputs(tmp_path, capsys, fmt):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second, other = tmp_path / "a" / "x.json", tmp_path / "b" / "x.json", tmp_path / "y.json"
+    for config in (first, second, other):
+        write_scenario(config, solver="closed-form")
+    out_dir = tmp_path / "batch"
+    code = main(["run", "--out", str(out_dir), "--format", fmt, "--config", str(other),
+                 "--config", str(first), "--config", str(second)])
+    assert code == EXIT_VALIDATION
+    # Checked before any scenario runs: not even the directory is made.
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    # A config named after another's report collides with that report.
+    report_named = tmp_path / f"y.{fmt}.report.json"
+    write_scenario(report_named, solver="closed-form")
+    code = main(["run", "--out", str(out_dir), "--format", fmt, "--config", str(other),
+                 "--config", str(report_named)])
+    assert (code == EXIT_VALIDATION) == (fmt == "json")
+
+
+class _InterruptedStream:
+    """Writes the first half of what it is given, then raises KeyboardInterrupt."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+    def write(self, text):
+        self.stream.write(text[: len(text) // 2])
+        self.stream.flush()
+        raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "argv,artifact",
+    [
+        (["run", "--config", "{cfg}", "--out", "{out}/traj.csv"], "traj.csv"),
+        (["run", "--config", "{cfg}", "--config", "{cfg2}", "--out", "{out}"], "s.csv"),
+        (["verify", "--suite", "generalized", "--out", "{out}/new/v.json"], "new/v.json"),
+        (["coefficients", "--rates", "1,2", "--t-end", "1", "--t-step", "0.5",
+          "--out", "{out}/c.csv"], "c.csv"),
+    ],
+    ids=["run", "run-batch", "verify", "coefficients"],
+)
+def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, argv, artifact):
+    write_scenario(tmp_path / "s.json", solver="closed-form")
+    write_scenario(tmp_path / "t.json", solver="closed-form")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("old")
+    argv = [a.format(cfg=tmp_path / "s.json", cfg2=tmp_path / "t.json", out=out) for a in argv]
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _InterruptedStream(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert sorted(p.name for p in out.rglob("*") if p.is_file()) == ["keep.txt"]
+    # An artifact from an earlier run survives an interrupted rewrite whole.
+    monkeypatch.undo()
+    assert main(argv) == EXIT_OK
+    before = (out / artifact).read_bytes()
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _InterruptedStream(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert (out / artifact).read_bytes() == before
+    assert not [p.name for p in out.rglob("*.tmp")]
 
 
 def test_run_solvers_share_the_output_grid(tmp_path):

@@ -18,6 +18,7 @@ from recombdyn.dynamics import (
     output_grid,
     product_flow_apply,
     rk4_integrate,
+    rk4_integrate_many,
     semigroup_apply,
     trajectory_to_csv_string,
     trajectory_to_json_dict,
@@ -77,13 +78,13 @@ def reference_field(space, rates, w):
     return out
 
 
-# (2,3,2,3) and 3^5 take the dense kernel; 4^6 stacks more than 2^18
-# marginal-operator entries and takes the strided one.  The cut sets share
+# (2,3,2,3) and 3^5 take the stacked kernel; 4^6 has more than 2^18
+# marginal rows x states and takes the strided one.  The cut sets share
 # blocks ({0} and {0,2} share node block (0,); {2} and {0,2} share the
 # block after link 2) and one entry has rate zero.
 FIELD_CASES = [
-    ((2, 3, 2, 3), "dense_field"),
-    ((3, 3, 3, 3, 3), "dense_field"),
+    ((2, 3, 2, 3), "stacked_field"),
+    ((3, 3, 3, 3, 3), "stacked_field"),
     ((4, 4, 4, 4, 4, 4), "strided_field"),
 ]
 
@@ -145,6 +146,8 @@ def test_ratemap_validation():
         RateMap.single(CUT, -0.5)
     with pytest.raises(ValueError):
         RateMap.from_pairs([(CUT, 1.0), (CUT, 2.0)], n_links=1)
+    with pytest.raises(ValueError, match="total"):
+        RateMap.crossover([1.7e308, 1.7e308])
 
 
 def test_rk4_empty_rates_constant_trajectory():
@@ -222,6 +225,83 @@ def test_rk4_argument_validation():
     signed = Measure(SPACE, [0.5, 0.6, -0.1, 0.0])
     with pytest.raises(ValueError):
         rk4_integrate(signed, rates, t_end=1.0, h=0.1)
+
+
+def _assert_matches_separate_runs(problems, **grid):
+    batch = rk4_integrate_many(problems, **grid)
+    assert len(batch) == len(problems)
+    for (omega0, rates), traj in zip(problems, batch):
+        alone = rk4_integrate(omega0, rates, **grid)
+        assert traj.times == alone.times
+        for a, b in zip(traj.states, alone.states):
+            assert a.space == omega0.space and a.nodes == omega0.nodes
+            assert np.abs(a.weights - b.weights).max() <= 1e-15 * np.abs(b.weights).sum()
+    return batch
+
+
+def test_rk4_integrate_many_matches_separate_runs():
+    # Shapes, rate kinds and term widths (1 to 4 blocks) differ from problem
+    # to problem; masses differ too, so one |w| shared by all would show.
+    # 4^6 takes the strided kernel and runs alone; the rest share one vector.
+    general = RateMap.from_pairs(
+        [(LinkSet.from_indices([0, 2], 3), 0.6), (LinkSet.from_indices([1], 3), 1.1)], 3
+    )
+    stretch = DisjointStretchSystem(
+        ((LinkSet.from_indices([0], 4), 0.8), (LinkSet.from_indices([2, 3], 4), 0.5))
+    )
+    big = ProductSpace((4,) * 6)
+    problems = [
+        (random_probability(SPACE, 1), RateMap.single(CUT, 1.3)),
+        (2.5 * random_probability(ProductSpace((2, 3, 2, 3)), 2), general),
+        (random_probability(ProductSpace((3, 2, 2, 2, 3)), 3), stretch.as_rate_map()),
+        (random_probability(big, 4), _shared_block_rates(big.n_links)),
+        (0.5 * random_probability(ProductSpace((2, 3, 2)), 5), RateMap.crossover([0.4, 1.7])),
+        (random_probability(ProductSpace((2, 2, 2, 2)), 6), RateMap.single(LinkSet.full(3), 0.9)),
+    ]
+    batch = _assert_matches_separate_runs(problems, t_end=0.35, h=0.1, store_stride=2)
+    assert batch[0].times == (0.0, 0.2, 0.35)
+    # The batch moves every problem: none is left at its initial state.
+    for (omega0, _), traj in zip(problems, batch):
+        assert total_variation(traj.states[-1] - omega0) > 1e-6
+
+
+def test_rk4_integrate_many_idle_problems_next_to_live_ones():
+    space = ProductSpace((2, 3, 2))
+    live = random_probability(space, 7)
+    # Below ZERO_TOTAL_VARIATION R(w) = 0, so this one only decays.
+    tiny = Measure(space, 1e-303 * random_probability(space, 8).weights)
+    problems = [
+        (live, RateMap.crossover([1.0, 0.5])),
+        (random_probability(space, 9), RateMap.empty(2)),
+        (tiny, RateMap.crossover([1.0, 0.5])),
+        (random_probability(SPACE, 10), RateMap.single(CUT, 0.0)),
+        (live, RateMap.from_pairs([(LinkSet.from_indices([0], 2), 0.0),
+                                   (LinkSet.from_indices([1], 2), 2.0)], 2)),
+    ]
+    batch = _assert_matches_separate_runs(problems, t_end=0.3, h=0.1)
+    for index in (1, 3):
+        for state in batch[index].states:
+            np.testing.assert_array_equal(state.weights, problems[index][0].weights)
+    # Three steps of d/dt w = -1.5 w, each scaling by RK4's degree-4 polynomial.
+    z = -1.5 * 0.1
+    decay = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24) ** 3
+    np.testing.assert_allclose(batch[2].states[-1].weights, decay * tiny.weights, rtol=1e-14)
+    assert total_variation(batch[0].states[-1] - live) > 1e-3
+
+
+def test_rk4_integrate_many_validation():
+    omega = random_probability(SPACE, 5)
+    rates = RateMap.single(CUT, 1.0)
+    with pytest.raises(ValueError, match="at least one"):
+        rk4_integrate_many([], t_end=1.0, h=0.1)
+    with pytest.raises(ValueError, match="link count"):
+        rk4_integrate_many([(omega, rates), (omega, RateMap.crossover([1.0, 1.0]))],
+                           t_end=1.0, h=0.1)
+    signed = Measure(SPACE, [0.5, 0.6, -0.1, 0.0])
+    with pytest.raises(ValueError, match="positive"):
+        rk4_integrate_many([(omega, rates), (signed, rates)], t_end=1.0, h=0.1)
+    with pytest.raises(ValueError, match="cap"):
+        rk4_integrate_many([(omega, rates)], t_end=1e308, h=1e-3)
 
 
 def test_semigroup_time_zero_is_identity():
