@@ -1,8 +1,12 @@
 """Command line: scenario runs, invariant verification, coefficient tables.
 
 Exit codes: 0 ok, 1 property failure, 2 parse error, 3 validation error,
-4 numerical contract violation: a non-finite state, or `both` mode's solvers
-disagree.
+4 numerical contract violation: a stored state that is not finite, has a
+weight below -1e-9 |omega_0|, or has drifted in mass by more than
+1e-9 |omega_0| (then nothing is written), or `both` mode's solvers disagree.
+
+Every artifact is streamed into a temporary file next to its target and
+renamed over it only once complete.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .dynamics import (
     integrate_field,
     output_grid,
     product_flow_apply,
-    trajectory_to_csv_string,
+    trajectory_to_csv,
     trajectory_to_json_dict,
 )
 from .generalized import CyclicOperator, cyclic_field, generalized_flow_apply
@@ -45,6 +50,11 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
 BOTH_MODE_TOLERANCE = 1e-6
+
+# Invariants of every stored state, relative to |omega_0|: the flows preserve
+# mass and positivity, so larger defects mean the solver failed (RK4 past its
+# stability bound drifts to huge weights of both signs without overflowing).
+INVARIANT_TOLERANCE = 1e-9
 
 # Memory bounds of one run, checked before any state is allocated: states of
 # the space, and weights of one stored trajectory (grid points x states).
@@ -330,10 +340,11 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
         states = tuple(runtime.closed_form(t) for t in runtime.grid)
         closed_traj = Trajectory(tuple(runtime.grid), states)
 
-    # A state that left the floating-point range is no result: nothing is written.
+    # A state that breaks an invariant is no result: nothing is written.
     for name, traj in (("rk4", rk4_traj), ("closed-form", closed_traj)):
-        if traj is not None and not all(np.isfinite(s.weights).all() for s in traj.states):
-            print(f"{config}: the {name} trajectory is not finite", file=sys.stderr)
+        defect = None if traj is None else _invariant_defect(traj, runtime.omega0)
+        if defect:
+            print(f"{config}: the {name} trajectory {defect}", file=sys.stderr)
             return EXIT_NUMERIC
 
     primary = closed_traj if closed_traj is not None else rk4_traj
@@ -352,7 +363,8 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
             "tolerance": tolerance,
             "passed": max(gaps) <= tolerance,
         }
-        _write_atomic(_report_path(out_path), _dump_json(report))
+        with _atomic_stream(_report_path(out_path)) as stream:
+            stream.write(_dump_json(report))
         if not report["passed"]:
             print(
                 f"{config}: closed form and rk4 disagree by {max(gaps):.3e} "
@@ -363,25 +375,43 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     return EXIT_OK
 
 
+def _invariant_defect(traj: Trajectory, omega0: Measure) -> str | None:
+    bound = INVARIANT_TOLERANCE * float(np.abs(omega0.weights).sum())
+    for t, state in zip(traj.times, traj.states):
+        w = state.weights
+        if not np.isfinite(w).all():
+            return "is not finite"
+        low, drift = float(w.min()), abs(float(w.sum()) - omega0.mass)
+        if low < -bound:
+            return f"has weight {low:.3e} at t={t:g}, below {-bound:.3e}"
+        if drift > bound:
+            return f"drifts in mass by {drift:.3e} at t={t:g}, over {bound:.3e}"
+    return None
+
+
 def _report_path(out_path: Path) -> Path:
     return out_path.with_suffix(out_path.suffix + ".report.json")
 
 
 def _write_trajectory(traj: Trajectory, out_path: Path, fmt: str) -> None:
-    if fmt == "csv":
-        _write_atomic(out_path, trajectory_to_csv_string(traj))
-    else:
-        _write_atomic(out_path, _dump_json(trajectory_to_json_dict(traj)))
+    with _atomic_stream(out_path) as stream:
+        if fmt == "csv":
+            trajectory_to_csv(traj, stream)
+        else:
+            stream.write(_dump_json(trajectory_to_json_dict(traj)))
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    # The whole text or nothing: readers never see a partial file, and an
-    # interrupted write leaves neither a truncated artifact nor its temp file.
+@contextmanager
+def _atomic_stream(path: Path) -> Iterator[TextIO]:
+    # The whole artifact or nothing: the block writes to a temp file that
+    # replaces ``path`` only when the block completes, so readers never see a
+    # partial file, and an interrupted write leaves neither a truncated
+    # artifact nor its temp file.
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as stream:
-            stream.write(text)
+            yield stream
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -444,7 +474,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, args.seed, scale)
     text = _dump_json(report)
     if args.out:
-        _write_atomic(Path(args.out), text)
+        with _atomic_stream(Path(args.out)) as stream:
+            stream.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_PROPERTY
@@ -484,19 +515,19 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
     rows_a = [[coefficient_a(ls, rates, t) for ls in subsets] for t in times]
     rows_b = [[coefficient_b(ls, rates, t) for ls in subsets] for t in times]
 
-    out = Path(args.out)
-    if args.format == "csv":
-        header = ["t"]
-        header += [f"a{ls.bits}" for ls in subsets]
-        header += [f"b{ls.bits}" for ls in subsets]
-        lines = [",".join(header)]
-        for t, ra, rb in zip(times, rows_a, rows_b):
-            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in ra + rb]
-            lines.append(",".join(cells))
-        _write_atomic(out, "\n".join(lines) + "\n")
-    else:
-        table = {"times": times, "subsets": [ls.bits for ls in subsets], "a": rows_a, "b": rows_b}
-        _write_atomic(out, _dump_json(table))
+    with _atomic_stream(Path(args.out)) as stream:
+        if args.format == "csv":
+            header = ["t"]
+            header += [f"a{ls.bits}" for ls in subsets]
+            header += [f"b{ls.bits}" for ls in subsets]
+            stream.write(",".join(header) + "\n")
+            row = ",".join(["%.17g"] * len(header)) + "\n"
+            for t, ra, rb in zip(times, rows_a, rows_b):
+                stream.write(row % (t, *ra, *rb))
+        else:
+            table = {"times": times, "subsets": [ls.bits for ls in subsets],
+                     "a": rows_a, "b": rows_b}
+            stream.write(_dump_json(table))
     return EXIT_OK
 
 

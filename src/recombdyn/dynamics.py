@@ -36,6 +36,10 @@ right) arrays and builds each term by outer products.
 small ones laid end to end in one vector, under one stacked field with one
 |omega| per problem, so many tiny runs cost one run's interpreter overhead.
 ``recombine_weights`` remains the reference the field is tested against.
+
+``trajectory_to_csv`` streams a trajectory one row at a time, each row one
+``%`` format of its 17-significant-digit cells, so the CSV text is never held
+whole; ``trajectory_to_csv_string`` collects it for callers that want a str.
 """
 
 from __future__ import annotations
@@ -498,13 +502,18 @@ def rk4_integrate_many(
     for members, field in runs:
         w0 = np.concatenate([problems[i][0].weights for i in members])
         times, raw = _rk4_run(field, w0, float(t_end), float(h), store_stride)
-        start = 0
-        for i in members:
-            omega0 = problems[i][0]
-            stop = start + omega0.space.total_states
-            states = tuple(Measure(omega0.space, w[start:stop], omega0.nodes) for w in raw)
-            trajectories[i] = Trajectory(tuple(times), states)
-            start = stop
+        states: list[list[Measure]] = [[] for _ in members]
+        for k, w in enumerate(raw):
+            # Each stacked state is released once its problems hold their copies.
+            raw[k] = None
+            start = 0
+            for slot, i in enumerate(members):
+                omega0 = problems[i][0]
+                stop = start + omega0.space.total_states
+                states[slot].append(Measure(omega0.space, w[start:stop], omega0.nodes))
+                start = stop
+        for slot, i in enumerate(members):
+            trajectories[i] = Trajectory(tuple(times), tuple(states[slot]))
     return trajectories
 
 
@@ -680,13 +689,16 @@ def trajectory_to_json_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write `t,<flat-index columns>` rows with 17 significant digits."""
+    """Write `t,<flat-index columns>` rows with 17 significant digits.
+
+    The header and each row are formatted by one ``%`` operation and written
+    at once, so the text of at most one line exists at a time.
+    """
     n_cells = traj.states[0].space.total_states
-    header = "t," + ",".join(str(i) for i in range(n_cells))
-    stream.write(header + "\n")
+    stream.write(("t" + ",%d" * n_cells + "\n") % tuple(range(n_cells)))
+    row = "%.17g" + ",%.17g" * n_cells + "\n"
     for t, state in zip(traj.times, traj.states):
-        row = [f"{t:.17g}"] + [f"{w:.17g}" for w in state.weights]
-        stream.write(",".join(row) + "\n")
+        stream.write(row % (t, *state.weights.tolist()))
 
 
 def trajectory_to_csv_string(traj: Trajectory) -> str:

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,13 @@ from recombdyn.cli import (
     EXIT_VALIDATION,
     main,
 )
+from recombdyn.dynamics import (
+    Trajectory,
+    crossover_solution,
+    output_grid,
+    trajectory_to_csv_string,
+)
+from recombdyn.measure import ProductSpace, random_probability
 
 
 def write_scenario(path, **overrides):
@@ -302,10 +310,15 @@ def test_run_batch_rejects_colliding_outputs(tmp_path, capsys, fmt):
 
 
 class _InterruptedStream:
-    """Writes the first half of what it is given, then raises KeyboardInterrupt."""
+    """Passes writes through until the ``fail_on``-th, of which it writes the
+    first half, records what the temp file then holds, and raises
+    KeyboardInterrupt."""
 
-    def __init__(self, stream):
+    def __init__(self, stream, fail_on=1):
         self.stream = stream
+        self.fail_on = fail_on
+        self.writes = 0
+        self.on_disk = None
 
     def __enter__(self):
         return self
@@ -314,8 +327,12 @@ class _InterruptedStream:
         self.stream.close()
 
     def write(self, text):
+        self.writes += 1
+        if self.writes < self.fail_on:
+            return self.stream.write(text)
         self.stream.write(text[: len(text) // 2])
         self.stream.flush()
+        self.on_disk = Path(self.stream.name).read_text()
         raise KeyboardInterrupt
 
 
@@ -352,6 +369,75 @@ def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, argv, a
         main(argv)
     assert (out / artifact).read_bytes() == before
     assert not [p.name for p in out.rglob("*.tmp")]
+
+
+def test_interrupt_in_mid_stream_leaves_no_partial_file(tmp_path, monkeypatch):
+    write_scenario(tmp_path / "s.json", solver="closed-form")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(tmp_path / "s.json"), "--out", str(out / "traj.csv")]
+    assert main(argv) == EXIT_OK
+    before = (out / "traj.csv").read_bytes()
+    streams = []
+
+    def interrupted_open(*a, **k):
+        streams.append(_InterruptedStream(open(*a, **k), fail_on=3))
+        return streams[-1]
+
+    monkeypatch.setattr(cli, "open", interrupted_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    # The header and the first row had reached the temp file, then half a row.
+    header, row, partial = streams[0].on_disk.split("\n")
+    assert before.decode().startswith(f"{header}\n{row}\n{partial}")
+    assert header.startswith("t,") and row.startswith("0,") and partial
+    assert (out / "traj.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["traj.csv"]
+
+
+def test_run_csv_artifact_is_the_library_csv(tmp_path):
+    per_link = [1.0, 0.5]
+    write_scenario(tmp_path / "s.json", solver="closed-form",
+                   rates={"kind": "crossover", "per_link": per_link})
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--config", str(tmp_path / "s.json"), "--out", str(out),
+                 "--format", "csv"]) == EXIT_OK
+    omega0 = random_probability(ProductSpace((2, 3, 2)), 11)
+    grid = output_grid(0.5, 0.001, 50)
+    traj = Trajectory(tuple(grid), tuple(crossover_solution(omega0, per_link, t) for t in grid))
+    assert out.read_text() == trajectory_to_csv_string(traj)
+
+
+def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
+    # 4^6 states x 11 rows: ~1 MB of CSV.  Streaming holds one row's text,
+    # its float arguments and the row template at a time (~0.24 of this
+    # artifact); building the whole text first held twice the artifact.
+    space = ProductSpace((4,) * 6)
+    states = tuple(random_probability(space, seed) for seed in range(11))
+    traj = Trajectory(tuple(0.1 * k for k in range(11)), states)
+    out = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(traj, out, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 900_000
+    assert peak < size / 4, (peak, size)
+
+
+def test_run_rk4_past_its_stability_bound_is_numeric_error(tmp_path, capsys):
+    # rate * h = 5 lies outside RK4's stability interval: the weights grow to
+    # about +-8e66 of both signs while staying finite.
+    config = tmp_path / "scenario.json"
+    write_scenario(config, sizes=[2, 2], solver="rk4", rk4_step=0.05,
+                   time={"t_end": 3.0, "stride": 1},
+                   rates={"kind": "crossover", "per_link": [100.0]})
+    out = tmp_path / "o.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_NUMERIC
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+    err = capsys.readouterr().err
+    assert "the rk4 trajectory has weight" in err and "below" in err
 
 
 def test_run_solvers_share_the_output_grid(tmp_path):

@@ -564,6 +564,31 @@ def test_trajectory_csv_round_trip():
         np.testing.assert_array_equal(np.array(cells[1:]), state.weights)
 
 
+GOLDEN_WEIGHTS = (
+    0.0, -0.0, 5e-324, 1e-300,
+    1e-5, 9.9999999999999995e-05, 1e-4,  # the fixed/exponent switch of %g
+    0.1, 1.0, 1e16, 1e17, -3.2e-17,
+)
+
+
+def test_trajectory_csv_golden_format():
+    # Byte for byte what per-element f"{np.float64:.17g}" formatting writes.
+    space = ProductSpace((2, 3, 2))
+    base = np.array(GOLDEN_WEIGHTS)
+    rows = [base, base[::-1], -base, np.roll(base, 5)]
+    times = (0.0, 5e-324, 9.9999999999999995e-05, 1e17)
+    traj = Trajectory(times, tuple(Measure(space, w) for w in rows))
+
+    expected = "t," + ",".join(str(i) for i in range(12)) + "\n"
+    for t, w in zip(times, rows):
+        expected += ",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in np.asarray(w)]) + "\n"
+    assert trajectory_to_csv_string(traj) == expected
+    first_row = expected.split("\n")[1].split(",")
+    assert first_row[1:8] == ["0", "-0", "4.9406564584124654e-324", "1e-300",
+                              "1.0000000000000001e-05", "9.9999999999999991e-05", "0.0001"]
+    assert first_row[9:] == ["1", "10000000000000000", "1e+17", "-3.2000000000000002e-17"]
+
+
 def test_trajectory_json_mirror():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.2, h=0.1)
