@@ -12,7 +12,6 @@ renamed over it only once complete.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -31,14 +30,13 @@ from .dynamics import (
     coefficient_a,
     coefficient_b,
     compile_field,
-    crossover_solution,
     integrate_field,
     output_grid,
-    product_flow_apply,
+    product_flow_grid,
     trajectory_to_csv,
-    trajectory_to_json_dict,
+    trajectory_to_json,
 )
-from .generalized import CyclicOperator, cyclic_field, generalized_flow_apply
+from .generalized import CyclicOperator, cyclic_field, generalized_flow_grid
 from .lattice import LinkSet, all_link_sets
 from .measure import Measure, ProductSpace, is_positive, random_probability
 from .verify import SUITE_NAMES, run_suite
@@ -238,7 +236,8 @@ def load_scenario(path: str | Path) -> Scenario:
 class _Runtime:
     omega0: Measure
     grid: list[float]
-    closed_form: Callable[[float], Measure] | None
+    # The closed form on a time grid: one row of weights per time.
+    closed_form: Callable[[list[float]], np.ndarray] | None
     field: Callable[[np.ndarray], np.ndarray]
 
 
@@ -292,31 +291,30 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                     "general rate maps have no closed form; use solver 'rk4'"
                 )
             return _Runtime(omega0, grid, None, compile_field(space, rate_map))
-        if kind == "disjoint-stretch":
-            system = DisjointStretchSystem(
-                tuple(
-                    (LinkSet.from_indices(entry["links"], space.n_links), entry["rate"])
-                    for entry in rates["entries"]
-                )
+        if kind == "cyclic":
+            op = CyclicOperator(
+                space,
+                LinkSet.from_indices(rates["links"], space.n_links),
+                tuple(int(p) for p in rates["permutation"]),
+                int(rates["order"]),
             )
-            closed = lambda t: product_flow_apply(omega0, system, [t] * len(system))
-            return _Runtime(omega0, grid, closed, compile_field(space, system.as_rate_map()))
-        if kind == "crossover":
-            per_link = [float(r) for r in rates["per_link"]]
-            closed = lambda t: crossover_solution(omega0, per_link, t)
-            # Probe once so malformed rates surface as validation errors.
-            closed(0.0)
-            return _Runtime(omega0, grid, closed, compile_field(space, RateMap.crossover(per_link)))
-        # Scenario.from_dict admits no other kind than these four.
-        op = CyclicOperator(
-            space,
-            LinkSet.from_indices(rates["links"], space.n_links),
-            tuple(int(p) for p in rates["permutation"]),
-            int(rates["order"]),
-        )
-        rho = float(rates["rate"])
-        closed = lambda t: generalized_flow_apply(omega0, op, rho, t)
-        return _Runtime(omega0, grid, closed, cyclic_field(op, rho))
+            rho = float(rates["rate"])
+            closed = lambda times: generalized_flow_grid(omega0, op, rho, times)
+            return _Runtime(omega0, grid, closed, cyclic_field(op, rho))
+        # Scenario.from_dict admits no other kind than these four.  The two
+        # left are disjoint-stretch systems (a crossover map is the system of
+        # its one-link flows), whose rates must be finite and positive: that
+        # is checked here, before any solver runs.
+        if kind == "disjoint-stretch":
+            components = tuple(
+                (LinkSet.from_indices(entry["links"], space.n_links), entry["rate"])
+                for entry in rates["entries"]
+            )
+        else:
+            components = RateMap.crossover([float(r) for r in rates["per_link"]]).entries
+        system = DisjointStretchSystem(components)
+        closed = lambda times: product_flow_grid(omega0, system, times)
+        return _Runtime(omega0, grid, closed, compile_field(space, system.as_rate_map()))
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 
@@ -331,14 +329,21 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     runtime = _build_runtime(scenario)
     solver = scenario.solver
 
-    rk4_traj = closed_traj = None
+    rk4_traj = closed_traj = gaps = None
     if solver in ("rk4", "both"):
         rk4_traj = integrate_field(
             runtime.field, runtime.omega0, scenario.t_end, scenario.rk4_step, scenario.stride
         )
     if solver in ("closed-form", "both"):
-        states = tuple(runtime.closed_form(t) for t in runtime.grid)
-        closed_traj = Trajectory(tuple(runtime.grid), states)
+        closed = runtime.closed_form(runtime.grid)
+        if rk4_traj is not None:
+            # The gaps are one row-wise sum in one stack-sized temporary,
+            # taken before the write so that it adds nothing to its peak.
+            diff = np.array([state.weights for state in rk4_traj.states])
+            np.subtract(closed, diff, out=diff)
+            gaps = np.abs(diff, out=diff).sum(axis=1).tolist()
+            del diff
+        closed_traj = Trajectory(tuple(runtime.grid), Measure.rows(runtime.omega0.space, closed))
 
     # A state that breaks an invariant is no result: nothing is written.
     for name, traj in (("rk4", rk4_traj), ("closed-form", closed_traj)):
@@ -350,11 +355,7 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     primary = closed_traj if closed_traj is not None else rk4_traj
     _write_trajectory(primary, out_path, fmt)
 
-    if solver == "both":
-        gaps = [
-            float(np.abs(a.weights - b.weights).sum())
-            for a, b in zip(closed_traj.states, rk4_traj.states)
-        ]
+    if gaps is not None:
         tolerance = BOTH_MODE_TOLERANCE * scale
         report = {
             "times": list(closed_traj.times),
@@ -398,7 +399,7 @@ def _write_trajectory(traj: Trajectory, out_path: Path, fmt: str) -> None:
         if fmt == "csv":
             trajectory_to_csv(traj, stream)
         else:
-            stream.write(_dump_json(trajectory_to_json_dict(traj)))
+            trajectory_to_json(traj, stream)
 
 
 @contextmanager
@@ -440,14 +441,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"{owners[path]} and {cfg} would both write {path}"
                 )
             owners[path] = cfg
-    codes = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        futures = [
-            pool.submit(_run_isolated, cfg, target, args.format, scale)
-            for cfg, target in zip(configs, targets)
-        ]
-        for future in concurrent.futures.as_completed(futures):
-            codes.append(future.result())
+    # In config order, in this thread, so stderr follows the config order.
+    codes = [
+        _run_isolated(cfg, target, args.format, scale)
+        for cfg, target in zip(configs, targets)
+    ]
     return max(codes)
 
 
@@ -547,7 +545,9 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", action="append", required=True, metavar="PATH")
     run_p.add_argument("--out", required=True, metavar="PATH")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    run_p.add_argument("--jobs", type=int, default=1, metavar="N")
+    # Accepted for existing command lines; a batch always runs in order.
+    run_p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="accepted and ignored: batches run serially")
 
     verify_p = sub.add_parser("verify", help="run a seeded invariant suite")
     verify_p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))

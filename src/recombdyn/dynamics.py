@@ -16,6 +16,15 @@ summed over cut sets G.  Three solvable regimes get closed forms here:
       a_G(t)  = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t}),
   which the verify suite keeps as the reference for the product.
 
+Time enters these forms only through scalar coefficients, so each closed form
+takes a whole time grid and returns a stack, one row of weights per time:
+``product_flow_grid`` and ``crossover_grid`` apply each one-set flow
+W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the whole stack in place, one
+recombination per cut set for the grid, and ``moebius_rows`` transforms
+every row of a stack.  The per-time functions (``semigroup_apply``,
+``product_flow_apply``, ``crossover_solution``, ``moebius_transform``) are
+their one-row case.
+
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``integrate_field`` on any flat
 field, ``rk4_integrate`` on a rate map's.  The time grid is validated, with
@@ -45,6 +54,7 @@ whole; ``trajectory_to_csv_string`` collects it for callers that want a str.
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -58,8 +68,8 @@ from .lattice import (
     stretches_disjoint,
     supersets_of,
 )
-from .measure import Measure, ProductSpace, total_variation
-from .recombinator import ZERO_TOTAL_VARIATION, recombine, require_positive
+from .measure import Measure, ProductSpace
+from .recombinator import ZERO_TOTAL_VARIATION, recombine_rows, require_positive
 
 
 @dataclass(frozen=True)
@@ -522,12 +532,38 @@ def rk4_integrate_many(
 # ---------------------------------------------------------------------------
 
 
+def _times(ts: Sequence[float]) -> list[float]:
+    times = [float(t) for t in ts]
+    if any(t < 0.0 for t in times):
+        raise ValueError("times must be nonnegative")
+    return times
+
+
+def _one_set_flows(
+    omega0: Measure,
+    factors: Sequence[tuple[LinkSet, float, Sequence[float]]],
+) -> np.ndarray:
+    # The (links, rate, times) factors applied in turn to a stack of omega0,
+    # one row per time:  W <- s W + (1 - s) R_G(W)  with each row's own
+    # survival s = e^{-rate t}.  In place, with one stack-sized temporary.
+    stack = np.tile(omega0.weights, (len(factors[0][2]), 1))
+    for links, rate, times in factors:
+        # math.exp as in the coefficient functions; np.exp may round differently.
+        survival = np.array([math.exp(-rate * t) for t in times])[:, None]
+        recombined = recombine_rows(stack, omega0.space, links)
+        stack *= survival
+        recombined *= 1.0 - survival
+        stack += recombined
+    return stack
+
+
 def semigroup_apply(omega0: Measure, links: LinkSet, rho: float, t: float) -> Measure:
     """Closed-form one-cut-set flow at time t for a positive initial state.
 
     The state slides from the initial measure to its recombination along a
     single exponential: e^{-rho t} omega_0 + (1 - e^{-rho t}) R(omega_0).
-    Positivity and total mass are preserved.
+    Positivity and total mass are preserved.  This is the one-row,
+    one-component case of ``product_flow_grid``.
     """
     if len(links) == 0:
         raise ValueError("the empty cut set generates the constant flow; use it directly")
@@ -536,8 +572,29 @@ def semigroup_apply(omega0: Measure, links: LinkSet, rho: float, t: float) -> Me
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     require_positive(omega0, "semigroup_apply")
-    survival = math.exp(-rho * t)
-    return survival * omega0 + (1.0 - survival) * recombine(omega0, links)
+    w = _one_set_flows(omega0, [(links, float(rho), [float(t)])])[0]
+    return Measure(omega0.space, w, omega0.nodes)
+
+
+def _check_system(omega0: Measure, system: DisjointStretchSystem) -> None:
+    if system.n_links != omega0.space.n_links:
+        raise ValueError("stretch system does not match the measure's link count")
+    require_positive(omega0, "the product flow")
+
+
+def product_flow_grid(
+    omega0: Measure, system: DisjointStretchSystem, times: Sequence[float]
+) -> np.ndarray:
+    """The combined flow of a disjoint-stretch system on a whole time grid.
+
+    Returns the (len(times), states) stack whose row k is the state at
+    ``times[k]``.  Each one-set flow acts on the whole stack at once, so the
+    grid costs one recombination per cut set, not one per cut set and time.
+    A row at t = 0 is omega_0 exactly.
+    """
+    times = _times(times)
+    _check_system(omega0, system)
+    return _one_set_flows(omega0, [(links, rate, times) for links, rate in system.components])
 
 
 def product_flow_apply(
@@ -546,23 +603,18 @@ def product_flow_apply(
     """Compose the one-set flows of a disjoint-stretch system, one time each.
 
     The factors commute, so the application order does not matter; with all
-    times equal this is the solution of the combined rate equation.
+    times equal this is the solution of the combined rate equation, the
+    one-row case of ``product_flow_grid``.
     """
-    times = [float(t) for t in ts]
+    times = _times(ts)
     if len(times) != len(system.components):
         raise ValueError(
             f"need one time per component: got {len(times)} times for "
             f"{len(system.components)} components"
         )
-    if any(t < 0.0 for t in times):
-        raise ValueError("times must be nonnegative")
-    if system.n_links != omega0.space.n_links:
-        raise ValueError("stretch system does not match the measure's link count")
-    require_positive(omega0, "product_flow_apply")
-    state = omega0
-    for (links, rate), t in zip(system.components, times):
-        state = semigroup_apply(state, links, rate, t)
-    return state
+    _check_system(omega0, system)
+    factors = [(links, rate, [t]) for (links, rate), t in zip(system.components, times)]
+    return Measure(omega0.space, _one_set_flows(omega0, factors)[0], omega0.nodes)
 
 
 def _validated_link_rates(link_rates: Sequence[float], n_links: int) -> list[float]:
@@ -607,27 +659,47 @@ def coefficient_b(links: LinkSet, link_rates: Sequence[float], t: float) -> floa
     return value
 
 
+def crossover_grid(
+    omega0: Measure, link_rates: Sequence[float], times: Sequence[float]
+) -> np.ndarray:
+    """Closed-form single-crossover flow on a time grid: one row per time.
+
+    Singleton cut sets have disjoint stretches, so their flows commute and
+    the n of them compose to the solution: this is ``product_flow_grid`` of
+    the one-link system, one recombination per link for the whole grid.  The
+    paper's subset expansion over all 2^n cut sets gives the same measures;
+    the verify suite keeps it as the reference.
+    """
+    rates = _validated_link_rates(link_rates, omega0.space.n_links)
+    system = DisjointStretchSystem(RateMap.crossover(rates).entries)
+    return product_flow_grid(omega0, system, times)
+
+
 def crossover_solution(
     omega0: Measure, link_rates: Sequence[float], t: float
 ) -> Measure:
-    """Closed-form single-crossover flow: the product of the one-link flows.
-
-    Singleton cut sets have disjoint stretches, so their flows commute and
-    the n of them compose to the solution, one recombination each.  The
-    paper's subset expansion over all 2^n cut sets gives the same measure;
-    the verify suite keeps it as the reference.
-    """
-    n_links = omega0.space.n_links
-    rates = _validated_link_rates(link_rates, n_links)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    system = DisjointStretchSystem(RateMap.crossover(rates).entries)
-    return product_flow_apply(omega0, system, [t] * n_links)
+    """Closed-form single-crossover flow at time t: the one-row ``crossover_grid``."""
+    return Measure(omega0.space, crossover_grid(omega0, link_rates, [t])[0], omega0.nodes)
 
 
 # ---------------------------------------------------------------------------
 # Inclusion-exclusion transform and the linearized picture
 # ---------------------------------------------------------------------------
+
+
+def moebius_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.ndarray:
+    """``moebius_transform`` of every row of a weight vector or (T, S) stack.
+
+    Each superset's recombination acts on the whole stack at once.
+    """
+    acc = np.zeros_like(w)
+    for upper in supersets_of(links):
+        term = recombine_rows(w, space, upper)
+        if moebius_sign(links, upper) > 0:
+            acc += term
+        else:
+            acc -= term
+    return acc
 
 
 def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
@@ -636,17 +708,11 @@ def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
     The transform is genuinely signed even for positive input.  Summing it
     back over supersets inverts it:  R_G(omega) = sum_{H >= G} T_H(omega).
     Along a single-crossover trajectory each transform decays along its own
-    exponential, which is what makes the flow linearizable.
+    exponential, which is what makes the flow linearizable.  This is the
+    one-row case of ``moebius_rows``.
     """
     require_positive(omega, "moebius_transform")
-    acc = np.zeros_like(omega.weights)
-    for upper in supersets_of(links):
-        term = recombine(omega, upper).weights
-        if moebius_sign(links, upper) > 0:
-            acc += term
-        else:
-            acc -= term
-    return Measure(omega.space, acc, omega.nodes)
+    return Measure(omega.space, moebius_rows(omega.weights, omega.space, links), omega.nodes)
 
 
 def check_linearization(
@@ -657,23 +723,18 @@ def check_linearization(
 ) -> float:
     """Max defect of  T_G(omega_t) = exp(-t * sum_{a not in G} rho_a) T_G(omega_0).
 
-    The trajectory is produced by ``crossover_solution``; the comparison line
-    is the decoupled linear decay the transform predicts, with the factor
-    ``coefficient_b(G, t)``.
+    The trajectory is ``crossover_grid`` on the whole grid and its transform
+    is taken row by row; the comparison line is the decoupled linear decay
+    the transform predicts, with the factor ``coefficient_b(G, t)``.
     """
     _validated_link_rates(link_rates, links.n_links)
     require_positive(omega0, "check_linearization")
-    base = moebius_transform(omega0, links)
-    worst = 0.0
-    for t in times:
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("grid times must be nonnegative")
-        state = crossover_solution(omega0, link_rates, t)
-        predicted = coefficient_b(links, link_rates, t) * base
-        defect = total_variation(moebius_transform(state, links) - predicted)
-        worst = max(worst, defect)
-    return worst
+    times = _times(times)
+    base = moebius_transform(omega0, links).weights
+    states = crossover_grid(omega0, link_rates, times)
+    defect = moebius_rows(states, omega0.space, links)
+    defect -= np.multiply.outer([coefficient_b(links, link_rates, t) for t in times], base)
+    return float(np.abs(defect).sum(axis=1).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -686,6 +747,22 @@ def trajectory_to_json_dict(traj: Trajectory) -> dict:
         "times": [float(t) for t in traj.times],
         "states": [state.weights.tolist() for state in traj.states],
     }
+
+
+def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
+    """Write ``trajectory_to_json_dict`` as compact JSON with sorted keys.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` plus a newline, but each state row is encoded
+    and written on its own, so the text of at most one row exists at a time.
+    """
+    stream.write('{"states":[')
+    for k, state in enumerate(traj.states):
+        if k:
+            stream.write(",")
+        stream.write(json.dumps(state.weights.tolist(), separators=(",", ":")))
+    times = json.dumps([float(t) for t in traj.times], separators=(",", ":"))
+    stream.write(f'],"times":{times}}}\n')
 
 
 def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:

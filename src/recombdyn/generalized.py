@@ -19,7 +19,11 @@ cancels exactly; the scaled variants e^{-t} F_k(t) are built from
 exp((xi^m - 1) t) and stay accurate for large t where the plain product
 e^{-t} * F_k(t) would lose everything to rounding.
 
-``cyclic_field`` compiles the generator rho (C - 1) for the RK4 oracle.
+Time enters only through the coefficients, so ``generalized_flow_grid``
+forms R(omega_0) and its relabelings C^1, ..., C^n once and returns the stack
+of states on a whole time grid, one row per time; ``generalized_flow_apply``
+is its one-row case.  ``cyclic_field`` compiles the generator rho (C - 1) for
+the RK4 oracle; it maps a stack row by row too.
 """
 
 from __future__ import annotations
@@ -192,10 +196,11 @@ class CyclicOperator:
 
 
 def _relabel_block0(w: np.ndarray, perm: Sequence[int], block0_states: int) -> np.ndarray:
-    matrix = w.reshape(block0_states, -1)
+    # Each row of a vector or (T, S) stack, viewed as (block-0 state, rest).
+    matrix = w.reshape(-1, block0_states, w.shape[-1] // block0_states)
     out = np.empty_like(matrix)
-    out[np.asarray(perm)] = matrix
-    return out.reshape(w.shape).ravel()
+    out[:, np.asarray(perm)] = matrix
+    return out.reshape(w.shape)
 
 
 def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
@@ -222,7 +227,8 @@ def cyclic_field(op: CyclicOperator, rho: float) -> Callable[[np.ndarray], np.nd
     The blocks of the cut set are worked out here, once.  On positive input
     the result equals ``rho * (cyclic_apply(x, op, 1).weights - x.weights)``
     exactly; unlike ``cyclic_apply`` it takes signed input too, so RK4 may
-    pass it slightly negative intermediate states.
+    pass it slightly negative intermediate states.  A (T, S) stack is mapped
+    row by row.
     """
     if not rho > 0.0:
         raise ValueError(f"rate must be positive, got {rho}")
@@ -236,38 +242,54 @@ def cyclic_field(op: CyclicOperator, rho: float) -> Callable[[np.ndarray], np.nd
     return field
 
 
-def generalized_flow_apply(
-    omega0: Measure, op: CyclicOperator, rho: float, t: float
-) -> Measure:
-    """Closed-form flow of  d/dt x = rho (C - 1)(x)  from a positive state.
+def generalized_flow_grid(
+    omega0: Measure, op: CyclicOperator, rho: float, times: Sequence[float]
+) -> np.ndarray:
+    """Closed-form flow of  d/dt x = rho (C - 1)(x)  on a whole time grid.
 
-    The rate enters through the time scaling tau = rho t.  Coefficients sum
-    to one, so mass is conserved; they are nonnegative for all t >= 0, so
-    positivity is preserved as well.
+    Returns the (len(times), states) stack whose row k is the state at
+    ``times[k]``: omega_0 and its powers C^1, ..., C^n, formed once, weighted
+    by each row's ``flow_coefficients(n, rho t)``.  Coefficients sum to one,
+    so mass is conserved; they are nonnegative for all t >= 0, so positivity
+    is preserved as well.  A row at t = 0 is omega_0 exactly.
     """
     if not rho > 0.0:
         raise ValueError(f"rate must be positive, got {rho}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    require_positive(omega0, "generalized_flow_apply")
-    return _flow_state(omega0, op, rho, t)
+    times = [float(t) for t in times]
+    if any(t < 0.0 for t in times):
+        raise ValueError("times must be nonnegative")
+    require_positive(omega0, "generalized_flow_grid")
+    return _flow_rows(omega0, op, rho, times)
 
 
-def _flow_state(omega0: Measure, op: CyclicOperator, rho: float, t: float) -> Measure:
+def generalized_flow_apply(
+    omega0: Measure, op: CyclicOperator, rho: float, t: float
+) -> Measure:
+    """The flow at one time t, the one-row case of ``generalized_flow_grid``.
+
+    At t = 0 it returns ``omega0`` itself.
+    """
+    stack = generalized_flow_grid(omega0, op, rho, [t])
+    return omega0 if t == 0.0 else Measure(omega0.space, stack[0], omega0.nodes)
+
+
+def _flow_rows(
+    omega0: Measure, op: CyclicOperator, rho: float, times: Sequence[float]
+) -> np.ndarray:
     # Internal: no sign restriction on t (the ODE check differentiates
-    # through t = 0), exact passthrough at t == 0.
-    if t == 0.0:
-        return omega0
+    # through t = 0); rows at t == 0 are omega_0 exactly.
     if omega0.space.sizes != op.space.sizes:
         raise ValueError("measure does not live on the operator's space")
-    coeffs = flow_coefficients(op.order, rho * t)
-    base = recombine(omega0, op.cuts)
-    acc = coeffs[0] * omega0.weights
-    power = base.weights
+    coeffs = np.array([flow_coefficients(op.order, rho * t) for t in times]).reshape(
+        len(times), op.order + 1
+    )
+    stack = np.multiply.outer(coeffs[:, 0], omega0.weights)
+    power = recombine(omega0, op.cuts).weights
     for k in range(1, op.order + 1):
         power = _relabel_block0(power, op.perm, op.block0_states)
-        acc = acc + coeffs[k] * power
-    return Measure(omega0.space, acc, omega0.nodes)
+        stack += np.multiply.outer(coeffs[:, k], power)
+    stack[[t == 0.0 for t in times]] = omega0.weights
+    return stack
 
 
 def check_flow_commutation(
@@ -291,19 +313,17 @@ def check_generalized_ode(
 
     Returns max_t | (phi_{t+h} - phi_{t-h}) / 2h - rho (C - 1)(phi_t) | in
     total variation; second order in h, so halving h divides it by about 4.
+    The three flows and the generator each act on the whole grid at once.
     """
     if h_fd <= 0.0:
         raise ValueError("finite-difference step must be positive")
     require_positive(omega0, "check_generalized_ode")
     generator = cyclic_field(op, rho)
-    worst = 0.0
-    for t in t_grid:
-        t = float(t)
-        if t < 0.0:
-            raise ValueError("grid times must be nonnegative")
-        ahead = _flow_state(omega0, op, rho, t + h_fd)
-        behind = _flow_state(omega0, op, rho, t - h_fd)
-        middle = _flow_state(omega0, op, rho, t)
-        derivative = (ahead.weights - behind.weights) / (2.0 * h_fd)
-        worst = max(worst, float(np.abs(derivative - generator(middle.weights)).sum()))
-    return worst
+    times = [float(t) for t in t_grid]
+    if any(t < 0.0 for t in times):
+        raise ValueError("grid times must be nonnegative")
+    ahead = _flow_rows(omega0, op, rho, [t + h_fd for t in times])
+    behind = _flow_rows(omega0, op, rho, [t - h_fd for t in times])
+    defect = (ahead - behind) / (2.0 * h_fd)
+    defect -= generator(_flow_rows(omega0, op, rho, times))
+    return float(np.abs(defect).sum(axis=1).max(initial=0.0))

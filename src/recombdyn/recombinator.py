@@ -10,14 +10,20 @@ where m_i is the marginal on the i-th block, p is the number of cuts, and
 cut set gives the identity.  On positive measures these operators are
 idempotent, commute, preserve total mass, and compose by set union; on signed
 measures they are positively homogeneous contractions.
+
+``recombine_weights`` and ``recombine_rows`` act on raw weights: one vector,
+or a (T, S) stack whose rows are recombined together in one pass, each with
+its own |omega|.  ``recombine`` is their one-measure case.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lattice import LinkSet, _cached_blocks
-from .measure import Measure, is_positive, total_variation
+from .measure import Measure, ProductSpace, is_positive, total_variation
 
 # Below this total variation the argument counts as the zero measure, which
 # keeps the 1/|omega|^p prefactor finite.
@@ -40,40 +46,60 @@ def recombine_weights(
     sizes: tuple[int, ...],
     blocks: tuple[tuple[int, ...], ...],
 ) -> np.ndarray:
-    """Raw-array recombination along precomputed axis blocks (hot path)."""
-    tv = float(np.abs(w).sum())
-    if tv < ZERO_TOTAL_VARIATION:
-        return np.zeros_like(w)
-    tensor_view = w.reshape(sizes)
-    ndim = tensor_view.ndim
+    """Raw-array recombination along precomputed axis blocks (hot path).
+
+    ``w`` is one flat weight vector or a (T, S) stack of them.  Every row is
+    recombined in the same pass with its own |w|: its own zero rule and its
+    own division of the later factors by |w|.  A vector is the one-row case.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    n_rows = rows.shape[0]
+    tv = np.abs(rows).sum(axis=1)
+    tensor_view = rows.reshape((n_rows, *sizes))
     marginals = []
     for axes in blocks:
-        drop = tuple(ax for ax in range(ndim) if ax not in axes)
+        drop = tuple(1 + ax for ax in range(len(sizes)) if ax not in axes)
         reduced = tensor_view.sum(axis=drop) if drop else tensor_view
-        marginals.append(np.ravel(reduced))
+        marginals.append(reduced.reshape(n_rows, math.prod(reduced.shape[1:])))
     if len(marginals) == 1:
-        return marginals[0].copy()
-    # Dividing each later factor by tv keeps every intermediate on the scale
-    # of |omega| instead of forming tv**p, which could overflow.
-    acc = marginals[0]
-    for m in marginals[1:]:
-        acc = np.multiply.outer(acc, m / tv).ravel()
-    return acc
+        out = marginals[0].copy()
+    else:
+        # Dividing each later factor by its row's |omega| keeps every
+        # intermediate on the scale of |omega| instead of forming tv**p,
+        # which could overflow.  A row below the zero rule has marginals
+        # below it too, so the floor on the divisor cannot overflow either.
+        scale = np.maximum(tv, ZERO_TOTAL_VARIATION)[:, None]
+        out = marginals[0]
+        for m in marginals[1:]:
+            width = out.shape[1] * m.shape[1]
+            out = (out[:, :, None] * (m / scale)[:, None, :]).reshape(n_rows, width)
+    out[tv < ZERO_TOTAL_VARIATION] = 0.0
+    return out.reshape(w.shape)
+
+
+def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.ndarray:
+    """``recombine`` on raw weights of ``space``: a vector or a (T, S) stack.
+
+    Each row is recombined on its own, as ``recombine_weights`` does.  The
+    empty cut set is the identity and returns ``w`` itself.
+    """
+    if links.n_links != space.n_links:
+        raise ValueError(
+            f"link set over {links.n_links} links does not match a space "
+            f"with {space.n_links} links"
+        )
+    if len(links) == 0:
+        return w
+    return recombine_weights(w, space.sizes, _cached_blocks(links.bits, space.n_nodes))
 
 
 def recombine(omega: Measure, links: LinkSet) -> Measure:
     """Apply the recombinator attached to a cut set.  Total on signed input."""
     if omega.nodes != tuple(range(omega.space.n_nodes)):
         raise ValueError("recombine acts on measures over the full chain")
-    if links.n_links != omega.space.n_links:
-        raise ValueError(
-            f"link set over {links.n_links} links does not match a space "
-            f"with {omega.space.n_links} links"
-        )
-    if len(links) == 0:
+    w = recombine_rows(omega.weights, omega.space, links)
+    if w is omega.weights:  # the empty cut set
         return omega
-    blocks = _cached_blocks(links.bits, omega.space.n_nodes)
-    w = recombine_weights(omega.weights, omega.space.sizes, blocks)
     return Measure(omega.space, w, omega.nodes)
 
 

@@ -18,9 +18,11 @@ from .dynamics import (
     check_linearization,
     coefficient_a,
     coefficient_b,
+    crossover_grid,
     crossover_solution,
     moebius_transform,
     product_flow_apply,
+    product_flow_grid,
     rk4_integrate_many,
     semigroup_apply,
 )
@@ -30,7 +32,7 @@ from .generalized import (
     check_generalized_ode,
     cyclic_apply,
     flow_coefficients,
-    generalized_flow_apply,
+    generalized_flow_grid,
     gfun,
     gfun_asymptotic_check,
     roots_of_unity_mean,
@@ -72,6 +74,16 @@ def _count_check(name: str, mismatches: int) -> dict:
         "tolerance": 0.0,
         "passed": mismatches == 0,
     }
+
+
+def _row_tv(stack: np.ndarray) -> np.ndarray:
+    """Total variation of every row of a (T, S) stack."""
+    return np.abs(stack).sum(axis=1)
+
+
+def _states(traj) -> np.ndarray:
+    """The stored states of a trajectory as one (T, S) stack."""
+    return np.array([state.weights for state in traj.states])
 
 
 def _monitor(name: str, value: float, note: str) -> dict:
@@ -312,11 +324,11 @@ def suite_semigroup(seed: int, scale: float = 1.0) -> list[dict]:
         t_end=5.0, h=1e-3, store_stride=50,
     )
     for (omega0, system), traj in zip(draws, trajectories):
-        for t, state in zip(traj.times, traj.states):
-            closed = product_flow_apply(omega0, system, [t] * len(system))
-            worst_gap = max(worst_gap, total_variation(closed - state))
-            worst_drift = max(worst_drift, abs(state.mass - omega0.mass))
-            worst_negative = max(worst_negative, -float(state.weights.min()))
+        states = _states(traj)
+        closed = product_flow_grid(omega0, system, traj.times)
+        worst_gap = max(worst_gap, float(_row_tv(closed - states).max()))
+        worst_drift = max(worst_drift, float(np.abs(states.sum(axis=1) - omega0.mass).max()))
+        worst_negative = max(worst_negative, -float(states.min()))
     checks.append(_check("semigroup.closed_form_vs_rk4", worst_gap, 1e-6, scale))
     checks.append(_check("semigroup.rk4_mass_drift", worst_drift, 1e-9, scale))
     checks.append(_check("semigroup.rk4_min_weight", worst_negative, 1e-9, scale))
@@ -361,8 +373,9 @@ def suite_semigroup(seed: int, scale: float = 1.0) -> list[dict]:
         rho = float(rng.uniform(0.2, 2.0))
         equilibrium = recombine(omega0, cut)
         span = total_variation(omega0 - equilibrium)
-        for t in (0.1, 1.0, 3.0):
-            lhs = total_variation(semigroup_apply(omega0, cut, rho, t) - equilibrium)
+        times = (0.1, 1.0, 3.0)
+        flowed = product_flow_grid(omega0, DisjointStretchSystem(((cut, rho),)), times)
+        for t, lhs in zip(times, _row_tv(flowed - equilibrium.weights).tolist()):
             rhs = math.exp(-rho * t) * span
             worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-30))
     checks.append(_check("semigroup.exact_decay_identity", worst, 1e-12, scale))
@@ -379,13 +392,10 @@ def suite_semigroup(seed: int, scale: float = 1.0) -> list[dict]:
             total_variation(omega0 - recombine(omega0, links))
             for links, _ in system.components
         )
-        for t in np.linspace(0.0, 5.0, 11):
-            residual = total_variation(
-                product_flow_apply(omega0, system, [float(t)] * len(system)) - equilibrium
-            )
-            worst_excess = max(
-                worst_excess, residual - envelope * math.exp(-rho_min * float(t))
-            )
+        times = np.linspace(0.0, 5.0, 11).tolist()
+        residuals = _row_tv(product_flow_grid(omega0, system, times) - equilibrium.weights)
+        for t, residual in zip(times, residuals.tolist()):
+            worst_excess = max(worst_excess, residual - envelope * math.exp(-rho_min * t))
     checks.append(_check("semigroup.equilibrium_envelope", worst_excess, 1e-12, scale))
 
     return checks
@@ -411,17 +421,14 @@ def suite_moebius(seed: int, scale: float = 1.0) -> list[dict]:
         t_end=2.0, h=1e-3, store_stride=100,
     )
     for (omega0, link_rates), traj in zip(draws, trajectories):
-        for t, state in zip(traj.times, traj.states):
-            product = crossover_solution(omega0, link_rates, t)
-            expanded = sum(
-                (
-                    coefficient_a(ls, link_rates, t) * recombine(omega0, ls)
-                    for ls in all_link_sets(len(link_rates))
-                ),
-                start=Measure.zero(omega0.space),
-            )
-            worst_closed = max(worst_closed, total_variation(expanded - product))
-            worst_oracle = max(worst_oracle, total_variation(product - state))
+        product = crossover_grid(omega0, link_rates, traj.times)
+        # The expansion on the grid: each R_G(omega_0) once, weighted by a_G(t).
+        expanded = np.zeros_like(product)
+        for ls in all_link_sets(len(link_rates)):
+            weights = [coefficient_a(ls, link_rates, t) for t in traj.times]
+            expanded += np.multiply.outer(weights, recombine(omega0, ls).weights)
+        worst_closed = max(worst_closed, float(_row_tv(expanded - product).max()))
+        worst_oracle = max(worst_oracle, float(_row_tv(product - _states(traj)).max()))
     checks.append(_check("moebius.expansion_vs_product_flow", worst_closed, 1e-10, scale))
     checks.append(_check("moebius.expansion_vs_rk4", worst_oracle, 1e-6, scale))
 
@@ -608,9 +615,9 @@ def suite_generalized(seed: int, scale: float = 1.0) -> list[dict]:
     )
     rate = min(1.0, 1.0 - math.cos(2 * math.pi / op.order))
     envelope0 = (op.order + 1) * total_variation(omega0)
-    for t in np.linspace(0.0, 12.0, 13):
-        t = float(t)
-        residual = total_variation(generalized_flow_apply(omega0, op, 1.0, t) - limit)
+    times = np.linspace(0.0, 12.0, 13).tolist()
+    residuals = _row_tv(generalized_flow_grid(omega0, op, 1.0, times) - limit.weights)
+    for t, residual in zip(times, residuals.tolist()):
         worst_excess = max(worst_excess, residual - envelope0 * math.exp(-rate * t))
     checks.append(_check("cyclic.long_time_limit", max(worst_excess, 0.0), 1e-12, scale))
 
@@ -622,10 +629,9 @@ def suite_generalized(seed: int, scale: float = 1.0) -> list[dict]:
             coeffs = flow_coefficients(n, float(t))
             min_coeff = min(min_coeff, float(coeffs.min()))
             worst_mass = max(worst_mass, abs(float(coeffs.sum()) - 1.0))
-    for t in (0.1, 0.7, 2.0, 6.0):
-        state = generalized_flow_apply(omega0, op, 1.3, t)
-        worst_mass = max(worst_mass, abs(state.mass - omega0.mass))
-        worst_neg = max(worst_neg, -float(state.weights.min()))
+    states = generalized_flow_grid(omega0, op, 1.3, (0.1, 0.7, 2.0, 6.0))
+    worst_mass = max(worst_mass, float(np.abs(states.sum(axis=1) - omega0.mass).max()))
+    worst_neg = max(worst_neg, -float(states.min()))
     checks.append(_check("cyclic.flow_mass_conservation", worst_mass, 1e-12, scale))
     checks.append(_check("cyclic.flow_positivity", worst_neg, 1e-12, scale))
     checks.append(

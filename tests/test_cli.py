@@ -21,8 +21,9 @@ from recombdyn.dynamics import (
     crossover_solution,
     output_grid,
     trajectory_to_csv_string,
+    trajectory_to_json_dict,
 )
-from recombdyn.measure import ProductSpace, random_probability
+from recombdyn.measure import Measure, ProductSpace, random_probability
 
 
 def write_scenario(path, **overrides):
@@ -286,6 +287,25 @@ def test_run_batch_isolates_a_bad_config(tmp_path, capsys):
     assert str(bad) in err and "Traceback" not in err
 
 
+def test_run_batch_reports_failures_in_config_order(tmp_path, capsys):
+    # A batch runs its configs one after another in the calling thread, so
+    # the stderr lines of failing configs come in config order; --jobs is
+    # accepted and has no effect.
+    first, good, second = tmp_path / "z.json", tmp_path / "ok.json", tmp_path / "a.json"
+    write_scenario(first, rk4_step=math.nan)
+    write_scenario(good)
+    write_scenario(second, time={"t_end": -1.0, "stride": 1})
+    out_dir = tmp_path / "batch"
+    code = main(["run", "--out", str(out_dir), "--jobs", "4", "--config", str(first),
+                 "--config", str(good), "--config", str(second)])
+    assert code == EXIT_VALIDATION
+    assert sorted(p.name for p in out_dir.iterdir()) == ["ok.csv", "ok.csv.report.json"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"{first}: parse error")
+    assert lines[1].startswith(f"{second}: validation error")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_batch_rejects_colliding_outputs(tmp_path, capsys, fmt):
     (tmp_path / "a").mkdir()
@@ -424,6 +444,43 @@ def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
     size = out.stat().st_size
     assert size > 900_000
     assert peak < size / 4, (peak, size)
+
+
+def test_json_artifact_is_streamed_with_the_whole_text_bytes(tmp_path):
+    # Same 4^6 states x 11 rows.  Streaming holds one row's floats and its
+    # encoded pieces at a time (~0.6 of this artifact); the whole-text
+    # encoder held over six times the artifact, and no whole-text encoder
+    # can stay below the artifact's own size.
+    space = ProductSpace((4,) * 6)
+    states = tuple(random_probability(space, seed) for seed in range(11))
+    traj = Trajectory(tuple(0.1 * k for k in range(11)), states)
+    out = tmp_path / "traj.json"
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(traj, out, "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == cli._dump_json(trajectory_to_json_dict(traj))
+    size = out.stat().st_size
+    assert size > 900_000
+    assert peak < size, (peak, size)
+
+
+def test_json_artifact_bytes_follow_the_whole_text_encoder_on_odd_values(tmp_path):
+    # Signed zeros, subnormals, huge and non-finite cells and one-row and
+    # one-state trajectories encode exactly as json.dumps of the whole dict.
+    space = ProductSpace((2, 2))
+    odd = Measure(space, [-0.0, 5e-324, 1e308, 1 / 3])
+    wild = Measure(space, [math.inf, -math.inf, math.nan, 0.1])
+    for traj in (
+        Trajectory((0.0,), (odd,)),
+        Trajectory((0.0, 1e-300, 2.5), (odd, wild, odd)),
+        Trajectory((0.0, 1.0), (Measure(ProductSpace((1,)), [1.0]),) * 2),
+    ):
+        out = tmp_path / "traj.json"
+        cli._write_trajectory(traj, out, "json")
+        assert out.read_text() == cli._dump_json(trajectory_to_json_dict(traj))
 
 
 def test_run_rk4_past_its_stability_bound_is_numeric_error(tmp_path, capsys):

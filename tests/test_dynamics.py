@@ -12,11 +12,14 @@ from recombdyn.dynamics import (
     coefficient_a,
     coefficient_b,
     compile_field,
+    crossover_grid,
     crossover_solution,
     integrate_field,
+    moebius_rows,
     moebius_transform,
     output_grid,
     product_flow_apply,
+    product_flow_grid,
     rk4_integrate,
     rk4_integrate_many,
     semigroup_apply,
@@ -541,6 +544,85 @@ def test_transform_decay_matches_cumulative_coefficient():
     for links in all_link_sets(3):
         predicted = coefficient_b(links, rates, t) * moebius_transform(omega, links)
         assert total_variation(moebius_transform(state, links) - predicted) <= 1e-10
+
+
+# -- closed forms on a whole grid ------------------------------------------------
+
+GRID = [0.0, 0.05, 0.3, 0.3001, 1.0, 2.5, 7.0]
+
+
+def assert_rows_match(stack, measures, omega0):
+    """Each row within 1e-15 |omega_0| of the one-row result at its time."""
+    assert stack.shape == (len(measures), omega0.space.total_states)
+    for row, state in zip(stack, measures):
+        assert np.abs(row - state.weights).sum() <= 1e-15 * total_variation(omega0)
+
+
+def test_product_flow_grid_is_its_one_row_case_at_every_time():
+    space = ProductSpace((2, 3, 2, 2, 2))
+    system = DisjointStretchSystem(
+        ((LinkSet.from_indices([0], 4), 1.1), (LinkSet.from_indices([2, 3], 4), 0.45))
+    )
+    omega = random_probability(space, 21)
+    stack = product_flow_grid(omega, system, GRID)
+    np.testing.assert_array_equal(stack[0], omega.weights)
+    assert_rows_match(stack, [product_flow_apply(omega, system, [t] * 2) for t in GRID], omega)
+    one_set = DisjointStretchSystem(((LinkSet.from_indices([1], 4), 0.8),))
+    assert_rows_match(
+        product_flow_grid(omega, one_set, GRID),
+        [semigroup_apply(omega, LinkSet.from_indices([1], 4), 0.8, t) for t in GRID],
+        omega,
+    )
+    assert product_flow_grid(omega, system, []).shape == (0, space.total_states)
+    with pytest.raises(ValueError):
+        product_flow_grid(omega, system, [0.5, -0.1])
+
+
+def test_crossover_grid_is_its_one_row_case_at_every_time():
+    space = ProductSpace((2, 3, 2, 2))
+    rates = [1.0, 0.4, 0.9]
+    omega = random_probability(space, 22)
+    stack = crossover_grid(omega, rates, GRID)
+    np.testing.assert_array_equal(stack[0], omega.weights)
+    assert_rows_match(stack, [crossover_solution(omega, rates, t) for t in GRID], omega)
+    # The subset expansion is the independent second opinion on every row.
+    for row, t in zip(stack, GRID):
+        assert np.abs(row - subset_expansion(omega, rates, t).weights).sum() <= 1e-10
+    with pytest.raises(ValueError):
+        crossover_grid(omega, [1.0, 0.4], GRID)
+
+
+def test_moebius_rows_is_the_transform_of_each_row():
+    space = ProductSpace((2, 2, 3, 2))
+    omega = random_probability(space, 23)
+    rates = [0.7, 1.2, 0.5]
+    states = crossover_grid(omega, rates, GRID)
+    for links in all_link_sets(3):
+        rows = moebius_rows(states, space, links)
+        expected = [moebius_transform(Measure(space, w), links) for w in states]
+        assert_rows_match(rows, expected, omega)
+
+
+def linearization_per_time(omega0, rates, links, times):
+    """The linearization defect as a loop over times of the one-row forms."""
+    base = moebius_transform(omega0, links)
+    worst = 0.0
+    for t in times:
+        state = crossover_solution(omega0, rates, t)
+        predicted = coefficient_b(links, rates, t) * base
+        worst = max(worst, total_variation(moebius_transform(state, links) - predicted))
+    return worst
+
+
+def test_check_linearization_matches_its_per_time_loop():
+    omega = random_probability(ProductSpace((2, 3, 2, 2)), 24)
+    rates = [1.3, 0.6, 0.9]
+    for links in all_link_sets(3):
+        expected = linearization_per_time(omega, rates, links, GRID)
+        assert abs(check_linearization(omega, rates, links, GRID) - expected) <= 1e-15
+    assert check_linearization(omega, rates, LinkSet.empty(3), []) == 0.0
+    with pytest.raises(ValueError):
+        check_linearization(omega, rates, LinkSet.empty(3), [1.0, -1.0])
 
 
 def test_trajectory_validation():

@@ -12,6 +12,7 @@ from recombdyn.generalized import (
     cyclic_field,
     flow_coefficients,
     generalized_flow_apply,
+    generalized_flow_grid,
     gfun,
     gfun_asymptotic_check,
     gfun_scaled,
@@ -304,6 +305,45 @@ def test_generalized_ode_near_zero_rate_is_flat():
     op, omega = three_cycle()
     residual = check_generalized_ode(omega, op, 1e-16, [0.5, 1.0, 2.0], 1e-3)
     assert residual <= 1e-14
+
+
+def test_flow_grid_is_its_one_row_case_at_every_time():
+    op, omega = three_cycle()
+    grid = [0.0, 0.1, 0.7, 0.70001, 2.0, 6.0, 30.0]
+    stack = generalized_flow_grid(omega, op, 1.3, grid)
+    assert stack.shape == (len(grid), op.space.total_states)
+    np.testing.assert_array_equal(stack[0], omega.weights)
+    for row, t in zip(stack, grid):
+        expected = generalized_flow_apply(omega, op, 1.3, t).weights
+        assert np.abs(row - expected).sum() <= 1e-15 * total_variation(omega)
+    with pytest.raises(ValueError):
+        generalized_flow_grid(omega, op, 1.3, [1.0, -0.5])
+    with pytest.raises(ValueError):
+        generalized_flow_grid(omega, op, 0.0, grid)
+
+
+def generalized_ode_per_time(omega0, op, rho, times, h_fd):
+    """The generator defect as a loop over times of the one-row flow."""
+    generator = cyclic_field(op, rho)
+    worst = 0.0
+    for t in times:
+        ahead = generalized_flow_apply(omega0, op, rho, t + h_fd).weights
+        behind = generalized_flow_apply(omega0, op, rho, t - h_fd).weights
+        middle = generalized_flow_apply(omega0, op, rho, t).weights
+        derivative = (ahead - behind) / (2.0 * h_fd)
+        worst = max(worst, float(np.abs(derivative - generator(middle)).sum()))
+    return worst
+
+
+def test_generalized_ode_matches_its_per_time_loop():
+    op, omega = three_cycle()
+    # 0.01 - 0.01 lands exactly on t = 0, where the flow is omega_0 itself.
+    grid = [0.01, 0.25, 0.5, 1.0, 2.0]
+    for rho, h_fd in ((1.0, 1e-2), (0.37, 5e-3)):
+        expected = generalized_ode_per_time(omega, op, rho, grid, h_fd)
+        got = check_generalized_ode(omega, op, rho, grid, h_fd)
+        assert abs(got - expected) <= 1e-15 * total_variation(omega) / h_fd
+    assert check_generalized_ode(omega, op, 1.0, [], 1e-2) == 0.0
 
 
 def test_flow_validation():

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from recombdyn.lattice import LinkSet, all_link_sets, partition_of
 from recombdyn.measure import Measure, ProductSpace, random_probability, total_variation
-from recombdyn.recombinator import check_gen_cond, lipschitz_ratio, recombine
+from recombdyn.recombinator import (
+    ZERO_TOTAL_VARIATION,
+    check_gen_cond,
+    lipschitz_ratio,
+    recombine,
+    recombine_rows,
+    recombine_weights,
+)
 
 
 def brute_recombine(omega, links):
@@ -195,3 +202,40 @@ def test_lipschitz_ratio_rejects_equal_measures():
         lipschitz_ratio(omega, omega, 0)
     with pytest.raises(ValueError):
         lipschitz_ratio(omega, 2.0 * omega, 5)
+
+
+def test_recombine_weights_on_a_stack_is_the_per_row_recombination():
+    # Signed rows on scales 1e-3 to 1e3, a zero row and a row below the zero
+    # rule: each row keeps its own |w| and its own zero rule.
+    space = ProductSpace((2, 3, 2, 2))
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((6, space.total_states))
+    stack *= np.array([1.0, 1e-3, 1e3, 0.0, 1.0, 1.0])[:, None]
+    stack[4] = 1e-303
+    assert np.abs(stack[4]).sum() < ZERO_TOTAL_VARIATION
+    stack[5, :3] = -stack[5, :3]
+    for links in all_link_sets(space.n_links):
+        blocks = partition_of(links, space.n_nodes).blocks
+        rows = recombine_weights(stack, space.sizes, blocks)
+        assert rows.shape == stack.shape
+        for w, got in zip(stack, rows):
+            expected = recombine_weights(w, space.sizes, blocks)
+            assert np.abs(got - expected).sum() <= 1e-15 * np.abs(w).sum()
+        # The zero row, the row below the zero rule, and the one-block cut
+        # set (the identity on the other rows) are exact.
+        assert not rows[3].any() and not rows[4].any()
+        if not links.bits:
+            np.testing.assert_array_equal(rows[[0, 1, 2, 5]], stack[[0, 1, 2, 5]])
+
+
+def test_recombine_rows_matches_recombine_row_by_row():
+    space = ProductSpace((3, 2, 2))
+    measures = [random_probability(space, seed) for seed in range(4)]
+    stack = np.array([omega.weights for omega in measures])
+    for links in all_link_sets(space.n_links):
+        rows = recombine_rows(stack, space, links)
+        for omega, got in zip(measures, rows):
+            assert np.abs(got - recombine(omega, links).weights).sum() <= 1e-15
+    assert recombine_rows(stack, space, LinkSet.empty(2)) is stack
+    with pytest.raises(ValueError):
+        recombine_rows(stack, space, LinkSet.full(3))
