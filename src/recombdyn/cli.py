@@ -112,13 +112,9 @@ class Scenario:
         rates = _expect(doc, "rates", dict, "scenario")
         time_spec = _expect(doc, "time", dict, "scenario")
         solver = _expect(doc, "solver", str, "scenario")
-        step = doc.get("rk4_step", 1e-3)
-        if not isinstance(step, (int, float)):
-            raise ScenarioParseError("scenario.rk4_step: expected a number")
+        step = _expect(doc, "rk4_step", (int, float), "scenario", default=1e-3)
         t_end = _expect(time_spec, "t_end", (int, float), "scenario.time")
-        stride = time_spec.get("stride", 1)
-        if not isinstance(stride, int):
-            raise ScenarioParseError("scenario.time.stride: expected an integer")
+        stride = _expect(time_spec, "stride", int, "scenario.time", default=1)
         kind = _expect(initial, "kind", str, "scenario.initial")
         if kind == "random":
             _expect(initial, "seed", int, "scenario.initial")
@@ -170,9 +166,12 @@ def _plain(value):
     return value
 
 
-def _expect(doc: dict, key: str, types, where: str, items=None):
-    # ``items``, for a list field, is the type every element must have.
+def _expect(doc: dict, key: str, types, where: str, items=None, default=None):
+    # ``items``, for a list field, is the type every element must have; a
+    # field with a ``default`` may be left out.
     if key not in doc:
+        if default is not None:
+            return default
         raise ScenarioParseError(f"{where}.{key}: missing field")
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
@@ -339,11 +338,10 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
         if rk4_traj is not None:
             # The gaps are one row-wise sum in one stack-sized temporary,
             # taken before the write so that it adds nothing to its peak.
-            diff = np.array([state.weights for state in rk4_traj.states])
-            np.subtract(closed, diff, out=diff)
+            diff = np.subtract(closed, rk4_traj.weights)
             gaps = np.abs(diff, out=diff).sum(axis=1).tolist()
             del diff
-        closed_traj = Trajectory(tuple(runtime.grid), Measure.rows(runtime.omega0.space, closed))
+        closed_traj = Trajectory(runtime.omega0.space, runtime.grid, closed)
 
     # A state that breaks an invariant is no result: nothing is written.
     for name, traj in (("rk4", rk4_traj), ("closed-form", closed_traj)):
@@ -378,8 +376,7 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
 
 def _invariant_defect(traj: Trajectory, omega0: Measure) -> str | None:
     bound = INVARIANT_TOLERANCE * float(np.abs(omega0.weights).sum())
-    for t, state in zip(traj.times, traj.states):
-        w = state.weights
+    for t, w in zip(traj.times, traj.weights):
         if not np.isfinite(w).all():
             return "is not finite"
         low, drift = float(w.min()), abs(float(w.sum()) - omega0.mass)
@@ -407,16 +404,27 @@ def _atomic_stream(path: Path) -> Iterator[TextIO]:
     # The whole artifact or nothing: the block writes to a temp file that
     # replaces ``path`` only when the block completes, so readers never see a
     # partial file, and an interrupted write leaves neither a truncated
-    # artifact nor its temp file.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    # artifact nor its temp file.  A path that cannot be written (a directory,
+    # or under a regular file) is a validation error naming it.
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(tmp, "x") as stream:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        stream = open(tmp, "x")
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    try:
+        with stream:
             yield stream
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from exc
         raise
+
+
+def _unwritable(path: Path, exc: OSError) -> ScenarioValidationError:
+    return ScenarioValidationError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _dump_json(payload: dict) -> str:
@@ -469,6 +477,8 @@ def _run_isolated(config: str, out_path: Path, fmt: str, scale: float) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scale = _tolerance_scale()
+    if args.seed < 0:
+        raise ScenarioValidationError(f"seed must be nonnegative, got {args.seed}")
     report = run_suite(args.suite, args.seed, scale)
     text = _dump_json(report)
     if args.out:

@@ -46,6 +46,10 @@ small ones laid end to end in one vector, under one stacked field with one
 |omega| per problem, so many tiny runs cost one run's interpreter overhead.
 ``recombine_weights`` remains the reference the field is tested against.
 
+A ``Trajectory`` is a time grid and one read-only stack, one row per time.
+RK4 writes each stored state into its row of a preallocated stack, and each
+problem of ``rk4_integrate_many`` gets its column slice of the stacked run.
+
 ``trajectory_to_csv`` streams a trajectory one row at a time, each row one
 ``%`` format of its 17-significant-digit cells, so the CSV text is never held
 whole; ``trajectory_to_csv_string`` collects it for callers that want a str.
@@ -178,20 +182,37 @@ class DisjointStretchSystem:
         return len(self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time grid plus the state at each grid point."""
+    """A time grid and one read-only (len(times), states) stack of weights.
 
+    Row k of ``weights`` is the state on the full chain at ``times[k]``.  A
+    float64 array is taken over without a copy and made read-only; the
+    caller keeps no writable view of it.
+    """
+
+    space: ProductSpace
     times: tuple[float, ...]
-    states: tuple[Measure, ...]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.times) != len(self.states) or not self.times:
-            raise ValueError("times and states must align and be nonempty")
-        if self.times[0] != 0.0:
+        times = tuple(self.times)
+        object.__setattr__(self, "times", times)
+        if not times or times[0] != 0.0:
             raise ValueError("trajectories start at time 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
+        w = np.asarray(self.weights, dtype=np.float64)
+        shape = (len(times), self.space.total_states)
+        if w.shape != shape:
+            raise ValueError(f"need a stack of shape {shape}, got {w.shape}")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def states(self) -> tuple[Measure, ...]:
+        """Each row as a ``Measure``, copied when read."""
+        return tuple(Measure(self.space, row) for row in self.weights)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -436,19 +457,20 @@ def _rk4_run(
     t_end: float,
     h: float,
     store_stride: int,
-) -> tuple[list[float], list[np.ndarray]]:
+) -> tuple[list[float], np.ndarray]:
     n_full, stored, remainder = _step_plan(t_end, h, store_stride)
-    keep = set(stored)
-    states = [w0.copy()]
+    times = output_grid(t_end, h, store_stride)
+    stack = np.empty((len(times), w0.size))
+    stack[0] = w0
+    rows = {step: row for row, step in enumerate(stored, 1)}
     w = w0
     for i in range(1, n_full + 1):
         w = _rk4_step(field, w, h)
-        if i in keep:
-            states.append(w)
+        if i in rows:
+            stack[rows[i]] = w
     if remainder > 0.0:
-        w = _rk4_step(field, w, remainder)
-        states.append(w)
-    return output_grid(t_end, h, store_stride), states
+        stack[-1] = _rk4_step(field, w, remainder)
+    return times, stack
 
 
 def integrate_field(
@@ -465,9 +487,8 @@ def integrate_field(
     negative intermediate weights are left as computed so integrator
     defects remain visible to the checks downstream.
     """
-    times, raw = _rk4_run(field, np.array(omega0.weights), float(t_end), float(h), store_stride)
-    states = tuple(Measure(omega0.space, w, omega0.nodes) for w in raw)
-    return Trajectory(tuple(times), states)
+    times, stack = _rk4_run(field, omega0.weights, float(t_end), float(h), store_stride)
+    return Trajectory(omega0.space, times, stack)
 
 
 def rk4_integrate(
@@ -511,19 +532,14 @@ def rk4_integrate_many(
     trajectories: list[Trajectory] = [None] * len(problems)
     for members, field in runs:
         w0 = np.concatenate([problems[i][0].weights for i in members])
-        times, raw = _rk4_run(field, w0, float(t_end), float(h), store_stride)
-        states: list[list[Measure]] = [[] for _ in members]
-        for k, w in enumerate(raw):
-            # Each stacked state is released once its problems hold their copies.
-            raw[k] = None
-            start = 0
-            for slot, i in enumerate(members):
-                omega0 = problems[i][0]
-                stop = start + omega0.space.total_states
-                states[slot].append(Measure(omega0.space, w[start:stop], omega0.nodes))
-                start = stop
-        for slot, i in enumerate(members):
-            trajectories[i] = Trajectory(tuple(times), tuple(states[slot]))
+        times, stack = _rk4_run(field, w0, float(t_end), float(h), store_stride)
+        start = 0
+        for i in members:
+            space = problems[i][0].space
+            stop = start + space.total_states
+            # Each problem's trajectory is its column slice of the stacked run.
+            trajectories[i] = Trajectory(space, times, stack[:, start:stop])
+            start = stop
     return trajectories
 
 
@@ -745,7 +761,7 @@ def check_linearization(
 def trajectory_to_json_dict(traj: Trajectory) -> dict:
     return {
         "times": [float(t) for t in traj.times],
-        "states": [state.weights.tolist() for state in traj.states],
+        "states": traj.weights.tolist(),
     }
 
 
@@ -757,10 +773,10 @@ def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
     and written on its own, so the text of at most one row exists at a time.
     """
     stream.write('{"states":[')
-    for k, state in enumerate(traj.states):
+    for k, w in enumerate(traj.weights):
         if k:
             stream.write(",")
-        stream.write(json.dumps(state.weights.tolist(), separators=(",", ":")))
+        stream.write(json.dumps(w.tolist(), separators=(",", ":")))
     times = json.dumps([float(t) for t in traj.times], separators=(",", ":"))
     stream.write(f'],"times":{times}}}\n')
 
@@ -771,11 +787,11 @@ def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
     The header and each row are formatted by one ``%`` operation and written
     at once, so the text of at most one line exists at a time.
     """
-    n_cells = traj.states[0].space.total_states
+    n_cells = traj.space.total_states
     stream.write(("t" + ",%d" * n_cells + "\n") % tuple(range(n_cells)))
     row = "%.17g" + ",%.17g" * n_cells + "\n"
-    for t, state in zip(traj.times, traj.states):
-        stream.write(row % (t, *state.weights.tolist()))
+    for t, w in zip(traj.times, traj.weights):
+        stream.write(row % (t, *w.tolist()))
 
 
 def trajectory_to_csv_string(traj: Trajectory) -> str:

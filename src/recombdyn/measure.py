@@ -7,6 +7,9 @@ coincides with C-order iteration over state tuples and ``numpy`` reshapes are
 exact views.  Positivity is a runtime predicate, not a type constraint:
 signed measures are first-class because the inclusion-exclusion transforms
 downstream genuinely produce them.
+
+A ``Measure`` copies its weights on construction.  Many states over one time
+grid are no tuple of measures but one (T, S) stack, ``dynamics.Trajectory``.
 """
 
 from __future__ import annotations
@@ -105,31 +108,6 @@ class Measure:
     @classmethod
     def zero(cls, space: ProductSpace, nodes: tuple[int, ...] | None = None) -> "Measure":
         return cls(space, np.zeros(space.total_states), nodes)
-
-    @classmethod
-    def rows(cls, space: ProductSpace, stack: np.ndarray) -> tuple["Measure", ...]:
-        """One measure on the full chain per row of a fresh (T, S) float64 stack.
-
-        The measures share the stack's rows instead of copying them, so a
-        trajectory costs its stack once.  The stack is made read-only; the
-        caller hands it over and keeps no writable view of it.
-        """
-        if stack.dtype != np.float64 or stack.shape[1:] != (space.total_states,):
-            raise ValueError(
-                f"need a float64 stack of {space.total_states}-state rows, "
-                f"got {stack.dtype} {stack.shape}"
-            )
-        stack.setflags(write=False)
-        nodes = tuple(range(space.n_nodes))
-        measures = []
-        for row in stack:
-            # Every field is already in its validated form; skip the copy.
-            measure = object.__new__(cls)
-            object.__setattr__(measure, "space", space)
-            object.__setattr__(measure, "weights", row)
-            object.__setattr__(measure, "nodes", nodes)
-            measures.append(measure)
-        return tuple(measures)
 
     # -- views and scalars -----------------------------------------------------
 

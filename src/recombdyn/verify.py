@@ -81,11 +81,6 @@ def _row_tv(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).sum(axis=1)
 
 
-def _states(traj) -> np.ndarray:
-    """The stored states of a trajectory as one (T, S) stack."""
-    return np.array([state.weights for state in traj.states])
-
-
 def _monitor(name: str, value: float, note: str) -> dict:
     return {
         "name": name,
@@ -324,7 +319,7 @@ def suite_semigroup(seed: int, scale: float = 1.0) -> list[dict]:
         t_end=5.0, h=1e-3, store_stride=50,
     )
     for (omega0, system), traj in zip(draws, trajectories):
-        states = _states(traj)
+        states = traj.weights
         closed = product_flow_grid(omega0, system, traj.times)
         worst_gap = max(worst_gap, float(_row_tv(closed - states).max()))
         worst_drift = max(worst_drift, float(np.abs(states.sum(axis=1) - omega0.mass).max()))
@@ -428,7 +423,7 @@ def suite_moebius(seed: int, scale: float = 1.0) -> list[dict]:
             weights = [coefficient_a(ls, link_rates, t) for t in traj.times]
             expanded += np.multiply.outer(weights, recombine(omega0, ls).weights)
         worst_closed = max(worst_closed, float(_row_tv(expanded - product).max()))
-        worst_oracle = max(worst_oracle, float(_row_tv(product - _states(traj)).max()))
+        worst_oracle = max(worst_oracle, float(_row_tv(product - traj.weights).max()))
     checks.append(_check("moebius.expansion_vs_product_flow", worst_closed, 1e-10, scale))
     checks.append(_check("moebius.expansion_vs_rk4", worst_oracle, 1e-6, scale))
 

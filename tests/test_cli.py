@@ -23,7 +23,7 @@ from recombdyn.dynamics import (
     trajectory_to_csv_string,
     trajectory_to_json_dict,
 )
-from recombdyn.measure import Measure, ProductSpace, random_probability
+from recombdyn.measure import ProductSpace, random_probability
 
 
 def write_scenario(path, **overrides):
@@ -130,10 +130,15 @@ def test_run_parse_failures(tmp_path):
         {"sizes": [2, 2, 2],
          "rates": {"kind": "cyclic", "links": [0], "order": 2, "permutation": [1, None],
                    "rate": 1.0}},
+        {"sizes": [2, 2], "rates": {"kind": "crossover", "per_link": [1.0]},
+         "solver": "closed-form", "rk4_step": True, "time": {"t_end": 2.0, "stride": 1}},
+        {"sizes": [2, 2], "rates": {"kind": "crossover", "per_link": [1.0]},
+         "solver": "closed-form", "time": {"t_end": 2.0, "stride": True}},
     ],
     ids=["t_end-Infinity", "rk4_step-NaN", "initial-Infinity", "overflowing-literal",
          "int-past-float-range", "int-past-digit-limit", "per_link-null",
-         "weights-string", "links-null", "permutation-null"],
+         "weights-string", "links-null", "permutation-null", "rk4_step-true",
+         "stride-true"],
 )
 def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
     config = tmp_path / "scenario.json"
@@ -391,6 +396,44 @@ def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, argv, a
     assert not [p.name for p in out.rglob("*.tmp")]
 
 
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["run", "--config", "{cfg}", "--out", "{out}/taken"], "taken"),
+        (["run", "--config", "{cfg}", "--out", "{out}/file/traj.csv"], "file/traj.csv"),
+        (["verify", "--suite", "generalized", "--out", "{out}/taken"], "taken"),
+        (["coefficients", "--rates", "1,2", "--t-end", "1", "--t-step", "0.5",
+          "--out", "{out}/taken"], "taken"),
+    ],
+    ids=["run-onto-directory", "run-under-file", "verify", "coefficients"],
+)
+def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, target):
+    write_scenario(tmp_path / "s.json", solver="closed-form")
+    out = tmp_path / "out"
+    (out / "taken").mkdir(parents=True)
+    (out / "file").write_text("a regular file")
+    argv = [a.format(cfg=tmp_path / "s.json", out=out) for a in argv]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"validation error: cannot write {out / target}")
+    assert sorted(p.name for p in out.rglob("*")) == ["file", "taken"]
+
+
+def test_batch_unwritable_output_fails_only_its_scenario(tmp_path, capsys):
+    for name in ("s", "t"):
+        write_scenario(tmp_path / f"{name}.json", solver="closed-form")
+    out = tmp_path / "out"
+    (out / "s.csv").mkdir(parents=True)
+    code = main(["run", "--config", str(tmp_path / "s.json"),
+                 "--config", str(tmp_path / "t.json"), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{tmp_path / 's.json'}: validation error: cannot write {out / 's.csv'}")
+    assert sorted(p.name for p in out.iterdir()) == ["s.csv", "t.csv"]
+    assert (out / "s.csv").is_dir() and (out / "t.csv").read_text().startswith("t,")
+
+
 def test_interrupt_in_mid_stream_leaves_no_partial_file(tmp_path, monkeypatch):
     write_scenario(tmp_path / "s.json", solver="closed-form")
     out = tmp_path / "out"
@@ -414,6 +457,25 @@ def test_interrupt_in_mid_stream_leaves_no_partial_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["traj.csv"]
 
 
+def test_run_closed_form_trajectory_is_the_grid_stack(tmp_path, monkeypatch):
+    # The closed form's grid stack is the written trajectory's weights: no copy.
+    stacks, written = [], []
+    grid = cli.product_flow_grid
+
+    def recorded_grid(*args):
+        stacks.append(grid(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(cli, "product_flow_grid", recorded_grid)
+    monkeypatch.setattr(cli, "_write_trajectory", lambda traj, *_: written.append(traj))
+    write_scenario(tmp_path / "s.json", solver="closed-form")
+    assert main(["run", "--config", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    (stack,), (traj,) = stacks, written
+    assert np.shares_memory(traj.weights, stack)
+    assert not traj.weights.flags.writeable
+
+
 def test_run_csv_artifact_is_the_library_csv(tmp_path):
     per_link = [1.0, 0.5]
     write_scenario(tmp_path / "s.json", solver="closed-form",
@@ -423,7 +485,8 @@ def test_run_csv_artifact_is_the_library_csv(tmp_path):
                  "--format", "csv"]) == EXIT_OK
     omega0 = random_probability(ProductSpace((2, 3, 2)), 11)
     grid = output_grid(0.5, 0.001, 50)
-    traj = Trajectory(tuple(grid), tuple(crossover_solution(omega0, per_link, t) for t in grid))
+    traj = Trajectory(omega0.space, tuple(grid),
+                      np.array([crossover_solution(omega0, per_link, t).weights for t in grid]))
     assert out.read_text() == trajectory_to_csv_string(traj)
 
 
@@ -432,8 +495,8 @@ def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
     # its float arguments and the row template at a time (~0.24 of this
     # artifact); building the whole text first held twice the artifact.
     space = ProductSpace((4,) * 6)
-    states = tuple(random_probability(space, seed) for seed in range(11))
-    traj = Trajectory(tuple(0.1 * k for k in range(11)), states)
+    states = np.array([random_probability(space, seed).weights for seed in range(11)])
+    traj = Trajectory(space, tuple(0.1 * k for k in range(11)), states)
     out = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
@@ -452,8 +515,8 @@ def test_json_artifact_is_streamed_with_the_whole_text_bytes(tmp_path):
     # encoder held over six times the artifact, and no whole-text encoder
     # can stay below the artifact's own size.
     space = ProductSpace((4,) * 6)
-    states = tuple(random_probability(space, seed) for seed in range(11))
-    traj = Trajectory(tuple(0.1 * k for k in range(11)), states)
+    states = np.array([random_probability(space, seed).weights for seed in range(11)])
+    traj = Trajectory(space, tuple(0.1 * k for k in range(11)), states)
     out = tmp_path / "traj.json"
     tracemalloc.start()
     try:
@@ -471,12 +534,12 @@ def test_json_artifact_bytes_follow_the_whole_text_encoder_on_odd_values(tmp_pat
     # Signed zeros, subnormals, huge and non-finite cells and one-row and
     # one-state trajectories encode exactly as json.dumps of the whole dict.
     space = ProductSpace((2, 2))
-    odd = Measure(space, [-0.0, 5e-324, 1e308, 1 / 3])
-    wild = Measure(space, [math.inf, -math.inf, math.nan, 0.1])
+    odd = [-0.0, 5e-324, 1e308, 1 / 3]
+    wild = [math.inf, -math.inf, math.nan, 0.1]
     for traj in (
-        Trajectory((0.0,), (odd,)),
-        Trajectory((0.0, 1e-300, 2.5), (odd, wild, odd)),
-        Trajectory((0.0, 1.0), (Measure(ProductSpace((1,)), [1.0]),) * 2),
+        Trajectory(space, (0.0,), np.array([odd])),
+        Trajectory(space, (0.0, 1e-300, 2.5), np.array([odd, wild, odd])),
+        Trajectory(ProductSpace((1,)), (0.0, 1.0), np.array([[1.0]] * 2)),
     ):
         out = tmp_path / "traj.json"
         cli._write_trajectory(traj, out, "json")
@@ -543,6 +606,13 @@ def test_verify_all_runs_every_suite(tmp_path):
     for prefix in ("lattice.", "measure.", "recombinator.", "semigroup.",
                    "moebius.", "gfun.", "cyclic."):
         assert any(n.startswith(prefix) for n in names)
+
+
+def test_verify_negative_seed_is_validation_error(capsys):
+    assert main(["verify", "--suite", "algebra", "--seed", "-1"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["validation error: seed must be nonnegative, got -1"]
 
 
 def test_verify_unknown_suite_exits_two():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,10 @@ def test_rk4_partial_final_step_lands_on_t_end():
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.25, h=0.1)
     assert traj.times[-1] == 0.25
     assert len(traj) == 4
+    # The last row is the state at 0.25, not the one at 0.2 stored again.
+    exact = semigroup_apply(omega, CUT, 1.0, 0.25)
+    assert total_variation(traj.states[-1] - exact) <= 1e-6
+    assert total_variation(traj.states[-2] - exact) > 1e-4
 
 
 def test_rk4_strided_grid_ends_exactly_at_t_end():
@@ -628,9 +633,45 @@ def test_check_linearization_matches_its_per_time_loop():
 def test_trajectory_validation():
     omega = random_probability(SPACE, 1)
     with pytest.raises(ValueError):
-        Trajectory((0.0, 0.0), (omega, omega))
+        Trajectory(SPACE, (0.0, 0.0), np.array([omega.weights, omega.weights]))
     with pytest.raises(ValueError):
-        Trajectory((0.5,), (omega,))
+        Trajectory(SPACE, (0.5,), np.array([omega.weights]))
+
+
+def test_trajectory_holds_one_read_only_stack():
+    space = ProductSpace((2, 3))
+    times = (0.0, 0.5, 1.0)
+    stack = np.arange(18, dtype=np.float64).reshape(3, 6)
+    traj = Trajectory(space, times, stack)
+    assert traj.weights is stack and not stack.flags.writeable
+    with pytest.raises(ValueError):
+        traj.weights[0, 0] = 1.0
+    assert len(traj.states) == 3
+    for row, state in zip(stack, traj.states):
+        assert state.space == space and state.nodes == (0, 1)
+        np.testing.assert_array_equal(state.weights, row)
+    for bad in (np.zeros(6), np.zeros((2, 6)), np.zeros((4, 6)), np.zeros((3, 5)),
+                np.zeros((3, 7))):
+        with pytest.raises(ValueError, match="stack"):
+            Trajectory(space, times, bad)
+
+
+def test_integrate_field_stores_each_state_once():
+    # 4^6 states x 101 stored rows.  Each stored state is written once, into
+    # its row of one stack, so the peak is that stack plus a few one-state
+    # temporaries of the RK4 step.
+    space = ProductSpace((4,) * 6)
+    omega = random_probability(space, 3)
+    field = compile_field(space, RateMap.crossover([0.7, 1.1, 0.4, 0.9, 1.3]))
+    tracemalloc.start()
+    try:
+        traj = integrate_field(field, omega, t_end=1.0, h=1e-2, store_stride=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = 8 * len(traj) * space.total_states
+    assert len(traj) == 101
+    assert peak <= 1.25 * stored, (peak, stored)
 
 
 def test_trajectory_csv_round_trip():
@@ -659,7 +700,7 @@ def test_trajectory_csv_golden_format():
     base = np.array(GOLDEN_WEIGHTS)
     rows = [base, base[::-1], -base, np.roll(base, 5)]
     times = (0.0, 5e-324, 9.9999999999999995e-05, 1e17)
-    traj = Trajectory(times, tuple(Measure(space, w) for w in rows))
+    traj = Trajectory(space, times, np.array(rows))
 
     expected = "t," + ",".join(str(i) for i in range(12)) + "\n"
     for t, w in zip(times, rows):

@@ -187,18 +187,3 @@ def test_tensor_against_brute_force_and_norm(seed):
     assert abs(
         total_variation(got) - total_variation(mu) * total_variation(nu)
     ) <= 1e-12
-
-
-def test_rows_share_a_read_only_stack():
-    space = ProductSpace((2, 3))
-    stack = np.arange(18, dtype=np.float64).reshape(3, 6)
-    rows = Measure.rows(space, stack)
-    assert len(rows) == 3 and not stack.flags.writeable
-    for k, row in enumerate(rows):
-        assert row.space == space and row.nodes == (0, 1)
-        assert np.shares_memory(row.weights, stack) and not row.weights.flags.writeable
-        np.testing.assert_array_equal(row.weights, stack[k])
-    assert (rows[1] + rows[2]).mass == float(stack[1:].sum())
-    for bad in (np.zeros(6), np.zeros((3, 5)), np.zeros((3, 6), dtype=np.float32)):
-        with pytest.raises(ValueError):
-            Measure.rows(space, bad)
