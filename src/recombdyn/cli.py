@@ -59,6 +59,11 @@ INVARIANT_TOLERANCE = 1e-9
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
+# Work bound of one cyclic run, checked before the operator is built: its
+# coefficient table, its passes over the stored stack and the composition
+# check of its permutation all grow with (order + 1) x grid points x states.
+MAX_CYCLIC_CELLS = 1 << 27
+
 # Work bound of one `coefficients` table: times x link sets.  The largest
 # table the tests and the benchmark make has 11 x 256 cells.
 MAX_TABLE_CELLS = 1 << 20
@@ -291,11 +296,17 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 )
             return _Runtime(omega0, grid, None, compile_field(space, rate_map))
         if kind == "cyclic":
+            order = int(rates["order"])
+            cells = (order + 1) * len(grid) * space.total_states
+            if cells > MAX_CYCLIC_CELLS:
+                raise ScenarioValidationError(
+                    f"order {order} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
+                )
             op = CyclicOperator(
                 space,
                 LinkSet.from_indices(rates["links"], space.n_links),
                 tuple(int(p) for p in rates["permutation"]),
-                int(rates["order"]),
+                order,
             )
             rho = float(rates["rate"])
             closed = lambda times: generalized_flow_grid(omega0, op, rho, times)

@@ -50,9 +50,10 @@ A ``Trajectory`` is a time grid and one read-only stack, one row per time.
 RK4 writes each stored state into its row of a preallocated stack, and each
 problem of ``rk4_integrate_many`` gets its column slice of the stacked run.
 
-``trajectory_to_csv`` streams a trajectory one row at a time, each row one
-``%`` format of its 17-significant-digit cells, so the CSV text is never held
-whole; ``trajectory_to_csv_string`` collects it for callers that want a str.
+``trajectory_to_csv`` streams a trajectory one row at a time, a wide row in
+fixed-size slices of its 17-significant-digit cells, so neither the CSV text
+nor one wide row's is ever held whole; ``trajectory_to_csv_string`` collects
+it for callers that want a str.
 """
 
 from __future__ import annotations
@@ -781,17 +782,36 @@ def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
     stream.write(f'],"times":{times}}}\n')
 
 
+# Cells formatted per CSV write: a wider line goes out in slices of this many
+# cells, so its whole text and all its Python numbers never exist at once.
+_CSV_CHUNK_CELLS = 1024
+
+
+def _write_csv_line(
+    stream: io.TextIOBase, head: str, spec: str, n_cells: int,
+    cells: Callable[[int, int], Sequence],
+) -> None:
+    # ``head``, then ``spec % value`` for each of the n_cells values, which
+    # ``cells(lo, hi)`` hands out a slice at a time, then a newline.  The head
+    # rides with the first slice and the newline with the last, so a line of
+    # at most _CSV_CHUNK_CELLS cells is one write.
+    for lo in range(0, n_cells, _CSV_CHUNK_CELLS):
+        hi = min(lo + _CSV_CHUNK_CELLS, n_cells)
+        text = spec * (hi - lo) % tuple(cells(lo, hi))
+        stream.write((head if lo == 0 else "") + text + ("\n" if hi == n_cells else ""))
+
+
 def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
     """Write `t,<flat-index columns>` rows with 17 significant digits.
 
-    The header and each row are formatted by one ``%`` operation and written
-    at once, so the text of at most one line exists at a time.
+    Each line is formatted and written in slices of at most
+    ``_CSV_CHUNK_CELLS`` cells, so the text of at most one slice exists at a
+    time; the bytes are those of formatting each line whole.
     """
     n_cells = traj.space.total_states
-    stream.write(("t" + ",%d" * n_cells + "\n") % tuple(range(n_cells)))
-    row = "%.17g" + ",%.17g" * n_cells + "\n"
+    _write_csv_line(stream, "t", ",%d", n_cells, range)
     for t, w in zip(traj.times, traj.weights):
-        stream.write(row % (t, *w.tolist()))
+        _write_csv_line(stream, "%.17g" % t, ",%.17g", n_cells, lambda lo, hi: w[lo:hi].tolist())
 
 
 def trajectory_to_csv_string(traj: Trajectory) -> str:

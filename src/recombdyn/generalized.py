@@ -14,10 +14,11 @@ exponential series,
     F_k(t) = (1/n) sum_{m=0}^{n-1} xi^{mk} exp(xi^m t),    xi = exp(2 pi i / n)
            = delta_{k,0} + sum_{m>=1} t^{mn-k} / (mn-k)! .
 
-Evaluation pairs each complex term with its conjugate so the imaginary part
-cancels exactly; the scaled variants e^{-t} F_k(t) are built from
-exp((xi^m - 1) t) and stay accurate for large t where the plain product
-e^{-t} * F_k(t) would lose everything to rounding.
+By the first line, F_0(t), ..., F_{n-1}(t) are the inverse DFT of the terms
+exp(xi^m t) over m, so one ``np.fft.ifft`` along the root axis gives them all
+for a whole vector of times; its imaginary part is rounding noise.  The scaled
+variants e^{-t} F_k(t) transform exp((xi^m - 1) t) and stay accurate for large
+t, where the plain product e^{-t} * F_k(t) would lose everything to rounding.
 
 Time enters only through the coefficients, so ``generalized_flow_grid``
 forms R(omega_0) and its relabelings C^1, ..., C^n once and returns the stack
@@ -28,7 +29,6 @@ the RK4 oracle; it maps a stack row by row too.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,108 +40,76 @@ from .lattice import LinkSet, partition_of
 from .measure import Measure, ProductSpace
 from .recombinator import recombine, recombine_weights, require_positive
 
-# Evaluations must come out real; anything above this imaginary residue
-# signals a broken root table rather than rounding.
+# Evaluations must come out real: an imaginary residue above this share of a
+# row's largest exponential term signals a broken root table, not rounding.
 _IMAG_RESIDUE_TOL = 1e-10
 
 
-class GFunTable:
-    """Roots-of-unity filtered exponential slices of a fixed order n >= 2."""
-
-    def __init__(self, n: int):
-        n = int(n)
-        if n < 2:
-            raise ValueError(f"order must be at least 2, got {n}")
-        self.n = n
-        roots = [complex(1.0, 0.0)] * n
-        for m in range(1, n // 2 + 1):
-            z = cmath.exp(2j * math.pi * m / n)
-            roots[m] = z
-            roots[n - m] = z.conjugate()
-        if n % 2 == 0:
-            roots[n // 2] = complex(-1.0, 0.0)
-        self._roots = tuple(roots)
-
-    def _filtered_sum(self, k: int, t: float, shift: float, include_m0: bool) -> float:
-        n = self.n
-        roots = self._roots
-        total = complex(0.0, 0.0)
-        if include_m0:
-            total += math.exp((1.0 - shift) * t)
-        for m in range(1, (n - 1) // 2 + 1):
-            term = roots[m * k % n] * cmath.exp((roots[m] - shift) * t)
-            total += term + term.conjugate()
-        if n % 2 == 0:
-            coeff = roots[n // 2 * k % n]
-            total += coeff.real * math.exp((-1.0 - shift) * t)
-        if abs(total.imag) > _IMAG_RESIDUE_TOL:
-            raise ArithmeticError(
-                f"imaginary residue {total.imag:.3e} exceeds {_IMAG_RESIDUE_TOL}"
-            )
-        return total.real / n
-
-    def eval(self, k: int, t: float) -> float:
-        """F_k(t); the index wraps modulo n."""
-        return self._filtered_sum(k % self.n, float(t), 0.0, include_m0=True)
-
-    def eval_scaled(self, k: int, t: float) -> float:
-        """e^{-t} F_k(t), overflow-free for large t."""
-        return self._filtered_sum(k % self.n, float(t), 1.0, include_m0=True)
-
-    def asymptotic_residual(self, k: int, t: float) -> float:
-        """|e^{-t} F_k(t) - 1/n| formed from the decaying modes alone.
-
-        The m = 0 mode contributes exactly 1/n, so dropping it gives the
-        deviation directly, with full relative accuracy even when it sits far
-        below the rounding floor of e^{-t} * F_k(t) - 1/n.
-        """
-        return abs(self._filtered_sum(k % self.n, float(t), 1.0, include_m0=False))
-
-
 @lru_cache(maxsize=64)
-def _table(n: int) -> GFunTable:
-    return GFunTable(n)
+def _roots(n: int) -> np.ndarray:
+    if n < 2:
+        raise ValueError(f"order must be at least 2, got {n}")
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
+
+
+def _slices(n: int, times: Sequence[float], shift: float, drop_m0: bool = False) -> np.ndarray:
+    """(len(times), n) table of e^{-shift t} F_k(t): row j is the inverse DFT
+    of exp((xi^m - shift) t_j) over m, without the m = 0 term if ``drop_m0``."""
+    roots = _roots(int(n))
+    terms = np.exp(np.multiply.outer(np.asarray(times, dtype=np.float64), roots - shift))
+    if drop_m0:
+        terms[:, 0] = 0.0
+    table = np.fft.ifft(terms, axis=1)
+    residue = np.abs(table.imag)
+    if (residue > _IMAG_RESIDUE_TOL * np.abs(terms).max(axis=1, keepdims=True)).any():
+        raise ArithmeticError(
+            f"imaginary residue {residue.max():.3e} exceeds "
+            f"{_IMAG_RESIDUE_TOL} of its row's largest term"
+        )
+    return table.real
 
 
 def gfun(n: int, k: int, t: float) -> float:
-    """Order-n filtered exponential slice F_k evaluated at t."""
-    return _table(int(n)).eval(k, t)
+    """Order-n filtered exponential slice F_k evaluated at t; k wraps modulo n."""
+    return float(_slices(n, [t], 0.0)[0, k % int(n)])
 
 
 def gfun_scaled(n: int, k: int, t: float) -> float:
-    """e^{-t} F_k(t)."""
-    return _table(int(n)).eval_scaled(k, t)
+    """e^{-t} F_k(t), overflow-free for large t."""
+    return float(_slices(n, [t], 1.0)[0, k % int(n)])
 
 
 def gfun_asymptotic_check(n: int, k: int, t_large: float) -> float:
     """|e^{-t} F_k(t) - 1/n| at a (large) time; converges to 0 like the
-    slowest nontrivial mode, i.e. within 2 * exp((cos(2 pi / n) - 1) t)."""
-    return _table(int(n)).asymptotic_residual(k, t_large)
+    slowest nontrivial mode, i.e. within 2 * exp((cos(2 pi / n) - 1) t).
+
+    The m = 0 mode contributes exactly 1/n, so dropping it gives the
+    deviation directly, with full relative accuracy even when it sits far
+    below the rounding floor of e^{-t} * F_k(t) - 1/n.
+    """
+    return abs(float(_slices(n, [t_large], 1.0, drop_m0=True)[0, k % int(n)]))
 
 
 def roots_of_unity_mean(n: int, exponent: int) -> complex:
     """(1/n) sum_m xi^{m * exponent}: one when n divides the exponent, else zero."""
-    table = _table(int(n))
-    total = complex(0.0, 0.0)
-    for m in range(table.n):
-        total += table._roots[m * exponent % table.n]
-    return total / table.n
+    roots = _roots(int(n))
+    return complex(roots[np.arange(roots.size) * int(exponent) % roots.size].mean())
 
 
-def flow_coefficients(n: int, tau: float) -> np.ndarray:
+def flow_coefficients(n: int, tau: float | Sequence[float]) -> np.ndarray:
     """Coefficients of (identity, C^1, ..., C^n) in the order-n flow at tau.
 
     The entries are e^{-tau}, e^{-tau} F_{n-1}(tau), ..., e^{-tau} F_1(tau),
-    and e^{-tau} (F_0(tau) - 1); they sum to one for every tau.
+    and e^{-tau} (F_0(tau) - 1); they sum to one for every tau.  A sequence
+    of tau gives the (len(tau), n + 1) stack, one row per tau.
     """
-    table = _table(int(n))
-    decay = math.exp(-tau)
-    out = np.empty(table.n + 1)
-    out[0] = decay
-    for k in range(1, table.n):
-        out[k] = table.eval_scaled(table.n - k, tau)
-    out[table.n] = table.eval_scaled(0, tau) - decay
-    return out
+    taus = np.asarray(tau, dtype=np.float64)
+    scaled = _slices(n, taus.reshape(-1), 1.0)
+    decay = np.exp(-taus.reshape(-1, 1))
+    coeffs = np.concatenate((decay, scaled[:, :0:-1], scaled[:, :1] - decay), axis=1)
+    return coeffs.reshape(taus.shape + coeffs.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +145,7 @@ class CyclicOperator:
             raise ValueError(
                 f"perm must permute the {block0_states} states of the first block"
             )
-        composed = perm
-        for _ in range(self.order - 1):
-            composed = tuple(perm[p] for p in composed)
-        if composed != tuple(range(block0_states)):
+        if self.perm_power(self.order) != tuple(range(block0_states)):
             raise ValueError(f"perm composed {self.order} times is not the identity")
 
     @property
@@ -188,16 +153,15 @@ class CyclicOperator:
         return len(self.perm)
 
     def perm_power(self, k: int) -> tuple[int, ...]:
-        k %= self.order
         result = tuple(range(self.block0_states))
         for _ in range(k):
             result = tuple(self.perm[p] for p in result)
         return result
 
 
-def _relabel_block0(w: np.ndarray, perm: Sequence[int], block0_states: int) -> np.ndarray:
+def _relabel_block0(w: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     # Each row of a vector or (T, S) stack, viewed as (block-0 state, rest).
-    matrix = w.reshape(-1, block0_states, w.shape[-1] // block0_states)
+    matrix = w.reshape(-1, len(perm), w.shape[-1] // len(perm))
     out = np.empty_like(matrix)
     out[:, np.asarray(perm)] = matrix
     return out.reshape(w.shape)
@@ -214,10 +178,7 @@ def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
     if power == 0:
         return omega
     base = recombine(omega, op.cuts)
-    k = power % op.order
-    if k == 0:
-        return base
-    w = _relabel_block0(base.weights, op.perm_power(k), op.block0_states)
+    w = _relabel_block0(base.weights, op.perm_power(power % op.order))
     return Measure(omega.space, w, omega.nodes)
 
 
@@ -236,7 +197,7 @@ def cyclic_field(op: CyclicOperator, rho: float) -> Callable[[np.ndarray], np.nd
     blocks = partition_of(op.cuts, op.space.n_nodes).blocks
 
     def field(w: np.ndarray) -> np.ndarray:
-        twisted = _relabel_block0(recombine_weights(w, sizes, blocks), op.perm, op.block0_states)
+        twisted = _relabel_block0(recombine_weights(w, sizes, blocks), op.perm)
         return rho * (twisted - w)
 
     return field
@@ -280,13 +241,11 @@ def _flow_rows(
     # through t = 0); rows at t == 0 are omega_0 exactly.
     if omega0.space.sizes != op.space.sizes:
         raise ValueError("measure does not live on the operator's space")
-    coeffs = np.array([flow_coefficients(op.order, rho * t) for t in times]).reshape(
-        len(times), op.order + 1
-    )
+    coeffs = flow_coefficients(op.order, rho * np.asarray(times, dtype=np.float64))
     stack = np.multiply.outer(coeffs[:, 0], omega0.weights)
     power = recombine(omega0, op.cuts).weights
     for k in range(1, op.order + 1):
-        power = _relabel_block0(power, op.perm, op.block0_states)
+        power = _relabel_block0(power, op.perm)
         stack += np.multiply.outer(coeffs[:, k], power)
     stack[[t == 0.0 for t in times]] = omega0.weights
     return stack

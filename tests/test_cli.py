@@ -166,10 +166,17 @@ def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
         {"sizes": [2] * 20, "time": {"t_end": 200.0, "stride": 1}, "rk4_step": 1.0},
         {"time": {"t_end": 2e5, "stride": 1}, "rk4_step": 1.0},
         {"rates": {"kind": "crossover", "per_link": [1.7e308, 1.7e308]}},
+        # 11 grid points x 4 states: the smallest order past the cyclic cap,
+        # and one the operator could not even check by composing.
+        {"sizes": [2, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
+                                    "order": cli.MAX_CYCLIC_CELLS // 44, "permutation": [0, 1]}},
+        {"sizes": [2, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
+                                    "order": 1 << 40, "permutation": [0, 1]}},
     ],
     ids=["negative-t_end", "zero-stride", "zero-rk4_step", "steps-overflow",
          "steps-past-cap", "states-past-cap", "stored-weights-past-cap",
-         "grid-points-past-cap", "rate-total-past-float-range"],
+         "grid-points-past-cap", "rate-total-past-float-range",
+         "cyclic-cells-past-cap", "cyclic-order-far-past-cap"],
 )
 def test_run_bad_grid_and_caps_are_validation_errors(tmp_path, overrides):
     # The caps are checked before any state is allocated, so these run fast.
@@ -507,6 +514,27 @@ def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
     size = out.stat().st_size
     assert size > 900_000
     assert peak < size / 4, (peak, size)
+
+
+def test_wide_csv_rows_are_written_in_slices(tmp_path):
+    # 4^8 states: one row's text is ~1.2 MB.  Formatting a row whole held that
+    # text, its 65,537 Python floats and their tuple at once; slices of cells
+    # hold a small fraction of one row.
+    space = ProductSpace((4,) * 8)
+    states = np.array([random_probability(space, seed).weights for seed in range(2)])
+    traj = Trajectory(space, (0.0, 1.0), states)
+    out = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(traj, out, "csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    assert text == trajectory_to_csv_string(traj)
+    row = len(text.split("\n")[1])
+    assert row > 1_000_000
+    assert peak < row / 8, (peak, row)
 
 
 def test_json_artifact_is_streamed_with_the_whole_text_bytes(tmp_path):

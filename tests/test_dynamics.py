@@ -712,6 +712,21 @@ def test_trajectory_csv_golden_format():
     assert first_row[9:] == ["1", "10000000000000000", "1e+17", "-3.2000000000000002e-17"]
 
 
+@pytest.mark.parametrize("sizes", [(1023,), (1024,), (1025,), (3,) * 7],
+                         ids=["1023", "1024", "1025", "2187"])
+def test_trajectory_csv_slices_join_into_whole_lines(sizes):
+    # Lines narrower, as wide as and wider than one slice of cells are the
+    # per-element formatting of the whole line, golden values included.
+    space = ProductSpace(sizes)
+    weights = np.resize(np.array(GOLDEN_WEIGHTS), space.total_states)
+    rows = [weights, random_probability(space, 2).weights]
+    traj = Trajectory(space, (0.0, 1e17), np.array(rows))
+    expected = "t," + ",".join(str(i) for i in range(space.total_states)) + "\n"
+    for t, w in zip(traj.times, rows):
+        expected += ",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in w]) + "\n"
+    assert trajectory_to_csv_string(traj) == expected
+
+
 def test_trajectory_json_mirror():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.2, h=0.1)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from recombdyn import generalized
 from recombdyn.generalized import (
     CyclicOperator,
-    GFunTable,
     check_flow_commutation,
     check_generalized_ode,
     cyclic_apply,
@@ -52,8 +52,15 @@ def three_cycle(seed=7):
 def test_gfun_rejects_small_order():
     with pytest.raises(ValueError):
         gfun(1, 0, 1.0)
-    with pytest.raises(ValueError):
-        GFunTable(0)
+
+
+def test_gfun_rejects_a_broken_root_table(monkeypatch):
+    # Roots not closed under conjugation make the inverse DFT truly complex.
+    broken = np.exp(2j * np.pi * np.arange(3) / 3)
+    broken[2] = 1j
+    monkeypatch.setattr(generalized, "_roots", lambda n: broken)
+    with pytest.raises(ArithmeticError):
+        gfun(3, 0, 1.0)
 
 
 def test_gfun_order_two_is_hyperbolic():
@@ -66,7 +73,7 @@ def test_gfun_order_two_is_hyperbolic():
 
 def test_gfun_matches_factorial_series():
     # independent series oracle; evaluation is backward stable at scale e^t
-    for n in range(2, 7):
+    for n in (*range(2, 7), 16, 64):
         for k in range(n):
             for t in (0.3, 1.0, 2.5, 5.0):
                 assert abs(gfun(n, k, t) - series_gfun(n, k, t)) <= 1e-13 * math.exp(t)
@@ -214,11 +221,20 @@ def test_flow_time_zero_is_identity():
 
 
 def test_flow_coefficients_sum_to_one_and_stay_nonnegative():
-    for n in range(2, 7):
+    for n in (*range(2, 7), 1000):
         for t in np.linspace(0.0, 6.0, 25):
             coeffs = flow_coefficients(n, float(t))
             assert abs(coeffs.sum() - 1.0) <= 1e-12
             assert coeffs.min() >= -1e-15
+
+
+def test_flow_coefficients_of_a_time_vector_are_the_per_time_rows():
+    taus = np.linspace(0.0, 3.0, 11)
+    for n in (2, 3, 7):
+        stack = flow_coefficients(n, taus)
+        assert stack.shape == (taus.size, n + 1)
+        for row, tau in zip(stack, taus):
+            assert np.array_equal(row, flow_coefficients(n, float(tau)))
 
 
 def test_three_term_coefficients_survival_odd_even():
