@@ -36,7 +36,7 @@ from .dynamics import (
     trajectory_to_csv,
     trajectory_to_json,
 )
-from .generalized import CyclicOperator, cyclic_field, generalized_flow_grid
+from .generalized import CyclicOperator, generalized_flow_grid
 from .lattice import LinkSet, all_link_sets
 from .measure import Measure, ProductSpace, is_positive, random_probability
 from .verify import SUITE_NAMES, run_suite
@@ -59,9 +59,9 @@ INVARIANT_TOLERANCE = 1e-9
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
-# Work bound of one cyclic run, checked before the operator is built: its
-# coefficient table, its passes over the stored stack and the composition
-# check of its permutation all grow with (order + 1) x grid points x states.
+# Work bound of one cyclic run, checked once the operator has its period and
+# before any flow runs: the closed form's coefficient table and its passes
+# over the stored stack grow with (period + 1) x grid points x states.
 MAX_CYCLIC_CELLS = 1 << 27
 
 # Work bound of one `coefficients` table: times x link sets.  The largest
@@ -296,21 +296,23 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 )
             return _Runtime(omega0, grid, None, compile_field(space, rate_map))
         if kind == "cyclic":
-            order = int(rates["order"])
-            cells = (order + 1) * len(grid) * space.total_states
-            if cells > MAX_CYCLIC_CELLS:
-                raise ScenarioValidationError(
-                    f"order {order} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
-                )
             op = CyclicOperator(
                 space,
                 LinkSet.from_indices(rates["links"], space.n_links),
                 tuple(int(p) for p in rates["permutation"]),
-                order,
+                int(rates["order"]),
             )
+            cells = (op.period + 1) * len(grid) * space.total_states
+            if cells > MAX_CYCLIC_CELLS:
+                raise ScenarioValidationError(
+                    f"period {op.period} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
+                )
             rho = float(rates["rate"])
+            if not rho > 0.0:
+                raise ScenarioValidationError(f"rate must be positive, got {rho}")
+            field = compile_field(space, RateMap.single(op.cuts, rho), relabel=op.perm)
             closed = lambda times: generalized_flow_grid(omega0, op, rho, times)
-            return _Runtime(omega0, grid, closed, cyclic_field(op, rho))
+            return _Runtime(omega0, grid, closed, field)
         # Scenario.from_dict admits no other kind than these four.  The two
         # left are disjoint-stretch systems (a crossover map is the system of
         # its one-link flows), whose rates must be finite and positive: that

@@ -33,14 +33,12 @@ overlapping-stretch rate maps are integrated numerically only; no closed
 form is claimed for them.
 
 The integrator evaluates a field compiled once per rate map by
-``compile_field``.  Per evaluation it sums |omega| once, forms each distinct
-block marginal once however many cut sets share the block, and folds every
-``-rho_G omega`` into one term.  Small spaces, whose block marginals have at
-most ``STACKED_FIELD_MAX_ENTRIES`` rows x states, use the stacked kernel:
-one ``bincount`` for all marginals, one gather and product for all terms and
-one ``bincount`` scatter back to the states, driven by index tables.  Larger
-spaces use a strided kernel that reduces the flat weights as (left, block,
-right) arrays and builds each term by outer products.
+``compile_field``.  Small spaces, whose block marginals have at most
+``STACKED_FIELD_MAX_ENTRIES`` rows x states, use the stacked kernel: one
+``bincount`` for all marginals, one gather and product for all terms and one
+``bincount`` scatter back to the states, to relabeled targets for a cyclic
+field.  Larger spaces use a strided kernel that reduces the flat weights as
+(left, block, right) arrays and builds each term by outer products.
 ``rk4_integrate_many`` integrates independent problems on one grid: the
 small ones laid end to end in one vector, under one stacked field with one
 |omega| per problem, so many tiny runs cost one run's interpreter overhead.
@@ -52,8 +50,7 @@ problem of ``rk4_integrate_many`` gets its column slice of the stacked run.
 
 ``trajectory_to_csv`` streams a trajectory one row at a time, a wide row in
 fixed-size slices of its 17-significant-digit cells, so neither the CSV text
-nor one wide row's is ever held whole; ``trajectory_to_csv_string`` collects
-it for callers that want a str.
+nor one wide row's is ever held whole.
 """
 
 from __future__ import annotations
@@ -246,7 +243,7 @@ class _FieldTerms:
 
     ``extents`` are the distinct blocks of all cut sets as (left, block,
     right) extents of the flat index; each nonzero-rate term has its rate and
-    the ids of its blocks in that list.
+    the ids of its blocks in that list; ``relabel`` is ``compile_field``'s.
     """
 
     n_states: int
@@ -254,6 +251,7 @@ class _FieldTerms:
     term_blocks: tuple[tuple[int, ...], ...]
     term_rates: tuple[float, ...]
     total_rate: float
+    relabel: tuple[int, ...] | None = None
 
     @property
     def stacks(self) -> bool:
@@ -261,7 +259,9 @@ class _FieldTerms:
         return rows * self.n_states <= STACKED_FIELD_MAX_ENTRIES
 
 
-def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
+def _field_terms(
+    space: ProductSpace, rates: RateMap, relabel: Sequence[int] | None = None
+) -> _FieldTerms:
     if rates.n_links != space.n_links:
         raise ValueError("rate map does not match the space's link count")
     sizes = space.sizes
@@ -274,6 +274,11 @@ def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
     for _, blocks in terms:
         for block in blocks:
             block_ids.setdefault(block, len(block_ids))
+    if relabel is not None:
+        relabel = tuple(int(i) for i in relabel)
+        first = {math.prod(sizes[ax] for ax in blocks[0]) for _, blocks in terms}
+        if sorted(relabel) != list(range(len(relabel))) or not first <= {len(relabel)}:
+            raise ValueError("relabel must permute the states of every term's first block")
     extents = tuple(
         (
             math.prod(sizes[: block[0]]),
@@ -288,23 +293,26 @@ def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
         term_blocks=tuple(tuple(block_ids[block] for block in blocks) for _, blocks in terms),
         term_rates=tuple(rate for rate, _ in terms),
         total_rate=math.fsum(rate for rate, _ in terms),
+        relabel=relabel,
     )
 
 
 def compile_field(
-    space: ProductSpace, rates: RateMap
+    space: ProductSpace, rates: RateMap, relabel: Sequence[int] | None = None
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile ``w -> sum_G rho_G (R_G(w) - w)`` for flat weight vectors.
+    """Compile ``w -> sum_G rho_G (sigma R_G(w) - w)`` for flat weight vectors.
 
-    Everything that depends only on the space and the rate map is worked out
-    here, once; zero rates are dropped.  Each call of the returned function
-    sums |w| once, forms every distinct block marginal once, and folds the
-    ``-rho_G w`` parts into one term.  Like ``recombine_weights``, it divides
-    every marginal by |w| so no power of |w| can overflow, and it maps |w|
-    below ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state
+    sigma sends each term's weight at first-block state i to ``relabel[i]``,
+    as the cyclic operator does; None is the identity.  Everything that
+    depends only on the space, the rates and sigma is worked out here, once;
+    zero rates are dropped.  Each call of the returned function sums |w| once,
+    forms every distinct block marginal once, and folds the ``-rho_G w``
+    parts into one term.  Like ``recombine_weights``, it divides every
+    marginal by |w| so no power of |w| can overflow, and it maps |w| below
+    ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state
     between calls, so one compiled field may be shared across threads.
     """
-    terms = _field_terms(space, rates)
+    terms = _field_terms(space, rates, relabel)
     return _stacked_field([terms]) if terms.stacks else _strided_field(terms)
 
 
@@ -321,6 +329,10 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
     for p, part in enumerate(parts):
         flat = np.arange(part.n_states)
         states = start + flat
+        term_states = states
+        if part.relabel is not None:
+            rest = part.n_states // len(part.relabel)
+            term_states = start + np.asarray(part.relabel)[flat // rest] * rest + flat % rest
         rows = []
         for _, size, right in part.extents:
             rows.append(n_rows + (flat // right) % size)
@@ -330,7 +342,7 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
         marginal_states += [states] * len(rows)
         for rate, ids in zip(part.term_rates, part.term_blocks):
             factor_rows.append([rows[b] for b in ids])
-            targets.append(states)
+            targets.append(term_states)
             target_rates.append(np.full(part.n_states, rate))
             target_part.append(np.full(part.n_states, p))
         start += part.n_states
@@ -372,6 +384,8 @@ def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
     # term by outer products; never forms an index table.
     extents, total_rate = terms.extents, terms.total_rate
     ones = {n: np.ones(n) for extent in extents for n in (extent[0], extent[2])}
+    # First-block state j of a term takes its weight at inverse[j].
+    inverse = slice(None) if terms.relabel is None else np.argsort(terms.relabel)
 
     def strided_field(w: np.ndarray) -> np.ndarray:
         tv = float(np.abs(w).sum())
@@ -385,7 +399,7 @@ def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
                 m = m.reshape(size, right) @ ones[right]
             scaled.append(m / tv)
         for rate, ids in zip(terms.term_rates, terms.term_blocks):
-            acc = (rate * tv) * scaled[ids[0]]
+            acc = (rate * tv) * scaled[ids[0]][inverse]
             for b in ids[1:]:
                 acc = np.multiply.outer(acc, scaled[b]).ravel()
             out += acc
@@ -812,9 +826,3 @@ def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
     _write_csv_line(stream, "t", ",%d", n_cells, range)
     for t, w in zip(traj.times, traj.weights):
         _write_csv_line(stream, "%.17g" % t, ",%.17g", n_cells, lambda lo, hi: w[lo:hi].tolist())
-
-
-def trajectory_to_csv_string(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
-    return buf.getvalue()

@@ -1,10 +1,10 @@
 """Cyclically twisted recombinators and their closed-form flow.
 
-An order-n relabeling g of the first block's alphabet turns a recombinator R
-into the nonlinear operator  C = sigma . R  (sigma pushes the block-0
-coordinate forward through g).  Powers wrap around:  C^n = R  and
-C^{n+1} = C  on positive measures.  The flow of  d/dt x = rho (C - 1)(x)
-then has the closed form
+A relabeling g of the first block's alphabet turns a recombinator R into the
+nonlinear operator  C = sigma . R  (sigma pushes the block-0 coordinate
+forward through g).  If n is the period of g, the lcm of its cycle lengths,
+powers wrap around:  C^n = R  and  C^{n+1} = C  on positive measures.  The
+flow of  d/dt x = rho (C - 1)(x)  then has the closed form
 
     phi_t = e^{-tau} ( 1 + (F_0(tau) - 1) C^n + sum_{k=1}^{n-1} F_{n-k}(tau) C^k ),
 
@@ -20,25 +20,28 @@ for a whole vector of times; its imaginary part is rounding noise.  The scaled
 variants e^{-t} F_k(t) transform exp((xi^m - 1) t) and stay accurate for large
 t, where the plain product e^{-t} * F_k(t) would lose everything to rounding.
 
-Time enters only through the coefficients, so ``generalized_flow_grid``
-forms R(omega_0) and its relabelings C^1, ..., C^n once and returns the stack
-of states on a whole time grid, one row per time; ``generalized_flow_apply``
-is its one-row case.  ``cyclic_field`` compiles the generator rho (C - 1) for
-the RK4 oracle; it maps a stack row by row too.
+An operator's ``order`` need only be a multiple of the period, and the flow
+runs at the period (at least 2: the identity has C = R, where the order-2
+formula holds), so no work grows with the order.  Time enters only through
+the coefficients, so ``generalized_flow_grid`` forms R(omega_0) and its
+relabelings C^1, ..., C^n once and returns the stack of states on a whole
+time grid, one row per time; ``generalized_flow_apply`` is its one-row case.
+The generator rho (C - 1) is ``compile_field`` of the one cut set with g.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .dynamics import RateMap, compile_field
 from .lattice import LinkSet, partition_of
 from .measure import Measure, ProductSpace
-from .recombinator import recombine, recombine_weights, require_positive
+from .recombinator import recombine, require_positive
 
 # Evaluations must come out real: an imaginary residue above this share of a
 # row's largest exponential term signals a broken root table, not rounding.
@@ -74,11 +77,6 @@ def _slices(n: int, times: Sequence[float], shift: float, drop_m0: bool = False)
 def gfun(n: int, k: int, t: float) -> float:
     """Order-n filtered exponential slice F_k evaluated at t; k wraps modulo n."""
     return float(_slices(n, [t], 0.0)[0, k % int(n)])
-
-
-def gfun_scaled(n: int, k: int, t: float) -> float:
-    """e^{-t} F_k(t), overflow-free for large t."""
-    return float(_slices(n, [t], 1.0)[0, k % int(n)])
 
 
 def gfun_asymptotic_check(n: int, k: int, t_large: float) -> float:
@@ -119,18 +117,19 @@ def flow_coefficients(n: int, tau: float | Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CyclicOperator:
-    """Recombinator composed with an order-n relabeling of the first block.
+    """Recombinator composed with a relabeling of the first block.
 
-    ``perm`` permutes the flat states of the first partition block; composing
-    it ``order`` times must give the identity.  The relabeling commutes with
-    the recombinator on recombined (product) measures, which is exactly what
-    the closed-form flow needs.
+    ``perm`` permutes the flat states of the first partition block; its
+    ``period``, the lcm of its cycle lengths, must divide ``order``.  The
+    relabeling commutes with the recombinator on recombined (product)
+    measures, which is exactly what the closed-form flow needs.
     """
 
     space: ProductSpace
     cuts: LinkSet
     perm: tuple[int, ...]
     order: int
+    period: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.order < 2:
@@ -145,15 +144,20 @@ class CyclicOperator:
             raise ValueError(
                 f"perm must permute the {block0_states} states of the first block"
             )
-        if self.perm_power(self.order) != tuple(range(block0_states)):
-            raise ValueError(f"perm composed {self.order} times is not the identity")
-
-    @property
-    def block0_states(self) -> int:
-        return len(self.perm)
+        # The period is the lcm of the cycle lengths, found in one walk.
+        period, seen = 1, [False] * len(perm)
+        for start in range(len(perm)):
+            length, state = 0, start
+            while not seen[state]:
+                seen[state] = True
+                state, length = perm[state], length + 1
+            period = math.lcm(period, length or 1)
+        if self.order % period:
+            raise ValueError(f"order {self.order} is not a multiple of the period {period}")
+        object.__setattr__(self, "period", period)
 
     def perm_power(self, k: int) -> tuple[int, ...]:
-        result = tuple(range(self.block0_states))
+        result = tuple(range(len(self.perm)))
         for _ in range(k):
             result = tuple(self.perm[p] for p in result)
         return result
@@ -178,29 +182,8 @@ def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
     if power == 0:
         return omega
     base = recombine(omega, op.cuts)
-    w = _relabel_block0(base.weights, op.perm_power(power % op.order))
+    w = _relabel_block0(base.weights, op.perm_power(power % op.period))
     return Measure(omega.space, w, omega.nodes)
-
-
-def cyclic_field(op: CyclicOperator, rho: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile the generator  w -> rho (C(w) - w)  for flat weight vectors.
-
-    The blocks of the cut set are worked out here, once.  On positive input
-    the result equals ``rho * (cyclic_apply(x, op, 1).weights - x.weights)``
-    exactly; unlike ``cyclic_apply`` it takes signed input too, so RK4 may
-    pass it slightly negative intermediate states.  A (T, S) stack is mapped
-    row by row.
-    """
-    if not rho > 0.0:
-        raise ValueError(f"rate must be positive, got {rho}")
-    sizes = op.space.sizes
-    blocks = partition_of(op.cuts, op.space.n_nodes).blocks
-
-    def field(w: np.ndarray) -> np.ndarray:
-        twisted = _relabel_block0(recombine_weights(w, sizes, blocks), op.perm)
-        return rho * (twisted - w)
-
-    return field
 
 
 def generalized_flow_grid(
@@ -241,10 +224,11 @@ def _flow_rows(
     # through t = 0); rows at t == 0 are omega_0 exactly.
     if omega0.space.sizes != op.space.sizes:
         raise ValueError("measure does not live on the operator's space")
-    coeffs = flow_coefficients(op.order, rho * np.asarray(times, dtype=np.float64))
+    n = max(2, op.period)
+    coeffs = flow_coefficients(n, rho * np.asarray(times, dtype=np.float64))
     stack = np.multiply.outer(coeffs[:, 0], omega0.weights)
     power = recombine(omega0, op.cuts).weights
-    for k in range(1, op.order + 1):
+    for k in range(1, n + 1):
         power = _relabel_block0(power, op.perm)
         stack += np.multiply.outer(coeffs[:, k], power)
     stack[[t == 0.0 for t in times]] = omega0.weights
@@ -272,17 +256,19 @@ def check_generalized_ode(
 
     Returns max_t | (phi_{t+h} - phi_{t-h}) / 2h - rho (C - 1)(phi_t) | in
     total variation; second order in h, so halving h divides it by about 4.
-    The three flows and the generator each act on the whole grid at once.
+    The three flows act on the whole grid at once, and the compiled
+    generator on each row.
     """
     if h_fd <= 0.0:
         raise ValueError("finite-difference step must be positive")
     require_positive(omega0, "check_generalized_ode")
-    generator = cyclic_field(op, rho)
+    generator = compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
     times = [float(t) for t in t_grid]
     if any(t < 0.0 for t in times):
         raise ValueError("grid times must be nonnegative")
     ahead = _flow_rows(omega0, op, rho, [t + h_fd for t in times])
     behind = _flow_rows(omega0, op, rho, [t - h_fd for t in times])
     defect = (ahead - behind) / (2.0 * h_fd)
-    defect -= generator(_flow_rows(omega0, op, rho, times))
+    for row, state in zip(defect, _flow_rows(omega0, op, rho, times)):
+        row -= generator(state)
     return float(np.abs(defect).sum(axis=1).max(initial=0.0))

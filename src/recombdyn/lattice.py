@@ -93,6 +93,10 @@ class LinkSet:
         self._require_same_universe(other)
         return self.bits & ~other.bits == 0
 
+    def blocks(self, n_nodes: int) -> tuple[tuple[int, ...], ...]:
+        """Node blocks of ``partition_of(self, n_nodes)``, cached per set."""
+        return _cached_blocks(self.bits, n_nodes)
+
     __or__ = union
     __and__ = intersection
     __sub__ = difference

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .lattice import LinkSet, _cached_blocks
+from .lattice import LinkSet
 from .measure import Measure, ProductSpace, is_positive, total_variation
 
 # Below this total variation the argument counts as the zero measure, which
@@ -90,7 +90,7 @@ def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.nda
         )
     if len(links) == 0:
         return w
-    return recombine_weights(w, space.sizes, _cached_blocks(links.bits, space.n_nodes))
+    return recombine_weights(w, space.sizes, links.blocks(space.n_nodes))
 
 
 def recombine(omega: Measure, links: LinkSet) -> Measure:

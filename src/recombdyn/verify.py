@@ -492,14 +492,6 @@ def suite_moebius(seed: int, scale: float = 1.0) -> list[dict]:
 # -- generalized ------------------------------------------------------------------
 
 
-def _three_cycle_operator(rng: np.random.Generator) -> tuple[CyclicOperator, Measure]:
-    space = ProductSpace((3, 2, 2))
-    cuts = LinkSet.from_indices([0], space.n_links)
-    op = CyclicOperator(space, cuts, perm=(1, 2, 0), order=3)
-    omega0 = random_positive(space, rng)
-    return op, omega0
-
-
 def suite_generalized(seed: int, scale: float = 1.0) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
@@ -583,7 +575,9 @@ def suite_generalized(seed: int, scale: float = 1.0) -> list[dict]:
     checks.append(_check("gfun.roots_filter", worst, 1e-12, scale))
 
     # Cyclic operator: period, commutation with the flow, generator defect.
-    op, omega0 = _three_cycle_operator(rng)
+    space = ProductSpace((3, 2, 2))
+    op = CyclicOperator(space, LinkSet.from_indices([0], 2), perm=(1, 2, 0), order=3)
+    omega0 = random_positive(space, rng)
     worst = 0.0
     for power in range(1, op.order + 2):
         wrapped = cyclic_apply(omega0, op, power + op.order)

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import math
 import tracemalloc
@@ -20,7 +21,7 @@ from recombdyn.dynamics import (
     Trajectory,
     crossover_solution,
     output_grid,
-    trajectory_to_csv_string,
+    trajectory_to_csv,
     trajectory_to_json_dict,
 )
 from recombdyn.measure import ProductSpace, random_probability
@@ -41,6 +42,22 @@ def write_scenario(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return doc
+
+
+def csv_text(traj):
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    return buf.getvalue()
+
+
+def prime_cycles():
+    # A permutation of 100 states with cycles 2, 3, 5, ..., 23: its period is
+    # their product, 223,092,870.
+    perm, start = [], 0
+    for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        perm += [start + (j + 1) % length for j in range(length)]
+        start += length
+    return perm
 
 
 def test_run_both_mode_within_tolerance(tmp_path):
@@ -166,17 +183,17 @@ def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
         {"sizes": [2] * 20, "time": {"t_end": 200.0, "stride": 1}, "rk4_step": 1.0},
         {"time": {"t_end": 2e5, "stride": 1}, "rk4_step": 1.0},
         {"rates": {"kind": "crossover", "per_link": [1.7e308, 1.7e308]}},
-        # 11 grid points x 4 states: the smallest order past the cyclic cap,
-        # and one the operator could not even check by composing.
+        # 11 grid points x 200 states x (223,092,870 + 1): a period past the
+        # cyclic cap, found from the cycles without composing the permutation.
+        {"sizes": [100, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
+                                      "order": 223_092_870, "permutation": prime_cycles()}},
         {"sizes": [2, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
-                                    "order": cli.MAX_CYCLIC_CELLS // 44, "permutation": [0, 1]}},
-        {"sizes": [2, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
-                                    "order": 1 << 40, "permutation": [0, 1]}},
+                                    "order": 3, "permutation": [1, 0]}},
     ],
     ids=["negative-t_end", "zero-stride", "zero-rk4_step", "steps-overflow",
          "steps-past-cap", "states-past-cap", "stored-weights-past-cap",
          "grid-points-past-cap", "rate-total-past-float-range",
-         "cyclic-cells-past-cap", "cyclic-order-far-past-cap"],
+         "cyclic-cells-past-cap", "cyclic-order-not-a-period-multiple"],
 )
 def test_run_bad_grid_and_caps_are_validation_errors(tmp_path, overrides):
     # The caps are checked before any state is allocated, so these run fast.
@@ -253,6 +270,33 @@ def test_run_cyclic_scenario_both_mode(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     report = json.loads((tmp_path / "cyc.csv.report.json").read_text())
     assert report["max_gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0])
+def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
+    config = tmp_path / "cyclic.json"
+    write_scenario(config, sizes=[3, 2], solver="rk4",
+                   rates={"kind": "cyclic", "links": [0], "order": 3,
+                          "permutation": [1, 2, 0], "rate": rate})
+    out = tmp_path / "cyc.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
+def test_run_cyclic_work_does_not_grow_with_the_order(tmp_path):
+    # The flow runs at the permutation's period, 2 here, so a declared order
+    # of 2^40 writes the bytes that order 2 writes, as fast.
+    written = []
+    for order in (2, 1 << 40):
+        config = tmp_path / f"order{order}.json"
+        write_scenario(config, sizes=[2, 2], time={"t_end": 1.0, "stride": 100},
+                       rates={"kind": "cyclic", "links": [0], "order": order,
+                              "permutation": [1, 0], "rate": 1.0})
+        out = tmp_path / f"order{order}.csv"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        report = tmp_path / f"order{order}.csv.report.json"
+        written.append((out.read_bytes(), report.read_bytes()))
+    assert written[0] == written[1]
 
 
 def test_run_crossover_scenario(tmp_path):
@@ -494,7 +538,7 @@ def test_run_csv_artifact_is_the_library_csv(tmp_path):
     grid = output_grid(0.5, 0.001, 50)
     traj = Trajectory(omega0.space, tuple(grid),
                       np.array([crossover_solution(omega0, per_link, t).weights for t in grid]))
-    assert out.read_text() == trajectory_to_csv_string(traj)
+    assert out.read_text() == csv_text(traj)
 
 
 def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
@@ -531,7 +575,7 @@ def test_wide_csv_rows_are_written_in_slices(tmp_path):
     finally:
         tracemalloc.stop()
     text = out.read_text()
-    assert text == trajectory_to_csv_string(traj)
+    assert text == csv_text(traj)
     row = len(text.split("\n")[1])
     assert row > 1_000_000
     assert peak < row / 8, (peak, row)
@@ -660,9 +704,8 @@ def test_verify_rejects_non_finite_tolerance_scale(monkeypatch, scale):
     assert main(["verify", "--suite", "generalized"]) == EXIT_VALIDATION
 
 
-# The one private name imported across modules: the recombination hot path
-# keeps the lattice's block cache, whose hit count the benchmark's tracer reads.
-ALLOWED_PRIVATE_IMPORTS = {"recombinator": ["_cached_blocks"]}
+# No private name crosses a module of the package.
+ALLOWED_PRIVATE_IMPORTS = {}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -24,11 +25,11 @@ from recombdyn.dynamics import (
     rk4_integrate,
     rk4_integrate_many,
     semigroup_apply,
-    trajectory_to_csv_string,
+    trajectory_to_csv,
     trajectory_to_json_dict,
     vector_field,
 )
-from recombdyn.lattice import LinkSet, _cached_blocks, all_link_sets, subsets_of
+from recombdyn.lattice import LinkSet, all_link_sets, subsets_of
 from recombdyn.measure import (
     Measure,
     ProductSpace,
@@ -77,8 +78,7 @@ def reference_field(space, rates, w):
     """sum_G rho_G (R_G(w) - w), one recombine_weights call per term."""
     out = np.zeros_like(w)
     for links, rate in rates.items():
-        blocks = _cached_blocks(links.bits, space.n_nodes)
-        out += rate * (recombine_weights(w, space.sizes, blocks) - w)
+        out += rate * (recombine_weights(w, space.sizes, links.blocks(space.n_nodes)) - w)
     return out
 
 
@@ -674,10 +674,16 @@ def test_integrate_field_stores_each_state_once():
     assert peak <= 1.25 * stored, (peak, stored)
 
 
+def csv_text(traj):
+    buf = io.StringIO()
+    trajectory_to_csv(traj, buf)
+    return buf.getvalue()
+
+
 def test_trajectory_csv_round_trip():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.3, h=0.1)
-    text = trajectory_to_csv_string(traj)
+    text = csv_text(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t," + ",".join(str(i) for i in range(4))
     assert len(lines) == len(traj) + 1
@@ -705,7 +711,7 @@ def test_trajectory_csv_golden_format():
     expected = "t," + ",".join(str(i) for i in range(12)) + "\n"
     for t, w in zip(times, rows):
         expected += ",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in np.asarray(w)]) + "\n"
-    assert trajectory_to_csv_string(traj) == expected
+    assert csv_text(traj) == expected
     first_row = expected.split("\n")[1].split(",")
     assert first_row[1:8] == ["0", "-0", "4.9406564584124654e-324", "1e-300",
                               "1.0000000000000001e-05", "9.9999999999999991e-05", "0.0001"]
@@ -724,7 +730,7 @@ def test_trajectory_csv_slices_join_into_whole_lines(sizes):
     expected = "t," + ",".join(str(i) for i in range(space.total_states)) + "\n"
     for t, w in zip(traj.times, rows):
         expected += ",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in w]) + "\n"
-    assert trajectory_to_csv_string(traj) == expected
+    assert csv_text(traj) == expected
 
 
 def test_trajectory_json_mirror():

@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from recombdyn import generalized
+from recombdyn import dynamics, generalized
 from recombdyn.generalized import (
     CyclicOperator,
     check_flow_commutation,
     check_generalized_ode,
     cyclic_apply,
-    cyclic_field,
     flow_coefficients,
     generalized_flow_apply,
     generalized_flow_grid,
     gfun,
     gfun_asymptotic_check,
-    gfun_scaled,
     roots_of_unity_mean,
 )
 from recombdyn.lattice import LinkSet
@@ -28,7 +26,7 @@ from recombdyn.measure import (
     total_variation,
 )
 from recombdyn.recombinator import recombine
-from recombdyn.dynamics import semigroup_apply
+from recombdyn.dynamics import RateMap, compile_field, semigroup_apply
 
 
 def series_gfun(n, k, t):
@@ -99,10 +97,14 @@ def test_gfun_sums_to_exponential():
 
 
 def test_gfun_scaled_consistency():
+    # flow_coefficients(n, t) holds e^{-t} times (1, F_{n-1}, ..., F_1, F_0 - 1).
     for n in (2, 3, 5):
-        for k in range(n):
-            for t in (0.4, 2.0):
-                assert abs(gfun_scaled(n, k, t) - math.exp(-t) * gfun(n, k, t)) <= 1e-13
+        for t in (0.4, 2.0):
+            coeffs = flow_coefficients(n, t)
+            scaled = [coeffs[n] + coeffs[0]] + [coeffs[n - k] for k in range(1, n)]
+            assert abs(coeffs[0] - math.exp(-t)) <= 1e-13
+            for k in range(n):
+                assert abs(scaled[k] - math.exp(-t) * gfun(n, k, t)) <= 1e-13
 
 
 def test_gfun_derivative_recurrence():
@@ -159,7 +161,25 @@ def test_cyclic_operator_validation():
         CyclicOperator(space, cuts, (1, 0), 3)  # wrong block size
     with pytest.raises(ValueError):
         CyclicOperator(space, cuts, (1, 2, 0), 2)  # 3-cycle squared != id
-    CyclicOperator(space, cuts, (1, 2, 0), 3)
+    with pytest.raises(ValueError):
+        CyclicOperator(space, cuts, (1, 2, 0), 10**12 + 1)  # not a multiple of 3
+    assert CyclicOperator(space, cuts, (1, 2, 0), 3).period == 3
+    assert CyclicOperator(space, cuts, (1, 2, 0), 3 << 60).period == 3
+    assert CyclicOperator(space, cuts, (0, 1, 2), 2).period == 1
+
+
+def test_cyclic_apply_wraps_at_the_period():
+    # Cycles (0 1) and (2 3 4): period 6, whatever multiple of it the order is.
+    space = ProductSpace((5, 2))
+    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 0, 3, 4, 2), 6 << 50)
+    assert op.period == 6
+    omega = random_probability(space, 8)
+    composed = tuple(range(5))
+    for power in range(1, 13):
+        composed = tuple(op.perm[p] for p in composed)
+        assert op.perm_power(power) == composed
+        wrapped = cyclic_apply(omega, op, power + op.order)
+        assert np.array_equal(wrapped.weights, cyclic_apply(omega, op, power).weights)
 
 
 def test_cyclic_apply_power_zero_and_order():
@@ -205,14 +225,39 @@ def test_cyclic_apply_rejects_signed_input():
         cyclic_apply(signed, op, 1)
 
 
-def test_cyclic_field_is_the_generator():
-    op, omega = three_cycle()
-    for rho in (1.0, 0.37):
-        expected = rho * (cyclic_apply(omega, op, 1).weights - omega.weights)
-        assert np.array_equal(cyclic_field(op, rho)(omega.weights), expected)
-    for rho in (0.0, -1.0):
+def relabeled_field(op, rho):
+    return compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
+
+
+def test_relabeled_field_is_the_generator(monkeypatch):
+    # One and three blocks, a two-node first block, and run-wide's shape,
+    # each on the stacked and the strided kernel.
+    cases = [
+        three_cycle(),
+        (CyclicOperator(ProductSpace((3, 2, 2)), LinkSet.from_indices([0, 1], 2), (1, 2, 0), 3),
+         random_probability(ProductSpace((3, 2, 2)), 4)),
+        (CyclicOperator(ProductSpace((2, 2, 3)), LinkSet.from_indices([1], 2), (2, 0, 3, 1), 4),
+         random_probability(ProductSpace((2, 2, 3)), 5)),
+        (CyclicOperator(ProductSpace((6, 4, 4, 4, 4, 4)), LinkSet.from_indices([0], 5),
+                        (1, 2, 0, 4, 5, 3), 3),
+         random_probability(ProductSpace((6, 4, 4, 4, 4, 4)), 6)),
+    ]
+    for kernel, cap in (("stacked_field", 1 << 40), ("strided_field", 0)):
+        monkeypatch.setattr(dynamics, "STACKED_FIELD_MAX_ENTRIES", cap)
+        for op, omega in cases:
+            for rho in (1.0, 0.37):
+                field = relabeled_field(op, rho)
+                assert field.__name__ == kernel
+                expected = rho * (cyclic_apply(omega, op, 1).weights - omega.weights)
+                gap = np.abs(field(omega.weights) - expected).sum()
+                assert gap <= 1e-15 * total_variation(omega), (kernel, op.space, gap)
+
+
+def test_relabeled_field_rejects_a_relabeling_of_another_size():
+    op, _ = three_cycle()
+    for relabel in ((1, 0), (0, 0, 1), (1, 2, 3)):
         with pytest.raises(ValueError):
-            cyclic_field(op, rho)
+            compile_field(op.space, RateMap.single(op.cuts, 1.0), relabel=relabel)
 
 
 def test_flow_time_zero_is_identity():
@@ -339,15 +384,16 @@ def test_flow_grid_is_its_one_row_case_at_every_time():
 
 
 def generalized_ode_per_time(omega0, op, rho, times, h_fd):
-    """The generator defect as a loop over times of the one-row flow."""
-    generator = cyclic_field(op, rho)
+    """The generator defect as a loop over times of the one-row flow, with
+    rho (C - 1) applied through ``cyclic_apply``."""
     worst = 0.0
     for t in times:
         ahead = generalized_flow_apply(omega0, op, rho, t + h_fd).weights
         behind = generalized_flow_apply(omega0, op, rho, t - h_fd).weights
-        middle = generalized_flow_apply(omega0, op, rho, t).weights
+        middle = generalized_flow_apply(omega0, op, rho, t)
+        generator = rho * (cyclic_apply(middle, op, 1).weights - middle.weights)
         derivative = (ahead - behind) / (2.0 * h_fd)
-        worst = max(worst, float(np.abs(derivative - generator(middle)).sum()))
+        worst = max(worst, float(np.abs(derivative - generator).sum()))
     return worst
 
 

@@ -32,6 +32,11 @@ def test_partition_single_cut():
     assert part.blocks == ((0, 1), (2, 3))
 
 
+def test_blocks_are_the_partition_blocks():
+    for links in all_link_sets(4):
+        assert links.blocks(5) == partition_of(links, 5).blocks
+
+
 def test_partition_rejects_mismatched_link_count():
     with pytest.raises(ValueError):
         partition_of(LinkSet.empty(2), 4)
