@@ -61,7 +61,7 @@ MAX_STORED_WEIGHTS = 1 << 27
 
 # Work bound of one cyclic run, checked once the operator has its period and
 # before any flow runs: the closed form's coefficient table and its passes
-# over the stored stack grow with (period + 1) x grid points x states.
+# over the stored stack grow with (op.flow_order + 1) x grid points x states.
 MAX_CYCLIC_CELLS = 1 << 27
 
 # Work bound of one `coefficients` table: times x link sets.  The largest
@@ -302,7 +302,7 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 tuple(int(p) for p in rates["permutation"]),
                 int(rates["order"]),
             )
-            cells = (op.period + 1) * len(grid) * space.total_states
+            cells = (op.flow_order + 1) * len(grid) * space.total_states
             if cells > MAX_CYCLIC_CELLS:
                 raise ScenarioValidationError(
                     f"period {op.period} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"

@@ -76,7 +76,7 @@ from .recombinator import ZERO_TOTAL_VARIATION, recombine_rows, require_positive
 
 @dataclass(frozen=True)
 class RateMap:
-    """Finite assignment of nonnegative rates to nonempty cut sets."""
+    """Finite assignment of nonnegative rates to cut sets; the empty one needs a relabeling."""
 
     n_links: int
     entries: tuple[tuple[LinkSet, float], ...]
@@ -88,8 +88,6 @@ class RateMap:
             rate = float(rate)
             if links.n_links != self.n_links:
                 raise ValueError("rate entry defined over a different link count")
-            if len(links) == 0:
-                raise ValueError("the empty cut set generates no motion; drop it")
             if not math.isfinite(rate) or rate < 0.0:
                 raise ValueError(f"rates must be finite and >= 0, got {rate}")
             if links.bits in seen:
@@ -264,6 +262,8 @@ def _field_terms(
 ) -> _FieldTerms:
     if rates.n_links != space.n_links:
         raise ValueError("rate map does not match the space's link count")
+    if relabel is None and any(len(links) == 0 for links, _ in rates.items()):
+        raise ValueError("the empty cut set generates no motion without a relabeling; drop it")
     sizes = space.sizes
     terms = [
         (rate, partition_of(links, space.n_nodes).blocks)
@@ -303,14 +303,14 @@ def compile_field(
     """Compile ``w -> sum_G rho_G (sigma R_G(w) - w)`` for flat weight vectors.
 
     sigma sends each term's weight at first-block state i to ``relabel[i]``,
-    as the cyclic operator does; None is the identity.  Everything that
-    depends only on the space, the rates and sigma is worked out here, once;
-    zero rates are dropped.  Each call of the returned function sums |w| once,
-    forms every distinct block marginal once, and folds the ``-rho_G w``
+    as the cyclic operator does; None is the identity, which rejects an empty
+    cut set.  Whatever needs only the space, the rates and sigma is worked out
+    once; zero rates are dropped.  Each call of the returned function sums |w|
+    once, forms every distinct block marginal once, and folds the ``-rho_G w``
     parts into one term.  Like ``recombine_weights``, it divides every
     marginal by |w| so no power of |w| can overflow, and it maps |w| below
-    ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state
-    between calls, so one compiled field may be shared across threads.
+    ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state between
+    calls, so one field may be shared across threads.
     """
     terms = _field_terms(space, rates, relabel)
     return _stacked_field([terms]) if terms.stacks else _strided_field(terms)

@@ -21,12 +21,13 @@ variants e^{-t} F_k(t) transform exp((xi^m - 1) t) and stay accurate for large
 t, where the plain product e^{-t} * F_k(t) would lose everything to rounding.
 
 An operator's ``order`` need only be a multiple of the period, and the flow
-runs at the period (at least 2: the identity has C = R, where the order-2
-formula holds), so no work grows with the order.  Time enters only through
-the coefficients, so ``generalized_flow_grid`` forms R(omega_0) and its
-relabelings C^1, ..., C^n once and returns the stack of states on a whole
-time grid, one row per time; ``generalized_flow_apply`` is its one-row case.
-The generator rho (C - 1) is ``compile_field`` of the one cut set with g.
+runs at its ``flow_order``, the period (at least 2: the identity has C = R,
+where the order-2 formula holds), so no work grows with the order.  Time
+enters only through the coefficients, so ``generalized_flow_grid`` forms
+R(omega_0) and its relabelings C^1, ..., C^n once and returns the stack of
+states on a whole time grid, one row per time; ``generalized_flow_apply`` is
+its one-row case.  The generator rho (C - 1) is ``compile_field`` of the one
+cut set with g; with no cuts, C = sigma is a plain relabeling.
 """
 
 from __future__ import annotations
@@ -130,6 +131,7 @@ class CyclicOperator:
     perm: tuple[int, ...]
     order: int
     period: int = field(init=False)
+    flow_order: int = field(init=False)  # the closed form's n: the period, at least 2
 
     def __post_init__(self) -> None:
         if self.order < 2:
@@ -155,6 +157,7 @@ class CyclicOperator:
         if self.order % period:
             raise ValueError(f"order {self.order} is not a multiple of the period {period}")
         object.__setattr__(self, "period", period)
+        object.__setattr__(self, "flow_order", max(2, period))
 
     def perm_power(self, k: int) -> tuple[int, ...]:
         result = tuple(range(len(self.perm)))
@@ -224,7 +227,7 @@ def _flow_rows(
     # through t = 0); rows at t == 0 are omega_0 exactly.
     if omega0.space.sizes != op.space.sizes:
         raise ValueError("measure does not live on the operator's space")
-    n = max(2, op.period)
+    n = op.flow_order
     coeffs = flow_coefficients(n, rho * np.asarray(times, dtype=np.float64))
     stack = np.multiply.outer(coeffs[:, 0], omega0.weights)
     power = recombine(omega0, op.cuts).weights
@@ -259,6 +262,8 @@ def check_generalized_ode(
     The three flows act on the whole grid at once, and the compiled
     generator on each row.
     """
+    if not rho > 0.0:
+        raise ValueError(f"rate must be positive, got {rho}")
     if h_fd <= 0.0:
         raise ValueError("finite-difference step must be positive")
     require_positive(omega0, "check_generalized_ode")

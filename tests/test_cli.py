@@ -115,6 +115,12 @@ def test_run_general_rates_need_rk4(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"times", "states"}
     assert abs(sum(doc["states"][-1]) - sum(doc["states"][0])) <= 1e-9
+    # Without a relabeling the empty cut set moves nothing: still rejected.
+    empty_cut = {"kind": "general", "entries": [{"links": [], "rate": 1.0}]}
+    write_scenario(config, sizes=[2, 2, 2, 2], rates=empty_cut, solver="rk4")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "e.csv")]) \
+        == EXIT_VALIDATION
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_run_parse_failures(tmp_path):
@@ -297,6 +303,21 @@ def test_run_cyclic_work_does_not_grow_with_the_order(tmp_path):
         report = tmp_path / f"order{order}.csv.report.json"
         written.append((out.read_bytes(), report.read_bytes()))
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("solver", ["closed-form", "rk4", "both"])
+def test_run_cyclic_empty_cut_set_is_a_plain_relabeling(tmp_path, solver):
+    # No cuts: C = sigma permutes all four states, and both solvers run.
+    config = tmp_path / "relabel.json"
+    write_scenario(config, sizes=[2, 2], solver=solver, time={"t_end": 1.0, "stride": 100},
+                   rates={"kind": "cyclic", "links": [], "order": 4,
+                          "permutation": [1, 2, 3, 0], "rate": 1.0})
+    out = tmp_path / "relabel.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert out.exists()
+    if solver == "both":
+        report = json.loads((tmp_path / "relabel.csv.report.json").read_text())
+        assert report["max_gap"] <= 1e-8
 
 
 def test_run_crossover_scenario(tmp_path):

@@ -144,8 +144,12 @@ def test_compile_field_rejects_mismatched_links():
 
 
 def test_ratemap_validation():
-    with pytest.raises(ValueError):
-        RateMap.single(LinkSet.empty(2), 1.0)
+    # The empty cut set moves nothing without a relabeling: the field rejects it.
+    empty_cut = RateMap.single(LinkSet.empty(2), 1.0)
+    with pytest.raises(ValueError, match="no motion"):
+        compile_field(ProductSpace((2, 2, 2)), empty_cut)
+    with pytest.raises(ValueError, match="no motion"):
+        rk4_integrate(random_probability(ProductSpace((2, 2, 2)), 0), empty_cut, 0.1, 0.1)
     with pytest.raises(ValueError):
         RateMap.single(CUT, -0.5)
     with pytest.raises(ValueError):

@@ -192,6 +192,8 @@ def test_cyclic_apply_power_zero_and_order():
 def test_cyclic_apply_identity_relabeling_degenerates():
     space = ProductSpace((3, 2))
     op = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2), 2)
+    # Period 1, but the closed form runs at order 2, where C = R is exact.
+    assert (op.period, op.flow_order) == (1, 2)
     omega = random_probability(space, 3)
     for power in (1, 2, 5):
         got = cyclic_apply(omega, op, power)
@@ -225,6 +227,27 @@ def test_cyclic_apply_rejects_signed_input():
         cyclic_apply(signed, op, 1)
 
 
+def empty_cut_relabeling(seed=3):
+    # No cuts: the one block is the whole chain and C = sigma, period 6.
+    space = ProductSpace((2, 3))
+    op = CyclicOperator(space, LinkSet.empty(1), (1, 0, 3, 4, 2, 5), 6)
+    return op, random_probability(space, seed)
+
+
+def test_empty_cut_set_is_a_plain_relabeling():
+    op, omega = empty_cut_relabeling()
+    assert (op.period, op.flow_order) == (6, 6)
+    moved = np.empty_like(omega.weights)
+    moved[list(op.perm)] = omega.weights
+    np.testing.assert_array_equal(cyclic_apply(omega, op, 1).weights, moved)
+    assert check_generalized_ode(omega, op, 1.0, [0.25, 0.5, 1.0, 2.0], 1e-3) <= 1e-6
+    stack = generalized_flow_grid(omega, op, 1.0, [0.0, 1.0, 40.0])
+    assert np.abs(stack.sum(axis=1) - 1.0).max() <= 1e-14
+    # Far out the flow has forgotten where it started: the mean of sigma^k x.
+    cycle_mean = np.mean([cyclic_apply(omega, op, k).weights for k in range(6)], axis=0)
+    assert np.abs(stack[-1] - cycle_mean).sum() <= 1e-6
+
+
 def relabeled_field(op, rho):
     return compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
 
@@ -241,6 +264,7 @@ def test_relabeled_field_is_the_generator(monkeypatch):
         (CyclicOperator(ProductSpace((6, 4, 4, 4, 4, 4)), LinkSet.from_indices([0], 5),
                         (1, 2, 0, 4, 5, 3), 3),
          random_probability(ProductSpace((6, 4, 4, 4, 4, 4)), 6)),
+        empty_cut_relabeling(),
     ]
     for kernel, cap in (("stacked_field", 1 << 40), ("strided_field", 0)):
         monkeypatch.setattr(dynamics, "STACKED_FIELD_MAX_ENTRIES", cap)
@@ -417,3 +441,6 @@ def test_flow_validation():
     signed = Measure(op.space, np.linspace(-1, 1, op.space.total_states))
     with pytest.raises(ValueError):
         generalized_flow_apply(signed, op, 1.0, 1.0)
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            check_generalized_ode(omega, op, rho, [0.5], 1e-3)
