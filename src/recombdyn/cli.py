@@ -59,9 +59,9 @@ INVARIANT_TOLERANCE = 1e-9
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
-# Work bound of one cyclic run, checked once the operator has its period and
-# before any flow runs: the closed form's coefficient table and its passes
-# over the stored stack grow with (op.flow_order + 1) x grid points x states.
+# Work bound of one cyclic run, checked once the operator has its cycles and
+# before any flow runs: the closed form's passes over the stored stack grow
+# with (longest cycle + 1) x grid points x states.
 MAX_CYCLIC_CELLS = 1 << 27
 
 # Work bound of one `coefficients` table: times x link sets.  The largest
@@ -300,12 +300,16 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 space,
                 LinkSet.from_indices(rates["links"], space.n_links),
                 tuple(int(p) for p in rates["permutation"]),
-                int(rates["order"]),
             )
-            cells = (op.flow_order + 1) * len(grid) * space.total_states
+            order, longest = int(rates["order"]), max(op.cycle_length)
+            if order < 2 or any(order % n for n in op.cycle_length):
+                raise ScenarioValidationError(
+                    f"order {order} must be at least 2 and a multiple of every cycle length"
+                )
+            cells = (longest + 1) * len(grid) * space.total_states
             if cells > MAX_CYCLIC_CELLS:
                 raise ScenarioValidationError(
-                    f"period {op.period} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
+                    f"cycle length {longest} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
                 )
             rho = float(rates["rate"])
             if not rho > 0.0:

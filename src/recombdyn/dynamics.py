@@ -219,14 +219,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def vector_field(omega: Measure, rates: RateMap) -> Measure:
-    """Right-hand side sum_G rho_G (R_G(omega) - omega); signed in general."""
-    if omega.nodes != tuple(range(omega.space.n_nodes)):
-        raise ValueError("vector_field acts on measures over the full chain")
-    field = compile_field(omega.space, rates)
-    return Measure(omega.space, field(omega.weights), omega.nodes)
-
-
 # The marginal rows (one per block state, summed over the distinct blocks)
 # times the states of a problem.  Problems above this take the strided
 # kernel, whose few large numpy calls beat the stacked kernel's gathers there

@@ -2,9 +2,10 @@
 
 A relabeling g of the first block's alphabet turns a recombinator R into the
 nonlinear operator  C = sigma . R  (sigma pushes the block-0 coordinate
-forward through g).  If n is the period of g, the lcm of its cycle lengths,
-powers wrap around:  C^n = R  and  C^{n+1} = C  on positive measures.  The
-flow of  d/dt x = rho (C - 1)(x)  then has the closed form
+forward through g).  On positive measures C^k = sigma^k . R, and on a state
+whose cycle under g has length L, sigma^k acts through k mod L.  So for any n
+that every cycle length divides, C^{n+1} = C, and the flow of
+d/dt x = rho (C - 1)(x)  has the closed form
 
     phi_t = e^{-tau} ( 1 + (F_0(tau) - 1) C^n + sum_{k=1}^{n-1} F_{n-k}(tau) C^k ),
 
@@ -20,14 +21,14 @@ for a whole vector of times; its imaginary part is rounding noise.  The scaled
 variants e^{-t} F_k(t) transform exp((xi^m - 1) t) and stay accurate for large
 t, where the plain product e^{-t} * F_k(t) would lose everything to rounding.
 
-An operator's ``order`` need only be a multiple of the period, and the flow
-runs at its ``flow_order``, the period (at least 2: the identity has C = R,
-where the order-2 formula holds), so no work grows with the order.  Time
-enters only through the coefficients, so ``generalized_flow_grid`` forms
-R(omega_0) and its relabelings C^1, ..., C^n once and returns the stack of
-states on a whole time grid, one row per time; ``generalized_flow_apply`` is
-its one-row case.  The generator rho (C - 1) is ``compile_field`` of the one
-cut set with g; with no cuts, C = sigma is a plain relabeling.
+Summed over k = j (mod L), the order-n coefficients are the order-L ones
+(at L = 1, F_0(t) = e^t: the one-set flow).  So the flow folds by cycle
+length: each block-0 state takes ``flow_coefficients(L, rho t)`` of its own
+cycle, and no work grows with the lcm of the cycle lengths.
+``generalized_flow_grid`` forms R(omega_0) and its relabelings
+C^1, ..., C^longest once for a whole time grid, one row per time, and
+``generalized_flow_apply`` is its one-row case.  The generator rho (C - 1) is
+``compile_field`` of the one cut set with g; with no cuts, C = sigma.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,8 +52,8 @@ _IMAG_RESIDUE_TOL = 1e-10
 
 @lru_cache(maxsize=64)
 def _roots(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError(f"order must be at least 2, got {n}")
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
     roots = np.exp(2j * np.pi * np.arange(n) / n)
     roots.flags.writeable = False
     return roots
@@ -120,8 +121,8 @@ def flow_coefficients(n: int, tau: float | Sequence[float]) -> np.ndarray:
 class CyclicOperator:
     """Recombinator composed with a relabeling of the first block.
 
-    ``perm`` permutes the flat states of the first partition block; its
-    ``period``, the lcm of its cycle lengths, must divide ``order``.  The
+    ``perm`` permutes the flat states of the first partition block, and
+    ``cycle_length`` holds the length of each such state's cycle.  The
     relabeling commutes with the recombinator on recombined (product)
     measures, which is exactly what the closed-form flow needs.
     """
@@ -129,13 +130,9 @@ class CyclicOperator:
     space: ProductSpace
     cuts: LinkSet
     perm: tuple[int, ...]
-    order: int
-    period: int = field(init=False)
-    flow_order: int = field(init=False)  # the closed form's n: the period, at least 2
+    cycle_length: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"order must be at least 2, got {self.order}")
         if self.cuts.n_links != self.space.n_links:
             raise ValueError("cut set does not match the space's link count")
         perm = tuple(int(p) for p in self.perm)
@@ -143,27 +140,21 @@ class CyclicOperator:
         block0 = partition_of(self.cuts, self.space.n_nodes).blocks[0]
         block0_states = math.prod(self.space.sizes[ax] for ax in block0)
         if sorted(perm) != list(range(block0_states)):
-            raise ValueError(
-                f"perm must permute the {block0_states} states of the first block"
-            )
-        # The period is the lcm of the cycle lengths, found in one walk.
-        period, seen = 1, [False] * len(perm)
-        for start in range(len(perm)):
-            length, state = 0, start
-            while not seen[state]:
-                seen[state] = True
-                state, length = perm[state], length + 1
-            period = math.lcm(period, length or 1)
-        if self.order % period:
-            raise ValueError(f"order {self.order} is not a multiple of the period {period}")
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "flow_order", max(2, period))
+            raise ValueError(f"perm must permute the {block0_states} states of the first block")
+        lengths = {state: len(cycle) for cycle in _cycles(perm) for state in cycle}
+        object.__setattr__(self, "cycle_length", tuple(lengths[s] for s in range(len(perm))))
 
-    def perm_power(self, k: int) -> tuple[int, ...]:
-        result = tuple(range(len(self.perm)))
-        for _ in range(k):
-            result = tuple(self.perm[p] for p in result)
-        return result
+
+def _cycles(perm: Sequence[int]) -> Iterator[list[int]]:
+    """Each cycle of a permutation once, as the list start, perm[start], ..."""
+    seen: set[int] = set()
+    for start in range(len(perm)):
+        if start not in seen:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            yield cycle
 
 
 def _relabel_block0(w: np.ndarray, perm: Sequence[int]) -> np.ndarray:
@@ -175,7 +166,11 @@ def _relabel_block0(w: np.ndarray, perm: Sequence[int]) -> np.ndarray:
 
 
 def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
-    """k-th power of the cyclic operator:  C^k = sigma^k . R  for k >= 1."""
+    """k-th power of the cyclic operator:  C^k = sigma^k . R  for k >= 1.
+
+    sigma^k moves each state k mod L steps along its cycle of length L, with
+    k reduced in Python ints, so any k costs one walk along the cycles.
+    """
     power = int(power)
     if power < 0:
         raise ValueError("power must be nonnegative")
@@ -184,9 +179,13 @@ def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
     require_positive(omega, "cyclic_apply")
     if power == 0:
         return omega
+    image = [0] * len(op.perm)  # sigma^power
+    for cycle in _cycles(op.perm):
+        shift = power % len(cycle)
+        for i, state in enumerate(cycle):
+            image[state] = cycle[(i + shift) % len(cycle)]
     base = recombine(omega, op.cuts)
-    w = _relabel_block0(base.weights, op.perm_power(power % op.period))
-    return Measure(omega.space, w, omega.nodes)
+    return Measure(omega.space, _relabel_block0(base.weights, image), omega.nodes)
 
 
 def generalized_flow_grid(
@@ -195,10 +194,11 @@ def generalized_flow_grid(
     """Closed-form flow of  d/dt x = rho (C - 1)(x)  on a whole time grid.
 
     Returns the (len(times), states) stack whose row k is the state at
-    ``times[k]``: omega_0 and its powers C^1, ..., C^n, formed once, weighted
-    by each row's ``flow_coefficients(n, rho t)``.  Coefficients sum to one,
-    so mass is conserved; they are nonnegative for all t >= 0, so positivity
-    is preserved as well.  A row at t = 0 is omega_0 exactly.
+    ``times[k]``: omega_0 and its powers C^1, ..., C^longest, formed once,
+    weighted state by state by ``flow_coefficients(L, rho t)`` of the state's
+    block-0 cycle length L.  Coefficients sum to one, so mass is conserved;
+    they are nonnegative for all t >= 0, so positivity is preserved as well.
+    A row at t = 0 is omega_0 exactly.
     """
     if not rho > 0.0:
         raise ValueError(f"rate must be positive, got {rho}")
@@ -227,13 +227,21 @@ def _flow_rows(
     # through t = 0); rows at t == 0 are omega_0 exactly.
     if omega0.space.sizes != op.space.sizes:
         raise ValueError("measure does not live on the operator's space")
-    n = op.flow_order
-    coeffs = flow_coefficients(n, rho * np.asarray(times, dtype=np.float64))
-    stack = np.multiply.outer(coeffs[:, 0], omega0.weights)
+    # Each block-0 state takes the order-L coefficients of its own cycle; a
+    # state on a cycle shorter than the longest gets zeros past C^L.
+    taus = rho * np.asarray(times, dtype=np.float64)
+    lengths = np.asarray(op.cycle_length)
+    longest = int(lengths.max())
+    table = np.zeros((taus.size, longest + 1, lengths.size))
+    for n in set(op.cycle_length):
+        table[:, : n + 1, lengths == n] = flow_coefficients(n, taus)[:, :, None]
+    rows = (lengths.size, omega0.space.total_states // lengths.size)
+    stack = table[:, 0, :, None] * omega0.weights.reshape(rows)
     power = recombine(omega0, op.cuts).weights
-    for k in range(1, n + 1):
+    for k in range(1, longest + 1):
         power = _relabel_block0(power, op.perm)
-        stack += np.multiply.outer(coeffs[:, k], power)
+        stack += table[:, k, :, None] * power.reshape(rows)
+    stack = stack.reshape(taus.size, omega0.space.total_states)
     stack[[t == 0.0 for t in times]] = omega0.weights
     return stack
 

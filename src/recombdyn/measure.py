@@ -14,7 +14,6 @@ grid are no tuple of measures but one (T, S) stack, ``dynamics.Trajectory``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -141,27 +140,6 @@ class Measure:
 
     def __neg__(self) -> "Measure":
         return Measure(self.space, -self.weights, self.nodes)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"sizes": list(self.space.sizes), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Measure":
-        try:
-            sizes = data["sizes"]
-            weights = data["weights"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"measure document lacks field {exc}") from exc
-        return cls(ProductSpace(tuple(sizes)), np.asarray(weights, dtype=np.float64))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Measure":
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return (

@@ -576,11 +576,12 @@ def suite_generalized(seed: int, scale: float = 1.0) -> list[dict]:
 
     # Cyclic operator: period, commutation with the flow, generator defect.
     space = ProductSpace((3, 2, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 2), perm=(1, 2, 0), order=3)
+    op = CyclicOperator(space, LinkSet.from_indices([0], 2), perm=(1, 2, 0))
+    order = 3  # of the one 3-cycle: C^3 = R
     omega0 = random_positive(space, rng)
     worst = 0.0
-    for power in range(1, op.order + 2):
-        wrapped = cyclic_apply(omega0, op, power + op.order)
+    for power in range(1, order + 2):
+        wrapped = cyclic_apply(omega0, op, power + order)
         direct = cyclic_apply(omega0, op, power)
         worst = max(worst, total_variation(wrapped - direct))
     checks.append(_check("cyclic.period", worst, 1e-12, scale))
@@ -598,12 +599,12 @@ def suite_generalized(seed: int, scale: float = 1.0) -> list[dict]:
     # Long-time limit with the mixed envelope: the identity coefficient dies
     # at unit rate, the rotating modes at rate 1 - cos(2 pi / n).
     worst_excess = 0.0
-    limit = (1.0 / op.order) * sum(
-        (cyclic_apply(omega0, op, k) for k in range(2, op.order + 1)),
+    limit = (1.0 / order) * sum(
+        (cyclic_apply(omega0, op, k) for k in range(2, order + 1)),
         start=cyclic_apply(omega0, op, 1),
     )
-    rate = min(1.0, 1.0 - math.cos(2 * math.pi / op.order))
-    envelope0 = (op.order + 1) * total_variation(omega0)
+    rate = min(1.0, 1.0 - math.cos(2 * math.pi / order))
+    envelope0 = (order + 1) * total_variation(omega0)
     times = np.linspace(0.0, 12.0, 13).tolist()
     residuals = _row_tv(generalized_flow_grid(omega0, op, 1.0, times) - limit.weights)
     for t, residual in zip(times, residuals.tolist()):

@@ -284,7 +284,7 @@ def test_criterion_09_filtered_exponential_slices():
 def test_criterion_10_generalized_cyclic_flow():
     rng = np.random.default_rng(10)
     space = ProductSpace((3, 2, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0), 3)
+    op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))
     omega0 = random_positive(space, rng)
 
     commutation = max(

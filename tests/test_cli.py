@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -50,11 +51,10 @@ def csv_text(traj):
     return buf.getvalue()
 
 
-def prime_cycles():
-    # A permutation of 100 states with cycles 2, 3, 5, ..., 23: its period is
-    # their product, 223,092,870.
+def cycle_permutation(*lengths):
+    # Consecutive states in cycles of the given lengths, each shifted by one.
     perm, start = [], 0
-    for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+    for length in lengths:
         perm += [start + (j + 1) % length for j in range(length)]
         start += length
     return perm
@@ -189,10 +189,9 @@ def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
         {"sizes": [2] * 20, "time": {"t_end": 200.0, "stride": 1}, "rk4_step": 1.0},
         {"time": {"t_end": 2e5, "stride": 1}, "rk4_step": 1.0},
         {"rates": {"kind": "crossover", "per_link": [1.7e308, 1.7e308]}},
-        # 11 grid points x 200 states x (223,092,870 + 1): a period past the
-        # cyclic cap, found from the cycles without composing the permutation.
-        {"sizes": [100, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
-                                      "order": 223_092_870, "permutation": prime_cycles()}},
+        # 11 grid points x 8,192 states x (4,096 + 1): one cycle past the cap.
+        {"sizes": [4096, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
+                                       "order": 4096, "permutation": cycle_permutation(4096)}},
         {"sizes": [2, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
                                     "order": 3, "permutation": [1, 0]}},
     ],
@@ -290,8 +289,8 @@ def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
 
 
 def test_run_cyclic_work_does_not_grow_with_the_order(tmp_path):
-    # The flow runs at the permutation's period, 2 here, so a declared order
-    # of 2^40 writes the bytes that order 2 writes, as fast.
+    # The flow runs by the permutation's cycles, one 2-cycle here, so a
+    # declared order of 2^40 writes the bytes that order 2 writes, as fast.
     written = []
     for order in (2, 1 << 40):
         config = tmp_path / f"order{order}.json"
@@ -303,6 +302,22 @@ def test_run_cyclic_work_does_not_grow_with_the_order(tmp_path):
         report = tmp_path / f"order{order}.csv.report.json"
         written.append((out.read_bytes(), report.read_bytes()))
     assert written[0] == written[1]
+
+
+def test_run_cyclic_flow_folds_by_cycle_length(tmp_path):
+    # Cycles 3, 4, 5, 7, 11, 13, 17: their lcm, 1,021,020, is far past any
+    # cap, but the flow folds by cycle length, so only the longest counts.
+    lengths = (3, 4, 5, 7, 11, 13, 17)
+    config = tmp_path / "folded.json"
+    write_scenario(config, sizes=[60, 2], time={"t_end": 1.0, "stride": 100},
+                   rates={"kind": "cyclic", "links": [0], "order": math.lcm(*lengths),
+                          "permutation": cycle_permutation(*lengths), "rate": 1.0})
+    out = tmp_path / "folded.csv"
+    start = time.perf_counter()
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    report = json.loads((tmp_path / "folded.csv.report.json").read_text())
+    assert report["passed"] and report["max_gap"] <= 1e-6
 
 
 @pytest.mark.parametrize("solver", ["closed-form", "rk4", "both"])

@@ -43,13 +43,23 @@ def series_gfun(n, k, t):
 
 def three_cycle(seed=7):
     space = ProductSpace((3, 2, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0), 3)
+    op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))
     return op, random_probability(space, seed)
 
 
 def test_gfun_rejects_small_order():
     with pytest.raises(ValueError):
-        gfun(1, 0, 1.0)
+        gfun(0, 0, 1.0)
+
+
+def test_order_one_is_the_one_set_flow():
+    # A fixed point of the relabeling: F_0 = e^t, and C = R is hit at rate one.
+    for t in (0.0, 0.3, 1.0, 7.5):
+        assert abs(gfun(1, 0, t) - math.exp(t)) <= 1e-15 * math.exp(t)
+        coeffs = flow_coefficients(1, t)
+        assert coeffs.shape == (2,)
+        assert abs(coeffs[0] - math.exp(-t)) <= 1e-16
+        assert abs(coeffs[1] - (1.0 - math.exp(-t))) <= 1e-16
 
 
 def test_gfun_rejects_a_broken_root_table(monkeypatch):
@@ -154,46 +164,49 @@ def test_cyclic_operator_validation():
     space = ProductSpace((3, 2))
     cuts = LinkSet.from_indices([0], 1)
     with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (1, 2, 0), 1)
+        CyclicOperator(space, cuts, (0, 0, 1))  # not a permutation
     with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (0, 0, 1), 3)  # not a permutation
+        CyclicOperator(space, cuts, (1, 0))  # wrong block size
     with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (1, 0), 3)  # wrong block size
-    with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (1, 2, 0), 2)  # 3-cycle squared != id
-    with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (1, 2, 0), 10**12 + 1)  # not a multiple of 3
-    assert CyclicOperator(space, cuts, (1, 2, 0), 3).period == 3
-    assert CyclicOperator(space, cuts, (1, 2, 0), 3 << 60).period == 3
-    assert CyclicOperator(space, cuts, (0, 1, 2), 2).period == 1
+        CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))  # wrong link count
+    assert CyclicOperator(space, cuts, (1, 2, 0)).cycle_length == (3, 3, 3)
+    assert CyclicOperator(space, cuts, (0, 2, 1)).cycle_length == (1, 2, 2)
+    assert CyclicOperator(space, cuts, (0, 1, 2)).cycle_length == (1, 1, 1)
 
 
 def test_cyclic_apply_wraps_at_the_period():
-    # Cycles (0 1) and (2 3 4): period 6, whatever multiple of it the order is.
+    # Cycles (0 1) and (2 3 4): C^k repeats with period 6, the lcm.
     space = ProductSpace((5, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 0, 3, 4, 2), 6 << 50)
-    assert op.period == 6
+    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 0, 3, 4, 2))
     omega = random_probability(space, 8)
     composed = tuple(range(5))
     for power in range(1, 13):
         composed = tuple(op.perm[p] for p in composed)
-        assert op.perm_power(power) == composed
-        wrapped = cyclic_apply(omega, op, power + op.order)
-        assert np.array_equal(wrapped.weights, cyclic_apply(omega, op, power).weights)
+        moved = recombine(omega, op.cuts).weights.reshape(5, 2)[np.argsort(composed)]
+        got = cyclic_apply(omega, op, power)
+        np.testing.assert_array_equal(got.weights, moved.reshape(-1))
+        wrapped = cyclic_apply(omega, op, power + 6)
+        assert np.array_equal(wrapped.weights, got.weights)
+    # Each state's step count is reduced modulo its cycle length in Python
+    # ints, so a power past int64 costs the same as a small one.
+    huge = 2**100 + 1
+    np.testing.assert_array_equal(
+        cyclic_apply(omega, op, huge).weights, cyclic_apply(omega, op, huge % 6).weights
+    )
 
 
 def test_cyclic_apply_power_zero_and_order():
     op, omega = three_cycle()
     assert cyclic_apply(omega, op, 0) is omega
-    at_order = cyclic_apply(omega, op, op.order)
+    at_order = cyclic_apply(omega, op, 3)
     np.testing.assert_array_equal(at_order.weights, recombine(omega, op.cuts).weights)
 
 
 def test_cyclic_apply_identity_relabeling_degenerates():
     space = ProductSpace((3, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2), 2)
-    # Period 1, but the closed form runs at order 2, where C = R is exact.
-    assert (op.period, op.flow_order) == (1, 2)
+    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2))
+    # Every state is a fixed point: C = R, and the flow is the one-set flow.
+    assert op.cycle_length == (1, 1, 1)
     omega = random_probability(space, 3)
     for power in (1, 2, 5):
         got = cyclic_apply(omega, op, power)
@@ -206,7 +219,7 @@ def test_cyclic_apply_rotates_first_marginal():
     mu = Measure(ProductSpace((3,)), [0.5, 0.3, 0.2])
     nu = Measure(ProductSpace((2,)), [0.6, 0.4], nodes=(1,))
     omega = tensor([mu, nu])
-    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 2, 0), 3)
+    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 2, 0))
     once = cyclic_apply(omega, op, 1)
     np.testing.assert_allclose(marginal(once, [0]).weights, [0.2, 0.5, 0.3], atol=1e-14)
     np.testing.assert_allclose(marginal(once, [1]).weights, [0.6, 0.4], atol=1e-14)
@@ -214,8 +227,8 @@ def test_cyclic_apply_rotates_first_marginal():
 
 def test_cyclic_period_is_exact():
     op, omega = three_cycle()
-    for power in range(1, 2 * op.order + 1):
-        wrapped = cyclic_apply(omega, op, power + op.order)
+    for power in range(1, 7):
+        wrapped = cyclic_apply(omega, op, power + 3)
         direct = cyclic_apply(omega, op, power)
         assert total_variation(wrapped - direct) == 0.0
 
@@ -228,15 +241,15 @@ def test_cyclic_apply_rejects_signed_input():
 
 
 def empty_cut_relabeling(seed=3):
-    # No cuts: the one block is the whole chain and C = sigma, period 6.
+    # No cuts: the one block is the whole chain and C = sigma, cycles 2, 3, 1.
     space = ProductSpace((2, 3))
-    op = CyclicOperator(space, LinkSet.empty(1), (1, 0, 3, 4, 2, 5), 6)
+    op = CyclicOperator(space, LinkSet.empty(1), (1, 0, 3, 4, 2, 5))
     return op, random_probability(space, seed)
 
 
 def test_empty_cut_set_is_a_plain_relabeling():
     op, omega = empty_cut_relabeling()
-    assert (op.period, op.flow_order) == (6, 6)
+    assert op.cycle_length == (2, 2, 3, 3, 3, 1)
     moved = np.empty_like(omega.weights)
     moved[list(op.perm)] = omega.weights
     np.testing.assert_array_equal(cyclic_apply(omega, op, 1).weights, moved)
@@ -248,6 +261,25 @@ def test_empty_cut_set_is_a_plain_relabeling():
     assert np.abs(stack[-1] - cycle_mean).sum() <= 1e-6
 
 
+def test_folded_flow_is_the_explicit_order_n_sum():
+    # The flow folds by cycle length; the order-n closed form at any n that
+    # every cycle divides sums all n + 1 powers C^k(omega_0) explicitly.
+    space = ProductSpace((6, 2, 2))
+    mixed = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0, 4, 3, 5))
+    cases = [(mixed, random_probability(space, 12)), empty_cut_relabeling()]
+    times = [0.0, 0.2, 1.0, 3.0, 9.0]
+    for op, omega in cases:
+        powers = [omega.weights]
+        for n in (6, 12, 60):
+            powers += [cyclic_apply(omega, op, k).weights for k in range(len(powers), n + 1)]
+            for rho in (1.0, 0.37):
+                coeffs = flow_coefficients(n, rho * np.asarray(times))
+                explicit = coeffs @ np.asarray(powers[: n + 1])
+                folded = generalized_flow_grid(omega, op, rho, times)
+                gaps = np.abs(folded - explicit).sum(axis=1)
+                assert gaps.max() <= 1e-15 * total_variation(omega), (op.space, n, gaps)
+
+
 def relabeled_field(op, rho):
     return compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
 
@@ -257,12 +289,12 @@ def test_relabeled_field_is_the_generator(monkeypatch):
     # each on the stacked and the strided kernel.
     cases = [
         three_cycle(),
-        (CyclicOperator(ProductSpace((3, 2, 2)), LinkSet.from_indices([0, 1], 2), (1, 2, 0), 3),
+        (CyclicOperator(ProductSpace((3, 2, 2)), LinkSet.from_indices([0, 1], 2), (1, 2, 0)),
          random_probability(ProductSpace((3, 2, 2)), 4)),
-        (CyclicOperator(ProductSpace((2, 2, 3)), LinkSet.from_indices([1], 2), (2, 0, 3, 1), 4),
+        (CyclicOperator(ProductSpace((2, 2, 3)), LinkSet.from_indices([1], 2), (2, 0, 3, 1)),
          random_probability(ProductSpace((2, 2, 3)), 5)),
         (CyclicOperator(ProductSpace((6, 4, 4, 4, 4, 4)), LinkSet.from_indices([0], 5),
-                        (1, 2, 0, 4, 5, 3), 3),
+                        (1, 2, 0, 4, 5, 3)),
          random_probability(ProductSpace((6, 4, 4, 4, 4, 4)), 6)),
         empty_cut_relabeling(),
     ]
@@ -323,7 +355,7 @@ def test_three_term_coefficients_survival_odd_even():
 def test_flow_with_identity_relabeling_reduces_to_semigroup():
     space = ProductSpace((2, 3, 2))
     cuts = LinkSet.from_indices([1], 2)
-    op = CyclicOperator(space, cuts, tuple(range(6)), 2)
+    op = CyclicOperator(space, cuts, tuple(range(6)))
     omega = random_probability(space, 23)
     for rho, t in ((1.0, 0.7), (0.4, 2.0)):
         via_flow = generalized_flow_apply(omega, op, rho, t)
@@ -341,12 +373,12 @@ def test_flow_conserves_mass_and_positivity():
 
 def test_flow_long_time_limit():
     op, omega = three_cycle()
-    limit = (1.0 / op.order) * sum(
-        (cyclic_apply(omega, op, k) for k in range(2, op.order + 1)),
+    limit = (1.0 / 3) * sum(
+        (cyclic_apply(omega, op, k) for k in range(2, 4)),
         start=cyclic_apply(omega, op, 1),
     )
-    rate = min(1.0, 1.0 - math.cos(2 * math.pi / op.order))
-    envelope = (op.order + 1) * total_variation(omega)
+    rate = min(1.0, 1.0 - math.cos(2 * math.pi / 3))
+    envelope = 4 * total_variation(omega)
     for t in np.linspace(0.0, 12.0, 13):
         t = float(t)
         residual = total_variation(generalized_flow_apply(omega, op, 1.0, t) - limit)
@@ -360,7 +392,7 @@ def test_flow_commutation_cases():
         assert check_flow_commutation(omega, op, 1.0, t) <= 1e-10
 
     space = ProductSpace((3, 2))
-    idempotent = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2), 2)
+    idempotent = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2))
     base = random_probability(space, 31)
     assert check_flow_commutation(base, idempotent, 1.0, 0.8) <= 1e-12
 
@@ -373,7 +405,7 @@ def test_generalized_ode_second_order_convergence():
     assert 3.5 <= coarse / fine <= 4.5
 
     space = ProductSpace((2, 3))
-    idempotent = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1), 2)
+    idempotent = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1))
     base = random_probability(space, 2)
     rough = check_generalized_ode(base, idempotent, 1.0, grid, 1e-2)
     sharp = check_generalized_ode(base, idempotent, 1.0, grid, 5e-3)

@@ -137,13 +137,6 @@ def test_measure_weights_are_read_only():
         omega.weights[0] = 1.0
 
 
-def test_json_round_trip():
-    omega = random_probability(ProductSpace((2, 3)), 17)
-    again = Measure.from_json(omega.to_json())
-    assert again.space == omega.space
-    np.testing.assert_array_equal(again.weights, omega.weights)
-
-
 @given(st.integers(0, 10_000))
 def test_marginal_against_brute_force(seed):
     space = ProductSpace((2, 3, 2))
