@@ -141,7 +141,6 @@ class Scenario:
             _expect(rates, "per_link", list, "scenario.rates", items=(int, float))
         elif rates_kind == "cyclic":
             _expect(rates, "links", list, "scenario.rates", items=int)
-            _expect(rates, "order", int, "scenario.rates")
             _expect(rates, "permutation", list, "scenario.rates", items=int)
             _expect(rates, "rate", (int, float), "scenario.rates")
         else:
@@ -154,21 +153,13 @@ class Scenario:
             )
         return cls(
             sizes=tuple(int(k) for k in sizes),
-            initial=_plain(initial),
-            rates=_plain(rates),
+            initial=initial,
+            rates=rates,
             t_end=float(t_end),
             stride=int(stride),
             solver=solver,
             rk4_step=float(step),
         )
-
-
-def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 def _expect(doc: dict, key: str, types, where: str, items=None, default=None):
@@ -279,58 +270,46 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
         if not math.isfinite(omega0.mass):
             raise ScenarioValidationError("initial weights must have a finite total")
 
-    rates = scenario.rates
-    kind = rates["kind"]
+    # Every kind is input for one rate map: (cut set, rate) pairs in document
+    # order, plus the block-0 permutation of a cyclic map.  The map, not its
+    # kind, picks the closed form: a permutation takes the cyclic flow, and
+    # stretch-disjoint cut sets at positive rates the product flow, in document
+    # order (the factor order fixes the bytes).  Only a general map under rk4
+    # need not be such a system.
+    rates, n_links = scenario.rates, space.n_links
+    perm = closed = None
     try:
-        if kind == "general":
-            rate_map = RateMap.from_pairs(
-                (
-                    (LinkSet.from_indices(entry["links"], space.n_links), entry["rate"])
-                    for entry in rates["entries"]
-                ),
-                space.n_links,
+        if rates["kind"] == "crossover":
+            pairs = RateMap.crossover([float(r) for r in rates["per_link"]]).entries
+        elif rates["kind"] == "cyclic":
+            pairs = ((LinkSet.from_indices(rates["links"], n_links), float(rates["rate"])),)
+            perm = tuple(rates["permutation"])
+        else:
+            pairs = tuple(
+                (LinkSet.from_indices(entry["links"], n_links), entry["rate"])
+                for entry in rates["entries"]
             )
-            if scenario.solver in ("closed-form", "both"):
-                raise ScenarioValidationError(
-                    "general rate maps have no closed form; use solver 'rk4'"
-                )
-            return _Runtime(omega0, grid, None, compile_field(space, rate_map))
-        if kind == "cyclic":
-            op = CyclicOperator(
-                space,
-                LinkSet.from_indices(rates["links"], space.n_links),
-                tuple(int(p) for p in rates["permutation"]),
-            )
-            order, longest = int(rates["order"]), max(op.cycle_length)
-            if order < 2 or any(order % n for n in op.cycle_length):
-                raise ScenarioValidationError(
-                    f"order {order} must be at least 2 and a multiple of every cycle length"
-                )
+        if perm is not None:
+            [(cuts, rho)] = pairs
+            op = CyclicOperator(space, cuts, perm)
+            longest = max(op.cycle_length)
             cells = (longest + 1) * len(grid) * space.total_states
             if cells > MAX_CYCLIC_CELLS:
                 raise ScenarioValidationError(
                     f"cycle length {longest} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
                 )
-            rho = float(rates["rate"])
             if not rho > 0.0:
                 raise ScenarioValidationError(f"rate must be positive, got {rho}")
-            field = compile_field(space, RateMap.single(op.cuts, rho), relabel=op.perm)
             closed = lambda times: generalized_flow_grid(omega0, op, rho, times)
-            return _Runtime(omega0, grid, closed, field)
-        # Scenario.from_dict admits no other kind than these four.  The two
-        # left are disjoint-stretch systems (a crossover map is the system of
-        # its one-link flows), whose rates must be finite and positive: that
-        # is checked here, before any solver runs.
-        if kind == "disjoint-stretch":
-            components = tuple(
-                (LinkSet.from_indices(entry["links"], space.n_links), entry["rate"])
-                for entry in rates["entries"]
-            )
-        else:
-            components = RateMap.crossover([float(r) for r in rates["per_link"]]).entries
-        system = DisjointStretchSystem(components)
-        closed = lambda times: product_flow_grid(omega0, system, times)
-        return _Runtime(omega0, grid, closed, compile_field(space, system.as_rate_map()))
+        elif rates["kind"] != "general" or scenario.solver != "rk4":
+            try:
+                system = DisjointStretchSystem(pairs)
+            except ValueError as exc:
+                hint = "; use solver 'rk4'" if rates["kind"] == "general" else ""
+                raise ScenarioValidationError(f"{exc}{hint}") from exc
+            closed = lambda times: product_flow_grid(omega0, system, times)
+        field = compile_field(space, RateMap(n_links, pairs), relabel=perm)
+        return _Runtime(omega0, grid, closed, field)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 

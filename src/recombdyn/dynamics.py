@@ -59,7 +59,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class RateMap:
         return cls(links.n_links, ((links, rate),))
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[LinkSet, float]], n_links: int) -> "RateMap":
-        return cls(n_links, tuple(pairs))
-
-    @classmethod
     def crossover(cls, link_rates: Sequence[float]) -> "RateMap":
         """One singleton entry per link, from per-link rates."""
         n = len(link_rates)
@@ -123,9 +119,6 @@ class RateMap:
                 for i, r in enumerate(link_rates)
             ),
         )
-
-    def items(self) -> tuple[tuple[LinkSet, float], ...]:
-        return self.entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -254,12 +247,12 @@ def _field_terms(
 ) -> _FieldTerms:
     if rates.n_links != space.n_links:
         raise ValueError("rate map does not match the space's link count")
-    if relabel is None and any(len(links) == 0 for links, _ in rates.items()):
+    if relabel is None and any(len(links) == 0 for links, _ in rates.entries):
         raise ValueError("the empty cut set generates no motion without a relabeling; drop it")
     sizes = space.sizes
     terms = [
         (rate, partition_of(links, space.n_nodes).blocks)
-        for links, rate in rates.items()
+        for links, rate in rates.entries
         if rate != 0.0
     ]
     block_ids: dict[tuple[int, ...], int] = {}

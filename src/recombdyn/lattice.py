@@ -78,17 +78,6 @@ class LinkSet:
         self._require_same_universe(other)
         return LinkSet(self.bits | other.bits, self.n_links)
 
-    def intersection(self, other: "LinkSet") -> "LinkSet":
-        self._require_same_universe(other)
-        return LinkSet(self.bits & other.bits, self.n_links)
-
-    def difference(self, other: "LinkSet") -> "LinkSet":
-        self._require_same_universe(other)
-        return LinkSet(self.bits & ~other.bits, self.n_links)
-
-    def complement(self) -> "LinkSet":
-        return LinkSet(self.bits ^ (1 << self.n_links) - 1, self.n_links)
-
     def issubset(self, other: "LinkSet") -> bool:
         self._require_same_universe(other)
         return self.bits & ~other.bits == 0
@@ -98,8 +87,6 @@ class LinkSet:
         return _cached_blocks(self.bits, n_nodes)
 
     __or__ = union
-    __and__ = intersection
-    __sub__ = difference
 
     def __repr__(self) -> str:
         return f"LinkSet({list(self.indices)}, n_links={self.n_links})"

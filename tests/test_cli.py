@@ -19,12 +19,15 @@ from recombdyn.cli import (
     main,
 )
 from recombdyn.dynamics import (
+    DisjointStretchSystem,
     Trajectory,
     crossover_solution,
     output_grid,
+    product_flow_grid,
     trajectory_to_csv,
     trajectory_to_json_dict,
 )
+from recombdyn.lattice import LinkSet
 from recombdyn.measure import ProductSpace, random_probability
 
 
@@ -83,7 +86,9 @@ def test_run_zero_horizon_single_row(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("0,")
 
 
-def test_run_rejects_overlap_with_closed_form(tmp_path):
+@pytest.mark.parametrize("solver", ["closed-form", "rk4"])
+def test_run_rejects_overlap_with_closed_form(tmp_path, solver):
+    # A disjoint-stretch map must be one under every solver, RK4 included.
     config = tmp_path / "scenario.json"
     write_scenario(
         config,
@@ -92,21 +97,27 @@ def test_run_rejects_overlap_with_closed_form(tmp_path):
             "kind": "disjoint-stretch",
             "entries": [{"links": [0, 2], "rate": 1.0}, {"links": [1], "rate": 0.5}],
         },
-        solver="closed-form",
+        solver=solver,
     )
     code = main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_VALIDATION
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_run_general_rates_need_rk4(tmp_path):
+def test_run_general_rates_need_rk4(tmp_path, capsys):
+    # Overlapping stretches have no closed form here: RK4 only.
     config = tmp_path / "scenario.json"
     rates = {
         "kind": "general",
         "entries": [{"links": [0, 2], "rate": 1.0}, {"links": [1], "rate": 0.5}],
     }
-    write_scenario(config, sizes=[2, 2, 2, 2], rates=rates, solver="both")
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) \
-        == EXIT_VALIDATION
+    for solver in ("closed-form", "both"):
+        write_scenario(config, sizes=[2, 2, 2, 2], rates=rates, solver=solver)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "overlap" in err and "use solver 'rk4'" in err
+    assert not (tmp_path / "x.csv").exists()
     write_scenario(config, sizes=[2, 2, 2, 2], rates=rates, solver="rk4")
     out = tmp_path / "traj.json"
     assert main(
@@ -121,6 +132,66 @@ def test_run_general_rates_need_rk4(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "e.csv")]) \
         == EXIT_VALIDATION
     assert not (tmp_path / "e.csv").exists()
+
+
+def test_run_general_stretch_disjoint_map_has_a_closed_form(tmp_path):
+    # Stretch-disjoint cut sets with positive rates: the product flow is
+    # exact for a general map too, and agrees with RK4.
+    config = tmp_path / "scenario.json"
+    rates = {
+        "kind": "general",
+        "entries": [{"links": [2], "rate": 1.3}, {"links": [0], "rate": 0.7}],
+    }
+    write_scenario(config, sizes=[2, 3, 2, 2], rates=rates, solver="both")
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    report = json.loads((tmp_path / "traj.csv.report.json").read_text())
+    assert report["passed"] and report["max_gap"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "kind, rates",
+    [
+        ("disjoint-stretch",
+         {"entries": [{"links": [2, 3], "rate": 1.3}, {"links": [0], "rate": 0.7}]}),
+        ("crossover", {"per_link": [1.0, 0.4, 0.25, 0.6]}),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_rate_kind_is_only_input_for_the_rate_map(tmp_path, kind, rates, fmt):
+    # A general document with the same entries (for crossover, one singleton
+    # per link) is the same rate map and writes the same closed-form bytes.
+    entries = rates.get("entries") or [
+        {"links": [i], "rate": r} for i, r in enumerate(rates["per_link"])
+    ]
+    written = []
+    for doc in ({"kind": kind, **rates}, {"kind": "general", "entries": entries}):
+        config = tmp_path / f"{doc['kind']}.json"
+        write_scenario(config, sizes=[2, 3, 2, 2, 2], rates=doc, solver="closed-form",
+                       time={"t_end": 1.0, "stride": 100})
+        out = tmp_path / f"{doc['kind']}.{fmt}"
+        assert main(["run", "--config", str(config), "--out", str(out), "--format", fmt]) \
+            == EXIT_OK
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("kind", ["general", "disjoint-stretch"])
+def test_run_product_flow_keeps_the_document_order(tmp_path, kind):
+    # The factor order fixes the bytes: the system is built in document
+    # order, not in the rate map's sorted order.
+    entries = [([2, 3], 1.3), ([0], 0.7)]
+    config = tmp_path / "scenario.json"
+    write_scenario(config, sizes=[2, 3, 2, 2, 2], solver="closed-form",
+                   time={"t_end": 1.0, "stride": 100},
+                   rates={"kind": kind, "entries": [{"links": l, "rate": r} for l, r in entries]})
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    space = ProductSpace((2, 3, 2, 2, 2))
+    system = DisjointStretchSystem(tuple((LinkSet.from_indices(l, 4), r) for l, r in entries))
+    grid = output_grid(1.0, 0.001, 100)
+    flow = product_flow_grid(random_probability(space, 11), system, grid)
+    assert out.read_text() == csv_text(Trajectory(space, grid, flow))
 
 
 def test_run_parse_failures(tmp_path):
@@ -151,7 +222,7 @@ def test_run_parse_failures(tmp_path):
         {"rates": {"kind": "general", "entries": [{"links": [None], "rate": 1.0}]},
          "solver": "rk4"},
         {"sizes": [2, 2, 2],
-         "rates": {"kind": "cyclic", "links": [0], "order": 2, "permutation": [1, None],
+         "rates": {"kind": "cyclic", "links": [0], "permutation": [1, None],
                    "rate": 1.0}},
         {"sizes": [2, 2], "rates": {"kind": "crossover", "per_link": [1.0]},
          "solver": "closed-form", "rk4_step": True, "time": {"t_end": 2.0, "stride": 1}},
@@ -191,14 +262,12 @@ def test_run_non_finite_numbers_are_parse_errors(tmp_path, overrides):
         {"rates": {"kind": "crossover", "per_link": [1.7e308, 1.7e308]}},
         # 11 grid points x 8,192 states x (4,096 + 1): one cycle past the cap.
         {"sizes": [4096, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
-                                       "order": 4096, "permutation": cycle_permutation(4096)}},
-        {"sizes": [2, 2], "rates": {"kind": "cyclic", "links": [0], "rate": 1.0,
-                                    "order": 3, "permutation": [1, 0]}},
+                                       "permutation": cycle_permutation(4096)}},
     ],
     ids=["negative-t_end", "zero-stride", "zero-rk4_step", "steps-overflow",
          "steps-past-cap", "states-past-cap", "stored-weights-past-cap",
          "grid-points-past-cap", "rate-total-past-float-range",
-         "cyclic-cells-past-cap", "cyclic-order-not-a-period-multiple"],
+         "cyclic-cells-past-cap"],
 )
 def test_run_bad_grid_and_caps_are_validation_errors(tmp_path, overrides):
     # The caps are checked before any state is allocated, so these run fast.
@@ -265,7 +334,6 @@ def test_run_cyclic_scenario_both_mode(tmp_path):
         rates={
             "kind": "cyclic",
             "links": [0],
-            "order": 3,
             "permutation": [1, 2, 0],
             "rate": 1.0,
         },
@@ -281,27 +349,29 @@ def test_run_cyclic_scenario_both_mode(tmp_path):
 def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
     config = tmp_path / "cyclic.json"
     write_scenario(config, sizes=[3, 2], solver="rk4",
-                   rates={"kind": "cyclic", "links": [0], "order": 3,
-                          "permutation": [1, 2, 0], "rate": rate})
+                   rates={"kind": "cyclic", "links": [0], "permutation": [1, 2, 0],
+                          "rate": rate})
     out = tmp_path / "cyc.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
 
 
-def test_run_cyclic_work_does_not_grow_with_the_order(tmp_path):
-    # The flow runs by the permutation's cycles, one 2-cycle here, so a
-    # declared order of 2^40 writes the bytes that order 2 writes, as fast.
+def test_run_cyclic_order_field_is_ignored(tmp_path):
+    # The flow runs by the permutation's cycles, one 2-cycle here; a cyclic
+    # map has no order, and a document that still declares one, even 3 or
+    # 2^40, writes the bytes a document without it writes.
     written = []
-    for order in (2, 1 << 40):
+    for order in (None, 2, 3, 1 << 40):
+        rates = {"kind": "cyclic", "links": [0], "permutation": [1, 0], "rate": 1.0}
+        if order is not None:
+            rates["order"] = order
         config = tmp_path / f"order{order}.json"
-        write_scenario(config, sizes=[2, 2], time={"t_end": 1.0, "stride": 100},
-                       rates={"kind": "cyclic", "links": [0], "order": order,
-                              "permutation": [1, 0], "rate": 1.0})
+        write_scenario(config, sizes=[2, 2], time={"t_end": 1.0, "stride": 100}, rates=rates)
         out = tmp_path / f"order{order}.csv"
         assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
         report = tmp_path / f"order{order}.csv.report.json"
         written.append((out.read_bytes(), report.read_bytes()))
-    assert written[0] == written[1]
+    assert all(w == written[0] for w in written)
 
 
 def test_run_cyclic_flow_folds_by_cycle_length(tmp_path):
@@ -310,7 +380,7 @@ def test_run_cyclic_flow_folds_by_cycle_length(tmp_path):
     lengths = (3, 4, 5, 7, 11, 13, 17)
     config = tmp_path / "folded.json"
     write_scenario(config, sizes=[60, 2], time={"t_end": 1.0, "stride": 100},
-                   rates={"kind": "cyclic", "links": [0], "order": math.lcm(*lengths),
+                   rates={"kind": "cyclic", "links": [0],
                           "permutation": cycle_permutation(*lengths), "rate": 1.0})
     out = tmp_path / "folded.csv"
     start = time.perf_counter()
@@ -325,8 +395,8 @@ def test_run_cyclic_empty_cut_set_is_a_plain_relabeling(tmp_path, solver):
     # No cuts: C = sigma permutes all four states, and both solvers run.
     config = tmp_path / "relabel.json"
     write_scenario(config, sizes=[2, 2], solver=solver, time={"t_end": 1.0, "stride": 100},
-                   rates={"kind": "cyclic", "links": [], "order": 4,
-                          "permutation": [1, 2, 3, 0], "rate": 1.0})
+                   rates={"kind": "cyclic", "links": [], "permutation": [1, 2, 3, 0],
+                          "rate": 1.0})
     out = tmp_path / "relabel.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     assert out.exists()

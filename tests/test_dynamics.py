@@ -52,9 +52,7 @@ def test_vector_field_vanishes_on_product_measures():
     mu = Measure(ProductSpace((2,)), [0.3, 0.7])
     nu = Measure(ProductSpace((3,)), [0.2, 0.5, 0.3], nodes=(1,))
     product = tensor([mu, nu])
-    rates = RateMap.from_pairs(
-        [(LinkSet.from_indices([0], 1), 1.0)], n_links=1
-    )
+    rates = RateMap(1, ((LinkSet.from_indices([0], 1), 1.0),))
     field = compile_field(product.space, rates)(product.weights)
     assert np.abs(field).sum() <= 1e-13
 
@@ -67,9 +65,8 @@ def test_vector_field_empty_rates_is_zero():
 def test_vector_field_total_weight_is_zero_on_positives():
     space = ProductSpace((2, 3, 2))
     omega = random_probability(space, 9)
-    rates = RateMap.from_pairs(
-        [(LinkSet.from_indices([0], 2), 0.7), (LinkSet.from_indices([0, 1], 2), 0.4)],
-        n_links=2,
+    rates = RateMap(
+        2, ((LinkSet.from_indices([0], 2), 0.7), (LinkSet.from_indices([0, 1], 2), 0.4))
     )
     assert abs(compile_field(space, rates)(omega.weights).sum()) <= 1e-14
 
@@ -77,7 +74,7 @@ def test_vector_field_total_weight_is_zero_on_positives():
 def reference_field(space, rates, w):
     """sum_G rho_G (R_G(w) - w), one recombine_weights call per term."""
     out = np.zeros_like(w)
-    for links, rate in rates.items():
+    for links, rate in rates.entries:
         out += rate * (recombine_weights(w, space.sizes, links.blocks(space.n_nodes)) - w)
     return out
 
@@ -94,15 +91,15 @@ FIELD_CASES = [
 
 
 def _shared_block_rates(n_links):
-    return RateMap.from_pairs(
-        [
+    return RateMap(
+        n_links,
+        (
             (LinkSet.from_indices([0], n_links), 0.7),
             (LinkSet.from_indices([2], n_links), 1.3),
             (LinkSet.from_indices([0, 2], n_links), 0.4),
             (LinkSet.from_indices([1], n_links), 0.0),
             (LinkSet.full(n_links), 0.25),
-        ],
-        n_links,
+        ),
     )
 
 
@@ -153,7 +150,7 @@ def test_ratemap_validation():
     with pytest.raises(ValueError):
         RateMap.single(CUT, -0.5)
     with pytest.raises(ValueError):
-        RateMap.from_pairs([(CUT, 1.0), (CUT, 2.0)], n_links=1)
+        RateMap(1, ((CUT, 1.0), (CUT, 2.0)))
     with pytest.raises(ValueError, match="total"):
         RateMap.crossover([1.7e308, 1.7e308])
 
@@ -255,8 +252,8 @@ def test_rk4_integrate_many_matches_separate_runs():
     # Shapes, rate kinds and term widths (1 to 4 blocks) differ from problem
     # to problem; masses differ too, so one |w| shared by all would show.
     # 4^6 takes the strided kernel and runs alone; the rest share one vector.
-    general = RateMap.from_pairs(
-        [(LinkSet.from_indices([0, 2], 3), 0.6), (LinkSet.from_indices([1], 3), 1.1)], 3
+    general = RateMap(
+        3, ((LinkSet.from_indices([0, 2], 3), 0.6), (LinkSet.from_indices([1], 3), 1.1))
     )
     stretch = DisjointStretchSystem(
         ((LinkSet.from_indices([0], 4), 0.8), (LinkSet.from_indices([2, 3], 4), 0.5))
@@ -287,8 +284,8 @@ def test_rk4_integrate_many_idle_problems_next_to_live_ones():
         (random_probability(space, 9), RateMap.empty(2)),
         (tiny, RateMap.crossover([1.0, 0.5])),
         (random_probability(SPACE, 10), RateMap.single(CUT, 0.0)),
-        (live, RateMap.from_pairs([(LinkSet.from_indices([0], 2), 0.0),
-                                   (LinkSet.from_indices([1], 2), 2.0)], 2)),
+        (live, RateMap(2, ((LinkSet.from_indices([0], 2), 0.0),
+                           (LinkSet.from_indices([1], 2), 2.0)))),
     ]
     batch = _assert_matches_separate_runs(problems, t_end=0.3, h=0.1)
     for index in (1, 3):

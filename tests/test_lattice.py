@@ -138,8 +138,5 @@ def test_set_algebra_mirrors_bit_algebra(x, y):
     n = 8
     a, b = LinkSet(x, n), LinkSet(y, n)
     assert (a | b).bits == x | y
-    assert (a & b).bits == x & y
-    assert (a - b).bits == x & ~y
-    assert a.complement().bits == (~x) & 0xFF
     assert a.issubset(b) == (x & ~y == 0)
     assert len(a) == bin(x).count("1")

@@ -42,14 +42,21 @@ LINKS = st.lists(INDEX, min_size=1, max_size=3)
 
 @functools.lru_cache(maxsize=None)
 def rates(n_links, block0_states):
-    # Per-link lists mostly have one rate per link.  Cyclic maps mostly cut at
-    # link 0 and permute node 0's states, whose cycles (at most 3 long) all
-    # divide order 6, so they can run.
+    # Entry lists are mostly singletons on distinct links at positive rates:
+    # stretch-disjoint systems, so they reach the product flow.  Per-link
+    # lists mostly have one rate per link.  Cyclic maps mostly cut at link 0
+    # and permute node 0's states, so they can run.
     entry = st.fixed_dictionaries({"links": maybe(LINKS), "rate": maybe(NUMBER)})
+    singleton = st.fixed_dictionaries({"links": st.tuples(st.integers(0, n_links - 1)).map(list),
+                                       "rate": maybe(mostly(st.floats(0.01, 3.0), NUMBER))})
     return st.one_of(
         st.fixed_dictionaries({
             "kind": st.sampled_from(["general", "disjoint-stretch"]),
-            "entries": maybe(st.lists(maybe(entry), max_size=3)),
+            "entries": maybe(mostly(
+                st.lists(singleton, min_size=1, max_size=3, unique_by=lambda e: e["links"][0]),
+                st.lists(maybe(entry), max_size=3),
+                odds=3,
+            )),
         }),
         st.fixed_dictionaries({
             "kind": st.just("crossover"),
@@ -59,7 +66,6 @@ def rates(n_links, block0_states):
         st.fixed_dictionaries({
             "kind": st.just("cyclic"),
             "links": maybe(mostly(st.just([0]), LINKS)),
-            "order": maybe(mostly(st.just(6), st.integers(-1, 3))),
             "permutation": maybe(mostly(st.permutations(range(block0_states)),
                                         st.lists(INDEX, max_size=4))),
             "rate": maybe(NUMBER),
@@ -103,15 +109,12 @@ SOLVER = mostly(st.sampled_from(["closed-form", "rk4", "both"]), st.just("fast")
 def documents(draw):
     sizes = draw(maybe(SIZES))
     shaped = isinstance(sizes, list) and 2 <= len(sizes) <= 4 and 1 <= min(sizes) <= max(sizes) <= 3
-    rate_doc = draw(maybe(rates(len(sizes) - 1, sizes[0]) if shaped else rates(1, 2)))
-    general = isinstance(rate_doc, dict) and rate_doc.get("kind") == "general"
     doc = {
         "sizes": sizes,
         "initial": draw(maybe(initial(math.prod(sizes) if shaped else 1))),
-        "rates": rate_doc,
+        "rates": draw(maybe(rates(len(sizes) - 1, sizes[0]) if shaped else rates(1, 2))),
         "time": draw(maybe(TIME)),
-        # General maps have only RK4; other solvers are the rarer choice.
-        "solver": draw(mostly(st.just("rk4"), SOLVER, odds=3) if general else SOLVER),
+        "solver": draw(SOLVER),
     }
     if draw(st.booleans()):
         doc["rk4_step"] = draw(maybe(STEP))
