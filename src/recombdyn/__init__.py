@@ -7,22 +7,23 @@ their closed-form nonlinear semigroups, the inclusion-exclusion transform
 that linearizes the single-crossover flow, a cyclically twisted
 generalization, and a fixed-step Runge-Kutta oracle to check all of it.
 
-The top level holds the core types and the closed form of each rate kind;
-every other helper is imported from its submodule (``recombdyn.dynamics``,
-``recombdyn.generalized``, ``recombdyn.lattice``, ``recombdyn.measure``,
-``recombdyn.recombinator``).
+The top level holds the core types, the closed form of each rate kind on a
+whole time grid (one row per time) and ``product_flow_apply``, the
+multi-parameter semigroup with one time per component; every other helper is
+imported from its submodule (``recombdyn.dynamics``, ``recombdyn.generalized``,
+``recombdyn.lattice``, ``recombdyn.measure``, ``recombdyn.recombinator``).
 """
 
 from .dynamics import (
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    crossover_solution,
+    crossover_grid,
     product_flow_apply,
+    product_flow_grid,
     rk4_integrate,
-    semigroup_apply,
 )
-from .generalized import CyclicOperator, generalized_flow_apply
+from .generalized import CyclicOperator, generalized_flow_grid
 from .lattice import LinkSet
 from .measure import Measure, ProductSpace, random_probability, total_variation
 from .recombinator import recombine
@@ -37,13 +38,13 @@ __all__ = [
     "ProductSpace",
     "RateMap",
     "Trajectory",
-    "crossover_solution",
-    "generalized_flow_apply",
+    "crossover_grid",
+    "generalized_flow_grid",
     "product_flow_apply",
+    "product_flow_grid",
     "random_probability",
     "recombine",
     "rk4_integrate",
-    "semigroup_apply",
     "total_variation",
     "__version__",
 ]

@@ -27,9 +27,8 @@ from .dynamics import (
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    coefficient_a,
-    coefficient_b,
     compile_field,
+    expansion_coefficients,
     integrate_field,
     output_grid,
     product_flow_grid,
@@ -78,19 +77,6 @@ class ScenarioParseError(Exception):
 
 class ScenarioValidationError(Exception):
     pass
-
-
-def _tolerance_scale() -> float:
-    raw = os.environ.get("RECO_TOLERANCE_SCALE", "")
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"RECO_TOLERANCE_SCALE={raw!r} is not a float") from exc
-    if not (math.isfinite(scale) and scale > 0):
-        raise ScenarioValidationError("RECO_TOLERANCE_SCALE must be finite and positive")
-    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +305,7 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 # ---------------------------------------------------------------------------
 
 
-def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
+def _run_one(config: str, out_path: Path, fmt: str) -> int:
     scenario = load_scenario(config)
     runtime = _build_runtime(scenario)
     solver = scenario.solver
@@ -350,20 +336,19 @@ def _run_one(config: str, out_path: Path, fmt: str, scale: float) -> int:
     _write_trajectory(primary, out_path, fmt)
 
     if gaps is not None:
-        tolerance = BOTH_MODE_TOLERANCE * scale
         report = {
             "times": list(closed_traj.times),
             "gaps": gaps,
             "max_gap": max(gaps),
-            "tolerance": tolerance,
-            "passed": max(gaps) <= tolerance,
+            "tolerance": BOTH_MODE_TOLERANCE,
+            "passed": max(gaps) <= BOTH_MODE_TOLERANCE,
         }
         with _atomic_stream(_report_path(out_path)) as stream:
             stream.write(_dump_json(report))
         if not report["passed"]:
             print(
                 f"{config}: closed form and rk4 disagree by {max(gaps):.3e} "
-                f"(tolerance {tolerance:.3e})",
+                f"(tolerance {BOTH_MODE_TOLERANCE:.3e})",
                 file=sys.stderr,
             )
             return EXIT_NUMERIC
@@ -428,11 +413,10 @@ def _dump_json(payload: dict) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scale = _tolerance_scale()
     configs = args.config
     out = Path(args.out)
     if len(configs) == 1:
-        return _run_one(configs[0], out, args.format, scale)
+        return _run_one(configs[0], out, args.format)
     # Batch mode: the output path is a directory, one artifact (and report)
     # per scenario, named after the config; no two scenarios may share one.
     suffix = ".csv" if args.format == "csv" else ".json"
@@ -447,17 +431,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             owners[path] = cfg
     # In config order, in this thread, so stderr follows the config order.
     codes = [
-        _run_isolated(cfg, target, args.format, scale)
+        _run_isolated(cfg, target, args.format)
         for cfg, target in zip(configs, targets)
     ]
     return max(codes)
 
 
-def _run_isolated(config: str, out_path: Path, fmt: str, scale: float) -> int:
+def _run_isolated(config: str, out_path: Path, fmt: str) -> int:
     # One scenario of a batch: its parse or validation error is reported with
     # its path and becomes its exit code; the other scenarios still run.
     try:
-        return _run_one(config, out_path, fmt, scale)
+        return _run_one(config, out_path, fmt)
     except ScenarioParseError as exc:
         print(f"{config}: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -472,10 +456,9 @@ def _run_isolated(config: str, out_path: Path, fmt: str, scale: float) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    scale = _tolerance_scale()
     if args.seed < 0:
         raise ScenarioValidationError(f"seed must be nonnegative, got {args.seed}")
-    report = run_suite(args.suite, args.seed, scale)
+    report = run_suite(args.suite, args.seed)
     text = _dump_json(report)
     if args.out:
         with _atomic_stream(Path(args.out)) as stream:
@@ -516,8 +499,9 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
     while t <= args.t_end + args.t_step * 1e-9:
         times.append(round(t, 12))
         t += args.t_step
-    rows_a = [[coefficient_a(ls, rates, t) for ls in subsets] for t in times]
-    rows_b = [[coefficient_b(ls, rates, t) for ls in subsets] for t in times]
+    # Columns ascend by bitmask, as all_link_sets does.
+    table_a, table_b = expansion_coefficients(rates, times)
+    rows_a, rows_b = table_a.tolist(), table_b.tolist()
 
     with _atomic_stream(Path(args.out)) as stream:
         if args.format == "csv":

@@ -16,14 +16,14 @@ summed over cut sets G.  Three solvable regimes get closed forms here:
       a_G(t)  = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t}),
   which the verify suite keeps as the reference for the product.
 
-Time enters these forms only through scalar coefficients, so each closed form
-takes a whole time grid and returns a stack, one row of weights per time:
+Time enters these forms only through scalar coefficients, so every
+time-dependent function takes a whole time grid and returns one row per time:
 ``product_flow_grid`` and ``crossover_grid`` apply each one-set flow
 W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the whole stack in place, one
-recombination per cut set for the grid, and ``moebius_rows`` transforms
-every row of a stack.  The per-time functions (``semigroup_apply``,
-``product_flow_apply``, ``crossover_solution``, ``moebius_transform``) are
-their one-row case.
+recombination per cut set for the grid, ``expansion_coefficients`` tabulates
+a_G(t) and b_G(t) for every cut set, and ``moebius_rows`` transforms every row
+of a stack.  ``product_flow_apply`` keeps one time per component: it is the
+multi-parameter semigroup, and a one-set system at one time is the one-set flow.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``integrate_field`` on any flat
@@ -101,10 +101,6 @@ class RateMap:
         object.__setattr__(self, "entries", tuple(normalized))
 
     @classmethod
-    def empty(cls, n_links: int) -> "RateMap":
-        return cls(n_links, ())
-
-    @classmethod
     def single(cls, links: LinkSet, rate: float) -> "RateMap":
         return cls(links.n_links, ((links, rate),))
 
@@ -119,9 +115,6 @@ class RateMap:
                 for i, r in enumerate(link_rates)
             ),
         )
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -564,32 +557,13 @@ def _one_set_flows(
     # survival s = e^{-rate t}.  In place, with one stack-sized temporary.
     stack = np.tile(omega0.weights, (len(factors[0][2]), 1))
     for links, rate, times in factors:
-        # math.exp as in the coefficient functions; np.exp may round differently.
+        # math.exp as in expansion_coefficients; np.exp may round differently.
         survival = np.array([math.exp(-rate * t) for t in times])[:, None]
         recombined = recombine_rows(stack, omega0.space, links)
         stack *= survival
         recombined *= 1.0 - survival
         stack += recombined
     return stack
-
-
-def semigroup_apply(omega0: Measure, links: LinkSet, rho: float, t: float) -> Measure:
-    """Closed-form one-cut-set flow at time t for a positive initial state.
-
-    The state slides from the initial measure to its recombination along a
-    single exponential: e^{-rho t} omega_0 + (1 - e^{-rho t}) R(omega_0).
-    Positivity and total mass are preserved.  This is the one-row,
-    one-component case of ``product_flow_grid``.
-    """
-    if len(links) == 0:
-        raise ValueError("the empty cut set generates the constant flow; use it directly")
-    if not rho > 0.0:
-        raise ValueError(f"rate must be positive, got {rho}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    require_positive(omega0, "semigroup_apply")
-    w = _one_set_flows(omega0, [(links, float(rho), [float(t)])])[0]
-    return Measure(omega0.space, w, omega0.nodes)
 
 
 def _check_system(omega0: Measure, system: DisjointStretchSystem) -> None:
@@ -618,9 +592,10 @@ def product_flow_apply(
 ) -> Measure:
     """Compose the one-set flows of a disjoint-stretch system, one time each.
 
-    The factors commute, so the application order does not matter; with all
-    times equal this is the solution of the combined rate equation, the
-    one-row case of ``product_flow_grid``.
+    This is the multi-parameter semigroup: the factors commute, so the
+    application order does not matter.  One component gives the one-set flow
+    e^{-rho t} omega_0 + (1 - e^{-rho t}) R(omega_0); with all times equal it
+    is the solution of the combined rate equation, a row of ``product_flow_grid``.
     """
     times = _times(ts)
     if len(times) != len(system.components):
@@ -642,37 +617,33 @@ def _validated_link_rates(link_rates: Sequence[float], n_links: int) -> list[flo
     return rates
 
 
-def coefficient_a(links: LinkSet, link_rates: Sequence[float], t: float) -> float:
-    """Weight of R_G(omega_0) in the single-crossover expansion at time t.
+def expansion_coefficients(
+    link_rates: Sequence[float], times: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The single-crossover expansion weights a_G(t) and b_G(t) on a time grid.
 
-    Probabilistically: the chance that, by time t, recombination has happened
-    at exactly the links in the set and at none outside it.
+    Returns two (len(times), 2^n) tables whose column G (a bitmask of links)
+    holds, row by row:
+
+    * a_G(t) = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t}),
+      the weight of R_G(omega_0): the chance that by time t recombination has
+      happened at exactly the links in G;
+    * b_G(t) = prod_{a not in G} e^{-rho_a t}, the sum of a over the subsets
+      of G: the chance that no link outside G has recombined.
+
+    Every cell is the product of its factors in link order, from 1.0.
     """
-    rates = _validated_link_rates(link_rates, links.n_links)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    value = 1.0
+    rates = _validated_link_rates(link_rates, len(link_rates))
+    times = _times(times)
+    bits = np.arange(1 << len(rates))
+    a = np.ones((len(times), bits.size))
+    b = np.ones((len(times), bits.size))
     for i, rate in enumerate(rates):
-        decayed = math.exp(-rate * t)
-        value *= (1.0 - decayed) if i in links else decayed
-    return value
-
-
-def coefficient_b(links: LinkSet, link_rates: Sequence[float], t: float) -> float:
-    """Cumulative expansion weight: the sum of ``coefficient_a`` over subsets.
-
-    The sum telescopes to the chance that no link outside the set has
-    recombined by time t, prod_{a not in G} e^{-rho_a t}, formed here in
-    ``coefficient_a``'s factor order.
-    """
-    rates = _validated_link_rates(link_rates, links.n_links)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    value = 1.0
-    for i, rate in enumerate(rates):
-        if i not in links:
-            value *= math.exp(-rate * t)
-    return value
+        decayed = np.array([math.exp(-rate * t) for t in times])[:, None]
+        hit = bits & (1 << i) != 0
+        a *= np.where(hit, 1.0 - decayed, decayed)
+        b *= np.where(hit, 1.0, decayed)
+    return a, b
 
 
 def crossover_grid(
@@ -689,13 +660,6 @@ def crossover_grid(
     rates = _validated_link_rates(link_rates, omega0.space.n_links)
     system = DisjointStretchSystem(RateMap.crossover(rates).entries)
     return product_flow_grid(omega0, system, times)
-
-
-def crossover_solution(
-    omega0: Measure, link_rates: Sequence[float], t: float
-) -> Measure:
-    """Closed-form single-crossover flow at time t: the one-row ``crossover_grid``."""
-    return Measure(omega0.space, crossover_grid(omega0, link_rates, [t])[0], omega0.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +705,7 @@ def check_linearization(
 
     The trajectory is ``crossover_grid`` on the whole grid and its transform
     is taken row by row; the comparison line is the decoupled linear decay
-    the transform predicts, with the factor ``coefficient_b(G, t)``.
+    the transform predicts, with the factor b_G(t) of ``expansion_coefficients``.
     """
     _validated_link_rates(link_rates, links.n_links)
     require_positive(omega0, "check_linearization")
@@ -749,7 +713,7 @@ def check_linearization(
     base = moebius_transform(omega0, links).weights
     states = crossover_grid(omega0, link_rates, times)
     defect = moebius_rows(states, omega0.space, links)
-    defect -= np.multiply.outer([coefficient_b(links, link_rates, t) for t in times], base)
+    defect -= np.multiply.outer(expansion_coefficients(link_rates, times)[1][:, links.bits], base)
     return float(np.abs(defect).sum(axis=1).max(initial=0.0))
 
 

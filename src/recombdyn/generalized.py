@@ -25,10 +25,11 @@ Summed over k = j (mod L), the order-n coefficients are the order-L ones
 (at L = 1, F_0(t) = e^t: the one-set flow).  So the flow folds by cycle
 length: each block-0 state takes ``flow_coefficients(L, rho t)`` of its own
 cycle, and no work grows with the lcm of the cycle lengths.
-``generalized_flow_grid`` forms R(omega_0) and its relabelings
-C^1, ..., C^longest once for a whole time grid, one row per time, and
-``generalized_flow_apply`` is its one-row case.  The generator rho (C - 1) is
-``compile_field`` of the one cut set with g; with no cuts, C = sigma.
+``generalized_flow_grid`` forms R(omega_0) and its relabelings C^1, ..., C^L
+of each cycle-length group once for a whole time grid, one row per time; a
+single time is its one-row grid.  ``gfun`` likewise tabulates F_0, ..., F_{n-1}
+over a whole vector of times.  The generator rho (C - 1) is ``compile_field``
+of the one cut set with g; with no cuts, C = sigma.
 """
 
 from __future__ import annotations
@@ -76,20 +77,22 @@ def _slices(n: int, times: Sequence[float], shift: float, drop_m0: bool = False)
     return table.real
 
 
-def gfun(n: int, k: int, t: float) -> float:
-    """Order-n filtered exponential slice F_k evaluated at t; k wraps modulo n."""
-    return float(_slices(n, [t], 0.0)[0, k % int(n)])
+def gfun(n: int, times: Sequence[float]) -> np.ndarray:
+    """The (len(times), n) table of the order-n filtered exponential slices:
+    row j holds F_0(t_j), ..., F_{n-1}(t_j)."""
+    return _slices(n, times, 0.0)
 
 
-def gfun_asymptotic_check(n: int, k: int, t_large: float) -> float:
-    """|e^{-t} F_k(t) - 1/n| at a (large) time; converges to 0 like the
-    slowest nontrivial mode, i.e. within 2 * exp((cos(2 pi / n) - 1) t).
+def gfun_asymptotic_check(n: int, t_large: float) -> np.ndarray:
+    """|e^{-t} F_k(t) - 1/n| for k = 0, ..., n-1 at one (large) time; each
+    converges to 0 like the slowest nontrivial mode, i.e. within
+    2 * exp((cos(2 pi / n) - 1) t).
 
     The m = 0 mode contributes exactly 1/n, so dropping it gives the
     deviation directly, with full relative accuracy even when it sits far
     below the rounding floor of e^{-t} * F_k(t) - 1/n.
     """
-    return abs(float(_slices(n, [t_large], 1.0, drop_m0=True)[0, k % int(n)]))
+    return np.abs(_slices(n, [t_large], 1.0, drop_m0=True)[0])
 
 
 def roots_of_unity_mean(n: int, exponent: int) -> complex:
@@ -194,9 +197,9 @@ def generalized_flow_grid(
     """Closed-form flow of  d/dt x = rho (C - 1)(x)  on a whole time grid.
 
     Returns the (len(times), states) stack whose row k is the state at
-    ``times[k]``: omega_0 and its powers C^1, ..., C^longest, formed once,
-    weighted state by state by ``flow_coefficients(L, rho t)`` of the state's
-    block-0 cycle length L.  Coefficients sum to one, so mass is conserved;
+    ``times[k]``: omega_0 and its powers C^1, ..., C^L, weighted state by
+    state by ``flow_coefficients(L, rho t)`` of the state's block-0 cycle
+    length L.  One time is the one-row grid.  Coefficients sum to one, so mass is conserved;
     they are nonnegative for all t >= 0, so positivity is preserved as well.
     A row at t = 0 is omega_0 exactly.
     """
@@ -209,17 +212,6 @@ def generalized_flow_grid(
     return _flow_rows(omega0, op, rho, times)
 
 
-def generalized_flow_apply(
-    omega0: Measure, op: CyclicOperator, rho: float, t: float
-) -> Measure:
-    """The flow at one time t, the one-row case of ``generalized_flow_grid``.
-
-    At t = 0 it returns ``omega0`` itself.
-    """
-    stack = generalized_flow_grid(omega0, op, rho, [t])
-    return omega0 if t == 0.0 else Measure(omega0.space, stack[0], omega0.nodes)
-
-
 def _flow_rows(
     omega0: Measure, op: CyclicOperator, rho: float, times: Sequence[float]
 ) -> np.ndarray:
@@ -227,20 +219,23 @@ def _flow_rows(
     # through t = 0); rows at t == 0 are omega_0 exactly.
     if omega0.space.sizes != op.space.sizes:
         raise ValueError("measure does not live on the operator's space")
-    # Each block-0 state takes the order-L coefficients of its own cycle; a
-    # state on a cycle shorter than the longest gets zeros past C^L.
+    # The block-0 states on cycles of length L share the order-L coefficients,
+    # so each group's rows are outer products of one coefficient column with
+    # omega_0 and C^1, ..., C^L restricted to the group.
     taus = rho * np.asarray(times, dtype=np.float64)
     lengths = np.asarray(op.cycle_length)
-    longest = int(lengths.max())
-    table = np.zeros((taus.size, longest + 1, lengths.size))
-    for n in set(op.cycle_length):
-        table[:, : n + 1, lengths == n] = flow_coefficients(n, taus)[:, :, None]
     rows = (lengths.size, omega0.space.total_states // lengths.size)
-    stack = table[:, 0, :, None] * omega0.weights.reshape(rows)
-    power = recombine(omega0, op.cuts).weights
-    for k in range(1, longest + 1):
-        power = _relabel_block0(power, op.perm)
-        stack += table[:, k, :, None] * power.reshape(rows)
+    stack = np.empty((taus.size, *rows))
+    base = recombine(omega0, op.cuts).weights
+    for n in set(op.cycle_length):
+        group = lengths == n
+        coeffs = flow_coefficients(n, taus)
+        part = np.multiply.outer(coeffs[:, 0], omega0.weights.reshape(rows)[group])
+        power = base
+        for k in range(1, n + 1):
+            power = _relabel_block0(power, op.perm)
+            part += np.multiply.outer(coeffs[:, k], power.reshape(rows)[group])
+        stack[:, group] = part
     stack = stack.reshape(taus.size, omega0.space.total_states)
     stack[[t == 0.0 for t in times]] = omega0.weights
     return stack
@@ -251,9 +246,10 @@ def check_flow_commutation(
 ) -> float:
     """Total variation of  C(phi_t(x)) - phi_t(C(x)); zero for this construction."""
     require_positive(omega0, "check_flow_commutation")
-    forward = cyclic_apply(generalized_flow_apply(omega0, op, rho, t), op, 1)
-    swapped = generalized_flow_apply(cyclic_apply(omega0, op, 1), op, rho, t)
-    return float(np.abs(forward.weights - swapped.weights).sum())
+    flowed = Measure(omega0.space, generalized_flow_grid(omega0, op, rho, [t])[0])
+    forward = cyclic_apply(flowed, op, 1).weights
+    swapped = generalized_flow_grid(cyclic_apply(omega0, op, 1), op, rho, [t])[0]
+    return float(np.abs(forward - swapped).sum())
 
 
 def check_generalized_ode(

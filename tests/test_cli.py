@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recombdyn import cli
+from recombdyn import cli, verify
 from recombdyn.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -21,7 +21,7 @@ from recombdyn.cli import (
 from recombdyn.dynamics import (
     DisjointStretchSystem,
     Trajectory,
-    crossover_solution,
+    crossover_grid,
     output_grid,
     product_flow_grid,
     trajectory_to_csv,
@@ -643,7 +643,7 @@ def test_run_csv_artifact_is_the_library_csv(tmp_path):
     omega0 = random_probability(ProductSpace((2, 3, 2)), 11)
     grid = output_grid(0.5, 0.001, 50)
     traj = Trajectory(omega0.space, tuple(grid),
-                      np.array([crossover_solution(omega0, per_link, t).weights for t in grid]))
+                      np.array([crossover_grid(omega0, per_link, [t])[0] for t in grid]))
     assert out.read_text() == csv_text(traj)
 
 
@@ -798,16 +798,25 @@ def test_verify_unknown_suite_exits_two():
 
 
 def test_verify_tampered_tolerance_fails(tmp_path, monkeypatch):
-    monkeypatch.setenv("RECO_TOLERANCE_SCALE", "1e-30")
-    code = main(["verify", "--suite", "moebius", "--seed", "9",
-                 "--out", str(tmp_path / "r.json")])
+    # Every check at 1e-30 of its tolerance: the suite's nonzero defects fail.
+    check = verify._check
+    monkeypatch.setattr(verify, "_check",
+                        lambda name, value, tolerance: check(name, value, tolerance * 1e-30))
+    out = tmp_path / "r.json"
+    code = main(["verify", "--suite", "moebius", "--seed", "9", "--out", str(out)])
     assert code == EXIT_PROPERTY
+    report = json.loads(out.read_text())
+    assert not report["passed"] and report["tolerance_scale"] == 1.0
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan"])
-def test_verify_rejects_non_finite_tolerance_scale(monkeypatch, scale):
-    monkeypatch.setenv("RECO_TOLERANCE_SCALE", scale)
-    assert main(["verify", "--suite", "generalized"]) == EXIT_VALIDATION
+def test_verify_ignores_a_tolerance_scale_variable(tmp_path, monkeypatch):
+    # Tolerances are fixed: the report is the same whatever the environment.
+    plain, scaled = tmp_path / "plain.json", tmp_path / "scaled.json"
+    assert main(["verify", "--suite", "generalized", "--out", str(plain)]) == EXIT_OK
+    monkeypatch.setenv("RECO_TOLERANCE_SCALE", "1e-30")
+    assert main(["verify", "--suite", "generalized", "--out", str(scaled)]) == EXIT_OK
+    assert scaled.read_bytes() == plain.read_bytes()
+    assert json.loads(plain.read_text())["tolerance_scale"] == 1.0
 
 
 # No private name crosses a module of the package.

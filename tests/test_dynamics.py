@@ -11,11 +11,9 @@ from recombdyn.dynamics import (
     RateMap,
     Trajectory,
     check_linearization,
-    coefficient_a,
-    coefficient_b,
     compile_field,
     crossover_grid,
-    crossover_solution,
+    expansion_coefficients,
     integrate_field,
     moebius_rows,
     moebius_transform,
@@ -24,7 +22,6 @@ from recombdyn.dynamics import (
     product_flow_grid,
     rk4_integrate,
     rk4_integrate_many,
-    semigroup_apply,
     trajectory_to_csv,
     trajectory_to_json_dict,
 )
@@ -40,6 +37,22 @@ from recombdyn.recombinator import recombine, recombine_weights
 
 SPACE = ProductSpace((2, 2))
 CUT = LinkSet.from_indices([0], 1)
+
+
+def one_set_flow(omega, links, rho, t):
+    """The one-set flow at one time: ``product_flow_apply`` of one component."""
+    return product_flow_apply(omega, DisjointStretchSystem(((links, rho),)), [t])
+
+
+def crossover_at(omega, rates, t):
+    """The single-crossover flow at one time: the one-row ``crossover_grid``."""
+    return Measure(omega.space, crossover_grid(omega, rates, [t])[0])
+
+
+def coefficients_at(rates, t):
+    """Rows a(t) and b(t) of ``expansion_coefficients``, indexed by bitmask."""
+    a, b = expansion_coefficients(rates, [t])
+    return a[0].tolist(), b[0].tolist()
 
 
 def test_vector_field_hand_example():
@@ -59,7 +72,7 @@ def test_vector_field_vanishes_on_product_measures():
 
 def test_vector_field_empty_rates_is_zero():
     omega = random_probability(SPACE, 3)
-    assert np.abs(compile_field(SPACE, RateMap.empty(1))(omega.weights)).sum() == 0.0
+    assert np.abs(compile_field(SPACE, RateMap(1, ()))(omega.weights)).sum() == 0.0
 
 
 def test_vector_field_total_weight_is_zero_on_positives():
@@ -127,7 +140,7 @@ def test_compile_field_zero_measure_and_empty_rates(sizes, kernel):
     assert field.__name__ == kernel
     np.testing.assert_array_equal(field(zero), zero)
     w = random_probability(space, 2).weights
-    empty = compile_field(space, RateMap.empty(space.n_links))
+    empty = compile_field(space, RateMap(space.n_links, ()))
     np.testing.assert_array_equal(empty(w), zero)
     only_zero_rate = compile_field(
         space, RateMap.single(LinkSet.from_indices([1], space.n_links), 0.0)
@@ -157,7 +170,7 @@ def test_ratemap_validation():
 
 def test_rk4_empty_rates_constant_trajectory():
     omega = random_probability(SPACE, 5)
-    traj = rk4_integrate(omega, RateMap.empty(1), t_end=0.5, h=0.1)
+    traj = rk4_integrate(omega, RateMap(1, ()), t_end=0.5, h=0.1)
     for state in traj.states:
         np.testing.assert_array_equal(state.weights, omega.weights)
 
@@ -175,7 +188,7 @@ def test_rk4_partial_final_step_lands_on_t_end():
     assert traj.times[-1] == 0.25
     assert len(traj) == 4
     # The last row is the state at 0.25, not the one at 0.2 stored again.
-    exact = semigroup_apply(omega, CUT, 1.0, 0.25)
+    exact = one_set_flow(omega, CUT, 1.0, 0.25)
     assert total_variation(traj.states[-1] - exact) <= 1e-6
     assert total_variation(traj.states[-2] - exact) > 1e-4
 
@@ -196,7 +209,7 @@ def test_rk4_matches_semigroup():
     omega = random_probability(ProductSpace((2, 3, 2)), 7)
     cut = LinkSet.from_indices([0], 2)
     traj = rk4_integrate(omega, RateMap.single(cut, 1.0), t_end=1.0, h=1e-3)
-    gap = total_variation(traj.states[-1] - semigroup_apply(omega, cut, 1.0, 1.0))
+    gap = total_variation(traj.states[-1] - one_set_flow(omega, cut, 1.0, 1.0))
     assert gap <= 1e-8
     for state in traj.states:
         assert abs(state.mass - omega.mass) <= 1e-9
@@ -281,7 +294,7 @@ def test_rk4_integrate_many_idle_problems_next_to_live_ones():
     tiny = Measure(space, 1e-303 * random_probability(space, 8).weights)
     problems = [
         (live, RateMap.crossover([1.0, 0.5])),
-        (random_probability(space, 9), RateMap.empty(2)),
+        (random_probability(space, 9), RateMap(2, ())),
         (tiny, RateMap.crossover([1.0, 0.5])),
         (random_probability(SPACE, 10), RateMap.single(CUT, 0.0)),
         (live, RateMap(2, ((LinkSet.from_indices([0], 2), 0.0),
@@ -315,14 +328,14 @@ def test_rk4_integrate_many_validation():
 
 def test_semigroup_time_zero_is_identity():
     omega = random_probability(SPACE, 2)
-    out = semigroup_apply(omega, CUT, 1.7, 0.0)
+    out = one_set_flow(omega, CUT, 1.7, 0.0)
     np.testing.assert_array_equal(out.weights, omega.weights)
 
 
 def test_semigroup_long_time_reaches_recombination():
     omega = random_probability(ProductSpace((2, 3)), 4)
     cut = LinkSet.from_indices([0], 1)
-    final = semigroup_apply(omega, cut, 1.0, 50.0)
+    final = one_set_flow(omega, cut, 1.0, 50.0)
     assert total_variation(final - recombine(omega, cut)) <= 1e-20
 
 
@@ -335,19 +348,24 @@ def test_semigroup_exact_decay_identity():
         equilibrium = recombine(omega, cut)
         span = total_variation(omega - equilibrium)
         for t in (0.1, 1.0, 3.0):
-            lhs = total_variation(semigroup_apply(omega, cut, rho, t) - equilibrium)
+            lhs = total_variation(one_set_flow(omega, cut, rho, t) - equilibrium)
             rhs = math.exp(-rho * t) * span
             assert abs(lhs - rhs) <= 1e-12 * rhs
 
 
 def test_semigroup_validation():
+    # The one-set flow is product_flow_apply of a one-component system: the
+    # system rejects an empty cut set and a rate 0, the flow a negative time
+    # and a signed state.
     omega = random_probability(SPACE, 2)
-    with pytest.raises(ValueError):
-        semigroup_apply(omega, LinkSet.empty(1), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        semigroup_apply(omega, CUT, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        semigroup_apply(omega, CUT, 1.0, -0.1)
+    with pytest.raises(ValueError, match="nonempty"):
+        one_set_flow(omega, LinkSet.empty(1), 1.0, 1.0)
+    with pytest.raises(ValueError, match="> 0"):
+        one_set_flow(omega, CUT, 0.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        one_set_flow(omega, CUT, 1.0, -0.1)
+    with pytest.raises(ValueError, match="positive"):
+        one_set_flow(Measure(SPACE, [0.5, 0.6, -0.1, 0.0]), CUT, 1.0, 1.0)
 
 
 def test_stretch_system_validation():
@@ -372,10 +390,13 @@ def test_product_flow_zero_times_and_single_component():
     unchanged = product_flow_apply(omega, system, [0.0, 0.0])
     np.testing.assert_array_equal(unchanged.weights, omega.weights)
 
+    # One component at one time is the one-set flow, the row of its grid.
     solo = DisjointStretchSystem(((LinkSet.from_indices([0], 2), 1.3),))
     via_flow = product_flow_apply(omega, solo, [0.9])
-    direct = semigroup_apply(omega, LinkSet.from_indices([0], 2), 1.3, 0.9)
-    np.testing.assert_array_equal(via_flow.weights, direct.weights)
+    np.testing.assert_array_equal(via_flow.weights, product_flow_grid(omega, solo, [0.9])[0])
+    survival = math.exp(-1.3 * 0.9)
+    direct = survival * omega + (1.0 - survival) * recombine(omega, solo.union())
+    assert total_variation(via_flow - direct) <= 1e-15
 
     with pytest.raises(ValueError):
         product_flow_apply(omega, system, [0.1])
@@ -403,69 +424,99 @@ def test_product_flow_order_independence():
         l1 = LinkSet.from_indices([0], 3)
         l2 = LinkSet.from_indices([2], 3)
         s, t = 0.7, 1.3
-        forward = semigroup_apply(semigroup_apply(omega, l1, 1.0, s), l2, 0.6, t)
-        backward = semigroup_apply(semigroup_apply(omega, l2, 0.6, t), l1, 1.0, s)
+        forward = one_set_flow(one_set_flow(omega, l1, 1.0, s), l2, 0.6, t)
+        backward = one_set_flow(one_set_flow(omega, l2, 0.6, t), l1, 1.0, s)
         assert total_variation(forward - backward) <= 1e-12
 
 
 def test_crossover_time_zero_identity():
     omega = random_probability(ProductSpace((2, 2, 2)), 1)
-    out = crossover_solution(omega, [1.0, 0.5], 0.0)
+    out = crossover_at(omega, [1.0, 0.5], 0.0)
     np.testing.assert_array_equal(out.weights, omega.weights)
 
 
 def test_crossover_coefficients_at_log_two():
     # e^{-t} = 1/2 at t = ln 2 makes every weight 1/4 on two links
-    t = math.log(2.0)
-    rates = [1.0, 1.0]
+    a, b = coefficients_at([1.0, 1.0], math.log(2.0))
     for links in all_link_sets(2):
-        assert abs(coefficient_a(links, rates, t) - 0.25) <= 1e-12
-    assert abs(coefficient_b(LinkSet.from_indices([0], 2), rates, t) - 0.5) <= 1e-12
+        assert abs(a[links.bits] - 0.25) <= 1e-12
+    assert abs(b[LinkSet.from_indices([0], 2).bits] - 0.5) <= 1e-12
 
 
 def test_coefficient_a_limits():
     rates = [0.7, 1.1, 0.4]
-    empty = LinkSet.empty(3)
-    full = LinkSet.full(3)
-    assert abs(coefficient_a(empty, rates, 2.0) - math.exp(-2.0 * sum(rates))) <= 1e-14
-    assert coefficient_a(empty, rates, 0.0) == 1.0
-    assert coefficient_a(full, rates, 0.0) == 0.0
-    assert abs(coefficient_a(full, rates, 200.0) - 1.0) <= 1e-12
-    assert abs(coefficient_b(full, rates, 1.3) - 1.0) <= 1e-12
-    assert coefficient_b(empty, rates, 1.3) == coefficient_a(empty, rates, 1.3)
+    empty, full = LinkSet.empty(3).bits, LinkSet.full(3).bits
+    a, b = expansion_coefficients(rates, [0.0, 1.3, 2.0, 200.0])
+    assert abs(a[2, empty] - math.exp(-2.0 * sum(rates))) <= 1e-14
+    assert a[0, empty] == 1.0
+    assert a[0, full] == 0.0
+    assert abs(a[3, full] - 1.0) <= 1e-12
+    assert abs(b[1, full] - 1.0) <= 1e-12
+    assert b[1, empty] == a[1, empty]
 
 
 def test_coefficient_sum_is_one():
-    rates = [1.0, 0.3, 0.8]
-    for t in np.linspace(0.0, 5.0, 11):
-        total = sum(coefficient_a(ls, rates, float(t)) for ls in all_link_sets(3))
-        assert abs(total - 1.0) <= 1e-12
+    a, _ = expansion_coefficients([1.0, 0.3, 0.8], np.linspace(0.0, 5.0, 11).tolist())
+    assert a.shape == (11, 8)
+    for row in a.tolist():
+        assert abs(sum(row) - 1.0) <= 1e-12
 
 
 def test_coefficient_validation():
-    for coefficient in (coefficient_a, coefficient_b):
-        with pytest.raises(ValueError):
-            coefficient(LinkSet.empty(2), [1.0, 0.0], 1.0)
-        with pytest.raises(ValueError):
-            coefficient(LinkSet.empty(2), [1.0], 1.0)
-        with pytest.raises(ValueError):
-            coefficient(LinkSet.empty(2), [1.0, 0.5], -0.1)
+    with pytest.raises(ValueError):
+        expansion_coefficients([1.0, 0.0], [1.0])
+    with pytest.raises(ValueError):
+        expansion_coefficients([1.0, math.inf], [1.0])
+    with pytest.raises(ValueError):
+        expansion_coefficients([1.0, 0.5], [0.5, -0.1])
     omega = random_probability(ProductSpace((2, 2, 2)), 0)
     with pytest.raises(ValueError):
-        crossover_solution(omega, [1.0, -0.5], 1.0)
+        check_linearization(omega, [1.0], LinkSet.empty(2), [1.0])
+    with pytest.raises(ValueError):
+        crossover_grid(omega, [1.0, -0.5], [1.0])
 
 
 def subset_expansion(omega, rates, t):
     """The paper's sum_G a_G(t) R_G(omega) over all cut sets."""
-    terms = (
-        coefficient_a(ls, rates, t) * recombine(omega, ls)
-        for ls in all_link_sets(len(rates))
-    )
+    a, _ = coefficients_at(rates, t)
+    terms = (a[ls.bits] * recombine(omega, ls) for ls in all_link_sets(len(rates)))
     return sum(terms, start=Measure.zero(omega.space))
 
 
+def reference_coefficients(rates, times):
+    """a_G(t) and b_G(t) cell by cell: math.exp factors multiplied from 1.0 in
+    link order, the definition ``expansion_coefficients`` must match bit for bit."""
+    a, b = [], []
+    for t in times:
+        row_a, row_b = [], []
+        for ls in all_link_sets(len(rates)):
+            value_a = value_b = 1.0
+            for i, rate in enumerate(rates):
+                decayed = math.exp(-rate * t)
+                value_a *= (1.0 - decayed) if i in ls else decayed
+                if i not in ls:
+                    value_b *= decayed
+            row_a.append(value_a)
+            row_b.append(value_b)
+        a.append(row_a)
+        b.append(row_b)
+    return a, b
+
+
+def test_expansion_coefficients_are_bit_exact_products_in_link_order():
+    times = [0.0, 1e-9, 0.1, 0.25, 0.5, 1.0, 1.3, 2.0, 3.7, 5.0, 10.0, 50.0, 700.0]
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        rates = rng.uniform(0.05, 3.0, size=n).tolist()
+        a, b = expansion_coefficients(rates, times)
+        assert a.shape == b.shape == (len(times), 1 << n)
+        assert (a.tolist(), b.tolist()) == reference_coefficients(rates, times)
+    a, b = expansion_coefficients([0.5, 2.0], [])
+    assert a.shape == b.shape == (0, 4)
+
+
 def test_crossover_equals_singleton_product_flow():
-    # crossover_solution is the product of the one-link flows; the subset
+    # crossover_grid is the product of the one-link flows; the subset
     # expansion is the independent second opinion.
     space = ProductSpace((2, 3, 2, 2))
     rates = [1.0, 0.4, 0.9]
@@ -473,18 +524,16 @@ def test_crossover_equals_singleton_product_flow():
         omega = random_probability(space, seed)
         for t in (0.2, 0.9, 2.5):
             expansion = subset_expansion(omega, rates, t)
-            product = crossover_solution(omega, rates, t)
+            product = crossover_at(omega, rates, t)
             assert total_variation(expansion - product) <= 1e-10
 
 
 def test_coefficient_b_is_the_subset_sum_of_coefficient_a():
-    rates = [1.0, 0.3, 0.8, 1.7]
-    for t in (0.0, 0.3, 1.0, 5.0):
+    a, b = expansion_coefficients([1.0, 0.3, 0.8, 1.7], [0.0, 0.3, 1.0, 5.0])
+    for row_a, row_b in zip(a.tolist(), b.tolist()):
         for links in all_link_sets(4):
-            subset_sum = math.fsum(
-                coefficient_a(sub, rates, t) for sub in subsets_of(links)
-            )
-            assert abs(coefficient_b(links, rates, t) - subset_sum) <= 1e-15
+            subset_sum = math.fsum(row_a[sub.bits] for sub in subsets_of(links))
+            assert abs(row_b[links.bits] - subset_sum) <= 1e-15
 
 
 def test_moebius_transform_two_point_lattice():
@@ -545,10 +594,10 @@ def test_linearization_three_links():
 def test_transform_decay_matches_cumulative_coefficient():
     omega = random_probability(ProductSpace((2, 2, 2, 2)), 15)
     rates = [1.0, 0.5, 1.4]
-    t = 0.85
-    state = crossover_solution(omega, rates, t)
+    state = crossover_at(omega, rates, 0.85)
+    _, b = coefficients_at(rates, 0.85)
     for links in all_link_sets(3):
-        predicted = coefficient_b(links, rates, t) * moebius_transform(omega, links)
+        predicted = b[links.bits] * moebius_transform(omega, links)
         assert total_variation(moebius_transform(state, links) - predicted) <= 1e-10
 
 
@@ -576,7 +625,7 @@ def test_product_flow_grid_is_its_one_row_case_at_every_time():
     one_set = DisjointStretchSystem(((LinkSet.from_indices([1], 4), 0.8),))
     assert_rows_match(
         product_flow_grid(omega, one_set, GRID),
-        [semigroup_apply(omega, LinkSet.from_indices([1], 4), 0.8, t) for t in GRID],
+        [one_set_flow(omega, LinkSet.from_indices([1], 4), 0.8, t) for t in GRID],
         omega,
     )
     assert product_flow_grid(omega, system, []).shape == (0, space.total_states)
@@ -590,7 +639,7 @@ def test_crossover_grid_is_its_one_row_case_at_every_time():
     omega = random_probability(space, 22)
     stack = crossover_grid(omega, rates, GRID)
     np.testing.assert_array_equal(stack[0], omega.weights)
-    assert_rows_match(stack, [crossover_solution(omega, rates, t) for t in GRID], omega)
+    assert_rows_match(stack, [crossover_at(omega, rates, t) for t in GRID], omega)
     # The subset expansion is the independent second opinion on every row.
     for row, t in zip(stack, GRID):
         assert np.abs(row - subset_expansion(omega, rates, t).weights).sum() <= 1e-10
@@ -614,8 +663,8 @@ def linearization_per_time(omega0, rates, links, times):
     base = moebius_transform(omega0, links)
     worst = 0.0
     for t in times:
-        state = crossover_solution(omega0, rates, t)
-        predicted = coefficient_b(links, rates, t) * base
+        state = crossover_at(omega0, rates, t)
+        predicted = coefficients_at(rates, t)[1][links.bits] * base
         worst = max(worst, total_variation(moebius_transform(state, links) - predicted))
     return worst
 

@@ -10,7 +10,6 @@ from recombdyn.generalized import (
     check_generalized_ode,
     cyclic_apply,
     flow_coefficients,
-    generalized_flow_apply,
     generalized_flow_grid,
     gfun,
     gfun_asymptotic_check,
@@ -26,7 +25,12 @@ from recombdyn.measure import (
     total_variation,
 )
 from recombdyn.recombinator import recombine
-from recombdyn.dynamics import RateMap, compile_field, semigroup_apply
+from recombdyn.dynamics import (
+    DisjointStretchSystem,
+    RateMap,
+    compile_field,
+    product_flow_apply,
+)
 
 
 def series_gfun(n, k, t):
@@ -41,6 +45,16 @@ def series_gfun(n, k, t):
         m += 1
 
 
+def flow_at(omega, op, rho, t):
+    """The cyclic flow at one time: the one-row ``generalized_flow_grid``."""
+    return Measure(omega.space, generalized_flow_grid(omega, op, rho, [t])[0])
+
+
+def gfun_at(n, k, t):
+    """F_k(t) of order n, read from the one-time ``gfun`` table."""
+    return float(gfun(n, [t])[0, k])
+
+
 def three_cycle(seed=7):
     space = ProductSpace((3, 2, 2))
     op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))
@@ -49,13 +63,13 @@ def three_cycle(seed=7):
 
 def test_gfun_rejects_small_order():
     with pytest.raises(ValueError):
-        gfun(0, 0, 1.0)
+        gfun(0, [1.0])
 
 
 def test_order_one_is_the_one_set_flow():
     # A fixed point of the relabeling: F_0 = e^t, and C = R is hit at rate one.
     for t in (0.0, 0.3, 1.0, 7.5):
-        assert abs(gfun(1, 0, t) - math.exp(t)) <= 1e-15 * math.exp(t)
+        assert abs(gfun_at(1, 0, t) - math.exp(t)) <= 1e-15 * math.exp(t)
         coeffs = flow_coefficients(1, t)
         assert coeffs.shape == (2,)
         assert abs(coeffs[0] - math.exp(-t)) <= 1e-16
@@ -68,42 +82,53 @@ def test_gfun_rejects_a_broken_root_table(monkeypatch):
     broken[2] = 1j
     monkeypatch.setattr(generalized, "_roots", lambda n: broken)
     with pytest.raises(ArithmeticError):
-        gfun(3, 0, 1.0)
+        gfun(3, [1.0])
 
 
 def test_gfun_order_two_is_hyperbolic():
-    for t in np.linspace(0.0, 10.0, 51):
-        t = float(t)
-        assert abs(gfun(2, 0, t) - math.cosh(t)) <= 1e-12 * math.cosh(t)
+    times = np.linspace(0.0, 10.0, 51).tolist()
+    for t, (even, odd) in zip(times, gfun(2, times).tolist()):
+        assert abs(even - math.cosh(t)) <= 1e-12 * math.cosh(t)
         expected = math.sinh(t)
-        assert abs(gfun(2, 1, t) - expected) <= 1e-12 * max(expected, 1.0)
+        assert abs(odd - expected) <= 1e-12 * max(expected, 1.0)
 
 
 def test_gfun_matches_factorial_series():
     # independent series oracle; evaluation is backward stable at scale e^t
+    times = (0.3, 1.0, 2.5, 5.0)
     for n in (*range(2, 7), 16, 64):
-        for k in range(n):
-            for t in (0.3, 1.0, 2.5, 5.0):
-                assert abs(gfun(n, k, t) - series_gfun(n, k, t)) <= 1e-13 * math.exp(t)
+        for t, row in zip(times, gfun(n, times).tolist()):
+            for k, value in enumerate(row):
+                assert abs(value - series_gfun(n, k, t)) <= 1e-13 * math.exp(t)
 
 
 def test_gfun_at_zero_is_kronecker():
     for n in range(2, 8):
         for k in range(n):
-            assert abs(gfun(n, k, 0.0) - (1.0 if k == 0 else 0.0)) <= 1e-14
+            assert abs(gfun_at(n, k, 0.0) - (1.0 if k == 0 else 0.0)) <= 1e-14
 
 
-def test_gfun_index_wraps_modulo_order():
-    assert gfun(3, 5, 1.3) == gfun(3, 2, 1.3)
-    assert gfun(4, -1, 0.9) == gfun(4, 3, 0.9)
+def test_gfun_table_rows_are_its_one_time_rows():
+    # Every (n, k, t) the verify suite evaluates: a row of a table over many
+    # times equals the table of that one time, bit for bit.
+    vectors = [(0.3, 1.0, 2.5, 5.0), np.linspace(0.0, 10.0, 41).tolist(), [0.0],
+               np.linspace(0.0, 8.0, 17).tolist(), [0.5, 1.5, 3.0],
+               [0.5 + 1e-4, 1.5 + 1e-4, 3.0 + 1e-4], [0.5 - 1e-4, 1.5 - 1e-4, 3.0 - 1e-4],
+               [2.0 + 1e-2, 2.0 - 1e-2, 2.0 + 5e-3, 2.0 - 5e-3, 2.0]]
+    for n in range(1, 9):
+        for times in vectors:
+            table = gfun(n, times)
+            assert table.shape == (len(times), n)
+            for row, t in zip(table, times):
+                assert np.array_equal(row, gfun(n, [t])[0])
+    assert gfun(3, []).shape == (0, 3)
 
 
 def test_gfun_sums_to_exponential():
     for n in range(2, 7):
-        for t in np.linspace(0.0, 8.0, 9):
-            t = float(t)
-            total = sum(gfun(n, k, t) for k in range(n))
-            assert abs(total - math.exp(t)) <= 1e-10 * math.exp(t)
+        times = np.linspace(0.0, 8.0, 9).tolist()
+        for t, row in zip(times, gfun(n, times).tolist()):
+            assert abs(sum(row) - math.exp(t)) <= 1e-10 * math.exp(t)
 
 
 def test_gfun_scaled_consistency():
@@ -114,7 +139,7 @@ def test_gfun_scaled_consistency():
             scaled = [coeffs[n] + coeffs[0]] + [coeffs[n - k] for k in range(1, n)]
             assert abs(coeffs[0] - math.exp(-t)) <= 1e-13
             for k in range(n):
-                assert abs(scaled[k] - math.exp(-t) * gfun(n, k, t)) <= 1e-13
+                assert abs(scaled[k] - math.exp(-t) * gfun_at(n, k, t)) <= 1e-13
 
 
 def test_gfun_derivative_recurrence():
@@ -122,8 +147,8 @@ def test_gfun_derivative_recurrence():
     for n in range(2, 7):
         for k in range(n):
             for t in (0.5, 1.5, 3.0):
-                diff = (gfun(n, k, t + h) - gfun(n, k, t - h)) / (2 * h)
-                assert abs(diff - gfun(n, (k + 1) % n, t)) <= 1e-6
+                diff = (gfun_at(n, k, t + h) - gfun_at(n, k, t - h)) / (2 * h)
+                assert abs(diff - gfun_at(n, (k + 1) % n, t)) <= 1e-6
 
 
 def test_gfun_derivative_second_order_ratio():
@@ -131,8 +156,8 @@ def test_gfun_derivative_second_order_ratio():
         worst = 0.0
         for n in (2, 3, 5):
             for k in range(n):
-                diff = (gfun(n, k, 2.0 + step) - gfun(n, k, 2.0 - step)) / (2 * step)
-                worst = max(worst, abs(diff - gfun(n, (k + 1) % n, 2.0)))
+                diff = (gfun_at(n, k, 2.0 + step) - gfun_at(n, k, 2.0 - step)) / (2 * step)
+                worst = max(worst, abs(diff - gfun_at(n, (k + 1) % n, 2.0)))
         return worst
 
     ratio = defect(1e-2) / defect(5e-3)
@@ -141,13 +166,14 @@ def test_gfun_derivative_second_order_ratio():
 
 def test_gfun_asymptotic_residuals():
     # order 2 at t = 20: the residual is exactly e^{-40}/2
-    assert gfun_asymptotic_check(2, 0, 20.0) <= 1e-17
-    assert gfun_asymptotic_check(3, 0, 30.0) <= 1e-6
-    assert abs(gfun(4, 0, 0.0) - 0.25) <= 1.0
+    assert gfun_asymptotic_check(2, 20.0)[0] <= 1e-17
+    assert gfun_asymptotic_check(3, 30.0)[0] <= 1e-6
+    assert abs(gfun_at(4, 0, 0.0) - 0.25) <= 1.0
     for n in range(2, 7):
         bound = 2.0 * math.exp((math.cos(2 * math.pi / n) - 1.0) * 30.0)
-        for k in range(n):
-            assert gfun_asymptotic_check(n, k, 30.0) <= bound
+        deviations = gfun_asymptotic_check(n, 30.0)
+        assert deviations.shape == (n,)
+        assert (deviations <= bound).all()
 
 
 def test_roots_of_unity_filter():
@@ -280,6 +306,28 @@ def test_folded_flow_is_the_explicit_order_n_sum():
                 assert gaps.max() <= 1e-15 * total_variation(omega), (op.space, n, gaps)
 
 
+def test_grouped_flow_is_the_padded_broadcast_bit_for_bit():
+    # Each cycle-length group's rows are outer products with its own order-L
+    # coefficients.  Padding every state's coefficients with zeros up to the
+    # longest cycle and broadcasting over all states gives the same floats.
+    space = ProductSpace((6, 2, 2))
+    mixed = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0, 4, 3, 5))
+    omega = random_probability(space, 12)
+    times = [0.0, 0.2, 1.0, 3.0, 9.0]
+    lengths = np.asarray(mixed.cycle_length)
+    rows = (6, space.total_states // 6)
+    for rho in (1.0, 0.37):
+        table = np.zeros((len(times), 4, 6))
+        for n in (1, 2, 3):
+            table[:, : n + 1, lengths == n] = flow_coefficients(n, rho * np.asarray(times))[:, :, None]
+        padded = table[:, 0, :, None] * omega.weights.reshape(rows)
+        for k in range(1, 4):
+            padded += table[:, k, :, None] * cyclic_apply(omega, mixed, k).weights.reshape(rows)
+        padded = padded.reshape(len(times), space.total_states)
+        padded[0] = omega.weights
+        assert generalized_flow_grid(omega, mixed, rho, times).tobytes() == padded.tobytes()
+
+
 def relabeled_field(op, rho):
     return compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
 
@@ -318,7 +366,7 @@ def test_relabeled_field_rejects_a_relabeling_of_another_size():
 
 def test_flow_time_zero_is_identity():
     op, omega = three_cycle()
-    assert generalized_flow_apply(omega, op, 1.0, 0.0) is omega
+    np.testing.assert_array_equal(generalized_flow_grid(omega, op, 1.0, [0.0])[0], omega.weights)
 
 
 def test_flow_coefficients_sum_to_one_and_stay_nonnegative():
@@ -358,15 +406,15 @@ def test_flow_with_identity_relabeling_reduces_to_semigroup():
     op = CyclicOperator(space, cuts, tuple(range(6)))
     omega = random_probability(space, 23)
     for rho, t in ((1.0, 0.7), (0.4, 2.0)):
-        via_flow = generalized_flow_apply(omega, op, rho, t)
-        direct = semigroup_apply(omega, cuts, rho, t)
+        via_flow = flow_at(omega, op, rho, t)
+        direct = product_flow_apply(omega, DisjointStretchSystem(((cuts, rho),)), [t])
         assert total_variation(via_flow - direct) <= 1e-12
 
 
 def test_flow_conserves_mass_and_positivity():
     op, omega = three_cycle()
     for t in (0.1, 0.9, 3.0, 8.0):
-        state = generalized_flow_apply(omega, op, 1.3, t)
+        state = flow_at(omega, op, 1.3, t)
         assert abs(state.mass - omega.mass) <= 1e-12
         assert state.weights.min() >= -1e-15
 
@@ -381,7 +429,7 @@ def test_flow_long_time_limit():
     envelope = 4 * total_variation(omega)
     for t in np.linspace(0.0, 12.0, 13):
         t = float(t)
-        residual = total_variation(generalized_flow_apply(omega, op, 1.0, t) - limit)
+        residual = total_variation(flow_at(omega, op, 1.0, t) - limit)
         assert residual <= envelope * math.exp(-rate * t) + 1e-13
 
 
@@ -431,7 +479,7 @@ def test_flow_grid_is_its_one_row_case_at_every_time():
     assert stack.shape == (len(grid), op.space.total_states)
     np.testing.assert_array_equal(stack[0], omega.weights)
     for row, t in zip(stack, grid):
-        expected = generalized_flow_apply(omega, op, 1.3, t).weights
+        expected = flow_at(omega, op, 1.3, t).weights
         assert np.abs(row - expected).sum() <= 1e-15 * total_variation(omega)
     with pytest.raises(ValueError):
         generalized_flow_grid(omega, op, 1.3, [1.0, -0.5])
@@ -444,9 +492,9 @@ def generalized_ode_per_time(omega0, op, rho, times, h_fd):
     rho (C - 1) applied through ``cyclic_apply``."""
     worst = 0.0
     for t in times:
-        ahead = generalized_flow_apply(omega0, op, rho, t + h_fd).weights
-        behind = generalized_flow_apply(omega0, op, rho, t - h_fd).weights
-        middle = generalized_flow_apply(omega0, op, rho, t)
+        ahead = flow_at(omega0, op, rho, t + h_fd).weights
+        behind = flow_at(omega0, op, rho, t - h_fd).weights
+        middle = flow_at(omega0, op, rho, t)
         generator = rho * (cyclic_apply(middle, op, 1).weights - middle.weights)
         derivative = (ahead - behind) / (2.0 * h_fd)
         worst = max(worst, float(np.abs(derivative - generator).sum()))
@@ -467,12 +515,12 @@ def test_generalized_ode_matches_its_per_time_loop():
 def test_flow_validation():
     op, omega = three_cycle()
     with pytest.raises(ValueError):
-        generalized_flow_apply(omega, op, 0.0, 1.0)
+        generalized_flow_grid(omega, op, 0.0, [1.0])
     with pytest.raises(ValueError):
-        generalized_flow_apply(omega, op, 1.0, -0.5)
+        generalized_flow_grid(omega, op, 1.0, [-0.5])
     signed = Measure(op.space, np.linspace(-1, 1, op.space.total_states))
     with pytest.raises(ValueError):
-        generalized_flow_apply(signed, op, 1.0, 1.0)
+        generalized_flow_grid(signed, op, 1.0, [1.0])
     for rho in (0.0, -1.0):
         with pytest.raises(ValueError, match="rate must be positive"):
             check_generalized_ode(omega, op, rho, [0.5], 1e-3)
