@@ -34,6 +34,7 @@ from .dynamics import (
     product_flow_grid,
     trajectory_to_csv,
     trajectory_to_json,
+    write_csv_row,
 )
 from .generalized import CyclicOperator, generalized_flow_grid
 from .lattice import LinkSet, all_link_sets
@@ -501,20 +502,16 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
         t += args.t_step
     # Columns ascend by bitmask, as all_link_sets does.
     table_a, table_b = expansion_coefficients(rates, times)
-    rows_a, rows_b = table_a.tolist(), table_b.tolist()
 
     with _atomic_stream(Path(args.out)) as stream:
         if args.format == "csv":
-            header = ["t"]
-            header += [f"a{ls.bits}" for ls in subsets]
-            header += [f"b{ls.bits}" for ls in subsets]
+            header = ["t"] + [f"a{ls.bits}" for ls in subsets] + [f"b{ls.bits}" for ls in subsets]
             stream.write(",".join(header) + "\n")
-            row = ",".join(["%.17g"] * len(header)) + "\n"
-            for t, ra, rb in zip(times, rows_a, rows_b):
-                stream.write(row % (t, *ra, *rb))
+            for t, row in zip(times, np.hstack((table_a, table_b))):
+                write_csv_row(stream, "%.17g" % t, row)
         else:
             table = {"times": times, "subsets": [ls.bits for ls in subsets],
-                     "a": rows_a, "b": rows_b}
+                     "a": table_a.tolist(), "b": table_b.tolist()}
             stream.write(_dump_json(table))
     return EXIT_OK
 

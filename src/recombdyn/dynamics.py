@@ -49,7 +49,7 @@ RK4 writes each stored state into its row of a preallocated stack, and each
 problem of ``rk4_integrate_many`` gets its column slice of the stacked run.
 
 ``trajectory_to_csv`` streams a trajectory one row at a time, a wide row in
-fixed-size slices of its 17-significant-digit cells, so neither the CSV text
+fixed-size slices whose `%.17g` cells numpy formats, so neither the CSV text
 nor one wide row's is ever held whole.
 """
 
@@ -723,10 +723,7 @@ def check_linearization(
 
 
 def trajectory_to_json_dict(traj: Trajectory) -> dict:
-    return {
-        "times": [float(t) for t in traj.times],
-        "states": traj.weights.tolist(),
-    }
+    return {"times": [float(t) for t in traj.times], "states": traj.weights.tolist()}
 
 
 def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
@@ -745,33 +742,106 @@ def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
     stream.write(f'],"times":{times}}}\n')
 
 
-# Cells formatted per CSV write: a wider line goes out in slices of this many
-# cells, so its whole text and all its Python numbers never exist at once.
-_CSV_CHUNK_CELLS = 1024
+# A CSV line goes out in slices of _CSV_CHUNK_CELLS cells, so neither its
+# text nor the formatter's arrays for all its cells (~62 bytes a cell at the
+# peak) exist at once; `%` alone formats a slice narrower than
+# _CSV_MIN_KERNEL_CELLS, where those arrays cost more than they save.
+# ``_csv_cells`` writes %.17g of 1e-11 <= |x| < 1 from its decade X and its
+# digits D = round(|x| 10^k), k = 16 - X: the long double 128 |x| 10^k (with
+# 10^k exact for k <= 27) is within 1/2 of the exact product, so it gives D
+# unless |x| 10^k is within 1/128 of a half-integer.  A cell is a record of
+# 7 words with NUL pad bytes: ",-0." or ",-d.", the zeros of fixed notation
+# and its first digit, four 4-digit words (the last nonzero one without its
+# trailing zeros) and "e-XX".  `%` writes the other cells, space-padded.
+_CSV_CHUNK_CELLS = 2048
+_CSV_MIN_KERNEL_CELLS = 128
+_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+_POW10 = np.cumprod(np.array([128] + [10] * 27, np.longdouble))  # 128 * 10^k
+assert not _LONG_DOUBLE or all(int(p) == 128 * 10**k for k, p in enumerate(_POW10))
 
 
-def _write_csv_line(
-    stream: io.TextIOBase, head: str, spec: str, n_cells: int,
-    cells: Callable[[int, int], Sequence],
-) -> None:
-    # ``head``, then ``spec % value`` for each of the n_cells values, which
-    # ``cells(lo, hi)`` hands out a slice at a time, then a newline.  The head
-    # rides with the first slice and the newline with the last, so a line of
-    # at most _CSV_CHUNK_CELLS cells is one write.
+def _words(*chars) -> np.ndarray:
+    # One word per cell of the broadcast byte codes, first byte first.
+    return np.stack(np.broadcast_arrays(*chars), -1).astype(np.uint8).view("<u4").ravel()
+
+
+_d = np.indices((10,) * 4, np.uint8)  # the four digits of 0..9999
+_neg, _dot, _x, _d0 = np.indices((2, 2, 11, 10))
+_x, _d0, _e = _x - 11, _d0 + 48, np.arange(11, 0, -1)
+_fixed = _x > -5
+# Words at these offsets: 4 digits of v without (v) and with (10000 + v)
+# their trailing zeros, the head words (20000 and 20440, + 220 neg + 110 dot
+# + 10 (X + 11) + first digit) and "e-XX" (20880 + X + 11).
+_CSV_WORDS = np.concatenate((
+    _words(*np.where(np.logical_and.accumulate(_d[::-1] == 0)[::-1], 0, _d + 48)),
+    _words(*_d + 48),
+    _words(44, 45 * _neg, np.where(_fixed, 48, _d0), 46 * (_fixed | _dot)),
+    _words(*(_fixed * c for c in (48 * (_x < -3), 48 * (_x < -2), 48 * (_x < -1), _d0))),
+    _words(*((_e > 4) * c for c in (101, 45, 48 + _e // 10, 48 + _e % 10))),
+))
+del _d, _neg, _dot, _x, _d0, _e, _fixed
+
+
+def _csv_cells(x: np.ndarray) -> str:
+    # ``",%.17g" % v`` for each float64 v of x, joined.
+    if len(x) < _CSV_MIN_KERNEL_CELLS:
+        return ",%.17g" * len(x) % tuple(x.tolist())
+    a = np.abs(x)
+    fast = (a >= 1e-11) & (a < 1.0) & _LONG_DOUBLE
+    np.copyto(a, 0.5, where=~fast)
+    k = np.minimum(16 - np.floor(np.log10(a)).astype(np.int32), 27)
+    y = _POW10.take(k) * a
+    del a
+    q = np.minimum(y, 1.3e19, out=y).astype(np.uint64)  # cannot overflow
+    del y
+    q += 65  # D = q >> 7, unless q & 127 < 2: y within 1 of 128 (D - 1/2)
+    fast &= (q & 127) > 1
+    q >>= 7
+    fast &= (q > 10**16) & (q < 10**17)
+    rec = np.empty((len(x), 7), "<u4")
+    i = np.empty(len(x), np.intp)  # word offsets of one column at a time
+    later = np.zeros(len(x), bool)
+    for j in (5, 4, 3, 2):
+        np.divmod(q, 10000, out=(q, i))
+        np.add(i, 10000, out=i, where=later)
+        later |= i != 0
+        rec[:, j] = _CSV_WORDS.take(i, mode="clip")
+    np.multiply(k, -10, out=i)
+    i += q.view(np.int64) + 20270  # q is the first digit now
+    np.add(i, 110, out=i, where=later)
+    np.add(i, 220, out=i, where=np.signbit(x))
+    rec[:, 0] = _CSV_WORDS.take(i, mode="clip")
+    i += 440
+    rec[:, 1] = _CSV_WORDS.take(i, mode="clip")
+    np.subtract(20907, k, out=i)
+    rec[:, 6] = _CSV_WORDS.take(i, mode="clip")
+    del q, k, i, later
+    slow = np.flatnonzero(~fast)
+    text = ",%-27.17g" * len(slow) % tuple(x[slow].tolist())
+    rec[slow] = np.frombuffer(text.encode(), "<u4").reshape(-1, 7)
+    data = rec.tobytes()
+    del rec
+    data = data.translate(None, b"\0 ")
+    return data.decode()
+
+
+def _write_csv_line(stream: io.TextIOBase, head: str, n_cells: int,
+                    cells: Callable[[int, int], str]) -> None:
+    # ``head``, the text ``cells(lo, hi)`` of each slice of the n_cells cells
+    # and a newline; a line of at most _CSV_CHUNK_CELLS cells is one write.
     for lo in range(0, n_cells, _CSV_CHUNK_CELLS):
         hi = min(lo + _CSV_CHUNK_CELLS, n_cells)
-        text = spec * (hi - lo) % tuple(cells(lo, hi))
-        stream.write((head if lo == 0 else "") + text + ("\n" if hi == n_cells else ""))
+        stream.write((head if lo == 0 else "") + cells(lo, hi) + ("\n" if hi == n_cells else ""))
+
+
+def write_csv_row(stream: io.TextIOBase, head: str, values: np.ndarray) -> None:
+    """Write ``head``, ``",%.17g" % v`` per float64 v of ``values`` and a newline."""
+    _write_csv_line(stream, head, len(values), lambda lo, hi: _csv_cells(values[lo:hi]))
 
 
 def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write `t,<flat-index columns>` rows with 17 significant digits.
-
-    Each line is formatted and written in slices of at most
-    ``_CSV_CHUNK_CELLS`` cells, so the text of at most one slice exists at a
-    time; the bytes are those of formatting each line whole.
-    """
+    """Write `t,<flat-index columns>` rows of `%.17g` cells by ``write_csv_row``."""
     n_cells = traj.space.total_states
-    _write_csv_line(stream, "t", ",%d", n_cells, range)
+    _write_csv_line(stream, "t", n_cells, lambda lo, hi: ",%d" * (hi - lo) % tuple(range(lo, hi)))
     for t, w in zip(traj.times, traj.weights):
-        _write_csv_line(stream, "%.17g" % t, ",%.17g", n_cells, lambda lo, hi: w[lo:hi].tolist())
+        write_csv_row(stream, "%.17g" % t, w)

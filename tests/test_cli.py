@@ -22,6 +22,7 @@ from recombdyn.dynamics import (
     DisjointStretchSystem,
     Trajectory,
     crossover_grid,
+    expansion_coefficients,
     output_grid,
     product_flow_grid,
     trajectory_to_csv,
@@ -850,6 +851,24 @@ def test_coefficients_single_link(tmp_path):
     row = [float(x) for x in lines[2].split(",")]
     assert abs(row[1] - math.exp(-0.5)) <= 1e-15
     assert abs(row[2] - (1.0 - math.exp(-0.5))) <= 1e-15
+
+
+@pytest.mark.parametrize("rates", [[0.3, 1.0, 2.5, 0.05], [0.3, 1.0, 2.5, 0.05, 0.7, 1.3, 4.0]],
+                         ids=["4-links", "7-links"])
+def test_coefficients_csv_bytes_are_the_row_template(tmp_path, rates):
+    # The bytes of formatting each row whole with "%.17g,...,%.17g" % row; a
+    # 7-link row (257 cells) is wide enough for the vectorized cell formatter.
+    out = tmp_path / "coef.csv"
+    assert main(["coefficients", "--rates", ",".join(map(str, rates)), "--t-end", "2",
+                 "--t-step", "0.25", "--out", str(out)]) == EXIT_OK
+    times = [round(0.25 * k, 12) for k in range(9)]
+    table_a, table_b = expansion_coefficients(rates, times)
+    subsets = range(1 << len(rates))
+    header = ["t"] + [f"a{g}" for g in subsets] + [f"b{g}" for g in subsets]
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    lines = [",".join(header) + "\n"]
+    lines += [row % (t, *ra, *rb) for t, ra, rb in zip(times, table_a.tolist(), table_b.tolist())]
+    assert out.read_bytes() == "".join(lines).encode()
 
 
 def test_coefficients_two_links_quarters(tmp_path):
