@@ -505,7 +505,9 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
 
     with _atomic_stream(Path(args.out)) as stream:
         if args.format == "csv":
-            header = ["t"] + [f"a{ls.bits}" for ls in subsets] + [f"b{ls.bits}" for ls in subsets]
+            header = ["t"]
+            header += [f"a{ls.bits}" for ls in subsets]
+            header += [f"b{ls.bits}" for ls in subsets]
             stream.write(",".join(header) + "\n")
             for t, row in zip(times, np.hstack((table_a, table_b))):
                 write_csv_row(stream, "%.17g" % t, row)

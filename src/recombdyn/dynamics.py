@@ -723,7 +723,10 @@ def check_linearization(
 
 
 def trajectory_to_json_dict(traj: Trajectory) -> dict:
-    return {"times": [float(t) for t in traj.times], "states": traj.weights.tolist()}
+    return {
+        "times": [float(t) for t in traj.times],
+        "states": traj.weights.tolist(),
+    }
 
 
 def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
@@ -744,8 +747,7 @@ def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
 
 # A CSV line goes out in slices of _CSV_CHUNK_CELLS cells, so neither its
 # text nor the formatter's arrays for all its cells (~62 bytes a cell at the
-# peak) exist at once; `%` alone formats a slice narrower than
-# _CSV_MIN_KERNEL_CELLS, where those arrays cost more than they save.
+# peak) exist at once.
 # ``_csv_cells`` writes %.17g of 1e-11 <= |x| < 1 from its decade X and its
 # digits D = round(|x| 10^k), k = 16 - X: the long double 128 |x| 10^k (with
 # 10^k exact for k <= 27) is within 1/2 of the exact product, so it gives D
@@ -754,7 +756,6 @@ def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
 # and its first digit, four 4-digit words (the last nonzero one without its
 # trailing zeros) and "e-XX".  `%` writes the other cells, space-padded.
 _CSV_CHUNK_CELLS = 2048
-_CSV_MIN_KERNEL_CELLS = 128
 _LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
 _POW10 = np.cumprod(np.array([128] + [10] * 27, np.longdouble))  # 128 * 10^k
 assert not _LONG_DOUBLE or all(int(p) == 128 * 10**k for k, p in enumerate(_POW10))
@@ -784,16 +785,13 @@ del _d, _neg, _dot, _x, _d0, _e, _fixed
 
 def _csv_cells(x: np.ndarray) -> str:
     # ``",%.17g" % v`` for each float64 v of x, joined.
-    if len(x) < _CSV_MIN_KERNEL_CELLS:
-        return ",%.17g" * len(x) % tuple(x.tolist())
     a = np.abs(x)
     fast = (a >= 1e-11) & (a < 1.0) & _LONG_DOUBLE
     np.copyto(a, 0.5, where=~fast)
     k = np.minimum(16 - np.floor(np.log10(a)).astype(np.int32), 27)
     y = _POW10.take(k) * a
-    del a
     q = np.minimum(y, 1.3e19, out=y).astype(np.uint64)  # cannot overflow
-    del y
+    del a, y
     q += 65  # D = q >> 7, unless q & 127 < 2: y within 1 of 128 (D - 1/2)
     fast &= (q & 127) > 1
     q >>= 7

@@ -1,9 +1,4 @@
-"""CSV cells: ``write_csv_row`` writes the bytes of ``",%.17g" % v`` per cell.
-
-Rows here are at least ``_CSV_MIN_KERNEL_CELLS`` wide, so the vectorized
-formatter runs; narrower rows go to `%` directly and the golden-format tests
-in ``test_dynamics.py`` cover them.
-"""
+"""CSV cells: ``write_csv_row`` writes the bytes of ``",%.17g" % v`` per cell."""
 
 import io
 import math
@@ -16,8 +11,6 @@ from hypothesis import strategies as st
 
 from recombdyn import dynamics
 from recombdyn.dynamics import write_csv_row
-
-WIDTH = dynamics._CSV_MIN_KERNEL_CELLS
 
 # The kernel's range, |x| = 10^u for u uniform in [-12, 0], with either sign.
 FAST = st.builds(lambda neg, u: (-1.0) ** neg * 10.0**u, st.booleans(), st.floats(-12.0, 0.0))
@@ -42,23 +35,16 @@ def assert_cells_match(values):
     assert got == expected(values)
 
 
-def padded(values):
-    # The values, then kernel-range weights up to one slice the kernel takes.
-    rng = np.random.default_rng(len(values))
-    fill = 10.0 ** rng.uniform(-12, 0, max(0, WIDTH - len(values)))
-    return list(values) + fill.tolist()
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.lists(st.one_of(st.floats(), FAST), min_size=1, max_size=32))
 def test_cells_are_percent_17g_for_any_float(values):
-    assert_cells_match(padded(values))
+    assert_cells_match(values)
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(FAST, min_size=1, max_size=32))
 def test_cells_are_percent_17g_in_the_kernel_range(values):
-    assert_cells_match(padded(values))
+    assert_cells_match(values)
 
 
 def decade_neighbours():
@@ -90,10 +76,10 @@ def test_decade_edges_ties_and_signs():
     ties = dyadic_ties()
     negatives = (-(10.0 ** np.linspace(-9, 0, 40))).tolist()
     values = decade_neighbours() + ties + [1e153, -1e153, 1.0, -1.0] + negatives
-    assert_cells_match(padded(values))
+    assert_cells_match(values)
 
 
-@pytest.mark.parametrize("width", [WIDTH, dynamics._CSV_CHUNK_CELLS + 1])
+@pytest.mark.parametrize("width", [6, dynamics._CSV_CHUNK_CELLS + 1])
 def test_cells_without_long_double_are_all_percent(monkeypatch, width):
     # As on platforms whose long double is a double: every cell takes `%`.
     rng = np.random.default_rng(7)
