@@ -254,7 +254,9 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
         omega0 = Measure(space, np.asarray(weights, dtype=np.float64))
         if not is_positive(omega0, 1e-12):
             raise ScenarioValidationError("initial weights must form a positive measure")
-        if not math.isfinite(omega0.mass):
+        with np.errstate(over="ignore"):  # an overflowing total is the error below
+            total = omega0.mass
+        if not math.isfinite(total):
             raise ScenarioValidationError("initial weights must have a finite total")
 
     # Every kind is input for one rate map: (cut set, rate) pairs in document

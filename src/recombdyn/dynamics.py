@@ -37,8 +37,13 @@ The integrator evaluates a field compiled once per rate map by
 ``STACKED_FIELD_MAX_ENTRIES`` rows x states, use the stacked kernel: one
 ``bincount`` for all marginals, one gather and product for all terms and one
 ``bincount`` scatter back to the states, to relabeled targets for a cyclic
-field.  Larger spaces use a strided kernel that reduces the flat weights as
-(left, block, right) arrays and builds each term by outer products.
+field.  Larger spaces use a strided kernel: it reduces the flat weights as
+(left, block, right) arrays into one row of block marginals, divides that row
+by |omega| once, and adds each term's outer product to the output, a short
+last factor after a long leading product one column at a time (an outer
+product runs numpy's inner loop only as wide as its last factor).  RK4 forms
+its stages and its weighted sum in place, in the classical order of
+operations, so a trajectory has the bits of one new array per operation.
 ``rk4_integrate_many`` integrates independent problems on one grid: the
 small ones laid end to end in one vector, under one stacked field with one
 |omega| per problem, so many tiny runs cost one run's interpreter overhead.
@@ -357,11 +362,24 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
     return stacked_field
 
 
+# A term's last factor of q <= _COLUMN_FACTOR entries, after a leading
+# product of at least _COLUMN_LEAD q^2 entries, is added to the output one
+# column at a time.  An outer product runs numpy's inner loop only q wide:
+# added to a vector, outer(16384, 4) took ~320 us and outer(4, 16384) ~50 us,
+# and four columns of 16384 took ~110 us.  Columns cost q strided passes; they
+# were 0.8x an outer product or less from 2 x 256, 4 x 1024 and 8 x 4096 on,
+# and no faster at 16 entries (timeit on one shared CPU core).
+_COLUMN_FACTOR = 8
+_COLUMN_LEAD = 64
+
+
 def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
-    # Reduces the flat weights as (left, block, right) arrays and builds each
-    # term by outer products; never forms an index table.
+    # Reduces the flat weights as (left, block, right) arrays into one row of
+    # all block marginals and adds each term's outer product to the output;
+    # never forms an index table.
     extents, total_rate = terms.extents, terms.total_rate
     ones = {n: np.ones(n) for extent in extents for n in (extent[0], extent[2])}
+    bounds = np.cumsum([0] + [size for _, size, _ in extents]).tolist()
     # First-block state j of a term takes its weight at inverse[j].
     inverse = slice(None) if terms.relabel is None else np.argsort(terms.relabel)
 
@@ -370,17 +388,37 @@ def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
         out = -total_rate * w
         if tv < ZERO_TOTAL_VARIATION:
             return out
-        scaled = []
-        for left, size, right in extents:
-            m = w if left == 1 else ones[left] @ w.reshape(left, size * right)
+        scaled = np.empty(bounds[-1])
+        factors = [scaled[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # np.dot makes the BLAS call that np.matmul makes, for the same bits,
+        # with less overhead per call.
+        for (left, size, right), m in zip(extents, factors):
+            rows = w.reshape(left, size * right)
+            if left > 1 and right > 1:
+                rows = np.dot(ones[left], rows)
             if right > 1:
-                m = m.reshape(size, right) @ ones[right]
-            scaled.append(m / tv)
+                np.dot(rows.reshape(size, right), ones[right], out=m)
+            elif left > 1:
+                np.dot(ones[left], rows, out=m)
+            else:
+                m[:] = w
+        scaled /= tv
+        buf = np.empty_like(out)
         for rate, ids in zip(terms.term_rates, terms.term_blocks):
-            acc = (rate * tv) * scaled[ids[0]][inverse]
-            for b in ids[1:]:
-                acc = np.multiply.outer(acc, scaled[b]).ravel()
-            out += acc
+            acc = (rate * tv) * factors[ids[0]][inverse]
+            if len(ids) == 1:
+                out += acc
+                continue
+            for b in ids[1:-1]:
+                acc = np.multiply.outer(acc, factors[b]).ravel()
+            last = factors[ids[-1]]
+            if last.size <= _COLUMN_FACTOR and acc.size >= _COLUMN_LEAD * last.size**2:
+                columns = out.reshape(acc.size, last.size)
+                for j, x in enumerate(last.tolist()):
+                    columns[:, j] += acc * x
+            else:
+                np.multiply.outer(acc, last, out=buf.reshape(acc.size, last.size))
+                out += buf
         return out
 
     return strided_field
@@ -389,11 +427,25 @@ def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
 def _rk4_step(
     field: Callable[[np.ndarray], np.ndarray], w: np.ndarray, h: float
 ) -> np.ndarray:
+    # w + h/6 (k1 + 2 (k2 + k3) + k4), each stage and the sum formed in place
+    # in that order of operations; what the field returns is never written.
     k1 = field(w)
-    k2 = field(w + (0.5 * h) * k1)
-    k3 = field(w + (0.5 * h) * k2)
-    k4 = field(w + h * k3)
-    return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    t = k1 * (h / 2)
+    t += w
+    k2 = field(t)
+    t = k2 * (h / 2)
+    t += w
+    k3 = field(t)
+    t = k3 * h
+    t += w
+    k4 = field(t)
+    t = k2 + k3
+    t *= 2.0
+    t += k1
+    t += k4
+    t *= h / 6.0
+    t += w
+    return t
 
 
 # Work and memory bounds of one run: no plan of the tests or the benchmark
@@ -457,12 +509,15 @@ def _rk4_run(
     stack[0] = w0
     rows = {step: row for row, step in enumerate(stored, 1)}
     w = w0
-    for i in range(1, n_full + 1):
-        w = _rk4_step(field, w, h)
-        if i in rows:
-            stack[rows[i]] = w
-    if remainder > 0.0:
-        stack[-1] = _rk4_step(field, w, remainder)
+    # A run that leaves the float range goes on in inf and NaN, which its
+    # trajectory shows (the CLI exits 4 on it); numpy's warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_full + 1):
+            w = _rk4_step(field, w, h)
+            if i in rows:
+                stack[rows[i]] = w
+        if remainder > 0.0:
+            stack[-1] = _rk4_step(field, w, remainder)
     return times, stack
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -310,6 +311,36 @@ def test_run_non_finite_trajectory_is_numeric_error_and_writes_nothing(
     assert code == EXIT_NUMERIC
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
     assert "rk4 trajectory is not finite" in capsys.readouterr().err
+
+
+def run_quietly(argv):
+    """``main(argv)`` with every warning recorded; returns the code and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught]
+
+
+def test_run_diverging_rk4_prints_only_its_message(tmp_path, capsys):
+    # The weights overflow in the first step; numpy warns of nothing.
+    config = tmp_path / "scenario.json"
+    write_scenario(config, sizes=[2, 1, 1, 2], solver="rk4", rk4_step=0.1,
+                   time={"t_end": 0.5, "stride": 1},
+                   rates={"kind": "crossover", "per_link": [1e300, 1.0, 1.0]})
+    code, caught = run_quietly(["run", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    assert (code, caught) == (EXIT_NUMERIC, [])
+    assert capsys.readouterr().err == f"{config}: the rk4 trajectory is not finite\n"
+
+
+def test_run_overflowing_initial_total_prints_only_its_message(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    write_scenario(config, sizes=[1, 2], rates={"kind": "crossover", "per_link": [1.0]},
+                   initial={"kind": "weights", "weights": [1.7e308, 1.7e308]})
+    code, caught = run_quietly(["run", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    assert (code, caught) == (EXIT_VALIDATION, [])
+    err = capsys.readouterr().err
+    assert err == "validation error: initial weights must have a finite total\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_run_size_mismatch_is_validation_error(tmp_path):

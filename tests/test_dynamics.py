@@ -33,7 +33,7 @@ from recombdyn.measure import (
     tensor,
     total_variation,
 )
-from recombdyn.recombinator import recombine, recombine_weights
+from recombdyn.recombinator import ZERO_TOTAL_VARIATION, recombine, recombine_weights
 
 SPACE = ProductSpace((2, 2))
 CUT = LinkSet.from_indices([0], 1)
@@ -146,6 +146,108 @@ def test_compile_field_zero_measure_and_empty_rates(sizes, kernel):
         space, RateMap.single(LinkSet.from_indices([1], space.n_links), 0.0)
     )
     np.testing.assert_array_equal(only_zero_rate(w), zero)
+
+
+def outer_product_field(space, rates, relabel=None):
+    """The strided kernel before its column rule, as the bit-level reference.
+
+    Each block marginal is divided by |w| on its own, and each term is one
+    chain of ``np.multiply.outer`` added to the output whole.  (Recomputing a
+    shared block's marginal per term gives the same bits.)
+    """
+    sizes = space.sizes
+    terms = [(rate, links.blocks(space.n_nodes)) for links, rate in rates.entries if rate != 0.0]
+    total_rate = math.fsum(rate for rate, _ in terms)
+    inverse = slice(None) if relabel is None else np.argsort(relabel)
+
+    def field(w):
+        tv = float(np.abs(w).sum())
+        out = -total_rate * w
+        if tv < ZERO_TOTAL_VARIATION:
+            return out
+        for rate, blocks in terms:
+            scaled = []
+            for block in blocks:
+                left = math.prod(sizes[: block[0]])
+                size = math.prod(sizes[block[0] : block[-1] + 1])
+                right = math.prod(sizes[block[-1] + 1 :])
+                m = w if left == 1 else np.ones(left) @ w.reshape(left, size * right)
+                if right > 1:
+                    m = m.reshape(size, right) @ np.ones(right)
+                scaled.append(m / tv)
+            acc = (rate * tv) * scaled[0][inverse]
+            for m in scaled[1:]:
+                acc = np.multiply.outer(acc, m).ravel()
+            out += acc
+        return out
+
+    return field
+
+
+def rk4_step_reference(field, w, h):
+    """One classical RK4 step with a new array for every operation."""
+    k1 = field(w)
+    k2 = field(w + (0.5 * h) * k1)
+    k3 = field(w + (0.5 * h) * k2)
+    k4 = field(w + h * k3)
+    return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _cut_sets(n_links, *cut_sets):
+    entries = [(LinkSet.from_indices(links, n_links), 0.3 + 0.4 * i)
+               for i, links in enumerate(cut_sets)]
+    return RateMap(n_links, tuple(entries))
+
+
+# Strided fields by the shape of their terms' last factors, on 4^7 (16,384)
+# states unless named otherwise.
+STRIDED_PATHS = {
+    # [5]: 4,096 x 4 states, added four columns at a time.
+    "short last factor, long lead": ((4,) * 7, _cut_sets(6, [5]), None),
+    # [0]: 4 x 4,096, one outer product into a buffer.
+    "long last factor": ((4,) * 7, _cut_sets(6, [0]), None),
+    # [1, 4]: 16 x 64 x 16 (buffer); [2, 5]: 64 x 64 x 4 (columns).
+    "three-block terms": ((4,) * 7, _cut_sets(6, [1, 4], [2, 5]), None),
+    # Every shape of a 10-link crossover on 2^11 states: 1,024 x 2 by columns,
+    # 512 x 4 and 256 x 8 by outer products.
+    "crossover": ((2,) * 11, _cut_sets(10, *([i] for i in range(10))), None),
+    # The empty cut set under a relabeling of all states: one block.
+    "relabeled one-block term": (
+        (4,) * 7, _cut_sets(6, []), np.random.default_rng(5).permutation(4**7).tolist()
+    ),
+    "relabeled two-block term": ((4,) * 7, _cut_sets(6, [0]), [2, 0, 3, 1]),
+}
+
+
+@pytest.mark.parametrize("path", list(STRIDED_PATHS))
+def test_strided_field_writes_the_outer_product_bits(path):
+    sizes, rates, relabel = STRIDED_PATHS[path]
+    space = ProductSpace(sizes)
+    field = compile_field(space, rates, relabel)
+    assert field.__name__ == "strided_field"
+    reference = outer_product_field(space, rates, relabel)
+    signed = np.random.default_rng(len(path)).standard_normal(space.total_states)
+    positive = random_probability(space, 3).weights
+    below_zero_tv = 5e-301 * signed / np.abs(signed).sum()
+    for w in (positive, signed, 1e-200 * signed, below_zero_tv):
+        assert field(w).tobytes() == reference(w).tobytes()
+
+
+@pytest.mark.parametrize("path", list(STRIDED_PATHS))
+def test_rk4_steps_write_the_reference_bits(path):
+    # Two steps and a shortened third, from a positive and a signed state.
+    sizes, rates, relabel = STRIDED_PATHS[path]
+    space = ProductSpace(sizes)
+    field = compile_field(space, rates, relabel)
+    reference = outer_product_field(space, rates, relabel)
+    signed = np.random.default_rng(7).standard_normal(space.total_states)
+    for w in (random_probability(space, 4).weights, signed):
+        traj = integrate_field(field, Measure(space, w), t_end=0.025, h=0.01)
+        expected = [w]
+        for h in (0.01, 0.01, 0.025 - 2 * 0.01):
+            expected.append(rk4_step_reference(reference, expected[-1], h))
+        assert traj.times[-1] == 0.025
+        assert traj.weights.tobytes() == np.stack(expected).tobytes()
 
 
 def test_compile_field_rejects_mismatched_links():
