@@ -64,7 +64,13 @@ def _slices(n: int, times: Sequence[float], shift: float, drop_m0: bool = False)
     """(len(times), n) table of e^{-shift t} F_k(t): row j is the inverse DFT
     of exp((xi^m - shift) t_j) over m, without the m = 0 term if ``drop_m0``."""
     roots = _roots(int(n))
-    terms = np.exp(np.multiply.outer(np.asarray(times, dtype=np.float64), roots - shift))
+    # |xi^m| = 1, so only the real part t (Re xi^m - shift) can overflow, and
+    # for t >= 0 and shift 1 only toward -inf, where the term is exactly the 0
+    # it tends to.  So a huge rate times t reaches the flow's limit, and the
+    # overflow is no cause for a warning.
+    with np.errstate(over="ignore"):
+        exponents = np.multiply.outer(np.asarray(times, dtype=np.float64), roots - shift)
+    terms = np.exp(exponents)
     if drop_m0:
         terms[:, 0] = 0.0
     table = np.fft.ifft(terms, axis=1)

@@ -93,29 +93,6 @@ class LinkSet:
 
 
 @dataclass(frozen=True)
-class Stretch:
-    """Closed interval of link positions, or the empty interval."""
-
-    lo: int | None = None
-    hi: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.lo is None) != (self.hi is None):
-            raise ValueError("lo and hi must both be set or both be None")
-        if self.lo is not None and self.lo > self.hi:  # type: ignore[operator]
-            raise ValueError(f"empty-range bounds lo={self.lo} > hi={self.hi}")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lo is None
-
-    def intersects(self, other: "Stretch") -> bool:
-        if self.is_empty or other.is_empty:
-            return False
-        return self.lo <= other.hi and other.lo <= self.hi  # type: ignore[operator]
-
-
-@dataclass(frozen=True)
 class OrderedPartition:
     """Contiguous ordered blocks covering the node range ``{0, ..., n-1}``."""
 
@@ -170,18 +147,16 @@ def partition_of(links: LinkSet, n_nodes: int) -> OrderedPartition:
     return OrderedPartition(tuple(blocks))
 
 
-def stretch_of(links: LinkSet) -> Stretch:
-    """Smallest closed link interval containing the set; empty for no links."""
-    if links.bits == 0:
-        return Stretch()
-    lo = (links.bits & -links.bits).bit_length() - 1
-    hi = links.bits.bit_length() - 1
-    return Stretch(lo, hi)
-
-
 def stretches_disjoint(a: LinkSet, b: LinkSet) -> bool:
-    """True iff the link intervals spanned by the two sets do not meet."""
-    return not stretch_of(a).intersects(stretch_of(b))
+    """True iff the link intervals spanned by the two sets do not meet.
+
+    The empty set spans no interval.  One set's interval ends below the
+    other's iff its highest link lies below the other's lowest, that is, iff
+    its bitmask is below the other's lowest set bit.
+    """
+    if not a.bits or not b.bits:
+        return True
+    return a.bits < (b.bits & -b.bits) or b.bits < (a.bits & -a.bits)
 
 
 def moebius_sign(lower: LinkSet, upper: LinkSet) -> int:

@@ -13,7 +13,11 @@ measures they are positively homogeneous contractions.
 
 ``recombine_weights`` and ``recombine_rows`` act on raw weights: one vector,
 or a (T, S) stack whose rows are recombined together in one pass, each with
-its own |omega|.  ``recombine`` is their one-measure case.
+its own |omega|.  ``recombine`` is their one-measure case.  The law checkers
+follow the same design: ``gen_cond_rows`` (partial linearity) and
+``lipschitz_rows`` (the elementary Lipschitz ratio) return one value per row
+of a stack, and ``check_gen_cond`` and ``lipschitz_ratio`` are their
+one-measure cases.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 import numpy as np
 
 from .lattice import LinkSet
-from .measure import Measure, ProductSpace, is_positive, total_variation
+from .measure import Measure, ProductSpace
 
 # Below this total variation the argument counts as the zero measure, which
 # keeps the 1/|omega|^p prefactor finite.
@@ -33,12 +37,23 @@ ZERO_TOTAL_VARIATION = 1e-300
 POSITIVITY_TOL = 1e-12
 
 
-def require_positive(omega: Measure, operation: str, tol: float = POSITIVITY_TOL) -> None:
-    if not is_positive(omega, tol):
+def require_positive(
+    omega: Measure | np.ndarray, operation: str, tol: float = POSITIVITY_TOL
+) -> None:
+    """Raise unless every weight of a measure, a weight vector or a (T, S)
+    stack is at least ``-tol``."""
+    w = omega.weights if isinstance(omega, Measure) else omega
+    low = float(w.min())
+    if not low >= -tol:
         raise ValueError(
             f"{operation} is defined on positive measures only "
-            f"(min weight {float(omega.weights.min()):.3e})"
+            f"(min weight {low:.3e})"
         )
+
+
+def _require_full_chain(omega: Measure, operation: str) -> None:
+    if omega.nodes != tuple(range(omega.space.n_nodes)):
+        raise ValueError(f"{operation} acts on measures over the full chain")
 
 
 def recombine_weights(
@@ -95,43 +110,63 @@ def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.nda
 
 def recombine(omega: Measure, links: LinkSet) -> Measure:
     """Apply the recombinator attached to a cut set.  Total on signed input."""
-    if omega.nodes != tuple(range(omega.space.n_nodes)):
-        raise ValueError("recombine acts on measures over the full chain")
+    _require_full_chain(omega, "recombine")
     w = recombine_rows(omega.weights, omega.space, links)
     if w is omega.weights:  # the empty cut set
         return omega
     return Measure(omega.space, w, omega.nodes)
 
 
-def check_gen_cond(omega: Measure, links: LinkSet, a: float) -> float:
-    """Residual of the partial-linearity identity R(a w + (1-a) R(w)) = R(w).
+def gen_cond_rows(w: np.ndarray, space: ProductSpace, links: LinkSet, a: float) -> np.ndarray:
+    """Residual of the partial-linearity identity R(a w + (1-a) R(w)) = R(w)
+    for every row of a weight vector or (T, S) stack of ``space``.
 
     This identity is what makes the one-recombinator flow exactly solvable;
     it holds on positive measures for every mixing weight ``a`` in [0, 1].
-    Returns the total variation of the defect, which should vanish to
+    Returns the total variation of each row's defect, which should vanish to
     rounding for any valid input.
     """
     a = float(a)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {a}")
-    require_positive(omega, "check_gen_cond")
-    recombined = recombine(omega, links)
-    blend = a * omega + (1.0 - a) * recombined
-    return total_variation(recombine(blend, links) - recombined)
+    require_positive(w, "the partial-linearity check")
+    recombined = recombine_rows(w, space, links)
+    blend = w * a + recombined * (1.0 - a)
+    return np.abs(recombine_rows(blend, space, links) - recombined).sum(axis=-1)
+
+
+def check_gen_cond(omega: Measure, links: LinkSet, a: float) -> float:
+    """``gen_cond_rows`` of one measure: the total variation of its defect."""
+    _require_full_chain(omega, "check_gen_cond")
+    return float(gen_cond_rows(omega.weights, omega.space, links, a))
+
+
+def lipschitz_rows(
+    omega_w: np.ndarray, nu_w: np.ndarray, space: ProductSpace, link: int
+) -> np.ndarray:
+    """|R(omega) - R(nu)| / |omega - nu| for one elementary recombinator, for
+    every pair of rows of two weight vectors or (T, S) stacks of ``space``.
+
+    Both arguments may be signed.  The ratio stays below 3 for every pair;
+    the sweep over random pairs in the test suites probes that bound.  A
+    pair of coinciding rows has no ratio and raises ``ValueError``.
+    """
+    n_links = space.n_links
+    if not 0 <= int(link) < n_links:
+        raise ValueError(f"link index {link} out of range for {n_links} links")
+    if omega_w.shape != nu_w.shape:
+        raise ValueError(f"stacks of shapes {omega_w.shape} and {nu_w.shape} do not pair up")
+    denom = np.abs(omega_w - nu_w).sum(axis=-1)
+    if (denom == 0.0).any():
+        raise ValueError("measures coincide; the ratio is undefined")
+    cut = LinkSet.from_indices([int(link)], n_links)
+    num = np.abs(recombine_rows(omega_w, space, cut) - recombine_rows(nu_w, space, cut))
+    return num.sum(axis=-1) / denom
 
 
 def lipschitz_ratio(omega: Measure, nu: Measure, link: int) -> float:
-    """|R(omega) - R(nu)| / |omega - nu| for one elementary recombinator.
-
-    Both arguments may be signed.  The ratio stays below 3 for every pair;
-    the sweep over random pairs in the test suites probes that bound.
-    """
-    n_links = omega.space.n_links
-    if not 0 <= int(link) < n_links:
-        raise ValueError(f"link index {link} out of range for {n_links} links")
-    denom = total_variation(omega - nu)
-    if denom == 0.0:
-        raise ValueError("measures coincide; the ratio is undefined")
-    cut = LinkSet.from_indices([int(link)], n_links)
-    num = total_variation(recombine(omega, cut) - recombine(nu, cut))
-    return num / denom
+    """``lipschitz_rows`` of one pair of measures on the same full chain."""
+    if omega.space != nu.space or omega.nodes != nu.nodes:
+        raise ValueError("measures live on different (sub-)spaces")
+    _require_full_chain(omega, "lipschitz_ratio")
+    return float(lipschitz_rows(omega.weights, nu.weights, omega.space, link))

@@ -18,7 +18,7 @@ from .dynamics import (
     check_linearization,
     crossover_grid,
     expansion_coefficients,
-    moebius_transform,
+    moebius_rows,
     product_flow_apply,
     product_flow_grid,
     rk4_integrate_many,
@@ -44,12 +44,11 @@ from .lattice import (
 from .measure import (
     Measure,
     ProductSpace,
-    is_positive,
     marginal,
     tensor,
     total_variation,
 )
-from .recombinator import check_gen_cond, lipschitz_ratio, recombine
+from .recombinator import gen_cond_rows, lipschitz_rows, recombine, recombine_rows
 
 SUITE_NAMES = ("algebra", "semigroup", "moebius", "generalized")
 
@@ -73,8 +72,8 @@ def _count_check(name: str, mismatches: int) -> dict:
 
 
 def _row_tv(stack: np.ndarray) -> np.ndarray:
-    """Total variation of every row of a (T, S) stack."""
-    return np.abs(stack).sum(axis=1)
+    """Total variation of every row of a (T, S) stack; a vector is one row."""
+    return np.abs(stack).sum(axis=-1)
 
 
 def _monitor(name: str, value: float, note: str) -> dict:
@@ -202,42 +201,42 @@ def suite_algebra(seed: int) -> list[dict]:
     checks.append(_check("measure.norm_multiplicativity", worst_norm, 1e-12))
 
     # Composition law R_G R_H = R_{G u H}: exhaustive on 3 links, sampled on 6.
+    # Each block below draws all its samples first, in the order a loop over
+    # samples would draw them, and then evaluates its law on their stack.
     space3 = ProductSpace((2, 3, 2, 2))
+    stack = np.array([random_positive(space3, rng).weights for _ in range(6)])
+    once = {h.bits: recombine_rows(stack, space3, h) for h in all_link_sets(3)}
     worst = 0.0
-    for trial in range(6):
-        omega = random_positive(space3, rng)
-        for g in all_link_sets(3):
-            for h in all_link_sets(3):
-                iterated = recombine(recombine(omega, h), g)
-                direct = recombine(omega, g.union(h))
-                worst = max(worst, total_variation(iterated - direct))
+    for g in all_link_sets(3):
+        for h in all_link_sets(3):
+            iterated = recombine_rows(once[h.bits], space3, g)
+            worst = max(worst, float(_row_tv(iterated - once[g.bits | h.bits]).max()))
     checks.append(_check("recombinator.composition_exhaustive", worst, 1e-12))
 
     space6 = ProductSpace((2,) * 7)
-    worst = 0.0
-    for trial in range(60):
-        omega = random_positive(space6, rng)
+    draws = []
+    for _ in range(60):
+        w = random_positive(space6, rng).weights
         g = LinkSet(int(rng.integers(0, 64)), 6)
-        h = LinkSet(int(rng.integers(0, 64)), 6)
-        worst = max(
-            worst,
-            total_variation(recombine(recombine(omega, h), g) - recombine(omega, g.union(h))),
-        )
+        draws.append((w, g, LinkSet(int(rng.integers(0, 64)), 6)))
+    worst = 0.0
+    for w, g, h in draws:
+        iterated = recombine_rows(recombine_rows(w, space6, h), space6, g)
+        worst = max(worst, float(_row_tv(iterated - recombine_rows(w, space6, g.union(h)))))
     checks.append(_check("recombinator.composition_sampled_6_links", worst, 1e-12))
 
     # Idempotency and commutativity are the singleton instances of the law.
+    stack = np.array([random_positive(space3, rng).weights for _ in range(20)])
+    cuts = [LinkSet.from_indices([i], 3) for i in range(3)]
+    once = [recombine_rows(stack, space3, cut) for cut in cuts]
     worst_idem = worst_comm = 0.0
-    for trial in range(20):
-        omega = random_positive(space3, rng)
-        for i in range(3):
-            cut = LinkSet.from_indices([i], 3)
-            once = recombine(omega, cut)
-            worst_idem = max(worst_idem, total_variation(recombine(once, cut) - once))
-            for j in range(i + 1, 3):
-                other = LinkSet.from_indices([j], 3)
-                ij = recombine(recombine(omega, other), cut)
-                ji = recombine(recombine(omega, cut), other)
-                worst_comm = max(worst_comm, total_variation(ij - ji))
+    for i, cut in enumerate(cuts):
+        twice = recombine_rows(once[i], space3, cut)
+        worst_idem = max(worst_idem, float(_row_tv(twice - once[i]).max()))
+        for j in range(i + 1, 3):
+            ij = recombine_rows(once[j], space3, cut)
+            ji = recombine_rows(once[i], space3, cuts[j])
+            worst_comm = max(worst_comm, float(_row_tv(ij - ji).max()))
     checks.append(_check("recombinator.idempotency", worst_idem, 1e-12))
     checks.append(_check("recombinator.commutativity", worst_comm, 1e-12))
 
@@ -247,23 +246,18 @@ def suite_algebra(seed: int) -> list[dict]:
     worst_homog = worst_contract = worst_preserve = 0.0
     for trial in range(40):
         space = random_space(rng)
-        nu = random_signed(space, rng)
-        pos = random_positive(space, rng)
+        nu = random_signed(space, rng).weights
+        pos = random_positive(space, rng).weights
         cut = LinkSet(int(rng.integers(1, 1 << space.n_links)), space.n_links)
         a = float(rng.uniform(-3, 3))
         sign = 1.0 if a >= 0 else (-1.0) ** (len(cut) + 1)
-        worst_homog = max(
-            worst_homog,
-            total_variation(recombine(a * nu, cut) - sign * abs(a) * recombine(nu, cut)),
-        )
-        excess = total_variation(recombine(nu, cut)) - total_variation(nu)
-        worst_contract = max(worst_contract, excess)
-        worst_preserve = max(
-            worst_preserve,
-            abs(total_variation(recombine(pos, cut)) - total_variation(pos)),
-        )
-        rec = recombine(pos, cut)
-        if not is_positive(rec, 0.0) or abs(rec.mass - 1.0) > 1e-12:
+        rec_nu = recombine_rows(nu, space, cut)
+        rec_pos = recombine_rows(pos, space, cut)
+        scaled = recombine_rows(a * nu, space, cut)
+        worst_homog = max(worst_homog, float(_row_tv(scaled - sign * abs(a) * rec_nu)))
+        worst_contract = max(worst_contract, float(_row_tv(rec_nu) - _row_tv(nu)))
+        worst_preserve = max(worst_preserve, abs(float(_row_tv(rec_pos) - _row_tv(pos))))
+        if not rec_pos.min() >= 0.0 or abs(float(rec_pos.sum()) - 1.0) > 1e-12:
             worst_preserve = max(worst_preserve, 1.0)
     checks.append(_check("recombinator.positive_homogeneity", worst_homog, 1e-12))
     checks.append(_check("recombinator.norm_contraction_signed", worst_contract, 1e-12))
@@ -271,23 +265,22 @@ def suite_algebra(seed: int) -> list[dict]:
 
     # Partial-linearity identity across a mixing grid.
     space = ProductSpace((2, 3, 2, 2))
+    stack = np.array([random_positive(space, rng).weights for _ in range(20)])
     worst = 0.0
-    for trial in range(20):
-        omega = random_positive(space, rng)
-        for cut_bits in range(1, 8):
-            cut = LinkSet(cut_bits, 3)
-            for a in (0.0, 0.25, 0.5, 0.75, 1.0):
-                worst = max(worst, check_gen_cond(omega, cut, a))
+    for cut_bits in range(1, 8):
+        cut = LinkSet(cut_bits, 3)
+        for a in (0.0, 0.25, 0.5, 0.75, 1.0):
+            worst = max(worst, float(gen_cond_rows(stack, space, cut, a).max()))
     checks.append(_check("recombinator.partial_linearity", worst, 1e-10))
 
-    # Elementary Lipschitz sweep on signed pairs.
+    # Elementary Lipschitz sweep on signed pairs: row k of the two stacks is
+    # the k-th pair (omega, nu), drawn as ``random_signed`` draws them.
     space = ProductSpace((3, 2, 3))
+    draws = [rng.standard_normal(space.total_states) for _ in range(2 * 1000)]
+    omegas, nus = np.array(draws[0::2]), np.array(draws[1::2])
     worst = 0.0
-    for trial in range(1000):
-        omega = random_signed(space, rng)
-        nu = random_signed(space, rng)
-        for link in range(space.n_links):
-            worst = max(worst, lipschitz_ratio(omega, nu, link))
+    for link in range(space.n_links):
+        worst = max(worst, float(lipschitz_rows(omegas, nus, space, link).max()))
     checks.append(_check("recombinator.lipschitz_bound", worst, 3.0 + 1e-9))
 
     return checks
@@ -447,7 +440,9 @@ def suite_moebius(seed: int) -> list[dict]:
             )
     checks.append(_check("moebius.linearization", worst_linear, 1e-9))
 
-    # Transform inversion and the cumulative-coefficient identity.
+    # Transform inversion and the cumulative-coefficient identity.  Row 0 of
+    # ``pair`` is omega_0 and row 1 the state at t; every transform T_G acts
+    # on both rows at once and is taken once per scenario.
     worst_inverse = worst_b = worst_reconstruction = 0.0
     for scenario in range(4):
         n_links = 3
@@ -455,22 +450,21 @@ def suite_moebius(seed: int) -> list[dict]:
         omega0 = random_positive(space, rng)
         link_rates = rng.uniform(0.3, 1.5, size=n_links).tolist()
         t = float(rng.uniform(0.2, 2.0))
-        state = Measure(space, crossover_grid(omega0, link_rates, [t])[0])
+        pair = np.array([omega0.weights, crossover_grid(omega0, link_rates, [t])[0]])
         b = expansion_coefficients(link_rates, [t])[1][0].tolist()
-        reconstructed = Measure.zero(space)
+        transforms = {ls.bits: moebius_rows(pair, space, ls) for ls in all_link_sets(n_links)}
+        reconstructed = np.zeros(space.total_states)
         for ls in all_link_sets(n_links):
-            back = sum(
-                (moebius_transform(omega0, sup) for sup in supersets_of(ls)),
-                start=Measure.zero(space),
-            )
-            worst_inverse = max(
-                worst_inverse, total_variation(back - recombine(omega0, ls))
-            )
-            drift = moebius_transform(state, ls) - b[ls.bits] * moebius_transform(omega0, ls)
-            worst_b = max(worst_b, total_variation(drift))
-            reconstructed = reconstructed + b[ls.bits] * moebius_transform(omega0, ls)
+            back = np.zeros(space.total_states)
+            for sup in supersets_of(ls):
+                back = back + transforms[sup.bits][0]
+            direct = recombine_rows(omega0.weights, space, ls)
+            worst_inverse = max(worst_inverse, float(_row_tv(back - direct)))
+            base, moved = transforms[ls.bits]
+            worst_b = max(worst_b, float(_row_tv(moved - b[ls.bits] * base)))
+            reconstructed = reconstructed + b[ls.bits] * base
         worst_reconstruction = max(
-            worst_reconstruction, total_variation(reconstructed - state)
+            worst_reconstruction, float(_row_tv(reconstructed - pair[1]))
         )
     checks.append(_check("moebius.inversion_roundtrip", worst_inverse, 1e-11))
     checks.append(_check("moebius.transform_decay_identity", worst_b, 1e-10))

@@ -343,6 +343,25 @@ def test_run_overflowing_initial_total_prints_only_its_message(tmp_path, capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
+def test_run_huge_cyclic_rate_reaches_the_limit_quietly(tmp_path, capsys):
+    # rho t = 1.7e308 * 0.75 overflows the exponents of the decaying modes to
+    # -inf, whose terms are the 0 they tend to: the run prints nothing, and
+    # its last row is the one rate 1e3 reaches by then, bit for bit.
+    rows = {}
+    for rate in (1.7e308, 1e3):
+        config = tmp_path / f"rate{rate:g}.json"
+        write_scenario(config, sizes=[3, 2], solver="closed-form",
+                       time={"t_end": 0.75, "stride": 50},
+                       rates={"kind": "cyclic", "links": [0], "permutation": [1, 2, 0],
+                              "rate": rate})
+        out = tmp_path / f"rate{rate:g}.csv"
+        code, caught = run_quietly(["run", "--config", str(config), "--out", str(out)])
+        assert (code, caught) == (EXIT_OK, [])
+        rows[rate] = out.read_text().splitlines()
+    assert capsys.readouterr().err == ""
+    assert len(rows[1.7e308]) == 17 and rows[1.7e308][-1] == rows[1e3][-1]
+
+
 def test_run_size_mismatch_is_validation_error(tmp_path):
     config = tmp_path / "scenario.json"
     write_scenario(config, initial={"kind": "weights", "weights": [0.5, 0.5]})

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from recombdyn.lattice import (
     MAX_LINKS,
     LinkSet,
-    Stretch,
     all_link_sets,
     moebius_sign,
     partition_of,
-    stretch_of,
     stretches_disjoint,
     subsets_of,
     supersets_of,
@@ -54,21 +52,17 @@ def test_linkset_rejects_oversized_universe():
         LinkSet(0, MAX_LINKS + 1)
 
 
-def test_stretch_of_spans_min_to_max():
-    assert stretch_of(LinkSet.from_indices([0, 2], 3)) == Stretch(0, 2)
-    assert stretch_of(LinkSet.from_indices([1], 3)) == Stretch(1, 1)
-    assert stretch_of(LinkSet.empty(3)).is_empty
-
-
 def test_stretches_disjoint():
-    n = 3
-    assert stretches_disjoint(LinkSet.from_indices([0], n), LinkSet.from_indices([2], n))
-    # the middle link sits inside the other set's span even though the sets
-    # themselves are disjoint
-    assert not stretches_disjoint(
-        LinkSet.from_indices([0, 2], n), LinkSet.from_indices([1], n)
-    )
-    assert stretches_disjoint(LinkSet.empty(n), LinkSet.full(n))
+    # Every pair of link sets on 5 links against the links each set's
+    # stretch covers, from its lowest to its highest index; the empty set
+    # covers none.
+    def covered(links):
+        idx = links.indices
+        return set(range(idx[0], idx[-1] + 1)) if idx else set()
+
+    for a in all_link_sets(5):
+        for b in all_link_sets(5):
+            assert stretches_disjoint(a, b) == (not covered(a) & covered(b)), (a, b)
 
 
 def test_moebius_sign_parity():

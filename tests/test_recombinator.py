@@ -8,7 +8,9 @@ from recombdyn.measure import Measure, ProductSpace, random_probability, total_v
 from recombdyn.recombinator import (
     ZERO_TOTAL_VARIATION,
     check_gen_cond,
+    gen_cond_rows,
     lipschitz_ratio,
+    lipschitz_rows,
     recombine,
     recombine_rows,
     recombine_weights,
@@ -202,6 +204,76 @@ def test_lipschitz_ratio_rejects_equal_measures():
         lipschitz_ratio(omega, omega, 0)
     with pytest.raises(ValueError):
         lipschitz_ratio(omega, 2.0 * omega, 5)
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 3), (2, 3, 2, 2), (2,) * 7, (4, 1, 3)])
+def test_lipschitz_rows_are_the_per_pair_ratios_bit_for_bit(sizes):
+    space = ProductSpace(sizes)
+    rng = np.random.default_rng(len(sizes))
+    omegas = rng.standard_normal((40, space.total_states))
+    nus = rng.standard_normal((40, space.total_states))
+    nus[:5] = 2.0 * omegas[:5]  # doubled rows, ratio one
+    omegas[5:10] *= 1e-200  # rows far below one, above the zero rule
+    for link in range(space.n_links):
+        cut = LinkSet.from_indices([link], space.n_links)
+        rows = lipschitz_rows(omegas, nus, space, link)
+        assert rows.shape == (40,)
+        for w, v, got in zip(omegas, nus, rows.tolist()):
+            omega, nu = Measure(space, w), Measure(space, v)
+            assert got == lipschitz_ratio(omega, nu, link)
+            # The ratio written out in measure arithmetic.
+            num = total_variation(recombine(omega, cut) - recombine(nu, cut))
+            assert got == num / total_variation(omega - nu)
+
+
+@pytest.mark.parametrize("sizes", [(2, 3, 2, 2), (2, 2, 2, 3), (3, 2, 3)])
+def test_gen_cond_rows_are_the_per_measure_residuals_bit_for_bit(sizes):
+    space = ProductSpace(sizes)
+    rng = np.random.default_rng(sum(sizes))
+    stack = rng.random((20, space.total_states)) + 0.05
+    stack /= stack.sum(axis=1, keepdims=True)
+    stack[0] = 0.0
+    stack[1, ::2] = 0.0
+    for links in all_link_sets(space.n_links):
+        for a in (0.0, 0.25, 0.3, 0.5, 0.75, 1.0):
+            rows = gen_cond_rows(stack, space, links, a)
+            assert rows.shape == (20,)
+            for w, got in zip(stack, rows.tolist()):
+                omega = Measure(space, w)
+                assert got == check_gen_cond(omega, links, a)
+                # The identity written out in measure arithmetic.
+                recombined = recombine(omega, links)
+                blend = a * omega + (1.0 - a) * recombined
+                assert got == total_variation(recombine(blend, links) - recombined)
+
+
+def test_row_helpers_reject_what_the_one_measure_checks_reject():
+    space = ProductSpace((2, 3, 2))
+    rng = np.random.default_rng(7)
+    omegas = rng.standard_normal((6, space.total_states))
+    nus = rng.standard_normal((6, space.total_states))
+    nus[3] = omegas[3]  # one coinciding pair is enough
+    with pytest.raises(ValueError, match="coincide"):
+        lipschitz_rows(omegas, nus, space, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        lipschitz_rows(omegas, omegas + 1.0, space, 2)
+    with pytest.raises(ValueError):
+        lipschitz_rows(omegas, nus[:5], space, 0)
+    with pytest.raises(ValueError):
+        lipschitz_ratio(Measure(space, omegas[0]), Measure(ProductSpace((3, 2, 2)), nus[0]), 0)
+
+    stack = np.abs(omegas)
+    links = LinkSet.from_indices([1], 2)
+    assert (gen_cond_rows(stack, space, links, 0.5) <= 1e-12).all()
+    negative = stack.copy()
+    negative[4, 2] = -1e-3  # one negative row is enough
+    with pytest.raises(ValueError, match="positive measures only"):
+        gen_cond_rows(negative, space, links, 0.5)
+    for a in (-0.01, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="mixing weight"):
+            gen_cond_rows(stack, space, links, a)
+        with pytest.raises(ValueError, match="mixing weight"):
+            check_gen_cond(Measure(space, stack[0]), links, a)
 
 
 def test_recombine_weights_on_a_stack_is_the_per_row_recombination():
