@@ -70,6 +70,7 @@ import numpy as np
 
 from .lattice import (
     LinkSet,
+    all_link_sets,
     moebius_sign,
     partition_of,
     stretches_disjoint,
@@ -751,25 +752,27 @@ def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
 
 
 def check_linearization(
-    omega0: Measure,
-    link_rates: Sequence[float],
-    links: LinkSet,
-    times: Sequence[float],
-) -> float:
-    """Max defect of  T_G(omega_t) = exp(-t * sum_{a not in G} rho_a) T_G(omega_0).
+    omega0: Measure, link_rates: Sequence[float], times: Sequence[float]
+) -> np.ndarray:
+    """Max defect of  T_G(omega_t) = exp(-t * sum_{a not in G} rho_a) T_G(omega_0)
+    over the grid, for every cut set G: entry G (a bitmask) of a 2^n vector.
 
-    The trajectory is ``crossover_grid`` on the whole grid and its transform
-    is taken row by row; the comparison line is the decoupled linear decay
-    the transform predicts, with the factor b_G(t) of ``expansion_coefficients``.
+    One ``crossover_grid`` trajectory serves every G, its transform taken row
+    by row; the comparison line is the decoupled linear decay the transform
+    predicts, with the factor b_G(t) of ``expansion_coefficients``.
     """
-    _validated_link_rates(link_rates, links.n_links)
+    rates = _validated_link_rates(link_rates, omega0.space.n_links)
     require_positive(omega0, "check_linearization")
     times = _times(times)
-    base = moebius_transform(omega0, links).weights
-    states = crossover_grid(omega0, link_rates, times)
-    defect = moebius_rows(states, omega0.space, links)
-    defect -= np.multiply.outer(expansion_coefficients(link_rates, times)[1][:, links.bits], base)
-    return float(np.abs(defect).sum(axis=1).max(initial=0.0))
+    states = crossover_grid(omega0, rates, times)
+    b = expansion_coefficients(rates, times)[1]
+    defects = np.empty(b.shape[1])
+    for links in all_link_sets(len(rates)):
+        base = moebius_rows(omega0.weights, omega0.space, links)
+        defect = moebius_rows(states, omega0.space, links)
+        defect -= np.multiply.outer(b[:, links.bits], base)
+        defects[links.bits] = np.abs(defect).sum(axis=1).max(initial=0.0)
+    return defects
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,10 @@ def _flow_rows(
     # The block-0 states on cycles of length L share the order-L coefficients,
     # so each group's rows are outer products of one coefficient column with
     # omega_0 and C^1, ..., C^L restricted to the group.
-    taus = rho * np.asarray(times, dtype=np.float64)
+    # A rate times t past the float maximum is clamped to it, where every
+    # coefficient has long reached its limit; a finite tau keeps its bits.
+    with np.errstate(over="ignore"):
+        taus = np.minimum(rho * np.asarray(times, dtype=np.float64), np.finfo(np.float64).max)
     lengths = np.asarray(op.cycle_length)
     rows = (lengths.size, omega0.space.total_states // lengths.size)
     stack = np.empty((taus.size, *rows))

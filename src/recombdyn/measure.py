@@ -47,27 +47,6 @@ class ProductSpace:
     def total_states(self) -> int:
         return math.prod(self.sizes)
 
-    def flat_index(self, coords: Sequence[int]) -> int:
-        """Mixed-radix flat index of a state tuple (node 0 most significant)."""
-        if len(coords) != self.n_nodes:
-            raise ValueError(f"expected {self.n_nodes} coordinates, got {len(coords)}")
-        flat = 0
-        for x, k in zip(coords, self.sizes):
-            if not 0 <= x < k:
-                raise ValueError(f"coordinate {x} out of range for alphabet size {k}")
-            flat = flat * k + x
-        return flat
-
-    def coords(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= flat < self.total_states:
-            raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for k in reversed(self.sizes):
-            out.append(flat % k)
-            flat //= k
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True, eq=False)
 class Measure:
@@ -211,8 +190,9 @@ def tensor(factors: Sequence[Measure]) -> Measure:
     return Measure(ProductSpace(sizes), acc)
 
 
-def random_probability(space: ProductSpace, seed: int) -> Measure:
-    """Strictly positive probability measure, deterministic in the seed."""
+def random_probability(space: ProductSpace, seed: int | np.random.Generator) -> Measure:
+    """Strictly positive probability measure, deterministic in the seed; a
+    ``np.random.Generator`` given as the seed is drawn from as it is."""
     rng = np.random.default_rng(seed)
     w = rng.random(space.total_states) + 0.05
     w /= w.sum()

@@ -14,10 +14,9 @@ measures they are positively homogeneous contractions.
 ``recombine_weights`` and ``recombine_rows`` act on raw weights: one vector,
 or a (T, S) stack whose rows are recombined together in one pass, each with
 its own |omega|.  ``recombine`` is their one-measure case.  The law checkers
-follow the same design: ``gen_cond_rows`` (partial linearity) and
-``lipschitz_rows`` (the elementary Lipschitz ratio) return one value per row
-of a stack, and ``check_gen_cond`` and ``lipschitz_ratio`` are their
-one-measure cases.
+``gen_cond_rows`` (partial linearity) and ``lipschitz_rows`` (the elementary
+Lipschitz ratio) take weights too and return one value per row of a stack; a
+single measure is the one-row case, ``omega.weights``.
 """
 
 from __future__ import annotations
@@ -135,12 +134,6 @@ def gen_cond_rows(w: np.ndarray, space: ProductSpace, links: LinkSet, a: float) 
     return np.abs(recombine_rows(blend, space, links) - recombined).sum(axis=-1)
 
 
-def check_gen_cond(omega: Measure, links: LinkSet, a: float) -> float:
-    """``gen_cond_rows`` of one measure: the total variation of its defect."""
-    _require_full_chain(omega, "check_gen_cond")
-    return float(gen_cond_rows(omega.weights, omega.space, links, a))
-
-
 def lipschitz_rows(
     omega_w: np.ndarray, nu_w: np.ndarray, space: ProductSpace, link: int
 ) -> np.ndarray:
@@ -163,10 +156,3 @@ def lipschitz_rows(
     num = np.abs(recombine_rows(omega_w, space, cut) - recombine_rows(nu_w, space, cut))
     return num.sum(axis=-1) / denom
 
-
-def lipschitz_ratio(omega: Measure, nu: Measure, link: int) -> float:
-    """``lipschitz_rows`` of one pair of measures on the same full chain."""
-    if omega.space != nu.space or omega.nodes != nu.nodes:
-        raise ValueError("measures live on different (sub-)spaces")
-    _require_full_chain(omega, "lipschitz_ratio")
-    return float(lipschitz_rows(omega.weights, nu.weights, omega.space, link))

@@ -25,9 +25,9 @@ from recombdyn.generalized import (
     gfun_asymptotic_check,
 )
 from recombdyn.lattice import LinkSet, all_link_sets
-from recombdyn.measure import Measure, ProductSpace, total_variation
-from recombdyn.recombinator import check_gen_cond, lipschitz_ratio, recombine
-from recombdyn.verify import random_positive, random_space, sample_disjoint_system
+from recombdyn.measure import Measure, ProductSpace, random_probability, total_variation
+from recombdyn.recombinator import gen_cond_rows, lipschitz_rows, recombine, recombine_rows
+from recombdyn.verify import random_space, sample_disjoint_system
 
 
 def report(num, label, ok, detail):
@@ -43,7 +43,7 @@ def disjoint_runs():
     draws = []
     for _ in range(20):
         space = random_space(rng)
-        omega0 = random_positive(space, rng)
+        omega0 = random_probability(space, rng)
         draws.append((omega0, sample_disjoint_system(rng, space.n_links)))
     trajectories = rk4_integrate_many(
         [(omega0, system.as_rate_map()) for omega0, system in draws],
@@ -61,7 +61,7 @@ def crossover_runs():
         n_links = (2, 3, 4)[i % 3]
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1))
         space = ProductSpace(sizes)
-        omega0 = random_positive(space, rng)
+        omega0 = random_probability(space, rng)
         draws.append((omega0, rng.uniform(0.3, 1.5, size=n_links).tolist()))
     trajectories = rk4_integrate_many(
         [(omega0, RateMap.crossover(rates)) for omega0, rates in draws],
@@ -78,14 +78,16 @@ def test_criterion_01_recombinator_algebra():
         ProductSpace((3, 3, 2)),
         ProductSpace((2, 3)),
     ]
+    # Measure i lives on spaces[i % 4]; each space's measures form one stack.
+    draws = [random_probability(spaces[i % len(spaces)], rng).weights for i in range(200)]
     worst = 0.0
-    for i in range(200):
-        space = spaces[i % len(spaces)]
-        omega = random_positive(space, rng)
+    for k, space in enumerate(spaces):
+        stack = np.array(draws[k::len(spaces)])
+        once = {h.bits: recombine_rows(stack, space, h) for h in all_link_sets(space.n_links)}
         for g in all_link_sets(space.n_links):
             for h in all_link_sets(space.n_links):
-                gap = recombine(recombine(omega, h), g) - recombine(omega, g.union(h))
-                worst = max(worst, total_variation(gap))
+                gap = recombine_rows(once[h.bits], space, g) - once[g.bits | h.bits]
+                worst = max(worst, float(np.abs(gap).sum(axis=1).max()))
     assert report(
         1,
         "composition law R_G R_H = R_{G u H}",
@@ -97,13 +99,12 @@ def test_criterion_01_recombinator_algebra():
 def test_criterion_02_partial_linearity():
     rng = np.random.default_rng(2)
     space = ProductSpace((2, 3, 2, 2))
+    stack = np.array([random_probability(space, rng).weights for _ in range(100)])
     worst = 0.0
-    for _ in range(100):
-        omega = random_positive(space, rng)
-        for bits in range(1, 1 << space.n_links):
-            cut = LinkSet(bits, space.n_links)
-            for a in np.linspace(0.0, 1.0, 11):
-                worst = max(worst, check_gen_cond(omega, cut, float(a)))
+    for bits in range(1, 1 << space.n_links):
+        cut = LinkSet(bits, space.n_links)
+        for a in np.linspace(0.0, 1.0, 11):
+            worst = max(worst, float(gen_cond_rows(stack, space, cut, float(a)).max()))
     assert report(
         2,
         "partial-linearity identity",
@@ -131,7 +132,7 @@ def test_criterion_04_exact_decay_identity():
     worst = 0.0
     for _ in range(50):
         space = random_space(rng)
-        omega0 = random_positive(space, rng)
+        omega0 = random_probability(space, rng)
         cut = LinkSet(int(rng.integers(1, 1 << space.n_links)), space.n_links)
         rho = float(rng.uniform(0.2, 2.0))
         equilibrium = recombine(omega0, cut)
@@ -160,7 +161,7 @@ def test_criterion_05_commuting_semigroups():
         if len(system) != 2:
             continue
         trials += 1
-        omega0 = random_positive(space, rng)
+        omega0 = random_probability(space, rng)
         s, t = rng.uniform(0.05, 2.5, size=2)
         # The one-set flows in either order, each at its own time.
         one = product_flow_apply(omega0, system, [s, t])
@@ -206,12 +207,11 @@ def test_criterion_07_moebius_linearization():
     for _ in range(10):
         n_links = 3
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1))
-        omega0 = random_positive(ProductSpace(sizes), rng)
+        omega0 = random_probability(ProductSpace(sizes), rng)
         rates = rng.uniform(0.3, 1.5, size=n_links).tolist()
-        for links in all_link_sets(n_links):
-            worst_residual = max(
-                worst_residual, check_linearization(omega0, rates, links, grid)
-            )
+        worst_residual = max(
+            worst_residual, float(check_linearization(omega0, rates, grid).max())
+        )
         for row in expansion_coefficients(rates, grid)[0].tolist():
             worst_sum = max(worst_sum, abs(sum(row) - 1.0))
     ok = worst_residual <= 1e-9 and worst_sum <= 1e-12
@@ -285,7 +285,7 @@ def test_criterion_10_generalized_cyclic_flow():
     rng = np.random.default_rng(10)
     space = ProductSpace((3, 2, 2))
     op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))
-    omega0 = random_positive(space, rng)
+    omega0 = random_probability(space, rng)
 
     commutation = max(
         check_flow_commutation(omega0, op, 1.0, t) for t in (0.1, 0.5, 1.0, 3.0)
@@ -322,16 +322,19 @@ def test_criterion_10_generalized_cyclic_flow():
 def test_criterion_11_lipschitz_bound():
     rng = np.random.default_rng(11)
     space = ProductSpace((3, 2, 3))
-    worst = 0.0
+    omegas, nus = [], []
     for trial in range(2000):
         w = rng.standard_normal(space.total_states)
         if trial % 2:
             v = w + 1e-4 * rng.standard_normal(space.total_states)  # nearby pair
         else:
             v = rng.standard_normal(space.total_states)
-        omega, nu = Measure(space, w), Measure(space, v)
-        for link in range(space.n_links):
-            worst = max(worst, lipschitz_ratio(omega, nu, link))
+        omegas.append(w)
+        nus.append(v)
+    omegas, nus = np.array(omegas), np.array(nus)
+    worst = 0.0
+    for link in range(space.n_links):
+        worst = max(worst, float(lipschitz_rows(omegas, nus, space, link).max()))
     assert report(
         11,
         "elementary Lipschitz bound",

@@ -345,21 +345,23 @@ def test_run_overflowing_initial_total_prints_only_its_message(tmp_path, capsys)
 
 def test_run_huge_cyclic_rate_reaches_the_limit_quietly(tmp_path, capsys):
     # rho t = 1.7e308 * 0.75 overflows the exponents of the decaying modes to
-    # -inf, whose terms are the 0 they tend to: the run prints nothing, and
-    # its last row is the one rate 1e3 reaches by then, bit for bit.
-    rows = {}
-    for rate in (1.7e308, 1e3):
-        config = tmp_path / f"rate{rate:g}.json"
-        write_scenario(config, sizes=[3, 2], solver="closed-form",
-                       time={"t_end": 0.75, "stride": 50},
-                       rates={"kind": "cyclic", "links": [0], "permutation": [1, 2, 0],
-                              "rate": rate})
-        out = tmp_path / f"rate{rate:g}.csv"
-        code, caught = run_quietly(["run", "--config", str(config), "--out", str(out)])
-        assert (code, caught) == (EXIT_OK, [])
-        rows[rate] = out.read_text().splitlines()
-    assert capsys.readouterr().err == ""
-    assert len(rows[1.7e308]) == 17 and rows[1.7e308][-1] == rows[1e3][-1]
+    # -inf, whose terms are the 0 they tend to, and rho t = 1.7e308 * 2 is
+    # past the float maximum itself: the run prints nothing, and its last row
+    # is the one rate 1e3 reaches by then, bit for bit.
+    for t_end, lines in ((0.75, 17), (2.0, 42)):
+        rows = {}
+        for rate in (1.7e308, 1e3):
+            config = tmp_path / f"rate{rate:g}.json"
+            write_scenario(config, sizes=[3, 2], solver="closed-form",
+                           time={"t_end": t_end, "stride": 50},
+                           rates={"kind": "cyclic", "links": [0], "permutation": [1, 2, 0],
+                                  "rate": rate})
+            out = tmp_path / f"rate{rate:g}.csv"
+            code, caught = run_quietly(["run", "--config", str(config), "--out", str(out)])
+            assert (code, caught) == (EXIT_OK, [])
+            rows[rate] = out.read_text().splitlines()
+        assert capsys.readouterr().err == ""
+        assert len(rows[1.7e308]) == lines and rows[1.7e308][-1] == rows[1e3][-1]
 
 
 def test_run_size_mismatch_is_validation_error(tmp_path):
@@ -870,14 +872,11 @@ def test_verify_ignores_a_tolerance_scale_variable(tmp_path, monkeypatch):
     assert json.loads(plain.read_text())["tolerance_scale"] == 1.0
 
 
-# No private name crosses a module of the package.
-ALLOWED_PRIVATE_IMPORTS = {}
-
-
 @pytest.mark.parametrize(
     "module", sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py"))
 )
 def test_module_imports_no_private_package_names(module):
+    # No private name crosses a module of the package.
     tree = ast.parse((Path(cli.__file__).parent / f"{module}.py").read_text())
     private = [
         alias.name
@@ -887,7 +886,7 @@ def test_module_imports_no_private_package_names(module):
         for alias in node.names
         if alias.name.startswith("_")
     ]
-    assert private == ALLOWED_PRIVATE_IMPORTS.get(module, [])
+    assert private == []
 
 
 def test_coefficients_single_link(tmp_path):

@@ -573,7 +573,7 @@ def test_coefficient_validation():
         expansion_coefficients([1.0, 0.5], [0.5, -0.1])
     omega = random_probability(ProductSpace((2, 2, 2)), 0)
     with pytest.raises(ValueError):
-        check_linearization(omega, [1.0], LinkSet.empty(2), [1.0])
+        check_linearization(omega, [1.0], [1.0])
     with pytest.raises(ValueError):
         crossover_grid(omega, [1.0, -0.5], [1.0])
 
@@ -671,26 +671,22 @@ def test_moebius_inversion_round_trip():
 
 def test_linearization_full_set_is_constant():
     omega = random_probability(ProductSpace((2, 2, 2)), 2)
-    residual = check_linearization(
-        omega, [1.0, 0.7], LinkSet.full(2), [0.0, 0.5, 1.0, 2.0]
-    )
-    assert residual <= 1e-12
+    residual = check_linearization(omega, [1.0, 0.7], [0.0, 0.5, 1.0, 2.0])
+    assert residual[LinkSet.full(2).bits] <= 1e-12
 
 
 def test_linearization_single_link_decay():
     omega = random_probability(ProductSpace((2, 3)), 6)
-    residual = check_linearization(
-        omega, [0.9], LinkSet.empty(1), [0.0, 0.3, 1.0, 2.0, 4.0]
-    )
-    assert residual <= 1e-12
+    residual = check_linearization(omega, [0.9], [0.0, 0.3, 1.0, 2.0, 4.0])
+    assert residual[LinkSet.empty(1).bits] <= 1e-12
 
 
 def test_linearization_three_links():
     omega = random_probability(ProductSpace((2, 2, 2, 2)), 14)
     rates = [1.0, 0.5, 1.4]
     grid = np.arange(0.0, 5.0 + 1e-9, 0.25).tolist()
-    for links in all_link_sets(3):
-        assert check_linearization(omega, rates, links, grid) <= 1e-9
+    residuals = check_linearization(omega, rates, grid)
+    assert residuals.shape == (8,) and (residuals <= 1e-9).all()
 
 
 def test_transform_decay_matches_cumulative_coefficient():
@@ -774,12 +770,14 @@ def linearization_per_time(omega0, rates, links, times):
 def test_check_linearization_matches_its_per_time_loop():
     omega = random_probability(ProductSpace((2, 3, 2, 2)), 24)
     rates = [1.3, 0.6, 0.9]
+    defects = check_linearization(omega, rates, GRID)
+    assert defects.shape == (8,)
     for links in all_link_sets(3):
         expected = linearization_per_time(omega, rates, links, GRID)
-        assert abs(check_linearization(omega, rates, links, GRID) - expected) <= 1e-15
-    assert check_linearization(omega, rates, LinkSet.empty(3), []) == 0.0
+        assert abs(defects[links.bits] - expected) <= 1e-15
+    assert check_linearization(omega, rates, []).tolist() == [0.0] * 8
     with pytest.raises(ValueError):
-        check_linearization(omega, rates, LinkSet.empty(3), [1.0, -1.0])
+        check_linearization(omega, rates, [1.0, -1.0])
 
 
 def test_trajectory_validation():

@@ -23,7 +23,7 @@ def brute_marginal(omega, keep):
     sub_sizes = [space.sizes[ax] for ax in keep_axes]
     out = np.zeros(int(np.prod(sub_sizes)))
     for flat in range(space.total_states):
-        coords = space.coords(flat)
+        coords = np.unravel_index(flat, space.sizes)
         sub_flat = 0
         for ax, k in zip(keep_axes, sub_sizes):
             sub_flat = sub_flat * k + coords[ax]
@@ -40,12 +40,12 @@ def brute_outer(us):
 
 def test_flat_index_node0_most_significant():
     space = ProductSpace((2, 3, 2))
-    assert space.flat_index((0, 0, 0)) == 0
-    assert space.flat_index((0, 0, 1)) == 1
-    assert space.flat_index((0, 1, 0)) == 2
-    assert space.flat_index((1, 0, 0)) == 6
-    for flat in range(space.total_states):
-        assert space.flat_index(space.coords(flat)) == flat
+    tensor_view = Measure(space, np.arange(space.total_states)).as_tensor()
+    assert tensor_view[0, 0, 1] == 1
+    assert tensor_view[0, 1, 0] == 2
+    assert tensor_view[1, 0, 0] == 6
+    for coords in np.ndindex(space.sizes):
+        assert tensor_view[coords] == np.ravel_multi_index(coords, space.sizes)
 
 
 def test_total_variation_cases():
