@@ -32,6 +32,7 @@ from .dynamics import (
     integrate_field,
     output_grid,
     product_flow_grid,
+    row_blocks,
     trajectory_to_csv,
     trajectory_to_json,
     write_csv_row,
@@ -55,13 +56,16 @@ BOTH_MODE_TOLERANCE = 1e-6
 INVARIANT_TOLERANCE = 1e-9
 
 # Memory bounds of one run, checked before any state is allocated: states of
-# the space, and weights of one stored trajectory (grid points x states).
+# the space, and weights of one stored trajectory (grid points x states).  At
+# its peak a run holds that stack and the temporaries of one row block (see
+# ``row_blocks``), and in `both` mode the RK4 stack as well.
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
 # Work bound of one cyclic run, checked once the operator has its cycles and
 # before any flow runs: the closed form's passes over the stored stack grow
-# with (longest cycle + 1) x grid points x states.
+# with (longest cycle + 1) x grid points x states.  Its memory is the stored
+# stack, one row block's products and omega_0 with its powers, one state each.
 MAX_CYCLIC_CELLS = 1 << 27
 
 # Work bound of one `coefficients` table: times x link sets.  The largest
@@ -321,11 +325,11 @@ def _run_one(config: str, out_path: Path, fmt: str) -> int:
     if solver in ("closed-form", "both"):
         closed = runtime.closed_form(runtime.grid)
         if rk4_traj is not None:
-            # The gaps are one row-wise sum in one stack-sized temporary,
-            # taken before the write so that it adds nothing to its peak.
-            diff = np.subtract(closed, rk4_traj.weights)
-            gaps = np.abs(diff, out=diff).sum(axis=1).tolist()
-            del diff
+            # Row-wise sums of the differences, one row block at a time.
+            gaps = []
+            for rows in row_blocks(*closed.shape):
+                diff = np.subtract(closed[rows], rk4_traj.weights[rows])
+                gaps += np.abs(diff, out=diff).sum(axis=1).tolist()
         closed_traj = Trajectory(runtime.omega0.space, runtime.grid, closed)
 
     # A state that breaks an invariant is no result: nothing is written.

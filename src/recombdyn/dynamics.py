@@ -19,11 +19,15 @@ summed over cut sets G.  Three solvable regimes get closed forms here:
 Time enters these forms only through scalar coefficients, so every
 time-dependent function takes a whole time grid and returns one row per time:
 ``product_flow_grid`` and ``crossover_grid`` apply each one-set flow
-W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the whole stack in place, one
-recombination per cut set for the grid, ``expansion_coefficients`` tabulates
-a_G(t) and b_G(t) for every cut set, and ``moebius_rows`` transforms every row
-of a stack.  ``product_flow_apply`` keeps one time per component: it is the
-multi-parameter semigroup, and a one-set system at one time is the one-set flow.
+W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the stack in place, one
+recombination per cut set and row block (``row_blocks``: rows do not depend on
+one another, so a block of them has each row's bits and only a block's
+temporaries), ``expansion_coefficients`` tabulates a_G(t) and b_G(t) for every
+cut set, and ``moebius_rows`` transforms every row of a stack;
+``recombination_table`` takes each R_H of a stack once, and ``moebius_sum``
+forms any transform from it.  ``product_flow_apply`` keeps one time per
+component: it is the multi-parameter semigroup, and a one-set system at one
+time is the one-set flow.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``integrate_field`` on any flat
@@ -64,7 +68,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -597,6 +601,22 @@ def rk4_integrate_many(
 # ---------------------------------------------------------------------------
 
 
+# The closed forms and `both` mode's gaps work on a (times, states) stack in
+# blocks of consecutive rows of at most this many cells (at least one row).
+# Rows do not depend on one another, and each row's arithmetic is the same in
+# any block, so the bytes are those of the whole stack at once; a block's
+# temporaries replace the stack-sized ones.
+ROW_BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(n_rows: int, row_cells: int) -> Iterator[slice]:
+    """Slices of consecutive rows of an (n_rows, row_cells) stack, in order,
+    each of at most ``ROW_BLOCK_CELLS`` cells or one row."""
+    step = max(1, ROW_BLOCK_CELLS // max(row_cells, 1))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
 def _times(ts: Sequence[float]) -> list[float]:
     times = [float(t) for t in ts]
     if any(t < 0.0 for t in times):
@@ -610,15 +630,20 @@ def _one_set_flows(
 ) -> np.ndarray:
     # The (links, rate, times) factors applied in turn to a stack of omega0,
     # one row per time:  W <- s W + (1 - s) R_G(W)  with each row's own
-    # survival s = e^{-rate t}.  In place, with one stack-sized temporary.
+    # survival s = e^{-rate t}.  Each row block takes every factor in place,
+    # so the temporaries are one block's.
     stack = np.tile(omega0.weights, (len(factors[0][2]), 1))
-    for links, rate, times in factors:
-        # math.exp as in expansion_coefficients; np.exp may round differently.
-        survival = np.array([math.exp(-rate * t) for t in times])[:, None]
-        recombined = recombine_rows(stack, omega0.space, links)
-        stack *= survival
-        recombined *= 1.0 - survival
-        stack += recombined
+    # math.exp as in expansion_coefficients; np.exp may round differently.
+    survivals = [
+        np.array([math.exp(-rate * t) for t in times])[:, None] for _, rate, times in factors
+    ]
+    for rows in row_blocks(*stack.shape):
+        block = stack[rows]
+        for (links, _, _), survival in zip(factors, survivals):
+            recombined = recombine_rows(block, omega0.space, links)
+            block *= survival[rows]
+            recombined *= 1.0 - survival[rows]
+            block += recombined
     return stack
 
 
@@ -634,9 +659,10 @@ def product_flow_grid(
     """The combined flow of a disjoint-stretch system on a whole time grid.
 
     Returns the (len(times), states) stack whose row k is the state at
-    ``times[k]``.  Each one-set flow acts on the whole stack at once, so the
-    grid costs one recombination per cut set, not one per cut set and time.
-    A row at t = 0 is omega_0 exactly.
+    ``times[k]``.  Each one-set flow acts on a block of rows at once, so the
+    grid costs one recombination per cut set and row block, not one per cut
+    set and time, and the stack is the only grid-sized array.  A row at
+    t = 0 is omega_0 exactly.
     """
     times = _times(times)
     _check_system(omega0, system)
@@ -723,19 +749,41 @@ def crossover_grid(
 # ---------------------------------------------------------------------------
 
 
-def moebius_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.ndarray:
-    """``moebius_transform`` of every row of a weight vector or (T, S) stack.
+def moebius_sum(links: LinkSet, recombined: Callable[[LinkSet], np.ndarray]) -> np.ndarray:
+    """T_G = sum_{H >= G} (-1)^{|H-G|} R_H(w), given ``recombined(H)`` = R_H(w).
 
-    Each superset's recombination acts on the whole stack at once.
+    The terms go into a zero accumulator in ascending superset order, so a
+    table of every R_H and a recombination per term give the same bits.
     """
-    acc = np.zeros_like(w)
+    acc = None
     for upper in supersets_of(links):
-        term = recombine_rows(w, space, upper)
+        term = recombined(upper)
+        if acc is None:
+            acc = np.zeros_like(term)
         if moebius_sign(links, upper) > 0:
             acc += term
         else:
             acc -= term
     return acc
+
+
+def recombination_table(w: np.ndarray, space: ProductSpace) -> list[np.ndarray]:
+    """R_H(w) of a weight vector or (T, S) stack for every cut set H, indexed
+    by bitmask: 2^n - 1 recombinations, and entry 0 is ``w`` itself.
+
+    Every ``moebius_sum`` over it takes no further recombination, where
+    ``moebius_rows`` for every G would take 3^n - 1.
+    """
+    return [recombine_rows(w, space, links) for links in all_link_sets(space.n_links)]
+
+
+def moebius_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.ndarray:
+    """``moebius_transform`` of every row of a weight vector or (T, S) stack.
+
+    Each superset's recombination acts on the whole stack at once and is
+    dropped once summed.
+    """
+    return moebius_sum(links, lambda upper: recombine_rows(w, space, upper))
 
 
 def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
@@ -757,19 +805,22 @@ def check_linearization(
     """Max defect of  T_G(omega_t) = exp(-t * sum_{a not in G} rho_a) T_G(omega_0)
     over the grid, for every cut set G: entry G (a bitmask) of a 2^n vector.
 
-    One ``crossover_grid`` trajectory serves every G, its transform taken row
-    by row; the comparison line is the decoupled linear decay the transform
-    predicts, with the factor b_G(t) of ``expansion_coefficients``.
+    One ``crossover_grid`` trajectory serves every G: with omega_0 on top it
+    is one stack whose every R_H is taken once, and each transform is a
+    ``moebius_sum`` of that table.  The comparison line is the decoupled
+    linear decay the transform predicts, with the factor b_G(t) of
+    ``expansion_coefficients``.
     """
     rates = _validated_link_rates(link_rates, omega0.space.n_links)
     require_positive(omega0, "check_linearization")
     times = _times(times)
-    states = crossover_grid(omega0, rates, times)
+    states = np.vstack((omega0.weights, crossover_grid(omega0, rates, times)))
+    table = recombination_table(states, omega0.space)
     b = expansion_coefficients(rates, times)[1]
     defects = np.empty(b.shape[1])
     for links in all_link_sets(len(rates)):
-        base = moebius_rows(omega0.weights, omega0.space, links)
-        defect = moebius_rows(states, omega0.space, links)
+        transformed = moebius_sum(links, lambda upper: table[upper.bits])
+        base, defect = transformed[0], transformed[1:]
         defect -= np.multiply.outer(b[:, links.bits], base)
         defects[links.bits] = np.abs(defect).sum(axis=1).max(initial=0.0)
     return defects

@@ -26,8 +26,9 @@ Summed over k = j (mod L), the order-n coefficients are the order-L ones
 length: each block-0 state takes ``flow_coefficients(L, rho t)`` of its own
 cycle, and no work grows with the lcm of the cycle lengths.
 ``generalized_flow_grid`` forms R(omega_0) and its relabelings C^1, ..., C^L
-of each cycle-length group once for a whole time grid, one row per time; a
-single time is its one-row grid.  ``gfun`` likewise tabulates F_0, ..., F_{n-1}
+of each cycle-length group once for a whole time grid, one row per time, and
+their weighted sums one row block at a time; a single time is its one-row
+grid.  ``gfun`` likewise tabulates F_0, ..., F_{n-1}
 over a whole vector of times.  The generator rho (C - 1) is ``compile_field``
 of the one cut set with g; with no cuts, C = sigma.
 """
@@ -41,7 +42,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import RateMap, compile_field
+from .dynamics import RateMap, compile_field, row_blocks
 from .lattice import LinkSet, partition_of
 from .measure import Measure, ProductSpace
 from .recombinator import recombine, require_positive
@@ -227,24 +228,31 @@ def _flow_rows(
         raise ValueError("measure does not live on the operator's space")
     # The block-0 states on cycles of length L share the order-L coefficients,
     # so each group's rows are outer products of one coefficient column with
-    # omega_0 and C^1, ..., C^L restricted to the group.
+    # omega_0 and C^1, ..., C^L restricted to the group.  The coefficients
+    # and powers are taken once for the grid, the products one row block at
+    # a time.
     # A rate times t past the float maximum is clamped to it, where every
     # coefficient has long reached its limit; a finite tau keeps its bits.
     with np.errstate(over="ignore"):
         taus = np.minimum(rho * np.asarray(times, dtype=np.float64), np.finfo(np.float64).max)
     lengths = np.asarray(op.cycle_length)
     rows = (lengths.size, omega0.space.total_states // lengths.size)
-    stack = np.empty((taus.size, *rows))
     base = recombine(omega0, op.cuts).weights
+    groups = []
     for n in set(op.cycle_length):
         group = lengths == n
-        coeffs = flow_coefficients(n, taus)
-        part = np.multiply.outer(coeffs[:, 0], omega0.weights.reshape(rows)[group])
-        power = base
-        for k in range(1, n + 1):
+        powers, power = [omega0.weights.reshape(rows)[group]], base
+        for _ in range(n):
             power = _relabel_block0(power, op.perm)
-            part += np.multiply.outer(coeffs[:, k], power.reshape(rows)[group])
-        stack[:, group] = part
+            powers.append(power.reshape(rows)[group])
+        groups.append((group, flow_coefficients(n, taus), powers))
+    stack = np.empty((taus.size, *rows))
+    for block in row_blocks(taus.size, omega0.space.total_states):
+        for group, coeffs, powers in groups:
+            part = np.multiply.outer(coeffs[block, 0], powers[0])
+            for k, power in enumerate(powers[1:], 1):
+                part += np.multiply.outer(coeffs[block, k], power)
+            stack[block, group] = part
     stack = stack.reshape(taus.size, omega0.space.total_states)
     stack[[t == 0.0 for t in times]] = omega0.weights
     return stack

@@ -18,9 +18,10 @@ from .dynamics import (
     check_linearization,
     crossover_grid,
     expansion_coefficients,
-    moebius_rows,
+    moebius_sum,
     product_flow_apply,
     product_flow_grid,
+    recombination_table,
     rk4_integrate_many,
 )
 from .generalized import (
@@ -192,7 +193,7 @@ def suite_algebra(seed: int) -> list[dict]:
     # samples would draw them, and then evaluates its law on their stack.
     space3 = ProductSpace((2, 3, 2, 2))
     stack = np.array([random_probability(space3, rng).weights for _ in range(6)])
-    once = {h.bits: recombine_rows(stack, space3, h) for h in all_link_sets(3)}
+    once = recombination_table(stack, space3)
     worst = 0.0
     for g in all_link_sets(3):
         for h in all_link_sets(3):
@@ -427,8 +428,8 @@ def suite_moebius(seed: int) -> list[dict]:
     checks.append(_check("moebius.linearization", worst_linear, 1e-9))
 
     # Transform inversion and the cumulative-coefficient identity.  Row 0 of
-    # ``pair`` is omega_0 and row 1 the state at t; every transform T_G acts
-    # on both rows at once and is taken once per scenario.
+    # ``pair`` is omega_0 and row 1 the state at t; each R_H of both rows is
+    # taken once per scenario, and every transform T_G is summed from them.
     worst_inverse = worst_b = worst_reconstruction = 0.0
     for scenario in range(4):
         n_links = 3
@@ -438,13 +439,16 @@ def suite_moebius(seed: int) -> list[dict]:
         t = float(rng.uniform(0.2, 2.0))
         pair = np.array([omega0.weights, crossover_grid(omega0, link_rates, [t])[0]])
         b = expansion_coefficients(link_rates, [t])[1][0].tolist()
-        transforms = {ls.bits: moebius_rows(pair, space, ls) for ls in all_link_sets(n_links)}
+        table = recombination_table(pair, space)
+        transforms = [
+            moebius_sum(ls, lambda upper: table[upper.bits]) for ls in all_link_sets(n_links)
+        ]
         reconstructed = np.zeros(space.total_states)
         for ls in all_link_sets(n_links):
             back = np.zeros(space.total_states)
             for sup in supersets_of(ls):
                 back = back + transforms[sup.bits][0]
-            direct = recombine_rows(omega0.weights, space, ls)
+            direct = table[ls.bits][0]
             worst_inverse = max(worst_inverse, float(_row_tv(back - direct)))
             base, moved = transforms[ls.bits]
             worst_b = max(worst_b, float(_row_tv(moved - b[ls.bits] * base)))

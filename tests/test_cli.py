@@ -21,9 +21,12 @@ from recombdyn.cli import (
 )
 from recombdyn.dynamics import (
     DisjointStretchSystem,
+    RateMap,
     Trajectory,
+    compile_field,
     crossover_grid,
     expansion_coefficients,
+    integrate_field,
     output_grid,
     product_flow_grid,
     trajectory_to_csv,
@@ -77,6 +80,27 @@ def test_run_both_mode_within_tolerance(tmp_path):
     # 17 significant digits round-trip exactly
     cell = lines[1].split(",")[1]
     assert float(cell) == float(f"{float(cell):.17g}")
+
+
+def test_both_mode_gaps_in_row_blocks_are_the_row_at_a_time_sums(tmp_path):
+    # 4^6 states x 41 stored times: 16 rows a block, so the gaps span three
+    # blocks.  Each gap is the sum of one row's differences taken on its own.
+    rates = [0.9, 0.4, 1.2, 0.7, 1.1]
+    config = tmp_path / "wide.json"
+    write_scenario(config, sizes=[4] * 6, rates={"kind": "crossover", "per_link": rates},
+                   time={"t_end": 0.4, "stride": 1}, rk4_step=0.01)
+    out = tmp_path / "wide.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    report = json.loads((tmp_path / "wide.csv.report.json").read_text())
+    space = ProductSpace((4,) * 6)
+    omega0 = random_probability(space, 11)
+    rk4 = integrate_field(compile_field(space, RateMap.crossover(rates)), omega0, 0.4, 0.01)
+    gaps = [
+        np.abs(crossover_grid(omega0, rates, [t])[0] - row).sum()
+        for t, row in zip(rk4.times, rk4.weights)
+    ]
+    assert len(gaps) == 41
+    assert np.array(report["gaps"]).tobytes() == np.array(gaps).tobytes()
 
 
 def test_run_zero_horizon_single_row(tmp_path):

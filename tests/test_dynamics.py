@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from recombdyn.dynamics import (
+    ROW_BLOCK_CELLS,
     DisjointStretchSystem,
     RateMap,
     Trajectory,
@@ -22,6 +23,7 @@ from recombdyn.dynamics import (
     product_flow_grid,
     rk4_integrate,
     rk4_integrate_many,
+    row_blocks,
     trajectory_to_csv,
     trajectory_to_json_dict,
 )
@@ -743,6 +745,44 @@ def test_crossover_grid_is_its_one_row_case_at_every_time():
         assert np.abs(row - subset_expansion(omega, rates, t).weights).sum() <= 1e-10
     with pytest.raises(ValueError):
         crossover_grid(omega, [1.0, 0.4], GRID)
+
+
+# 4^6 states x 201 times: 16 rows a block, so the grid spans 13 blocks.
+BLOCK_SPACE = ProductSpace((4,) * 6)
+BLOCK_GRID = [0.005 * k for k in range(201)]
+BLOCK_SYSTEM = DisjointStretchSystem(
+    ((LinkSet.from_indices([0], 5), 0.9), (LinkSet.from_indices([2, 3], 5), 0.5))
+)
+
+
+def test_row_blocks_cover_every_row_once_in_bounded_blocks():
+    for n_rows, row_cells in ((0, 5), (1, 1 << 20), (3, 1 << 20), (101, 4096), (7, 1)):
+        blocks = list(row_blocks(n_rows, row_cells))
+        assert [k for rows in blocks for k in range(n_rows)[rows]] == list(range(n_rows))
+        for rows in blocks:
+            assert rows.stop - rows.start == 1 or (rows.stop - rows.start) * row_cells <= ROW_BLOCK_CELLS
+    assert len(list(row_blocks(len(BLOCK_GRID), BLOCK_SPACE.total_states))) == 13
+
+
+def test_product_flow_grid_in_row_blocks_has_the_row_at_a_time_bytes():
+    omega = random_probability(BLOCK_SPACE, 25)
+    stack = product_flow_grid(omega, BLOCK_SYSTEM, BLOCK_GRID)
+    rows = np.array([product_flow_grid(omega, BLOCK_SYSTEM, [t])[0] for t in BLOCK_GRID])
+    assert stack.tobytes() == rows.tobytes()
+
+
+def test_product_flow_grid_holds_its_stack_and_one_row_block():
+    # The stack, filled in place, and one block's recombination and blend:
+    # 16 of the 201 rows.  Blending the whole stack at once held 3.1 stacks.
+    omega = random_probability(BLOCK_SPACE, 26)
+    tracemalloc.start()
+    try:
+        stack = product_flow_grid(omega, BLOCK_SYSTEM, BLOCK_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (201, 4096)
+    assert peak <= 1.5 * stack.nbytes, (peak, stack.nbytes)
 
 
 def test_moebius_rows_is_the_transform_of_each_row():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,35 @@ def test_flow_grid_is_its_one_row_case_at_every_time():
         generalized_flow_grid(omega, op, 1.3, [1.0, -0.5])
     with pytest.raises(ValueError):
         generalized_flow_grid(omega, op, 0.0, grid)
+
+
+def block_cycle(seed):
+    # 6 x 4^5 states x 101 times: 10 rows a block, so the grid spans eleven
+    # blocks; block-0 cycles of lengths 3, 2 and 1 make three groups.
+    space = ProductSpace((6, 4, 4, 4, 4, 4))
+    op = CyclicOperator(space, LinkSet.from_indices([0, 2], 5), (1, 2, 0, 4, 3, 5))
+    return op, random_probability(space, seed), [0.02 * k for k in range(101)]
+
+
+def test_flow_grid_in_row_blocks_has_the_row_at_a_time_bytes():
+    op, omega, grid = block_cycle(31)
+    stack = generalized_flow_grid(omega, op, 1.3, grid)
+    rows = np.array([generalized_flow_grid(omega, op, 1.3, [t])[0] for t in grid])
+    assert stack.tobytes() == rows.tobytes()
+
+
+def test_flow_grid_holds_its_stack_and_one_row_block():
+    # The stack and one block of each group's outer products, with the
+    # powers C^k of one state each.  Whole-grid products held 2.1 stacks.
+    op, omega, grid = block_cycle(32)
+    tracemalloc.start()
+    try:
+        stack = generalized_flow_grid(omega, op, 1.3, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (101, 6144)
+    assert peak <= 1.5 * stack.nbytes, (peak, stack.nbytes)
 
 
 def generalized_ode_per_time(omega0, op, rho, times, h_fd):

@@ -17,3 +17,30 @@ def test_readme_library_example_runs(capsys):
     assert shape == "(2001, 12)"
     assert float(drift) <= 1e-12 and float(gap) <= 1e-12
     assert 1e-3 < float(spread) < 1.0
+
+
+def bounds_bullet() -> str:
+    section = README.read_text().split("- Work and memory are bounded", 1)[1]
+    return " ".join(section.split("\n- ", 1)[0].split())
+
+
+def test_readme_caps_are_the_code_caps():
+    from recombdyn.cli import MAX_CYCLIC_CELLS, MAX_STATES, MAX_STORED_WEIGHTS
+    from recombdyn.dynamics import MAX_GRID_POINTS, MAX_STEPS, ROW_BLOCK_CELLS
+
+    stated = {
+        name: int(base) ** int(power)
+        for base, power, name in re.findall(
+            r"at most (\d+)\^(\d+) (integrator steps|stored grid points|states|"
+            r"stored weights|cyclic cells|cells)\b",
+            bounds_bullet(),
+        )
+    }
+    assert stated == {
+        "integrator steps": MAX_STEPS,
+        "stored grid points": MAX_GRID_POINTS,
+        "states": MAX_STATES,
+        "stored weights": MAX_STORED_WEIGHTS,
+        "cyclic cells": MAX_CYCLIC_CELLS,
+        "cells": ROW_BLOCK_CELLS,
+    }
