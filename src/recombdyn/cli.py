@@ -27,11 +27,10 @@ from .dynamics import (
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    compile_field,
     expansion_coefficients,
-    integrate_field,
     output_grid,
     product_flow_grid,
+    rk4_integrate,
     row_blocks,
     trajectory_to_csv,
     trajectory_to_json,
@@ -224,7 +223,8 @@ class _Runtime:
     grid: list[float]
     # The closed form on a time grid: one row of weights per time.
     closed_form: Callable[[list[float]], np.ndarray] | None
-    field: Callable[[np.ndarray], np.ndarray]
+    # What rk4 integrates, the relabeling of a cyclic map included.
+    rates: RateMap
 
 
 def _build_runtime(scenario: Scenario) -> _Runtime:
@@ -301,8 +301,7 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 hint = "; use solver 'rk4'" if rates["kind"] == "general" else ""
                 raise ScenarioValidationError(f"{exc}{hint}") from exc
             closed = lambda times: product_flow_grid(omega0, system, times)
-        field = compile_field(space, RateMap(n_links, pairs), relabel=perm)
-        return _Runtime(omega0, grid, closed, field)
+        return _Runtime(omega0, grid, closed, RateMap(n_links, pairs, perm))
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 
@@ -319,8 +318,8 @@ def _run_one(config: str, out_path: Path, fmt: str) -> int:
 
     rk4_traj = closed_traj = gaps = None
     if solver in ("rk4", "both"):
-        rk4_traj = integrate_field(
-            runtime.field, runtime.omega0, scenario.t_end, scenario.rk4_step, scenario.stride
+        rk4_traj = rk4_integrate(
+            runtime.omega0, runtime.rates, scenario.t_end, scenario.rk4_step, scenario.stride
         )
     if solver in ("closed-form", "both"):
         closed = runtime.closed_form(runtime.grid)

@@ -3,9 +3,12 @@ inclusion-exclusion transform that linearizes the single-crossover flow.
 
 The evolution equation is
 
-    d/dt omega = sum_G rho_G (R_G - 1)(omega),       rho_G >= 0,
+    d/dt omega = sum_G rho_G (sigma R_G - 1)(omega),       rho_G >= 0,
 
-summed over cut sets G.  Three solvable regimes get closed forms here:
+summed over cut sets G, where sigma is the identity unless a ``RateMap``
+carries a relabeling of the first block's states (the cyclic operator of
+``recombdyn.generalized``).  With sigma = 1, three solvable regimes get closed
+forms here:
 
 * one cut set A:            omega_t = e^{-rho t} omega_0 + (1 - e^{-rho t}) R_A(omega_0)
 * cut sets with pairwise disjoint stretches: the product of the one-set flows
@@ -23,16 +26,16 @@ W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the stack in place, one
 recombination per cut set and row block (``row_blocks``: rows do not depend on
 one another, so a block of them has each row's bits and only a block's
 temporaries), ``expansion_coefficients`` tabulates a_G(t) and b_G(t) for every
-cut set, and ``moebius_rows`` transforms every row of a stack;
-``recombination_table`` takes each R_H of a stack once, and ``moebius_sum``
-forms any transform from it.  ``product_flow_apply`` keeps one time per
-component: it is the multi-parameter semigroup, and a one-set system at one
-time is the one-set flow.
+cut set, ``recombination_table`` takes each R_H of a stack once, and
+``moebius_sum`` forms any transform of every row from it.
+``product_flow_apply`` keeps one time per component: it is the
+multi-parameter semigroup, and a one-set system at one time is the one-set
+flow.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
-numerical oracle for every closed form: ``integrate_field`` on any flat
-field, ``rk4_integrate`` on a rate map's.  The time grid is validated, with
-at most ``MAX_STEPS`` steps, before anything is allocated.  General
+numerical oracle for every closed form: ``rk4_integrate`` on the field of any
+rate map, a cyclic one included.  The time grid is validated, with at most
+``MAX_STEPS`` steps, before anything is allocated.  General
 overlapping-stretch rate maps are integrated numerically only; no closed
 form is claimed for them.
 
@@ -86,10 +89,17 @@ from .recombinator import ZERO_TOTAL_VARIATION, recombine_rows, require_positive
 
 @dataclass(frozen=True)
 class RateMap:
-    """Finite assignment of nonnegative rates to cut sets; the empty one needs a relabeling."""
+    """Finite assignment of nonnegative rates to cut sets; the empty one needs a relabeling.
+
+    ``relabel``, when given, is the permutation sigma of the generator
+    sum_G rho_G (sigma R_G - 1): it sends every term's weight at first-block
+    state i to ``relabel[i]``, as the cyclic operator does.  None is the
+    identity.
+    """
 
     n_links: int
     entries: tuple[tuple[LinkSet, float], ...]
+    relabel: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         seen = set()
@@ -109,6 +119,13 @@ class RateMap:
             raise ValueError("the rates' total exceeds the float range")
         normalized.sort(key=lambda e: e[0].bits)
         object.__setattr__(self, "entries", tuple(normalized))
+        if self.relabel is not None:
+            relabel = tuple(int(i) for i in self.relabel)
+            if sorted(relabel) != list(range(len(relabel))):
+                raise ValueError(f"relabel must permute 0, ..., {len(relabel) - 1}")
+            object.__setattr__(self, "relabel", relabel)
+        elif 0 in seen:  # bits 0: the empty cut set
+            raise ValueError("the empty cut set generates no motion without a relabeling; drop it")
 
     @classmethod
     def single(cls, links: LinkSet, rate: float) -> "RateMap":
@@ -229,7 +246,7 @@ class _FieldTerms:
 
     ``extents`` are the distinct blocks of all cut sets as (left, block,
     right) extents of the flat index; each nonzero-rate term has its rate and
-    the ids of its blocks in that list; ``relabel`` is ``compile_field``'s.
+    the ids of its blocks in that list; ``relabel`` is the rate map's.
     """
 
     n_states: int
@@ -245,14 +262,10 @@ class _FieldTerms:
         return rows * self.n_states <= STACKED_FIELD_MAX_ENTRIES
 
 
-def _field_terms(
-    space: ProductSpace, rates: RateMap, relabel: Sequence[int] | None = None
-) -> _FieldTerms:
+def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
     if rates.n_links != space.n_links:
         raise ValueError("rate map does not match the space's link count")
-    if relabel is None and any(len(links) == 0 for links, _ in rates.entries):
-        raise ValueError("the empty cut set generates no motion without a relabeling; drop it")
-    sizes = space.sizes
+    sizes, relabel = space.sizes, rates.relabel
     terms = [
         (rate, partition_of(links, space.n_nodes).blocks)
         for links, rate in rates.entries
@@ -263,9 +276,8 @@ def _field_terms(
         for block in blocks:
             block_ids.setdefault(block, len(block_ids))
     if relabel is not None:
-        relabel = tuple(int(i) for i in relabel)
         first = {math.prod(sizes[ax] for ax in blocks[0]) for _, blocks in terms}
-        if sorted(relabel) != list(range(len(relabel))) or not first <= {len(relabel)}:
+        if not first <= {len(relabel)}:
             raise ValueError("relabel must permute the states of every term's first block")
     extents = tuple(
         (
@@ -285,22 +297,19 @@ def _field_terms(
     )
 
 
-def compile_field(
-    space: ProductSpace, rates: RateMap, relabel: Sequence[int] | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def compile_field(space: ProductSpace, rates: RateMap) -> Callable[[np.ndarray], np.ndarray]:
     """Compile ``w -> sum_G rho_G (sigma R_G(w) - w)`` for flat weight vectors.
 
-    sigma sends each term's weight at first-block state i to ``relabel[i]``,
-    as the cyclic operator does; None is the identity, which rejects an empty
-    cut set.  Whatever needs only the space, the rates and sigma is worked out
-    once; zero rates are dropped.  Each call of the returned function sums |w|
-    once, forms every distinct block marginal once, and folds the ``-rho_G w``
-    parts into one term.  Like ``recombine_weights``, it divides every
+    sigma is ``rates.relabel``, which must permute the first-block states of
+    every term on this space.  Whatever needs only the space and the rate map
+    is worked out once; zero rates are dropped.  Each call of the returned
+    function sums |w| once, forms every distinct block marginal once, and
+    folds the ``-rho_G w`` parts into one term.  Like ``recombine_weights``, it divides every
     marginal by |w| so no power of |w| can overflow, and it maps |w| below
     ``ZERO_TOTAL_VARIATION`` to R(w) = 0.  The function keeps no state between
     calls, so one field may be shared across threads.
     """
-    terms = _field_terms(space, rates, relabel)
+    terms = _field_terms(space, rates)
     return _stacked_field([terms]) if terms.stacks else _strided_field(terms)
 
 
@@ -526,24 +535,6 @@ def _rk4_run(
     return times, stack
 
 
-def integrate_field(
-    field: Callable[[np.ndarray], np.ndarray],
-    omega0: Measure,
-    t_end: float,
-    h: float,
-    store_stride: int = 1,
-) -> Trajectory:
-    """Integrate  d/dt w = field(w)  on flat weights with classical fixed-step RK4.
-
-    States are stored on ``output_grid(t_end, h, store_stride)``; the final
-    step is shortened to land exactly on ``t_end``.  Transient slightly
-    negative intermediate weights are left as computed so integrator
-    defects remain visible to the checks downstream.
-    """
-    times, stack = _rk4_run(field, omega0.weights, float(t_end), float(h), store_stride)
-    return Trajectory(omega0.space, times, stack)
-
-
 def rk4_integrate(
     omega0: Measure,
     rates: RateMap,
@@ -551,9 +542,14 @@ def rk4_integrate(
     h: float,
     store_stride: int = 1,
 ) -> Trajectory:
-    """``integrate_field`` on the compiled field of a rate map, from a positive state.
+    """Integrate  d/dt w = field(w)  of a rate map with classical fixed-step RK4.
 
-    This is ``rk4_integrate_many`` with one problem.
+    ``field`` is ``compile_field(omega0.space, rates)`` and omega_0 must be
+    positive.  States are stored on ``output_grid(t_end, h, store_stride)``;
+    the final step is shortened to land exactly on ``t_end``.  Transient
+    slightly negative intermediate weights are left as computed so integrator
+    defects remain visible to the checks downstream.  This is
+    ``rk4_integrate_many`` with one problem.
     """
     return rk4_integrate_many([(omega0, rates)], t_end, h, store_stride)[0]
 
@@ -570,7 +566,8 @@ def rk4_integrate_many(
     are concatenated into one flat vector, which one compiled field and one
     RK4 run step together; each larger problem runs alone on the strided
     kernel.  Every problem keeps its own |w|, so each trajectory is the one
-    ``rk4_integrate`` gives for that problem alone.
+    ``rk4_integrate`` gives for that problem alone.  A run of one problem
+    starts from its ``omega0.weights`` itself, which RK4 never writes.
     """
     problems = list(problems)
     if not problems:
@@ -584,7 +581,8 @@ def rk4_integrate_many(
     runs += [([i], _strided_field(part)) for i, part in enumerate(terms) if not part.stacks]
     trajectories: list[Trajectory] = [None] * len(problems)
     for members, field in runs:
-        w0 = np.concatenate([problems[i][0].weights for i in members])
+        w0 = [problems[i][0].weights for i in members]
+        w0 = w0[0] if len(w0) == 1 else np.concatenate(w0)
         times, stack = _rk4_run(field, w0, float(t_end), float(h), store_stride)
         start = 0
         for i in members:
@@ -771,19 +769,10 @@ def recombination_table(w: np.ndarray, space: ProductSpace) -> list[np.ndarray]:
     """R_H(w) of a weight vector or (T, S) stack for every cut set H, indexed
     by bitmask: 2^n - 1 recombinations, and entry 0 is ``w`` itself.
 
-    Every ``moebius_sum`` over it takes no further recombination, where
-    ``moebius_rows`` for every G would take 3^n - 1.
+    Every ``moebius_sum`` over it takes no further recombination, where one
+    recombination per term for every G would take 3^n - 1.
     """
     return [recombine_rows(w, space, links) for links in all_link_sets(space.n_links)]
-
-
-def moebius_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.ndarray:
-    """``moebius_transform`` of every row of a weight vector or (T, S) stack.
-
-    Each superset's recombination acts on the whole stack at once and is
-    dropped once summed.
-    """
-    return moebius_sum(links, lambda upper: recombine_rows(w, space, upper))
 
 
 def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
@@ -792,11 +781,13 @@ def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
     The transform is genuinely signed even for positive input.  Summing it
     back over supersets inverts it:  R_G(omega) = sum_{H >= G} T_H(omega).
     Along a single-crossover trajectory each transform decays along its own
-    exponential, which is what makes the flow linearizable.  This is the
-    one-row case of ``moebius_rows``.
+    exponential, which is what makes the flow linearizable.  Each superset's
+    recombination is dropped once summed.
     """
     require_positive(omega, "moebius_transform")
-    return Measure(omega.space, moebius_rows(omega.weights, omega.space, links), omega.nodes)
+    w, space = omega.weights, omega.space
+    transformed = moebius_sum(links, lambda upper: recombine_rows(w, space, upper))
+    return Measure(space, transformed, omega.nodes)
 
 
 def check_linearization(

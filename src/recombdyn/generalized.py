@@ -29,8 +29,10 @@ cycle, and no work grows with the lcm of the cycle lengths.
 of each cycle-length group once for a whole time grid, one row per time, and
 their weighted sums one row block at a time; a single time is its one-row
 grid.  ``gfun`` likewise tabulates F_0, ..., F_{n-1}
-over a whole vector of times.  The generator rho (C - 1) is ``compile_field``
-of the one cut set with g; with no cuts, C = sigma.
+over a whole vector of times.  The generator rho (C - 1) is the field of the
+``RateMap`` of the one cut set with g as its relabeling, which
+``compile_field`` compiles and ``rk4_integrate`` integrates; with no cuts,
+C = sigma.
 """
 
 from __future__ import annotations
@@ -281,20 +283,17 @@ def check_generalized_ode(
     Returns max_t | (phi_{t+h} - phi_{t-h}) / 2h - rho (C - 1)(phi_t) | in
     total variation; second order in h, so halving h divides it by about 4.
     The three flows act on the whole grid at once, and the compiled
-    generator on each row.
+    generator on each row.  The centre rows come from
+    ``generalized_flow_grid``, which validates rho, the times and omega_0.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rate must be positive, got {rho}")
+    times = [float(t) for t in t_grid]
+    centre = generalized_flow_grid(omega0, op, rho, times)
     if h_fd <= 0.0:
         raise ValueError("finite-difference step must be positive")
-    require_positive(omega0, "check_generalized_ode")
-    generator = compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
-    times = [float(t) for t in t_grid]
-    if any(t < 0.0 for t in times):
-        raise ValueError("grid times must be nonnegative")
+    generator = compile_field(op.space, RateMap(op.space.n_links, ((op.cuts, rho),), op.perm))
     ahead = _flow_rows(omega0, op, rho, [t + h_fd for t in times])
     behind = _flow_rows(omega0, op, rho, [t - h_fd for t in times])
     defect = (ahead - behind) / (2.0 * h_fd)
-    for row, state in zip(defect, _flow_rows(omega0, op, rho, times)):
+    for row, state in zip(defect, centre):
         row -= generator(state)
     return float(np.abs(defect).sum(axis=1).max(initial=0.0))

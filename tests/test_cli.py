@@ -23,12 +23,11 @@ from recombdyn.dynamics import (
     DisjointStretchSystem,
     RateMap,
     Trajectory,
-    compile_field,
     crossover_grid,
     expansion_coefficients,
-    integrate_field,
     output_grid,
     product_flow_grid,
+    rk4_integrate,
     trajectory_to_csv,
     trajectory_to_json_dict,
 )
@@ -94,7 +93,7 @@ def test_both_mode_gaps_in_row_blocks_are_the_row_at_a_time_sums(tmp_path):
     report = json.loads((tmp_path / "wide.csv.report.json").read_text())
     space = ProductSpace((4,) * 6)
     omega0 = random_probability(space, 11)
-    rk4 = integrate_field(compile_field(space, RateMap.crossover(rates)), omega0, 0.4, 0.01)
+    rk4 = rk4_integrate(omega0, RateMap.crossover(rates), 0.4, 0.01)
     gaps = [
         np.abs(crossover_grid(omega0, rates, [t])[0] - row).sum()
         for t, row in zip(rk4.times, rk4.weights)
@@ -420,6 +419,21 @@ def test_run_cyclic_scenario_both_mode(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     report = json.loads((tmp_path / "cyc.csv.report.json").read_text())
     assert report["max_gap"] <= 1e-8
+
+
+def test_run_cyclic_rk4_is_rk4_integrate_of_the_relabeled_map(tmp_path):
+    # The run integrates the rate map that carries the permutation.
+    config = tmp_path / "cyclic.json"
+    perm = [2, 0, 1, 5, 3, 4]
+    write_scenario(config, sizes=[6, 2, 2], solver="rk4", time={"t_end": 0.3, "stride": 10},
+                   rates={"kind": "cyclic", "links": [0], "permutation": perm, "rate": 0.8},
+                   rk4_step=0.01)
+    out = tmp_path / "cyc.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    space = ProductSpace((6, 2, 2))
+    rates = RateMap(2, ((LinkSet.from_indices([0], 2), 0.8),), perm)
+    traj = rk4_integrate(random_probability(space, 11), rates, 0.3, 0.01, 10)
+    assert out.read_bytes() == csv_text(traj).encode()
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0])
@@ -900,16 +914,31 @@ def test_verify_ignores_a_tolerance_scale_variable(tmp_path, monkeypatch):
     "module", sorted(p.stem for p in Path(cli.__file__).parent.glob("*.py"))
 )
 def test_module_imports_no_private_package_names(module):
-    # No private name crosses a module of the package.
+    # No private name crosses a module of the package: none is imported, and
+    # none is read as an attribute of a name that a package import binds.
     tree = ast.parse((Path(cli.__file__).parent / f"{module}.py").read_text())
-    private = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level or (node.module or "").startswith("recombdyn"))
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    private, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("recombdyn")
+        ):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "recombdyn"
+            )
+    for node in ast.walk(tree):
+        # Dunder attributes such as __name__ are not private names.
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                private.append(f"{root.id}...{node.attr}")
     assert private == []
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from recombdyn import dynamics
 from recombdyn.dynamics import (
     ROW_BLOCK_CELLS,
     DisjointStretchSystem,
@@ -15,12 +16,12 @@ from recombdyn.dynamics import (
     compile_field,
     crossover_grid,
     expansion_coefficients,
-    integrate_field,
-    moebius_rows,
+    moebius_sum,
     moebius_transform,
     output_grid,
     product_flow_apply,
     product_flow_grid,
+    recombination_table,
     rk4_integrate,
     rk4_integrate_many,
     row_blocks,
@@ -150,7 +151,7 @@ def test_compile_field_zero_measure_and_empty_rates(sizes, kernel):
     np.testing.assert_array_equal(only_zero_rate(w), zero)
 
 
-def outer_product_field(space, rates, relabel=None):
+def outer_product_field(space, rates):
     """The strided kernel before its column rule, as the bit-level reference.
 
     Each block marginal is divided by |w| on its own, and each term is one
@@ -160,7 +161,7 @@ def outer_product_field(space, rates, relabel=None):
     sizes = space.sizes
     terms = [(rate, links.blocks(space.n_nodes)) for links, rate in rates.entries if rate != 0.0]
     total_rate = math.fsum(rate for rate, _ in terms)
-    inverse = slice(None) if relabel is None else np.argsort(relabel)
+    inverse = slice(None) if rates.relabel is None else np.argsort(rates.relabel)
 
     def field(w):
         tv = float(np.abs(w).sum())
@@ -195,39 +196,39 @@ def rk4_step_reference(field, w, h):
     return w + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _cut_sets(n_links, *cut_sets):
+def _cut_sets(n_links, *cut_sets, relabel=None):
     entries = [(LinkSet.from_indices(links, n_links), 0.3 + 0.4 * i)
                for i, links in enumerate(cut_sets)]
-    return RateMap(n_links, tuple(entries))
+    return RateMap(n_links, tuple(entries), relabel)
 
 
 # Strided fields by the shape of their terms' last factors, on 4^7 (16,384)
 # states unless named otherwise.
 STRIDED_PATHS = {
     # [5]: 4,096 x 4 states, added four columns at a time.
-    "short last factor, long lead": ((4,) * 7, _cut_sets(6, [5]), None),
+    "short last factor, long lead": ((4,) * 7, _cut_sets(6, [5])),
     # [0]: 4 x 4,096, one outer product into a buffer.
-    "long last factor": ((4,) * 7, _cut_sets(6, [0]), None),
+    "long last factor": ((4,) * 7, _cut_sets(6, [0])),
     # [1, 4]: 16 x 64 x 16 (buffer); [2, 5]: 64 x 64 x 4 (columns).
-    "three-block terms": ((4,) * 7, _cut_sets(6, [1, 4], [2, 5]), None),
+    "three-block terms": ((4,) * 7, _cut_sets(6, [1, 4], [2, 5])),
     # Every shape of a 10-link crossover on 2^11 states: 1,024 x 2 by columns,
     # 512 x 4 and 256 x 8 by outer products.
-    "crossover": ((2,) * 11, _cut_sets(10, *([i] for i in range(10))), None),
+    "crossover": ((2,) * 11, _cut_sets(10, *([i] for i in range(10)))),
     # The empty cut set under a relabeling of all states: one block.
     "relabeled one-block term": (
-        (4,) * 7, _cut_sets(6, []), np.random.default_rng(5).permutation(4**7).tolist()
+        (4,) * 7, _cut_sets(6, [], relabel=np.random.default_rng(5).permutation(4**7).tolist())
     ),
-    "relabeled two-block term": ((4,) * 7, _cut_sets(6, [0]), [2, 0, 3, 1]),
+    "relabeled two-block term": ((4,) * 7, _cut_sets(6, [0], relabel=[2, 0, 3, 1])),
 }
 
 
 @pytest.mark.parametrize("path", list(STRIDED_PATHS))
 def test_strided_field_writes_the_outer_product_bits(path):
-    sizes, rates, relabel = STRIDED_PATHS[path]
+    sizes, rates = STRIDED_PATHS[path]
     space = ProductSpace(sizes)
-    field = compile_field(space, rates, relabel)
+    field = compile_field(space, rates)
     assert field.__name__ == "strided_field"
-    reference = outer_product_field(space, rates, relabel)
+    reference = outer_product_field(space, rates)
     signed = np.random.default_rng(len(path)).standard_normal(space.total_states)
     positive = random_probability(space, 3).weights
     below_zero_tv = 5e-301 * signed / np.abs(signed).sum()
@@ -237,19 +238,20 @@ def test_strided_field_writes_the_outer_product_bits(path):
 
 @pytest.mark.parametrize("path", list(STRIDED_PATHS))
 def test_rk4_steps_write_the_reference_bits(path):
-    # Two steps and a shortened third, from a positive and a signed state.
-    sizes, rates, relabel = STRIDED_PATHS[path]
+    # Two steps and a shortened third, from a positive and a signed state;
+    # rk4_integrate takes positive states only, so _rk4_run steps them.
+    sizes, rates = STRIDED_PATHS[path]
     space = ProductSpace(sizes)
-    field = compile_field(space, rates, relabel)
-    reference = outer_product_field(space, rates, relabel)
+    field = compile_field(space, rates)
+    reference = outer_product_field(space, rates)
     signed = np.random.default_rng(7).standard_normal(space.total_states)
     for w in (random_probability(space, 4).weights, signed):
-        traj = integrate_field(field, Measure(space, w), t_end=0.025, h=0.01)
+        times, stack = dynamics._rk4_run(field, w, t_end=0.025, h=0.01, store_stride=1)
         expected = [w]
         for h in (0.01, 0.01, 0.025 - 2 * 0.01):
             expected.append(rk4_step_reference(reference, expected[-1], h))
-        assert traj.times[-1] == 0.025
-        assert traj.weights.tobytes() == np.stack(expected).tobytes()
+        assert times[-1] == 0.025
+        assert stack.tobytes() == np.stack(expected).tobytes()
 
 
 def test_compile_field_rejects_mismatched_links():
@@ -258,12 +260,13 @@ def test_compile_field_rejects_mismatched_links():
 
 
 def test_ratemap_validation():
-    # The empty cut set moves nothing without a relabeling: the field rejects it.
-    empty_cut = RateMap.single(LinkSet.empty(2), 1.0)
+    # The empty cut set moves nothing without a relabeling: the map rejects it.
     with pytest.raises(ValueError, match="no motion"):
-        compile_field(ProductSpace((2, 2, 2)), empty_cut)
-    with pytest.raises(ValueError, match="no motion"):
-        rk4_integrate(random_probability(ProductSpace((2, 2, 2)), 0), empty_cut, 0.1, 0.1)
+        RateMap.single(LinkSet.empty(2), 1.0)
+    for relabel in ((0, 0, 1), (1, 2, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="permute 0, "):
+            RateMap(1, ((CUT, 1.0),), relabel)
+    assert RateMap(2, ((LinkSet.empty(2), 1.0),), [1, 0]).relabel == (1, 0)
     with pytest.raises(ValueError):
         RateMap.single(CUT, -0.5)
     with pytest.raises(ValueError):
@@ -318,18 +321,6 @@ def test_rk4_matches_semigroup():
     for state in traj.states:
         assert abs(state.mass - omega.mass) <= 1e-9
         assert state.weights.min() >= -1e-9
-
-
-def test_integrate_field_is_rk4_integrate():
-    space = ProductSpace((2, 3, 2))
-    omega = random_probability(space, 9)
-    rates = RateMap.crossover([1.0, 0.3])
-    field = compile_field(space, rates)
-    ours = integrate_field(field, omega, t_end=0.25, h=0.1, store_stride=2)
-    oracle = rk4_integrate(omega, rates, t_end=0.25, h=0.1, store_stride=2)
-    assert ours.times == oracle.times
-    for a, b in zip(ours.states, oracle.states):
-        assert np.array_equal(a.weights, b.weights)
 
 
 def test_rk4_argument_validation():
@@ -786,12 +777,15 @@ def test_product_flow_grid_holds_its_stack_and_one_row_block():
 
 
 def test_moebius_rows_is_the_transform_of_each_row():
+    # A moebius_sum over the recombination table of a stack transforms
+    # every row as moebius_transform does one.
     space = ProductSpace((2, 2, 3, 2))
     omega = random_probability(space, 23)
     rates = [0.7, 1.2, 0.5]
     states = crossover_grid(omega, rates, GRID)
+    table = recombination_table(states, space)
     for links in all_link_sets(3):
-        rows = moebius_rows(states, space, links)
+        rows = moebius_sum(links, lambda upper: table[upper.bits])
         expected = [moebius_transform(Measure(space, w), links) for w in states]
         assert_rows_match(rows, expected, omega)
 
@@ -852,10 +846,10 @@ def test_integrate_field_stores_each_state_once():
     # temporaries of the RK4 step.
     space = ProductSpace((4,) * 6)
     omega = random_probability(space, 3)
-    field = compile_field(space, RateMap.crossover([0.7, 1.1, 0.4, 0.9, 1.3]))
+    rates = RateMap.crossover([0.7, 1.1, 0.4, 0.9, 1.3])
     tracemalloc.start()
     try:
-        traj = integrate_field(field, omega, t_end=1.0, h=1e-2, store_stride=1)
+        traj = rk4_integrate(omega, rates, t_end=1.0, h=1e-2, store_stride=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

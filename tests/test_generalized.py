@@ -330,7 +330,7 @@ def test_grouped_flow_is_the_padded_broadcast_bit_for_bit():
 
 
 def relabeled_field(op, rho):
-    return compile_field(op.space, RateMap.single(op.cuts, rho), relabel=op.perm)
+    return compile_field(op.space, RateMap(op.space.n_links, ((op.cuts, rho),), op.perm))
 
 
 def test_relabeled_field_is_the_generator(monkeypatch):
@@ -358,11 +358,15 @@ def test_relabeled_field_is_the_generator(monkeypatch):
                 assert gap <= 1e-15 * total_variation(omega), (kernel, op.space, gap)
 
 
-def test_relabeled_field_rejects_a_relabeling_of_another_size():
+def test_relabeled_field_rejects_a_relabeling_of_another_size(monkeypatch):
+    # A permutation, but not of the first block's three states.
     op, _ = three_cycle()
-    for relabel in ((1, 0), (0, 0, 1), (1, 2, 3)):
-        with pytest.raises(ValueError):
-            compile_field(op.space, RateMap.single(op.cuts, 1.0), relabel=relabel)
+    for cap in (1 << 40, 0):
+        monkeypatch.setattr(dynamics, "STACKED_FIELD_MAX_ENTRIES", cap)
+        for relabel in ((1, 0), (1, 2, 3, 0)):
+            rates = RateMap(op.space.n_links, ((op.cuts, 1.0),), relabel)
+            with pytest.raises(ValueError, match="first block"):
+                compile_field(op.space, rates)
 
 
 def test_flow_time_zero_is_identity():

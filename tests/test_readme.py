@@ -44,3 +44,20 @@ def test_readme_caps_are_the_code_caps():
         "cyclic cells": MAX_CYCLIC_CELLS,
         "cells": ROW_BLOCK_CELLS,
     }
+
+
+def test_readme_call_forms_are_package_names():
+    # Every `name(...)` of the prose names something the package defines, so
+    # a deleted or renamed function cannot stay in the README; exp is math.
+    import importlib
+    import pkgutil
+
+    import recombdyn
+
+    modules = [recombdyn] + [
+        importlib.import_module(f"recombdyn.{info.name}")
+        for info in pkgutil.iter_modules(recombdyn.__path__)
+    ]
+    named = set(re.findall(r"`([A-Za-z_]\w*)\(", README.read_text())) - {"exp"}
+    assert named
+    assert sorted(n for n in named if not any(hasattr(m, n) for m in modules)) == []
