@@ -9,13 +9,13 @@ generalization, and a fixed-step Runge-Kutta oracle to check all of it.
 
 The top level holds the core types, the closed form of each rate kind on a
 whole time grid (one row per time) and ``product_flow_apply``, the
-multi-parameter semigroup with one time per component; every other helper is
+multi-parameter semigroup with one time per entry of a ``RateMap``, the one
+map that drives both the product flows and RK4; every other helper is
 imported from its submodule (``recombdyn.dynamics``, ``recombdyn.generalized``,
 ``recombdyn.lattice``, ``recombdyn.measure``, ``recombdyn.recombinator``).
 """
 
 from .dynamics import (
-    DisjointStretchSystem,
     RateMap,
     Trajectory,
     crossover_grid,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CyclicOperator",
-    "DisjointStretchSystem",
     "LinkSet",
     "Measure",
     "ProductSpace",

@@ -24,12 +24,12 @@ from typing import Callable, Iterator, TextIO
 import numpy as np
 
 from .dynamics import (
-    DisjointStretchSystem,
     RateMap,
     Trajectory,
     expansion_coefficients,
     output_grid,
     product_flow_grid,
+    require_stretch_system,
     rk4_integrate,
     row_blocks,
     trajectory_to_csv,
@@ -265,10 +265,11 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 
     # Every kind is input for one rate map: (cut set, rate) pairs in document
     # order, plus the block-0 permutation of a cyclic map.  The map, not its
-    # kind, picks the closed form: a permutation takes the cyclic flow, and
-    # stretch-disjoint cut sets at positive rates the product flow, in document
-    # order (the factor order fixes the bytes).  Only a general map under rk4
-    # need not be such a system.
+    # kind, picks the closed form: a permutation takes the cyclic flow, and a
+    # stretch system the product flow, in the map's order (the factor order
+    # fixes the bytes).  Only a general map under rk4 need not be a stretch
+    # system, so only the stretch check of a general map hints at rk4; the
+    # map's own checks come first and fail under every solver.
     rates, n_links = scenario.rates, space.n_links
     perm = closed = None
     try:
@@ -293,15 +294,18 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 )
             if not rho > 0.0:
                 raise ScenarioValidationError(f"rate must be positive, got {rho}")
+            rate_map = RateMap(n_links, pairs, perm)
             closed = lambda times: generalized_flow_grid(omega0, op, rho, times)
-        elif rates["kind"] != "general" or scenario.solver != "rk4":
-            try:
-                system = DisjointStretchSystem(pairs)
-            except ValueError as exc:
-                hint = "; use solver 'rk4'" if rates["kind"] == "general" else ""
-                raise ScenarioValidationError(f"{exc}{hint}") from exc
-            closed = lambda times: product_flow_grid(omega0, system, times)
-        return _Runtime(omega0, grid, closed, RateMap(n_links, pairs, perm))
+        else:
+            rate_map = RateMap(n_links, pairs)
+            if rates["kind"] != "general" or scenario.solver != "rk4":
+                try:
+                    require_stretch_system(rate_map)
+                except ValueError as exc:
+                    hint = "; use solver 'rk4'" if rates["kind"] == "general" else ""
+                    raise ScenarioValidationError(f"{exc}{hint}") from exc
+                closed = lambda times: product_flow_grid(omega0, rate_map, times)
+        return _Runtime(omega0, grid, closed, rate_map)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 

@@ -11,7 +11,8 @@ carries a relabeling of the first block's states (the cyclic operator of
 forms here:
 
 * one cut set A:            omega_t = e^{-rho t} omega_0 + (1 - e^{-rho t}) R_A(omega_0)
-* cut sets with pairwise disjoint stretches: the product of the one-set flows
+* cut sets with pairwise disjoint stretches (a map that passes
+  ``require_stretch_system``): the product of the one-set flows
 * one rate per single link: singletons have disjoint stretches, so this is the
   product of the n one-link flows.  Multiplied out, it is the paper's subset
   expansion
@@ -28,9 +29,9 @@ one another, so a block of them has each row's bits and only a block's
 temporaries), ``expansion_coefficients`` tabulates a_G(t) and b_G(t) for every
 cut set, ``recombination_table`` takes each R_H of a stack once, and
 ``moebius_sum`` forms any transform of every row from it.
-``product_flow_apply`` keeps one time per component: it is the
-multi-parameter semigroup, and a one-set system at one time is the one-set
-flow.
+``product_flow_apply`` keeps one time per entry of the map: it is the
+multi-parameter semigroup, and a one-entry map at one time is the one-set
+flow.  One ``RateMap`` drives both RK4 and the product flows.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``rk4_integrate`` on the field of any
@@ -91,10 +92,12 @@ from .recombinator import ZERO_TOTAL_VARIATION, recombine_rows, require_positive
 class RateMap:
     """Finite assignment of nonnegative rates to cut sets; the empty one needs a relabeling.
 
-    ``relabel``, when given, is the permutation sigma of the generator
-    sum_G rho_G (sigma R_G - 1): it sends every term's weight at first-block
-    state i to ``relabel[i]``, as the cyclic operator does.  None is the
-    identity.
+    ``entries`` keep their given order: it is the factor order of the
+    product flows, which fixes their bits.  The field sums its terms in
+    bitmask order whatever this order is.  ``relabel``, when given, is the
+    permutation sigma of the generator sum_G rho_G (sigma R_G - 1): it sends
+    every term's weight at first-block state i to ``relabel[i]``, as the
+    cyclic operator does.  None is the identity.
     """
 
     n_links: int
@@ -117,7 +120,6 @@ class RateMap:
         # Rates are >= 0, so a plain sum overflows exactly when the total does.
         if not math.isfinite(sum(rate for _, rate in normalized)):
             raise ValueError("the rates' total exceeds the float range")
-        normalized.sort(key=lambda e: e[0].bits)
         object.__setattr__(self, "entries", tuple(normalized))
         if self.relabel is not None:
             relabel = tuple(int(i) for i in self.relabel)
@@ -144,51 +146,26 @@ class RateMap:
         )
 
 
-@dataclass(frozen=True)
-class DisjointStretchSystem:
-    """Cut sets with pairwise disjoint stretches, each with a positive rate.
+def require_stretch_system(rates: RateMap) -> None:
+    """Raise unless a rate map is a stretch system: nonempty cut sets with
+    pairwise disjoint stretches, each with a positive rate, and no relabeling.
 
     Disjoint stretches make the one-set semigroups commute, so the combined
-    flow factorizes; the overlap check happens here, once, at construction.
+    flow factorizes into ``product_flow_grid`` and ``product_flow_apply``.
     """
-
-    components: tuple[tuple[LinkSet, float], ...]
-
-    def __post_init__(self) -> None:
-        components = tuple((links, float(rate)) for links, rate in self.components)
-        object.__setattr__(self, "components", components)
-        if not components:
-            raise ValueError("a stretch system needs at least one component")
-        n_links = components[0][0].n_links
-        for links, rate in components:
-            if links.n_links != n_links:
-                raise ValueError("components defined over different link counts")
-            if len(links) == 0:
-                raise ValueError("components must be nonempty cut sets")
-            if not math.isfinite(rate) or rate <= 0.0:
-                raise ValueError(f"component rates must be finite and > 0, got {rate}")
-        for i in range(len(components)):
-            for j in range(i + 1, len(components)):
-                if not stretches_disjoint(components[i][0], components[j][0]):
-                    raise ValueError(
-                        f"stretches of {components[i][0]} and {components[j][0]} overlap"
-                    )
-
-    @property
-    def n_links(self) -> int:
-        return self.components[0][0].n_links
-
-    def union(self) -> LinkSet:
-        bits = 0
-        for links, _ in self.components:
-            bits |= links.bits
-        return LinkSet(bits, self.n_links)
-
-    def as_rate_map(self) -> RateMap:
-        return RateMap(self.n_links, self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
+    if not rates.entries:
+        raise ValueError("a stretch system needs at least one component")
+    for links, rate in rates.entries:
+        if len(links) == 0:
+            raise ValueError("components must be nonempty cut sets")
+        if not rate > 0.0:
+            raise ValueError(f"component rates must be finite and > 0, got {rate}")
+    for i, (a, _) in enumerate(rates.entries):
+        for b, _ in rates.entries[i + 1 :]:
+            if not stretches_disjoint(a, b):
+                raise ValueError(f"stretches of {a} and {b} overlap")
+    if rates.relabel is not None:
+        raise ValueError("a stretch system carries no relabeling")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,9 +243,11 @@ def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
     if rates.n_links != space.n_links:
         raise ValueError("rate map does not match the space's link count")
     sizes, relabel = space.sizes, rates.relabel
+    # In bitmask order, whatever the map's order: the field's sums take
+    # their terms in this order, so it fixes the bits.
     terms = [
         (rate, partition_of(links, space.n_nodes).blocks)
-        for links, rate in rates.entries
+        for links, rate in sorted(rates.entries, key=lambda entry: entry[0].bits)
         if rate != 0.0
     ]
     block_ids: dict[tuple[int, ...], int] = {}
@@ -443,6 +422,8 @@ def _rk4_step(
 ) -> np.ndarray:
     # w + h/6 (k1 + 2 (k2 + k3) + k4), each stage and the sum formed in place
     # in that order of operations; what the field returns is never written.
+    # The sum takes k1 to k3 before the last stage, so they are not alive
+    # while it runs.
     k1 = field(w)
     t = k1 * (h / 2)
     t += w
@@ -452,14 +433,14 @@ def _rk4_step(
     k3 = field(t)
     t = k3 * h
     t += w
-    k4 = field(t)
-    t = k2 + k3
-    t *= 2.0
-    t += k1
-    t += k4
-    t *= h / 6.0
-    t += w
-    return t
+    s = k2 + k3
+    s *= 2.0
+    s += k1
+    del k1, k2, k3
+    s += field(t)
+    s *= h / 6.0
+    s += w
+    return s
 
 
 # Work and memory bounds of one run: no plan of the tests or the benchmark
@@ -645,16 +626,16 @@ def _one_set_flows(
     return stack
 
 
-def _check_system(omega0: Measure, system: DisjointStretchSystem) -> None:
-    if system.n_links != omega0.space.n_links:
+def _check_system(omega0: Measure, rates: RateMap) -> None:
+    require_stretch_system(rates)
+    if rates.n_links != omega0.space.n_links:
         raise ValueError("stretch system does not match the measure's link count")
     require_positive(omega0, "the product flow")
 
 
-def product_flow_grid(
-    omega0: Measure, system: DisjointStretchSystem, times: Sequence[float]
-) -> np.ndarray:
-    """The combined flow of a disjoint-stretch system on a whole time grid.
+def product_flow_grid(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.ndarray:
+    """The combined flow of a stretch system (``require_stretch_system``) on a
+    whole time grid, its one-set flows applied in the map's order.
 
     Returns the (len(times), states) stack whose row k is the state at
     ``times[k]``.  Each one-set flow acts on a block of rows at once, so the
@@ -663,28 +644,26 @@ def product_flow_grid(
     t = 0 is omega_0 exactly.
     """
     times = _times(times)
-    _check_system(omega0, system)
-    return _one_set_flows(omega0, [(links, rate, times) for links, rate in system.components])
+    _check_system(omega0, rates)
+    return _one_set_flows(omega0, [(links, rate, times) for links, rate in rates.entries])
 
 
-def product_flow_apply(
-    omega0: Measure, system: DisjointStretchSystem, ts: Sequence[float]
-) -> Measure:
-    """Compose the one-set flows of a disjoint-stretch system, one time each.
+def product_flow_apply(omega0: Measure, rates: RateMap, ts: Sequence[float]) -> Measure:
+    """Compose the one-set flows of a stretch system, one time per entry.
 
     This is the multi-parameter semigroup: the factors commute, so the
-    application order does not matter.  One component gives the one-set flow
+    application order does not matter.  One entry gives the one-set flow
     e^{-rho t} omega_0 + (1 - e^{-rho t}) R(omega_0); with all times equal it
     is the solution of the combined rate equation, a row of ``product_flow_grid``.
     """
     times = _times(ts)
-    if len(times) != len(system.components):
+    _check_system(omega0, rates)
+    if len(times) != len(rates.entries):
         raise ValueError(
             f"need one time per component: got {len(times)} times for "
-            f"{len(system.components)} components"
+            f"{len(rates.entries)} components"
         )
-    _check_system(omega0, system)
-    factors = [(links, rate, [t]) for (links, rate), t in zip(system.components, times)]
+    factors = [(links, rate, [t]) for (links, rate), t in zip(rates.entries, times)]
     return Measure(omega0.space, _one_set_flows(omega0, factors)[0], omega0.nodes)
 
 
@@ -738,8 +717,7 @@ def crossover_grid(
     the verify suite keeps it as the reference.
     """
     rates = _validated_link_rates(link_rates, omega0.space.n_links)
-    system = DisjointStretchSystem(RateMap.crossover(rates).entries)
-    return product_flow_grid(omega0, system, times)
+    return product_flow_grid(omega0, RateMap.crossover(rates), times)
 
 
 # ---------------------------------------------------------------------------

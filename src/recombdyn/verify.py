@@ -8,12 +8,12 @@ own tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .dynamics import (
-    DisjointStretchSystem,
     RateMap,
     check_linearization,
     crossover_grid,
@@ -97,8 +97,8 @@ def random_space(
 
 def sample_disjoint_system(
     rng: np.random.Generator, n_links: int, max_components: int = 3
-) -> DisjointStretchSystem:
-    """Random system of cut sets with pairwise disjoint stretches.
+) -> RateMap:
+    """Random rate map of cut sets with pairwise disjoint stretches.
 
     Splits the link range into consecutive chunks and picks a nonempty subset
     inside each chunk, so the stretches cannot overlap by construction.
@@ -114,7 +114,7 @@ def sample_disjoint_system(
         picked = sorted(rng.choice(chunk, size=size, replace=False).tolist())
         rate = float(rng.uniform(0.3, 1.5))
         components.append((LinkSet.from_indices(picked, n_links), rate))
-    return DisjointStretchSystem(tuple(components))
+    return RateMap(n_links, tuple(components))
 
 
 # -- algebra ------------------------------------------------------------------
@@ -291,10 +291,7 @@ def suite_semigroup(seed: int) -> list[dict]:
         space = random_space(rng)
         omega0 = random_probability(space, rng)
         draws.append((omega0, sample_disjoint_system(rng, space.n_links)))
-    trajectories = rk4_integrate_many(
-        [(omega0, system.as_rate_map()) for omega0, system in draws],
-        t_end=5.0, h=1e-3, store_stride=50,
-    )
+    trajectories = rk4_integrate_many(draws, t_end=5.0, h=1e-3, store_stride=50)
     for (omega0, system), traj in zip(draws, trajectories):
         states = traj.weights
         closed = product_flow_grid(omega0, system, traj.times)
@@ -312,12 +309,9 @@ def suite_semigroup(seed: int) -> list[dict]:
         omega0 = random_probability(space, rng)
         system = sample_disjoint_system(rng, space.n_links)
         s, t = rng.uniform(0.05, 2.0, size=2)
-        direct = product_flow_apply(omega0, system, [s + t] * len(system))
-        staged = product_flow_apply(
-            product_flow_apply(omega0, system, [s] * len(system)),
-            system,
-            [t] * len(system),
-        )
+        n = len(system.entries)
+        direct = product_flow_apply(omega0, system, [s + t] * n)
+        staged = product_flow_apply(product_flow_apply(omega0, system, [s] * n), system, [t] * n)
         worst = max(worst, total_variation(direct - staged))
     checks.append(_check("semigroup.one_parameter_law", worst, 1e-11))
 
@@ -328,11 +322,11 @@ def suite_semigroup(seed: int) -> list[dict]:
         space = random_space(rng, min_nodes=4)
         omega0 = random_probability(space, rng)
         system = sample_disjoint_system(rng, space.n_links, max_components=2)
-        if len(system) < 2:
+        if len(system.entries) < 2:
             continue
         s, t = rng.uniform(0.05, 2.5, size=2)
         order_a = product_flow_apply(omega0, system, [s, t])
-        swapped = DisjointStretchSystem(system.components[::-1])
+        swapped = RateMap(system.n_links, system.entries[::-1])
         order_b = product_flow_apply(omega0, swapped, [t, s])
         worst = max(worst, total_variation(order_a - order_b))
     checks.append(_check("semigroup.commutativity", worst, 1e-12))
@@ -347,7 +341,7 @@ def suite_semigroup(seed: int) -> list[dict]:
         equilibrium = recombine(omega0, cut)
         span = total_variation(omega0 - equilibrium)
         times = (0.1, 1.0, 3.0)
-        flowed = product_flow_grid(omega0, DisjointStretchSystem(((cut, rho),)), times)
+        flowed = product_flow_grid(omega0, RateMap.single(cut, rho), times)
         for t, lhs in zip(times, _row_tv(flowed - equilibrium.weights).tolist()):
             rhs = math.exp(-rho * t) * span
             worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-30))
@@ -359,12 +353,10 @@ def suite_semigroup(seed: int) -> list[dict]:
         space = random_space(rng)
         omega0 = random_probability(space, rng)
         system = sample_disjoint_system(rng, space.n_links)
-        equilibrium = recombine(omega0, system.union())
-        rho_min = min(rate for _, rate in system.components)
-        envelope = sum(
-            total_variation(omega0 - recombine(omega0, links))
-            for links, _ in system.components
-        )
+        cuts, rates = zip(*system.entries)
+        equilibrium = recombine(omega0, functools.reduce(LinkSet.union, cuts))
+        rho_min = min(rates)
+        envelope = sum(total_variation(omega0 - recombine(omega0, links)) for links in cuts)
         times = np.linspace(0.0, 5.0, 11).tolist()
         residuals = _row_tv(product_flow_grid(omega0, system, times) - equilibrium.weights)
         for t, residual in zip(times, residuals.tolist()):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from recombdyn.dynamics import (
-    DisjointStretchSystem,
     RateMap,
     check_linearization,
     crossover_grid,
@@ -45,10 +44,7 @@ def disjoint_runs():
         space = random_space(rng)
         omega0 = random_probability(space, rng)
         draws.append((omega0, sample_disjoint_system(rng, space.n_links)))
-    trajectories = rk4_integrate_many(
-        [(omega0, system.as_rate_map()) for omega0, system in draws],
-        t_end=5.0, h=1e-3, store_stride=50,
-    )
+    trajectories = rk4_integrate_many(draws, t_end=5.0, h=1e-3, store_stride=50)
     return [(omega0, system, traj) for (omega0, system), traj in zip(draws, trajectories)]
 
 
@@ -117,7 +113,7 @@ def test_criterion_03_closed_form_vs_rk4(disjoint_runs):
     worst = 0.0
     for omega0, system, traj in disjoint_runs:
         for t, state in zip(traj.times, traj.states):
-            closed = product_flow_apply(omega0, system, [t] * len(system))
+            closed = product_flow_apply(omega0, system, [t] * len(system.entries))
             worst = max(worst, total_variation(closed - state))
     assert report(
         3,
@@ -138,7 +134,7 @@ def test_criterion_04_exact_decay_identity():
         equilibrium = recombine(omega0, cut)
         span = total_variation(omega0 - equilibrium)
         times = (0.1, 1.0, 3.0)
-        flowed = product_flow_grid(omega0, DisjointStretchSystem(((cut, rho),)), times)
+        flowed = product_flow_grid(omega0, RateMap.single(cut, rho), times)
         for t, state in zip(times, flowed):
             lhs = total_variation(Measure(space, state) - equilibrium)
             rhs = math.exp(-rho * t) * span
@@ -158,14 +154,15 @@ def test_criterion_05_commuting_semigroups():
     while trials < 50:
         space = random_space(rng, min_nodes=4)
         system = sample_disjoint_system(rng, space.n_links, max_components=2)
-        if len(system) != 2:
+        if len(system.entries) != 2:
             continue
         trials += 1
         omega0 = random_probability(space, rng)
         s, t = rng.uniform(0.05, 2.5, size=2)
         # The one-set flows in either order, each at its own time.
         one = product_flow_apply(omega0, system, [s, t])
-        two = product_flow_apply(omega0, DisjointStretchSystem(system.components[::-1]), [t, s])
+        swapped = RateMap(system.n_links, system.entries[::-1])
+        two = product_flow_apply(omega0, swapped, [t, s])
         worst = max(worst, total_variation(one - two))
     assert report(
         5,

@@ -20,7 +20,6 @@ from recombdyn.cli import (
     main,
 )
 from recombdyn.dynamics import (
-    DisjointStretchSystem,
     RateMap,
     Trajectory,
     crossover_grid,
@@ -159,6 +158,44 @@ def test_run_general_rates_need_rk4(tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def general_rates(*entries):
+    return {"kind": "general", "entries": [{"links": l, "rate": r} for l, r in entries]}
+
+
+@pytest.mark.parametrize("rates", [
+    general_rates(([0], -1.0), ([2], 0.5)),
+    general_rates(([0], 1.0), ([0], 0.5)),
+    general_rates(([], 1.0)),
+], ids=["negative rate", "duplicate entry", "empty cut set"])
+def test_run_general_map_errors_are_rk4_errors_without_the_hint(tmp_path, capsys, rates):
+    # The rate map's own checks run before the stretch check and fail under
+    # every solver, rk4 included, so no solver is suggested.
+    config = tmp_path / "scenario.json"
+    errors = {}
+    for solver in ("rk4", "closed-form", "both"):
+        write_scenario(config, sizes=[2, 2, 2, 2], rates=rates, solver=solver)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) \
+            == EXIT_VALIDATION
+        errors[solver] = capsys.readouterr().err
+    assert errors["closed-form"] == errors["both"] == errors["rk4"]
+    assert "use solver" not in errors["rk4"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_general_zero_rate_keeps_the_rk4_hint(tmp_path, capsys):
+    # A zero rate passes the map's checks but not the stretch check: like an
+    # overlap, it runs under rk4 only.
+    config = tmp_path / "scenario.json"
+    rates = general_rates(([0], 0.0), ([2], 0.5))
+    for solver in ("closed-form", "both"):
+        write_scenario(config, sizes=[2, 2, 2, 2], rates=rates, solver=solver)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) \
+            == EXIT_VALIDATION
+        assert capsys.readouterr().err.endswith("> 0, got 0.0; use solver 'rk4'\n")
+    write_scenario(config, sizes=[2, 2, 2, 2], rates=rates, solver="rk4")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+
+
 def test_run_general_stretch_disjoint_map_has_a_closed_form(tmp_path):
     # Stretch-disjoint cut sets with positive rates: the product flow is
     # exact for a general map too, and agrees with RK4.
@@ -203,8 +240,8 @@ def test_run_rate_kind_is_only_input_for_the_rate_map(tmp_path, kind, rates, fmt
 
 @pytest.mark.parametrize("kind", ["general", "disjoint-stretch"])
 def test_run_product_flow_keeps_the_document_order(tmp_path, kind):
-    # The factor order fixes the bytes: the system is built in document
-    # order, not in the rate map's sorted order.
+    # The factor order fixes the bytes: the rate map keeps the document
+    # order, and the product flow takes its factors in that order.
     entries = [([2, 3], 1.3), ([0], 0.7)]
     config = tmp_path / "scenario.json"
     write_scenario(config, sizes=[2, 3, 2, 2, 2], solver="closed-form",
@@ -213,9 +250,9 @@ def test_run_product_flow_keeps_the_document_order(tmp_path, kind):
     out = tmp_path / "traj.csv"
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     space = ProductSpace((2, 3, 2, 2, 2))
-    system = DisjointStretchSystem(tuple((LinkSet.from_indices(l, 4), r) for l, r in entries))
+    rates = RateMap(4, tuple((LinkSet.from_indices(l, 4), r) for l, r in entries))
     grid = output_grid(1.0, 0.001, 100)
-    flow = product_flow_grid(random_probability(space, 11), system, grid)
+    flow = product_flow_grid(random_probability(space, 11), rates, grid)
     assert out.read_text() == csv_text(Trajectory(space, grid, flow))
 
 

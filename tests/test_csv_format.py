@@ -87,3 +87,24 @@ def test_cells_without_long_double_are_all_percent(monkeypatch, width):
     values[:6] = [0.0, -0.0, 5e-324, float("nan"), float("inf"), 1e300]
     monkeypatch.setattr(dynamics, "_LONG_DOUBLE", False)
     assert written(values) == expected(values)
+
+
+def test_kernel_range_cells_take_the_fast_path(monkeypatch):
+    # Only cells the kernel cannot prove go through `%`: ~1.6 % of weights in
+    # [1e-11, 1).  A kernel that proves none still writes the same bytes, so
+    # this counts the cells `_csv_cells` hands to `%` (its np.flatnonzero).
+    slow = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def flatnonzero(self, mask):
+            cells = np.flatnonzero(mask)
+            slow.append(cells.size)
+            return cells
+
+    values = 10.0 ** np.random.default_rng(11).uniform(-11.0, 0.0, dynamics._CSV_CHUNK_CELLS)
+    monkeypatch.setattr(dynamics, "np", CountingNumpy())
+    assert written(values) == expected(values)
+    assert len(slow) == 1 and slow[0] <= 0.05 * values.size, slow

@@ -9,7 +9,6 @@ import pytest
 from recombdyn import dynamics
 from recombdyn.dynamics import (
     ROW_BLOCK_CELLS,
-    DisjointStretchSystem,
     RateMap,
     Trajectory,
     check_linearization,
@@ -22,6 +21,7 @@ from recombdyn.dynamics import (
     product_flow_apply,
     product_flow_grid,
     recombination_table,
+    require_stretch_system,
     rk4_integrate,
     rk4_integrate_many,
     row_blocks,
@@ -43,8 +43,8 @@ CUT = LinkSet.from_indices([0], 1)
 
 
 def one_set_flow(omega, links, rho, t):
-    """The one-set flow at one time: ``product_flow_apply`` of one component."""
-    return product_flow_apply(omega, DisjointStretchSystem(((links, rho),)), [t])
+    """The one-set flow at one time: ``product_flow_apply`` of a one-entry map."""
+    return product_flow_apply(omega, RateMap.single(links, rho), [t])
 
 
 def crossover_at(omega, rates, t):
@@ -87,10 +87,15 @@ def test_vector_field_total_weight_is_zero_on_positives():
     assert abs(compile_field(space, rates)(omega.weights).sum()) <= 1e-14
 
 
+def bitmask_order(rates):
+    """The map's entries in bitmask order, the order the field sums them in."""
+    return sorted(rates.entries, key=lambda entry: entry[0].bits)
+
+
 def reference_field(space, rates, w):
     """sum_G rho_G (R_G(w) - w), one recombine_weights call per term."""
     out = np.zeros_like(w)
-    for links, rate in rates.entries:
+    for links, rate in bitmask_order(rates):
         out += rate * (recombine_weights(w, space.sizes, links.blocks(space.n_nodes)) - w)
     return out
 
@@ -159,7 +164,7 @@ def outer_product_field(space, rates):
     shared block's marginal per term gives the same bits.)
     """
     sizes = space.sizes
-    terms = [(rate, links.blocks(space.n_nodes)) for links, rate in rates.entries if rate != 0.0]
+    terms = [(rate, links.blocks(space.n_nodes)) for links, rate in bitmask_order(rates) if rate != 0.0]
     total_rate = math.fsum(rate for rate, _ in terms)
     inverse = slice(None) if rates.relabel is None else np.argsort(rates.relabel)
 
@@ -363,14 +368,14 @@ def test_rk4_integrate_many_matches_separate_runs():
     general = RateMap(
         3, ((LinkSet.from_indices([0, 2], 3), 0.6), (LinkSet.from_indices([1], 3), 1.1))
     )
-    stretch = DisjointStretchSystem(
-        ((LinkSet.from_indices([0], 4), 0.8), (LinkSet.from_indices([2, 3], 4), 0.5))
+    stretch = RateMap(
+        4, ((LinkSet.from_indices([0], 4), 0.8), (LinkSet.from_indices([2, 3], 4), 0.5))
     )
     big = ProductSpace((4,) * 6)
     problems = [
         (random_probability(SPACE, 1), RateMap.single(CUT, 1.3)),
         (2.5 * random_probability(ProductSpace((2, 3, 2, 3)), 2), general),
-        (random_probability(ProductSpace((3, 2, 2, 2, 3)), 3), stretch.as_rate_map()),
+        (random_probability(ProductSpace((3, 2, 2, 2, 3)), 3), stretch),
         (random_probability(big, 4), _shared_block_rates(big.n_links)),
         (0.5 * random_probability(ProductSpace((2, 3, 2)), 5), RateMap.crossover([0.4, 1.7])),
         (random_probability(ProductSpace((2, 2, 2, 2)), 6), RateMap.single(LinkSet.full(3), 0.9)),
@@ -449,11 +454,11 @@ def test_semigroup_exact_decay_identity():
 
 
 def test_semigroup_validation():
-    # The one-set flow is product_flow_apply of a one-component system: the
-    # system rejects an empty cut set and a rate 0, the flow a negative time
-    # and a signed state.
+    # The one-set flow is product_flow_apply of a one-entry map: the map
+    # rejects an empty cut set, the flow a rate 0, a negative time and a
+    # signed state.
     omega = random_probability(SPACE, 2)
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match="no motion"):
         one_set_flow(omega, LinkSet.empty(1), 1.0, 1.0)
     with pytest.raises(ValueError, match="> 0"):
         one_set_flow(omega, CUT, 0.0, 1.0)
@@ -466,31 +471,33 @@ def test_semigroup_validation():
 def test_stretch_system_validation():
     a = LinkSet.from_indices([0, 2], 3)
     b = LinkSet.from_indices([1], 3)
-    with pytest.raises(ValueError):
-        DisjointStretchSystem(((a, 1.0), (b, 1.0)))
-    with pytest.raises(ValueError):
-        DisjointStretchSystem(((b, 0.0),))
-    with pytest.raises(ValueError):
-        DisjointStretchSystem(((LinkSet.empty(3), 1.0),))
-    ok = DisjointStretchSystem(((b, 1.0), (LinkSet.from_indices([2], 3), 0.5)))
-    assert ok.union().indices == (1, 2)
+    with pytest.raises(ValueError, match="overlap"):
+        require_stretch_system(RateMap(3, ((a, 1.0), (b, 1.0))))
+    with pytest.raises(ValueError, match="> 0"):
+        require_stretch_system(RateMap.single(b, 0.0))
+    with pytest.raises(ValueError, match="at least one"):
+        require_stretch_system(RateMap(3, ()))
+    # Only a relabeled map holds the empty cut set, and no relabeling passes.
+    with pytest.raises(ValueError, match="nonempty"):
+        require_stretch_system(RateMap(1, ((LinkSet.empty(1), 1.0),), [1, 0]))
+    with pytest.raises(ValueError, match="relabeling"):
+        require_stretch_system(RateMap(1, ((CUT, 1.0),), [1, 0]))
+    require_stretch_system(RateMap(3, ((b, 1.0), (LinkSet.from_indices([2], 3), 0.5))))
 
 
 def test_product_flow_zero_times_and_single_component():
     space = ProductSpace((2, 2, 2))
     omega = random_probability(space, 6)
-    system = DisjointStretchSystem(
-        ((LinkSet.from_indices([0], 2), 1.0), (LinkSet.from_indices([1], 2), 0.5))
-    )
+    system = RateMap.crossover([1.0, 0.5])
     unchanged = product_flow_apply(omega, system, [0.0, 0.0])
     np.testing.assert_array_equal(unchanged.weights, omega.weights)
 
     # One component at one time is the one-set flow, the row of its grid.
-    solo = DisjointStretchSystem(((LinkSet.from_indices([0], 2), 1.3),))
+    solo = RateMap.single(LinkSet.from_indices([0], 2), 1.3)
     via_flow = product_flow_apply(omega, solo, [0.9])
     np.testing.assert_array_equal(via_flow.weights, product_flow_grid(omega, solo, [0.9])[0])
     survival = math.exp(-1.3 * 0.9)
-    direct = survival * omega + (1.0 - survival) * recombine(omega, solo.union())
+    direct = survival * omega + (1.0 - survival) * recombine(omega, LinkSet.from_indices([0], 2))
     assert total_variation(via_flow - direct) <= 1e-15
 
     with pytest.raises(ValueError):
@@ -499,8 +506,8 @@ def test_product_flow_zero_times_and_single_component():
 
 def test_product_flow_one_parameter_law():
     space = ProductSpace((2, 3, 2, 2))
-    system = DisjointStretchSystem(
-        ((LinkSet.from_indices([0], 3), 1.1), (LinkSet.from_indices([2], 3), 0.6))
+    system = RateMap(
+        3, ((LinkSet.from_indices([0], 3), 1.1), (LinkSet.from_indices([2], 3), 0.6))
     )
     for seed in range(5):
         omega = random_probability(space, seed)
@@ -706,14 +713,14 @@ def assert_rows_match(stack, measures, omega0):
 
 def test_product_flow_grid_is_its_one_row_case_at_every_time():
     space = ProductSpace((2, 3, 2, 2, 2))
-    system = DisjointStretchSystem(
-        ((LinkSet.from_indices([0], 4), 1.1), (LinkSet.from_indices([2, 3], 4), 0.45))
+    system = RateMap(
+        4, ((LinkSet.from_indices([0], 4), 1.1), (LinkSet.from_indices([2, 3], 4), 0.45))
     )
     omega = random_probability(space, 21)
     stack = product_flow_grid(omega, system, GRID)
     np.testing.assert_array_equal(stack[0], omega.weights)
     assert_rows_match(stack, [product_flow_apply(omega, system, [t] * 2) for t in GRID], omega)
-    one_set = DisjointStretchSystem(((LinkSet.from_indices([1], 4), 0.8),))
+    one_set = RateMap.single(LinkSet.from_indices([1], 4), 0.8)
     assert_rows_match(
         product_flow_grid(omega, one_set, GRID),
         [one_set_flow(omega, LinkSet.from_indices([1], 4), 0.8, t) for t in GRID],
@@ -741,8 +748,8 @@ def test_crossover_grid_is_its_one_row_case_at_every_time():
 # 4^6 states x 201 times: 16 rows a block, so the grid spans 13 blocks.
 BLOCK_SPACE = ProductSpace((4,) * 6)
 BLOCK_GRID = [0.005 * k for k in range(201)]
-BLOCK_SYSTEM = DisjointStretchSystem(
-    ((LinkSet.from_indices([0], 5), 0.9), (LinkSet.from_indices([2, 3], 5), 0.5))
+BLOCK_SYSTEM = RateMap(
+    5, ((LinkSet.from_indices([0], 5), 0.9), (LinkSet.from_indices([2, 3], 5), 0.5))
 )
 
 
@@ -856,6 +863,27 @@ def test_integrate_field_stores_each_state_once():
     stored = 8 * len(traj) * space.total_states
     assert len(traj) == 101
     assert peak <= 1.25 * stored, (peak, stored)
+
+
+def test_rk4_step_holds_no_early_stage_through_the_last():
+    # 4^8 states, 4 stored rows: a 2 MB stack.  The step sums k1 to k3 before
+    # the last stage, so that stage runs beside w, its input and the sum
+    # alone; with k1 to k3 alive as well the peak was ~8.3 states over the
+    # stack.
+    space = ProductSpace((4,) * 8)
+    omega = random_probability(space, 1)
+    rates = RateMap(7, tuple(
+        (LinkSet.from_indices(links, 7), rate) for links, rate in (([0], 0.8), ([2, 3], 0.5), ([6], 1.1))
+    ))
+    tracemalloc.start()
+    try:
+        traj = rk4_integrate(omega, rates, t_end=0.6, h=1e-2, store_stride=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 4
+    state = 8 * space.total_states
+    assert peak - traj.weights.nbytes <= 7.5 * state, (peak - traj.weights.nbytes) / state
 
 
 def csv_text(traj):

@@ -27,7 +27,6 @@ from recombdyn.measure import (
 )
 from recombdyn.recombinator import recombine
 from recombdyn.dynamics import (
-    DisjointStretchSystem,
     RateMap,
     compile_field,
     product_flow_apply,
@@ -412,7 +411,7 @@ def test_flow_with_identity_relabeling_reduces_to_semigroup():
     omega = random_probability(space, 23)
     for rho, t in ((1.0, 0.7), (0.4, 2.0)):
         via_flow = flow_at(omega, op, rho, t)
-        direct = product_flow_apply(omega, DisjointStretchSystem(((cuts, rho),)), [t])
+        direct = product_flow_apply(omega, RateMap.single(cuts, rho), [t])
         assert total_variation(via_flow - direct) <= 1e-12
 
 

@@ -47,8 +47,9 @@ def test_readme_caps_are_the_code_caps():
 
 
 def test_readme_call_forms_are_package_names():
-    # Every `name(...)` of the prose names something the package defines, so
-    # a deleted or renamed function cannot stay in the README; exp is math.
+    # Every `name(...)` and every backticked type name `Name` of the prose
+    # names something the package defines, so a deleted or renamed function
+    # or type cannot stay in the README; exp is math, NaN and Infinity JSON.
     import importlib
     import pkgutil
 
@@ -58,6 +59,8 @@ def test_readme_call_forms_are_package_names():
         importlib.import_module(f"recombdyn.{info.name}")
         for info in pkgutil.iter_modules(recombdyn.__path__)
     ]
-    named = set(re.findall(r"`([A-Za-z_]\w*)\(", README.read_text())) - {"exp"}
+    text = README.read_text()
+    named = set(re.findall(r"`([A-Za-z_]\w*)\(", text) + re.findall(r"`([A-Z][a-z]\w*)`", text))
+    named -= {"exp", "NaN", "Infinity"}
     assert named
     assert sorted(n for n in named if not any(hasattr(m, n) for m in modules)) == []
