@@ -484,6 +484,29 @@ def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes,links,perm,rate,message", [
+    ([3, 2], [0], [0, 0, 1], 1.0, "perm must permute the 3 states of the first block"),
+    ([3, 2], [0], [1, 0], 1.0, "perm must permute the 3 states of the first block"),
+    ([3, 2], [1], [1, 2, 0], 1.0, "link index 1 out of range for 1 links"),
+    ([3, 2], [0], [1, 2, 0], 0.0, "rate must be positive, got 0.0"),
+    ([3, 2], [0], [1, 2, 0], -1.0, "rate must be positive, got -1.0"),
+    # 11 grid points x 8,192 states x (4,096 + 1): one cycle past the cap.
+    ([4096, 2], [0], cycle_permutation(4096), 1.0,
+     "cycle length 4096 needs 369188864 cells, over the cap of 134217728"),
+], ids=["non-permutation", "wrong size", "link out of range", "rate 0", "rate -1",
+        "past the cell cap"])
+def test_run_cyclic_validation_errors(tmp_path, capsys, sizes, links, perm, rate, message):
+    # Every solver builds the same rate map, so it gets the same message.
+    config, out = tmp_path / "cyclic.json", tmp_path / "cyc.csv"
+    for solver in ("closed-form", "rk4", "both"):
+        write_scenario(config, sizes=sizes, solver=solver,
+                       rates={"kind": "cyclic", "links": links, "permutation": perm,
+                              "rate": rate})
+        assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_cyclic_order_field_is_ignored(tmp_path):
     # The flow runs by the permutation's cycles, one 2-cycle here; a cyclic
     # map has no order, and a document that still declares one, even 3 or
