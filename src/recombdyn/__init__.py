@@ -10,8 +10,8 @@ generalization, and a fixed-step Runge-Kutta oracle to check all of it.
 The top level holds the core types, the closed form of each rate kind on a
 whole time grid (one row per time) and ``product_flow_apply``, the
 multi-parameter semigroup with one time per entry of a ``RateMap``, the one
-map that drives both the product flows and RK4; every other helper is
-imported from its submodule (``recombdyn.dynamics``, ``recombdyn.generalized``,
+map that drives RK4, the product flows and the cyclic flow; every other
+helper is imported from its submodule (``recombdyn.dynamics``, ``recombdyn.generalized``,
 ``recombdyn.lattice``, ``recombdyn.measure``, ``recombdyn.recombinator``).
 """
 
@@ -23,7 +23,7 @@ from .dynamics import (
     product_flow_grid,
     rk4_integrate,
 )
-from .generalized import CyclicOperator, generalized_flow_grid
+from .generalized import generalized_flow_grid
 from .lattice import LinkSet
 from .measure import Measure, ProductSpace, random_probability, total_variation
 from .recombinator import recombine
@@ -31,7 +31,6 @@ from .recombinator import recombine
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclicOperator",
     "LinkSet",
     "Measure",
     "ProductSpace",

@@ -19,7 +19,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .dynamics import (
     trajectory_to_json,
     write_csv_row,
 )
-from .generalized import CyclicOperator, generalized_flow_grid
+from .generalized import cycle_lengths, generalized_flow_grid, require_cyclic_map
 from .lattice import LinkSet, all_link_sets
 from .measure import Measure, ProductSpace, is_positive, random_probability
 from .verify import SUITE_NAMES, run_suite
@@ -61,10 +61,11 @@ INVARIANT_TOLERANCE = 1e-9
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
-# Work bound of one cyclic run, checked once the operator has its cycles and
-# before any flow runs: the closed form's passes over the stored stack grow
-# with (longest cycle + 1) x grid points x states.  Its memory is the stored
-# stack, one row block's products and omega_0 with its powers, one state each.
+# Work bound of one cyclic run, checked once the rate map has passed its
+# checks and before any flow runs: the closed form's passes over the stored
+# stack grow with (longest cycle + 1) x grid points x states.  Its memory is
+# the stored stack, one row block's products and omega_0 with its powers, one
+# state each.
 MAX_CYCLIC_CELLS = 1 << 27
 
 # Work bound of one `coefficients` table: times x link sets.  The largest
@@ -221,9 +222,7 @@ def load_scenario(path: str | Path) -> Scenario:
 class _Runtime:
     omega0: Measure
     grid: list[float]
-    # The closed form on a time grid: one row of weights per time.
-    closed_form: Callable[[list[float]], np.ndarray] | None
-    # What rk4 integrates, the relabeling of a cyclic map included.
+    # What both solvers take, the relabeling of a cyclic map included.
     rates: RateMap
 
 
@@ -265,13 +264,14 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 
     # Every kind is input for one rate map: (cut set, rate) pairs in document
     # order, plus the block-0 permutation of a cyclic map.  The map, not its
-    # kind, picks the closed form: a permutation takes the cyclic flow, and a
-    # stretch system the product flow, in the map's order (the factor order
-    # fixes the bytes).  Only a general map under rk4 need not be a stretch
-    # system, so only the stretch check of a general map hints at rk4; the
-    # map's own checks come first and fail under every solver.
+    # kind, picks the closed form (see ``_run_one``): a permutation takes the
+    # cyclic flow, and a stretch system the product flow, in the map's order
+    # (the factor order fixes the bytes).  Only a general map under rk4 need
+    # not be a stretch system, so only the stretch check of a general map
+    # hints at rk4; the map's own checks come first and fail under every
+    # solver.
     rates, n_links = scenario.rates, space.n_links
-    perm = closed = None
+    perm = None
     try:
         if rates["kind"] == "crossover":
             pairs = RateMap.crossover([float(r) for r in rates["per_link"]]).entries
@@ -283,29 +283,22 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 (LinkSet.from_indices(entry["links"], n_links), entry["rate"])
                 for entry in rates["entries"]
             )
+        rate_map = RateMap(n_links, pairs, perm)
         if perm is not None:
-            [(cuts, rho)] = pairs
-            op = CyclicOperator(space, cuts, perm)
-            longest = max(op.cycle_length)
+            require_cyclic_map(rate_map, space)
+            longest = max(cycle_lengths(rate_map.relabel))
             cells = (longest + 1) * len(grid) * space.total_states
             if cells > MAX_CYCLIC_CELLS:
                 raise ScenarioValidationError(
                     f"cycle length {longest} needs {cells} cells, over the cap of {MAX_CYCLIC_CELLS}"
                 )
-            if not rho > 0.0:
-                raise ScenarioValidationError(f"rate must be positive, got {rho}")
-            rate_map = RateMap(n_links, pairs, perm)
-            closed = lambda times: generalized_flow_grid(omega0, op, rho, times)
-        else:
-            rate_map = RateMap(n_links, pairs)
-            if rates["kind"] != "general" or scenario.solver != "rk4":
-                try:
-                    require_stretch_system(rate_map)
-                except ValueError as exc:
-                    hint = "; use solver 'rk4'" if rates["kind"] == "general" else ""
-                    raise ScenarioValidationError(f"{exc}{hint}") from exc
-                closed = lambda times: product_flow_grid(omega0, rate_map, times)
-        return _Runtime(omega0, grid, closed, rate_map)
+        elif rates["kind"] != "general" or scenario.solver != "rk4":
+            try:
+                require_stretch_system(rate_map)
+            except ValueError as exc:
+                hint = "; use solver 'rk4'" if rates["kind"] == "general" else ""
+                raise ScenarioValidationError(f"{exc}{hint}") from exc
+        return _Runtime(omega0, grid, rate_map)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 
@@ -326,7 +319,8 @@ def _run_one(config: str, out_path: Path, fmt: str) -> int:
             runtime.omega0, runtime.rates, scenario.t_end, scenario.rk4_step, scenario.stride
         )
     if solver in ("closed-form", "both"):
-        closed = runtime.closed_form(runtime.grid)
+        flow = product_flow_grid if runtime.rates.relabel is None else generalized_flow_grid
+        closed = flow(runtime.omega0, runtime.rates, runtime.grid)
         if rk4_traj is not None:
             # Row-wise sums of the differences, one row block at a time.
             gaps = []

@@ -6,9 +6,9 @@ The evolution equation is
     d/dt omega = sum_G rho_G (sigma R_G - 1)(omega),       rho_G >= 0,
 
 summed over cut sets G, where sigma is the identity unless a ``RateMap``
-carries a relabeling of the first block's states (the cyclic operator of
-``recombdyn.generalized``).  With sigma = 1, three solvable regimes get closed
-forms here:
+carries a relabeling of the first block's states: one such entry is the
+cyclic flow, whose closed form ``recombdyn.generalized`` takes from the same
+map.  With sigma = 1, three solvable regimes get closed forms here:
 
 * one cut set A:            omega_t = e^{-rho t} omega_0 + (1 - e^{-rho t}) R_A(omega_0)
 * cut sets with pairwise disjoint stretches (a map that passes
@@ -31,7 +31,8 @@ cut set, ``recombination_table`` takes each R_H of a stack once, and
 ``moebius_sum`` forms any transform of every row from it.
 ``product_flow_apply`` keeps one time per entry of the map: it is the
 multi-parameter semigroup, and a one-entry map at one time is the one-set
-flow.  One ``RateMap`` drives both RK4 and the product flows.
+flow.  One ``RateMap`` drives RK4 and every closed form; ``nonnegative_times``
+checks the times of each.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``rk4_integrate`` on the field of any
@@ -596,9 +597,10 @@ def row_blocks(n_rows: int, row_cells: int) -> Iterator[slice]:
         yield slice(lo, min(lo + step, n_rows))
 
 
-def _times(ts: Sequence[float]) -> list[float]:
+def nonnegative_times(ts: Sequence[float]) -> list[float]:
+    """The times as floats; raises unless each is >= 0 (NaN is not)."""
     times = [float(t) for t in ts]
-    if any(t < 0.0 for t in times):
+    if any(not t >= 0.0 for t in times):
         raise ValueError("times must be nonnegative")
     return times
 
@@ -643,7 +645,7 @@ def product_flow_grid(omega0: Measure, rates: RateMap, times: Sequence[float]) -
     set and time, and the stack is the only grid-sized array.  A row at
     t = 0 is omega_0 exactly.
     """
-    times = _times(times)
+    times = nonnegative_times(times)
     _check_system(omega0, rates)
     return _one_set_flows(omega0, [(links, rate, times) for links, rate in rates.entries])
 
@@ -656,7 +658,7 @@ def product_flow_apply(omega0: Measure, rates: RateMap, ts: Sequence[float]) -> 
     e^{-rho t} omega_0 + (1 - e^{-rho t}) R(omega_0); with all times equal it
     is the solution of the combined rate equation, a row of ``product_flow_grid``.
     """
-    times = _times(ts)
+    times = nonnegative_times(ts)
     _check_system(omega0, rates)
     if len(times) != len(rates.entries):
         raise ValueError(
@@ -693,7 +695,7 @@ def expansion_coefficients(
     Every cell is the product of its factors in link order, from 1.0.
     """
     rates = _validated_link_rates(link_rates, len(link_rates))
-    times = _times(times)
+    times = nonnegative_times(times)
     bits = np.arange(1 << len(rates))
     a = np.ones((len(times), bits.size))
     b = np.ones((len(times), bits.size))
@@ -782,7 +784,7 @@ def check_linearization(
     """
     rates = _validated_link_rates(link_rates, omega0.space.n_links)
     require_positive(omega0, "check_linearization")
-    times = _times(times)
+    times = nonnegative_times(times)
     states = np.vstack((omega0.weights, crossover_grid(omega0, rates, times)))
     table = recombination_table(states, omega0.space)
     b = expansion_coefficients(rates, times)[1]

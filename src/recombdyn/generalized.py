@@ -29,23 +29,25 @@ cycle, and no work grows with the lcm of the cycle lengths.
 of each cycle-length group once for a whole time grid, one row per time, and
 their weighted sums one row block at a time; a single time is its one-row
 grid.  ``gfun`` likewise tabulates F_0, ..., F_{n-1}
-over a whole vector of times.  The generator rho (C - 1) is the field of the
-``RateMap`` of the one cut set with g as its relabeling, which
-``compile_field`` compiles and ``rk4_integrate`` integrates; with no cuts,
-C = sigma.
+over a whole vector of times.
+
+The flow's one input is the ``RateMap`` of the one cut set at rate rho with
+g as its relabeling: ``require_cyclic_map`` checks it, every function here
+reads the cut set, rho and g from it, and its field, which ``compile_field``
+compiles and ``rk4_integrate`` integrates, is the generator rho (C - 1);
+with no cuts, C = sigma.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import RateMap, compile_field, row_blocks
-from .lattice import LinkSet, partition_of
+from .dynamics import RateMap, compile_field, nonnegative_times, row_blocks
+from .lattice import partition_of
 from .measure import Measure, ProductSpace
 from .recombinator import recombine, require_positive
 
@@ -125,36 +127,31 @@ def flow_coefficients(n: int, tau: float | Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The cyclic operator C = sigma . R
+# The cyclic operator C = sigma . R of a relabeled rate map
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicOperator:
-    """Recombinator composed with a relabeling of the first block.
+def require_cyclic_map(rates: RateMap, space: ProductSpace) -> None:
+    """Raise unless a rate map drives the cyclic flow on ``space``: one entry
+    (cuts, rho) with rho > 0, and a relabeling sigma of the states of the
+    first block that the cuts leave, so its generator is rho (C - 1).
 
-    ``perm`` permutes the flat states of the first partition block, and
-    ``cycle_length`` holds the length of each such state's cycle.  The
-    relabeling commutes with the recombinator on recombined (product)
+    The relabeling commutes with the recombinator on recombined (product)
     measures, which is exactly what the closed-form flow needs.
     """
-
-    space: ProductSpace
-    cuts: LinkSet
-    perm: tuple[int, ...]
-    cycle_length: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.cuts.n_links != self.space.n_links:
-            raise ValueError("cut set does not match the space's link count")
-        perm = tuple(int(p) for p in self.perm)
-        object.__setattr__(self, "perm", perm)
-        block0 = partition_of(self.cuts, self.space.n_nodes).blocks[0]
-        block0_states = math.prod(self.space.sizes[ax] for ax in block0)
-        if sorted(perm) != list(range(block0_states)):
-            raise ValueError(f"perm must permute the {block0_states} states of the first block")
-        lengths = {state: len(cycle) for cycle in _cycles(perm) for state in cycle}
-        object.__setattr__(self, "cycle_length", tuple(lengths[s] for s in range(len(perm))))
+    if rates.n_links != space.n_links:
+        raise ValueError("rate map does not match the space's link count")
+    if len(rates.entries) != 1:
+        raise ValueError(f"a cyclic map has one entry, got {len(rates.entries)}")
+    if rates.relabel is None:
+        raise ValueError("a cyclic map needs a relabeling")
+    [(cuts, rho)] = rates.entries
+    block0 = partition_of(cuts, space.n_nodes).blocks[0]
+    block0_states = math.prod(space.sizes[ax] for ax in block0)
+    if len(rates.relabel) != block0_states:
+        raise ValueError(f"relabel must permute the {block0_states} states of the first block")
+    if not rho > 0.0:
+        raise ValueError(f"rate must be positive, got {rho}")
 
 
 def _cycles(perm: Sequence[int]) -> Iterator[list[int]]:
@@ -169,6 +166,12 @@ def _cycles(perm: Sequence[int]) -> Iterator[list[int]]:
             yield cycle
 
 
+def cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
+    """The length of each state's cycle under a permutation, state by state."""
+    lengths = {state: len(cycle) for cycle in _cycles(perm) for state in cycle}
+    return tuple(lengths[s] for s in range(len(perm)))
+
+
 def _relabel_block0(w: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     # Each row of a vector or (T, S) stack, viewed as (block-0 state, rest).
     matrix = w.reshape(-1, len(perm), w.shape[-1] // len(perm))
@@ -177,8 +180,9 @@ def _relabel_block0(w: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     return out.reshape(w.shape)
 
 
-def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
-    """k-th power of the cyclic operator:  C^k = sigma^k . R  for k >= 1.
+def cyclic_apply(omega: Measure, rates: RateMap, power: int) -> Measure:
+    """k-th power of the cyclic operator of a map (``require_cyclic_map``):
+    C^k = sigma^k . R  for k >= 1.
 
     sigma^k moves each state k mod L steps along its cycle of length L, with
     k reduced in Python ints, so any k costs one walk along the cycles.
@@ -186,24 +190,24 @@ def cyclic_apply(omega: Measure, op: CyclicOperator, power: int) -> Measure:
     power = int(power)
     if power < 0:
         raise ValueError("power must be nonnegative")
-    if omega.space.sizes != op.space.sizes:
-        raise ValueError("measure does not live on the operator's space")
+    require_cyclic_map(rates, omega.space)
     require_positive(omega, "cyclic_apply")
     if power == 0:
         return omega
-    image = [0] * len(op.perm)  # sigma^power
-    for cycle in _cycles(op.perm):
+    image = [0] * len(rates.relabel)  # sigma^power
+    for cycle in _cycles(rates.relabel):
         shift = power % len(cycle)
         for i, state in enumerate(cycle):
             image[state] = cycle[(i + shift) % len(cycle)]
-    base = recombine(omega, op.cuts)
+    base = recombine(omega, rates.entries[0][0])
     return Measure(omega.space, _relabel_block0(base.weights, image), omega.nodes)
 
 
 def generalized_flow_grid(
-    omega0: Measure, op: CyclicOperator, rho: float, times: Sequence[float]
+    omega0: Measure, rates: RateMap, times: Sequence[float]
 ) -> np.ndarray:
-    """Closed-form flow of  d/dt x = rho (C - 1)(x)  on a whole time grid.
+    """Closed-form flow of  d/dt x = rho (C - 1)(x)  of a cyclic map
+    (``require_cyclic_map``) on a whole time grid.
 
     Returns the (len(times), states) stack whose row k is the state at
     ``times[k]``: omega_0 and its powers C^1, ..., C^L, weighted state by
@@ -212,22 +216,15 @@ def generalized_flow_grid(
     they are nonnegative for all t >= 0, so positivity is preserved as well.
     A row at t = 0 is omega_0 exactly.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rate must be positive, got {rho}")
-    times = [float(t) for t in times]
-    if any(t < 0.0 for t in times):
-        raise ValueError("times must be nonnegative")
+    require_cyclic_map(rates, omega0.space)
+    times = nonnegative_times(times)
     require_positive(omega0, "generalized_flow_grid")
-    return _flow_rows(omega0, op, rho, times)
+    return _flow_rows(omega0, rates, times)
 
 
-def _flow_rows(
-    omega0: Measure, op: CyclicOperator, rho: float, times: Sequence[float]
-) -> np.ndarray:
-    # Internal: no sign restriction on t (the ODE check differentiates
-    # through t = 0); rows at t == 0 are omega_0 exactly.
-    if omega0.space.sizes != op.space.sizes:
-        raise ValueError("measure does not live on the operator's space")
+def _flow_rows(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.ndarray:
+    # Internal, for a checked map: no sign restriction on t (the ODE check
+    # differentiates through t = 0); rows at t == 0 are omega_0 exactly.
     # The block-0 states on cycles of length L share the order-L coefficients,
     # so each group's rows are outer products of one coefficient column with
     # omega_0 and C^1, ..., C^L restricted to the group.  The coefficients
@@ -235,17 +232,19 @@ def _flow_rows(
     # a time.
     # A rate times t past the float maximum is clamped to it, where every
     # coefficient has long reached its limit; a finite tau keeps its bits.
+    [(cuts, rho)], perm = rates.entries, rates.relabel
     with np.errstate(over="ignore"):
         taus = np.minimum(rho * np.asarray(times, dtype=np.float64), np.finfo(np.float64).max)
-    lengths = np.asarray(op.cycle_length)
+    cycle_length = cycle_lengths(perm)
+    lengths = np.asarray(cycle_length)
     rows = (lengths.size, omega0.space.total_states // lengths.size)
-    base = recombine(omega0, op.cuts).weights
+    base = recombine(omega0, cuts).weights
     groups = []
-    for n in set(op.cycle_length):
+    for n in set(cycle_length):
         group = lengths == n
         powers, power = [omega0.weights.reshape(rows)[group]], base
         for _ in range(n):
-            power = _relabel_block0(power, op.perm)
+            power = _relabel_block0(power, perm)
             powers.append(power.reshape(rows)[group])
         groups.append((group, flow_coefficients(n, taus), powers))
     stack = np.empty((taus.size, *rows))
@@ -260,39 +259,33 @@ def _flow_rows(
     return stack
 
 
-def check_flow_commutation(
-    omega0: Measure, op: CyclicOperator, rho: float, t: float
-) -> float:
+def check_flow_commutation(omega0: Measure, rates: RateMap, t: float) -> float:
     """Total variation of  C(phi_t(x)) - phi_t(C(x)); zero for this construction."""
     require_positive(omega0, "check_flow_commutation")
-    flowed = Measure(omega0.space, generalized_flow_grid(omega0, op, rho, [t])[0])
-    forward = cyclic_apply(flowed, op, 1).weights
-    swapped = generalized_flow_grid(cyclic_apply(omega0, op, 1), op, rho, [t])[0]
+    flowed = Measure(omega0.space, generalized_flow_grid(omega0, rates, [t])[0])
+    forward = cyclic_apply(flowed, rates, 1).weights
+    swapped = generalized_flow_grid(cyclic_apply(omega0, rates, 1), rates, [t])[0]
     return float(np.abs(forward - swapped).sum())
 
 
 def check_generalized_ode(
-    omega0: Measure,
-    op: CyclicOperator,
-    rho: float,
-    t_grid: Sequence[float],
-    h_fd: float,
+    omega0: Measure, rates: RateMap, t_grid: Sequence[float], h_fd: float
 ) -> float:
     """Max defect of the flow against its generator, by central differences.
 
     Returns max_t | (phi_{t+h} - phi_{t-h}) / 2h - rho (C - 1)(phi_t) | in
     total variation; second order in h, so halving h divides it by about 4.
-    The three flows act on the whole grid at once, and the compiled
-    generator on each row.  The centre rows come from
-    ``generalized_flow_grid``, which validates rho, the times and omega_0.
+    The three flows act on the whole grid at once, and the compiled field of
+    the map on each row.  The centre rows come from
+    ``generalized_flow_grid``, which validates the map, the times and omega_0.
     """
+    if not (math.isfinite(h_fd) and h_fd > 0.0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {h_fd}")
     times = [float(t) for t in t_grid]
-    centre = generalized_flow_grid(omega0, op, rho, times)
-    if h_fd <= 0.0:
-        raise ValueError("finite-difference step must be positive")
-    generator = compile_field(op.space, RateMap(op.space.n_links, ((op.cuts, rho),), op.perm))
-    ahead = _flow_rows(omega0, op, rho, [t + h_fd for t in times])
-    behind = _flow_rows(omega0, op, rho, [t - h_fd for t in times])
+    centre = generalized_flow_grid(omega0, rates, times)
+    generator = compile_field(omega0.space, rates)
+    ahead = _flow_rows(omega0, rates, [t + h_fd for t in times])
+    behind = _flow_rows(omega0, rates, [t - h_fd for t in times])
     defect = (ahead - behind) / (2.0 * h_fd)
     for row, state in zip(defect, centre):
         row -= generator(state)

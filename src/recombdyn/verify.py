@@ -25,7 +25,6 @@ from .dynamics import (
     rk4_integrate_many,
 )
 from .generalized import (
-    CyclicOperator,
     check_flow_commutation,
     check_generalized_ode,
     cyclic_apply,
@@ -541,37 +540,38 @@ def suite_generalized(seed: int) -> list[dict]:
 
     # Cyclic operator: period, commutation with the flow, generator defect.
     space = ProductSpace((3, 2, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 2), perm=(1, 2, 0))
+    cuts, perm = LinkSet.from_indices([0], 2), (1, 2, 0)
+    rates = RateMap(space.n_links, ((cuts, 1.0),), perm)
     order = 3  # of the one 3-cycle: C^3 = R
     omega0 = random_probability(space, rng)
     worst = 0.0
     for power in range(1, order + 2):
-        wrapped = cyclic_apply(omega0, op, power + order)
-        direct = cyclic_apply(omega0, op, power)
+        wrapped = cyclic_apply(omega0, rates, power + order)
+        direct = cyclic_apply(omega0, rates, power)
         worst = max(worst, total_variation(wrapped - direct))
     checks.append(_check("cyclic.period", worst, 1e-12))
 
     worst = 0.0
     for t in (0.0, 0.1, 1.0, 5.0):
-        worst = max(worst, check_flow_commutation(omega0, op, 1.0, t))
+        worst = max(worst, check_flow_commutation(omega0, rates, t))
     checks.append(_check("cyclic.flow_commutation", worst, 1e-10))
 
     grid = [0.25, 0.5, 1.0, 1.5, 2.0]
-    coarse = check_generalized_ode(omega0, op, 1.0, grid, 1e-2)
-    fine = check_generalized_ode(omega0, op, 1.0, grid, 5e-3)
+    coarse = check_generalized_ode(omega0, rates, grid, 1e-2)
+    fine = check_generalized_ode(omega0, rates, grid, 5e-3)
     checks.append(_check("cyclic.ode_halving_ratio", abs(coarse / fine - 4.0), 0.5))
 
     # Long-time limit with the mixed envelope: the identity coefficient dies
     # at unit rate, the rotating modes at rate 1 - cos(2 pi / n).
     worst_excess = 0.0
     limit = (1.0 / order) * sum(
-        (cyclic_apply(omega0, op, k) for k in range(2, order + 1)),
-        start=cyclic_apply(omega0, op, 1),
+        (cyclic_apply(omega0, rates, k) for k in range(2, order + 1)),
+        start=cyclic_apply(omega0, rates, 1),
     )
     rate = min(1.0, 1.0 - math.cos(2 * math.pi / order))
     envelope0 = (order + 1) * total_variation(omega0)
     times = np.linspace(0.0, 12.0, 13).tolist()
-    residuals = _row_tv(generalized_flow_grid(omega0, op, 1.0, times) - limit.weights)
+    residuals = _row_tv(generalized_flow_grid(omega0, rates, times) - limit.weights)
     for t, residual in zip(times, residuals.tolist()):
         worst_excess = max(worst_excess, residual - envelope0 * math.exp(-rate * t))
     checks.append(_check("cyclic.long_time_limit", max(worst_excess, 0.0), 1e-12))
@@ -584,7 +584,9 @@ def suite_generalized(seed: int) -> list[dict]:
             coeffs = flow_coefficients(n, float(t))
             min_coeff = min(min_coeff, float(coeffs.min()))
             worst_mass = max(worst_mass, abs(float(coeffs.sum()) - 1.0))
-    states = generalized_flow_grid(omega0, op, 1.3, (0.1, 0.7, 2.0, 6.0))
+    states = generalized_flow_grid(
+        omega0, RateMap(space.n_links, ((cuts, 1.3),), perm), (0.1, 0.7, 2.0, 6.0)
+    )
     worst_mass = max(worst_mass, float(np.abs(states.sum(axis=1) - omega0.mass).max()))
     worst_neg = max(worst_neg, -float(states.min()))
     checks.append(_check("cyclic.flow_mass_conservation", worst_mass, 1e-12))

@@ -16,7 +16,6 @@ from recombdyn.dynamics import (
     rk4_integrate_many,
 )
 from recombdyn.generalized import (
-    CyclicOperator,
     check_flow_commutation,
     check_generalized_ode,
     flow_coefficients,
@@ -281,15 +280,15 @@ def test_criterion_09_filtered_exponential_slices():
 def test_criterion_10_generalized_cyclic_flow():
     rng = np.random.default_rng(10)
     space = ProductSpace((3, 2, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))
+    rates = RateMap(space.n_links, ((LinkSet.from_indices([0], 2), 1.0),), (1, 2, 0))
     omega0 = random_probability(space, rng)
 
     commutation = max(
-        check_flow_commutation(omega0, op, 1.0, t) for t in (0.1, 0.5, 1.0, 3.0)
+        check_flow_commutation(omega0, rates, t) for t in (0.1, 0.5, 1.0, 3.0)
     )
     grid = [0.25, 0.5, 1.0, 1.5, 2.0]
-    coarse = check_generalized_ode(omega0, op, 1.0, grid, 1e-2)
-    fine = check_generalized_ode(omega0, op, 1.0, grid, 5e-3)
+    coarse = check_generalized_ode(omega0, rates, grid, 1e-2)
+    fine = check_generalized_ode(omega0, rates, grid, 5e-3)
     ratio = coarse / fine
 
     # three-term wrap-around coefficients: survival, odd hits, even hits >= 2

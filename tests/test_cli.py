@@ -30,6 +30,7 @@ from recombdyn.dynamics import (
     trajectory_to_csv,
     trajectory_to_json_dict,
 )
+from recombdyn.generalized import generalized_flow_grid
 from recombdyn.lattice import LinkSet
 from recombdyn.measure import ProductSpace, random_probability
 
@@ -473,6 +474,23 @@ def test_run_cyclic_rk4_is_rk4_integrate_of_the_relabeled_map(tmp_path):
     assert out.read_bytes() == csv_text(traj).encode()
 
 
+def test_run_cyclic_closed_form_is_generalized_flow_grid_of_the_relabeled_map(tmp_path):
+    # The closed form of the map that carries the permutation, on the run's grid.
+    config = tmp_path / "cyclic.json"
+    perm = [2, 0, 1, 5, 3, 4]
+    write_scenario(config, sizes=[6, 2, 2], solver="closed-form",
+                   time={"t_end": 0.3, "stride": 10},
+                   rates={"kind": "cyclic", "links": [0], "permutation": perm, "rate": 0.8},
+                   rk4_step=0.01)
+    out = tmp_path / "cyc.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    omega0 = random_probability(ProductSpace((6, 2, 2)), 11)
+    rates = RateMap(2, ((LinkSet.from_indices([0], 2), 0.8),), perm)
+    grid = output_grid(0.3, 0.01, 10)
+    traj = Trajectory(omega0.space, grid, generalized_flow_grid(omega0, rates, grid))
+    assert out.read_bytes() == csv_text(traj).encode()
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0])
 def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
     config = tmp_path / "cyclic.json"
@@ -485,11 +503,11 @@ def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
 
 
 @pytest.mark.parametrize("sizes,links,perm,rate,message", [
-    ([3, 2], [0], [0, 0, 1], 1.0, "perm must permute the 3 states of the first block"),
-    ([3, 2], [0], [1, 0], 1.0, "perm must permute the 3 states of the first block"),
+    ([3, 2], [0], [0, 0, 1], 1.0, "relabel must permute 0, ..., 2"),
+    ([3, 2], [0], [1, 0], 1.0, "relabel must permute the 3 states of the first block"),
     ([3, 2], [1], [1, 2, 0], 1.0, "link index 1 out of range for 1 links"),
     ([3, 2], [0], [1, 2, 0], 0.0, "rate must be positive, got 0.0"),
-    ([3, 2], [0], [1, 2, 0], -1.0, "rate must be positive, got -1.0"),
+    ([3, 2], [0], [1, 2, 0], -1.0, "rates must be finite and >= 0, got -1.0"),
     # 11 grid points x 8,192 states x (4,096 + 1): one cycle past the cap.
     ([4096, 2], [0], cycle_permutation(4096), 1.0,
      "cycle length 4096 needs 369188864 cells, over the cap of 134217728"),

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from recombdyn.dynamics import (
     trajectory_to_csv,
     trajectory_to_json_dict,
 )
+from recombdyn.generalized import generalized_flow_grid
 from recombdyn.lattice import LinkSet, all_link_sets, subsets_of
 from recombdyn.measure import (
     Measure,
@@ -483,6 +485,27 @@ def test_stretch_system_validation():
     with pytest.raises(ValueError, match="relabeling"):
         require_stretch_system(RateMap(1, ((CUT, 1.0),), [1, 0]))
     require_stretch_system(RateMap(3, ((b, 1.0), (LinkSet.from_indices([2], 3), 0.5))))
+
+
+@pytest.mark.parametrize("call", [
+    lambda omega, ts: product_flow_grid(omega, RateMap.crossover([1.0, 0.5]), ts),
+    lambda omega, ts: product_flow_apply(omega, RateMap.crossover([1.0, 0.5]), ts).weights,
+    lambda omega, ts: crossover_grid(omega, [1.0, 0.5], ts),
+    lambda omega, ts: expansion_coefficients([1.0, 0.5], ts),
+    lambda omega, ts: generalized_flow_grid(
+        omega, RateMap(2, ((LinkSet.from_indices([0], 2), 1.0),), (1, 0)), ts
+    ),
+], ids=["product_flow_grid", "product_flow_apply", "crossover_grid",
+        "expansion_coefficients", "generalized_flow_grid"])
+def test_closed_forms_reject_a_nan_time_and_take_infinity(call):
+    # NaN passes no comparison, so a "t < 0" test let it through into rows
+    # of NaN; +inf is the flow's limit, as it always was.
+    omega = random_probability(ProductSpace((2, 3, 2)), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            call(omega, [0.5, math.nan])
+        assert np.isfinite(call(omega, [0.5, math.inf])).all()
 
 
 def test_product_flow_zero_times_and_single_component():

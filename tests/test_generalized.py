@@ -1,19 +1,21 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from recombdyn import dynamics, generalized
 from recombdyn.generalized import (
-    CyclicOperator,
     check_flow_commutation,
     check_generalized_ode,
+    cycle_lengths,
     cyclic_apply,
     flow_coefficients,
     generalized_flow_grid,
     gfun,
     gfun_asymptotic_check,
+    require_cyclic_map,
     roots_of_unity_mean,
 )
 from recombdyn.lattice import LinkSet
@@ -45,9 +47,20 @@ def series_gfun(n, k, t):
         m += 1
 
 
-def flow_at(omega, op, rho, t):
+def cyclic_map(cuts, perm, rho=1.0):
+    """The one-entry map of rate rho on ``cuts``, relabeled by ``perm``."""
+    return RateMap(cuts.n_links, ((cuts, rho),), perm)
+
+
+def at_rate(rates, rho):
+    """A cyclic map with its one rate replaced by rho."""
+    [(cuts, _)] = rates.entries
+    return cyclic_map(cuts, rates.relabel, rho)
+
+
+def flow_at(omega, rates, t):
     """The cyclic flow at one time: the one-row ``generalized_flow_grid``."""
-    return Measure(omega.space, generalized_flow_grid(omega, op, rho, [t])[0])
+    return Measure(omega.space, generalized_flow_grid(omega, rates, [t])[0])
 
 
 def gfun_at(n, k, t):
@@ -57,8 +70,7 @@ def gfun_at(n, k, t):
 
 def three_cycle(seed=7):
     space = ProductSpace((3, 2, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))
-    return op, random_probability(space, seed)
+    return cyclic_map(LinkSet.from_indices([0], 2), (1, 2, 0)), random_probability(space, seed)
 
 
 def test_gfun_rejects_small_order():
@@ -186,104 +198,111 @@ def test_roots_of_unity_filter():
                 assert abs(value) <= 1e-12
 
 
-def test_cyclic_operator_validation():
+def test_cyclic_map_validation():
     space = ProductSpace((3, 2))
     cuts = LinkSet.from_indices([0], 1)
-    with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (0, 0, 1))  # not a permutation
-    with pytest.raises(ValueError):
-        CyclicOperator(space, cuts, (1, 0))  # wrong block size
-    with pytest.raises(ValueError):
-        CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0))  # wrong link count
-    assert CyclicOperator(space, cuts, (1, 2, 0)).cycle_length == (3, 3, 3)
-    assert CyclicOperator(space, cuts, (0, 2, 1)).cycle_length == (1, 2, 2)
-    assert CyclicOperator(space, cuts, (0, 1, 2)).cycle_length == (1, 1, 1)
+    with pytest.raises(ValueError, match="relabel must permute 0"):
+        cyclic_map(cuts, (0, 0, 1))  # not a permutation
+    for rates, message in (
+        (cyclic_map(cuts, (1, 0)), "permute the 3 states of the first block"),
+        (cyclic_map(LinkSet.from_indices([0], 2), (1, 2, 0)), "link count"),
+        (RateMap.single(cuts, 1.0), "needs a relabeling"),
+        (RateMap(1, (), (1, 2, 0)), "one entry, got 0"),
+        (cyclic_map(cuts, (1, 2, 0), 0.0), "rate must be positive, got 0.0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            require_cyclic_map(rates, space)
+    require_cyclic_map(cyclic_map(cuts, (1, 2, 0)), space)
+    require_cyclic_map(cyclic_map(LinkSet.empty(1), tuple(range(6))), space)
+    assert cycle_lengths((1, 2, 0)) == (3, 3, 3)
+    assert cycle_lengths((0, 2, 1)) == (1, 2, 2)
+    assert cycle_lengths((0, 1, 2)) == (1, 1, 1)
 
 
 def test_cyclic_apply_wraps_at_the_period():
     # Cycles (0 1) and (2 3 4): C^k repeats with period 6, the lcm.
     space = ProductSpace((5, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 0, 3, 4, 2))
+    cuts = LinkSet.from_indices([0], 1)
+    rates = cyclic_map(cuts, (1, 0, 3, 4, 2))
     omega = random_probability(space, 8)
     composed = tuple(range(5))
     for power in range(1, 13):
-        composed = tuple(op.perm[p] for p in composed)
-        moved = recombine(omega, op.cuts).weights.reshape(5, 2)[np.argsort(composed)]
-        got = cyclic_apply(omega, op, power)
+        composed = tuple(rates.relabel[p] for p in composed)
+        moved = recombine(omega, cuts).weights.reshape(5, 2)[np.argsort(composed)]
+        got = cyclic_apply(omega, rates, power)
         np.testing.assert_array_equal(got.weights, moved.reshape(-1))
-        wrapped = cyclic_apply(omega, op, power + 6)
+        wrapped = cyclic_apply(omega, rates, power + 6)
         assert np.array_equal(wrapped.weights, got.weights)
     # Each state's step count is reduced modulo its cycle length in Python
     # ints, so a power past int64 costs the same as a small one.
     huge = 2**100 + 1
     np.testing.assert_array_equal(
-        cyclic_apply(omega, op, huge).weights, cyclic_apply(omega, op, huge % 6).weights
+        cyclic_apply(omega, rates, huge).weights, cyclic_apply(omega, rates, huge % 6).weights
     )
 
 
 def test_cyclic_apply_power_zero_and_order():
-    op, omega = three_cycle()
-    assert cyclic_apply(omega, op, 0) is omega
-    at_order = cyclic_apply(omega, op, 3)
-    np.testing.assert_array_equal(at_order.weights, recombine(omega, op.cuts).weights)
+    rates, omega = three_cycle()
+    assert cyclic_apply(omega, rates, 0) is omega
+    at_order = cyclic_apply(omega, rates, 3)
+    np.testing.assert_array_equal(at_order.weights, recombine(omega, rates.entries[0][0]).weights)
 
 
 def test_cyclic_apply_identity_relabeling_degenerates():
     space = ProductSpace((3, 2))
-    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2))
+    cuts = LinkSet.from_indices([0], 1)
+    rates = cyclic_map(cuts, (0, 1, 2))
     # Every state is a fixed point: C = R, and the flow is the one-set flow.
-    assert op.cycle_length == (1, 1, 1)
+    assert cycle_lengths(rates.relabel) == (1, 1, 1)
     omega = random_probability(space, 3)
     for power in (1, 2, 5):
-        got = cyclic_apply(omega, op, power)
-        np.testing.assert_array_equal(got.weights, recombine(omega, op.cuts).weights)
+        got = cyclic_apply(omega, rates, power)
+        np.testing.assert_array_equal(got.weights, recombine(omega, cuts).weights)
 
 
 def test_cyclic_apply_rotates_first_marginal():
     # first-block marginal (0.5, 0.3, 0.2) moves to (0.2, 0.5, 0.3)
-    space = ProductSpace((3, 2))
     mu = Measure(ProductSpace((3,)), [0.5, 0.3, 0.2])
     nu = Measure(ProductSpace((2,)), [0.6, 0.4], nodes=(1,))
     omega = tensor([mu, nu])
-    op = CyclicOperator(space, LinkSet.from_indices([0], 1), (1, 2, 0))
-    once = cyclic_apply(omega, op, 1)
+    rates = cyclic_map(LinkSet.from_indices([0], 1), (1, 2, 0))
+    once = cyclic_apply(omega, rates, 1)
     np.testing.assert_allclose(marginal(once, [0]).weights, [0.2, 0.5, 0.3], atol=1e-14)
     np.testing.assert_allclose(marginal(once, [1]).weights, [0.6, 0.4], atol=1e-14)
 
 
 def test_cyclic_period_is_exact():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
     for power in range(1, 7):
-        wrapped = cyclic_apply(omega, op, power + 3)
-        direct = cyclic_apply(omega, op, power)
+        wrapped = cyclic_apply(omega, rates, power + 3)
+        direct = cyclic_apply(omega, rates, power)
         assert total_variation(wrapped - direct) == 0.0
 
 
 def test_cyclic_apply_rejects_signed_input():
-    op, _ = three_cycle()
-    signed = Measure(op.space, np.linspace(-1, 1, op.space.total_states))
+    rates, omega = three_cycle()
+    signed = Measure(omega.space, np.linspace(-1, 1, omega.space.total_states))
     with pytest.raises(ValueError):
-        cyclic_apply(signed, op, 1)
+        cyclic_apply(signed, rates, 1)
 
 
 def empty_cut_relabeling(seed=3):
     # No cuts: the one block is the whole chain and C = sigma, cycles 2, 3, 1.
     space = ProductSpace((2, 3))
-    op = CyclicOperator(space, LinkSet.empty(1), (1, 0, 3, 4, 2, 5))
-    return op, random_probability(space, seed)
+    return cyclic_map(LinkSet.empty(1), (1, 0, 3, 4, 2, 5)), random_probability(space, seed)
 
 
 def test_empty_cut_set_is_a_plain_relabeling():
-    op, omega = empty_cut_relabeling()
-    assert op.cycle_length == (2, 2, 3, 3, 3, 1)
+    rates, omega = empty_cut_relabeling()
+    assert cycle_lengths(rates.relabel) == (2, 2, 3, 3, 3, 1)
     moved = np.empty_like(omega.weights)
-    moved[list(op.perm)] = omega.weights
-    np.testing.assert_array_equal(cyclic_apply(omega, op, 1).weights, moved)
-    assert check_generalized_ode(omega, op, 1.0, [0.25, 0.5, 1.0, 2.0], 1e-3) <= 1e-6
-    stack = generalized_flow_grid(omega, op, 1.0, [0.0, 1.0, 40.0])
+    moved[list(rates.relabel)] = omega.weights
+    np.testing.assert_array_equal(cyclic_apply(omega, rates, 1).weights, moved)
+    assert check_generalized_ode(omega, rates, [0.25, 0.5, 1.0, 2.0], 1e-3) <= 1e-6
+    stack = generalized_flow_grid(omega, rates, [0.0, 1.0, 40.0])
     assert np.abs(stack.sum(axis=1) - 1.0).max() <= 1e-14
     # Far out the flow has forgotten where it started: the mean of sigma^k x.
-    cycle_mean = np.mean([cyclic_apply(omega, op, k).weights for k in range(6)], axis=0)
+    cycle_mean = np.mean([cyclic_apply(omega, rates, k).weights for k in range(6)], axis=0)
     assert np.abs(stack[-1] - cycle_mean).sum() <= 1e-6
 
 
@@ -291,19 +310,19 @@ def test_folded_flow_is_the_explicit_order_n_sum():
     # The flow folds by cycle length; the order-n closed form at any n that
     # every cycle divides sums all n + 1 powers C^k(omega_0) explicitly.
     space = ProductSpace((6, 2, 2))
-    mixed = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0, 4, 3, 5))
+    mixed = cyclic_map(LinkSet.from_indices([0], 2), (1, 2, 0, 4, 3, 5))
     cases = [(mixed, random_probability(space, 12)), empty_cut_relabeling()]
     times = [0.0, 0.2, 1.0, 3.0, 9.0]
-    for op, omega in cases:
+    for rates, omega in cases:
         powers = [omega.weights]
         for n in (6, 12, 60):
-            powers += [cyclic_apply(omega, op, k).weights for k in range(len(powers), n + 1)]
+            powers += [cyclic_apply(omega, rates, k).weights for k in range(len(powers), n + 1)]
             for rho in (1.0, 0.37):
                 coeffs = flow_coefficients(n, rho * np.asarray(times))
                 explicit = coeffs @ np.asarray(powers[: n + 1])
-                folded = generalized_flow_grid(omega, op, rho, times)
+                folded = generalized_flow_grid(omega, at_rate(rates, rho), times)
                 gaps = np.abs(folded - explicit).sum(axis=1)
-                assert gaps.max() <= 1e-15 * total_variation(omega), (op.space, n, gaps)
+                assert gaps.max() <= 1e-15 * total_variation(omega), (omega.space, n, gaps)
 
 
 def test_grouped_flow_is_the_padded_broadcast_bit_for_bit():
@@ -311,10 +330,10 @@ def test_grouped_flow_is_the_padded_broadcast_bit_for_bit():
     # coefficients.  Padding every state's coefficients with zeros up to the
     # longest cycle and broadcasting over all states gives the same floats.
     space = ProductSpace((6, 2, 2))
-    mixed = CyclicOperator(space, LinkSet.from_indices([0], 2), (1, 2, 0, 4, 3, 5))
+    mixed = cyclic_map(LinkSet.from_indices([0], 2), (1, 2, 0, 4, 3, 5))
     omega = random_probability(space, 12)
     times = [0.0, 0.2, 1.0, 3.0, 9.0]
-    lengths = np.asarray(mixed.cycle_length)
+    lengths = np.asarray(cycle_lengths(mixed.relabel))
     rows = (6, space.total_states // 6)
     for rho in (1.0, 0.37):
         table = np.zeros((len(times), 4, 6))
@@ -325,11 +344,8 @@ def test_grouped_flow_is_the_padded_broadcast_bit_for_bit():
             padded += table[:, k, :, None] * cyclic_apply(omega, mixed, k).weights.reshape(rows)
         padded = padded.reshape(len(times), space.total_states)
         padded[0] = omega.weights
-        assert generalized_flow_grid(omega, mixed, rho, times).tobytes() == padded.tobytes()
-
-
-def relabeled_field(op, rho):
-    return compile_field(op.space, RateMap(op.space.n_links, ((op.cuts, rho),), op.perm))
+        flowed = generalized_flow_grid(omega, at_rate(mixed, rho), times)
+        assert flowed.tobytes() == padded.tobytes()
 
 
 def test_relabeled_field_is_the_generator(monkeypatch):
@@ -337,40 +353,38 @@ def test_relabeled_field_is_the_generator(monkeypatch):
     # each on the stacked and the strided kernel.
     cases = [
         three_cycle(),
-        (CyclicOperator(ProductSpace((3, 2, 2)), LinkSet.from_indices([0, 1], 2), (1, 2, 0)),
+        (cyclic_map(LinkSet.from_indices([0, 1], 2), (1, 2, 0)),
          random_probability(ProductSpace((3, 2, 2)), 4)),
-        (CyclicOperator(ProductSpace((2, 2, 3)), LinkSet.from_indices([1], 2), (2, 0, 3, 1)),
+        (cyclic_map(LinkSet.from_indices([1], 2), (2, 0, 3, 1)),
          random_probability(ProductSpace((2, 2, 3)), 5)),
-        (CyclicOperator(ProductSpace((6, 4, 4, 4, 4, 4)), LinkSet.from_indices([0], 5),
-                        (1, 2, 0, 4, 5, 3)),
+        (cyclic_map(LinkSet.from_indices([0], 5), (1, 2, 0, 4, 5, 3)),
          random_probability(ProductSpace((6, 4, 4, 4, 4, 4)), 6)),
         empty_cut_relabeling(),
     ]
     for kernel, cap in (("stacked_field", 1 << 40), ("strided_field", 0)):
         monkeypatch.setattr(dynamics, "STACKED_FIELD_MAX_ENTRIES", cap)
-        for op, omega in cases:
+        for rates, omega in cases:
             for rho in (1.0, 0.37):
-                field = relabeled_field(op, rho)
+                field = compile_field(omega.space, at_rate(rates, rho))
                 assert field.__name__ == kernel
-                expected = rho * (cyclic_apply(omega, op, 1).weights - omega.weights)
+                expected = rho * (cyclic_apply(omega, rates, 1).weights - omega.weights)
                 gap = np.abs(field(omega.weights) - expected).sum()
-                assert gap <= 1e-15 * total_variation(omega), (kernel, op.space, gap)
+                assert gap <= 1e-15 * total_variation(omega), (kernel, omega.space, gap)
 
 
 def test_relabeled_field_rejects_a_relabeling_of_another_size(monkeypatch):
     # A permutation, but not of the first block's three states.
-    op, _ = three_cycle()
+    rates, omega = three_cycle()
     for cap in (1 << 40, 0):
         monkeypatch.setattr(dynamics, "STACKED_FIELD_MAX_ENTRIES", cap)
         for relabel in ((1, 0), (1, 2, 3, 0)):
-            rates = RateMap(op.space.n_links, ((op.cuts, 1.0),), relabel)
             with pytest.raises(ValueError, match="first block"):
-                compile_field(op.space, rates)
+                compile_field(omega.space, cyclic_map(rates.entries[0][0], relabel))
 
 
 def test_flow_time_zero_is_identity():
-    op, omega = three_cycle()
-    np.testing.assert_array_equal(generalized_flow_grid(omega, op, 1.0, [0.0])[0], omega.weights)
+    rates, omega = three_cycle()
+    np.testing.assert_array_equal(generalized_flow_grid(omega, rates, [0.0])[0], omega.weights)
 
 
 def test_flow_coefficients_sum_to_one_and_stay_nonnegative():
@@ -407,112 +421,112 @@ def test_three_term_coefficients_survival_odd_even():
 def test_flow_with_identity_relabeling_reduces_to_semigroup():
     space = ProductSpace((2, 3, 2))
     cuts = LinkSet.from_indices([1], 2)
-    op = CyclicOperator(space, cuts, tuple(range(6)))
     omega = random_probability(space, 23)
     for rho, t in ((1.0, 0.7), (0.4, 2.0)):
-        via_flow = flow_at(omega, op, rho, t)
+        via_flow = flow_at(omega, cyclic_map(cuts, tuple(range(6)), rho), t)
         direct = product_flow_apply(omega, RateMap.single(cuts, rho), [t])
         assert total_variation(via_flow - direct) <= 1e-12
 
 
 def test_flow_conserves_mass_and_positivity():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
     for t in (0.1, 0.9, 3.0, 8.0):
-        state = flow_at(omega, op, 1.3, t)
+        state = flow_at(omega, at_rate(rates, 1.3), t)
         assert abs(state.mass - omega.mass) <= 1e-12
         assert state.weights.min() >= -1e-15
 
 
 def test_flow_long_time_limit():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
     limit = (1.0 / 3) * sum(
-        (cyclic_apply(omega, op, k) for k in range(2, 4)),
-        start=cyclic_apply(omega, op, 1),
+        (cyclic_apply(omega, rates, k) for k in range(2, 4)),
+        start=cyclic_apply(omega, rates, 1),
     )
     rate = min(1.0, 1.0 - math.cos(2 * math.pi / 3))
     envelope = 4 * total_variation(omega)
     for t in np.linspace(0.0, 12.0, 13):
         t = float(t)
-        residual = total_variation(flow_at(omega, op, 1.0, t) - limit)
+        residual = total_variation(flow_at(omega, rates, t) - limit)
         assert residual <= envelope * math.exp(-rate * t) + 1e-13
 
 
 def test_flow_commutation_cases():
-    op, omega = three_cycle()
-    assert check_flow_commutation(omega, op, 1.0, 0.0) == 0.0
+    rates, omega = three_cycle()
+    assert check_flow_commutation(omega, rates, 0.0) == 0.0
     for t in (0.1, 1.0, 5.0):
-        assert check_flow_commutation(omega, op, 1.0, t) <= 1e-10
+        assert check_flow_commutation(omega, rates, t) <= 1e-10
 
     space = ProductSpace((3, 2))
-    idempotent = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1, 2))
+    idempotent = cyclic_map(LinkSet.from_indices([0], 1), (0, 1, 2))
     base = random_probability(space, 31)
-    assert check_flow_commutation(base, idempotent, 1.0, 0.8) <= 1e-12
+    assert check_flow_commutation(base, idempotent, 0.8) <= 1e-12
 
 
 def test_generalized_ode_second_order_convergence():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
     grid = [0.25, 0.5, 1.0, 1.5, 2.0]
-    coarse = check_generalized_ode(omega, op, 1.0, grid, 1e-2)
-    fine = check_generalized_ode(omega, op, 1.0, grid, 5e-3)
+    coarse = check_generalized_ode(omega, rates, grid, 1e-2)
+    fine = check_generalized_ode(omega, rates, grid, 5e-3)
     assert 3.5 <= coarse / fine <= 4.5
 
     space = ProductSpace((2, 3))
-    idempotent = CyclicOperator(space, LinkSet.from_indices([0], 1), (0, 1))
+    idempotent = cyclic_map(LinkSet.from_indices([0], 1), (0, 1))
     base = random_probability(space, 2)
-    rough = check_generalized_ode(base, idempotent, 1.0, grid, 1e-2)
-    sharp = check_generalized_ode(base, idempotent, 1.0, grid, 5e-3)
+    rough = check_generalized_ode(base, idempotent, grid, 1e-2)
+    sharp = check_generalized_ode(base, idempotent, grid, 5e-3)
     assert 3.5 <= rough / sharp <= 4.5
 
 
 def test_generalized_ode_residual_small_at_millistep():
-    op, omega = three_cycle()
-    residual = check_generalized_ode(omega, op, 1.0, [0.25, 0.5, 1.0, 2.0], 1e-3)
+    rates, omega = three_cycle()
+    residual = check_generalized_ode(omega, rates, [0.25, 0.5, 1.0, 2.0], 1e-3)
     assert residual <= 1e-6
 
 
 def test_generalized_ode_near_zero_rate_is_flat():
-    op, omega = three_cycle()
-    residual = check_generalized_ode(omega, op, 1e-16, [0.5, 1.0, 2.0], 1e-3)
+    rates, omega = three_cycle()
+    residual = check_generalized_ode(omega, at_rate(rates, 1e-16), [0.5, 1.0, 2.0], 1e-3)
     assert residual <= 1e-14
 
 
 def test_flow_grid_is_its_one_row_case_at_every_time():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
+    rates = at_rate(rates, 1.3)
     grid = [0.0, 0.1, 0.7, 0.70001, 2.0, 6.0, 30.0]
-    stack = generalized_flow_grid(omega, op, 1.3, grid)
-    assert stack.shape == (len(grid), op.space.total_states)
+    stack = generalized_flow_grid(omega, rates, grid)
+    assert stack.shape == (len(grid), omega.space.total_states)
     np.testing.assert_array_equal(stack[0], omega.weights)
     for row, t in zip(stack, grid):
-        expected = flow_at(omega, op, 1.3, t).weights
+        expected = flow_at(omega, rates, t).weights
         assert np.abs(row - expected).sum() <= 1e-15 * total_variation(omega)
     with pytest.raises(ValueError):
-        generalized_flow_grid(omega, op, 1.3, [1.0, -0.5])
+        generalized_flow_grid(omega, rates, [1.0, -0.5])
     with pytest.raises(ValueError):
-        generalized_flow_grid(omega, op, 0.0, grid)
+        generalized_flow_grid(omega, at_rate(rates, 0.0), grid)
 
 
 def block_cycle(seed):
     # 6 x 4^5 states x 101 times: 10 rows a block, so the grid spans eleven
     # blocks; block-0 cycles of lengths 3, 2 and 1 make three groups.
     space = ProductSpace((6, 4, 4, 4, 4, 4))
-    op = CyclicOperator(space, LinkSet.from_indices([0, 2], 5), (1, 2, 0, 4, 3, 5))
-    return op, random_probability(space, seed), [0.02 * k for k in range(101)]
+    rates = cyclic_map(LinkSet.from_indices([0, 2], 5), (1, 2, 0, 4, 3, 5), 1.3)
+    return rates, random_probability(space, seed), [0.02 * k for k in range(101)]
 
 
 def test_flow_grid_in_row_blocks_has_the_row_at_a_time_bytes():
-    op, omega, grid = block_cycle(31)
-    stack = generalized_flow_grid(omega, op, 1.3, grid)
-    rows = np.array([generalized_flow_grid(omega, op, 1.3, [t])[0] for t in grid])
+    rates, omega, grid = block_cycle(31)
+    stack = generalized_flow_grid(omega, rates, grid)
+    rows = np.array([generalized_flow_grid(omega, rates, [t])[0] for t in grid])
     assert stack.tobytes() == rows.tobytes()
 
 
 def test_flow_grid_holds_its_stack_and_one_row_block():
     # The stack and one block of each group's outer products, with the
     # powers C^k of one state each.  Whole-grid products held 2.1 stacks.
-    op, omega, grid = block_cycle(32)
+    rates, omega, grid = block_cycle(32)
     tracemalloc.start()
     try:
-        stack = generalized_flow_grid(omega, op, 1.3, grid)
+        stack = generalized_flow_grid(omega, rates, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,40 +534,54 @@ def test_flow_grid_holds_its_stack_and_one_row_block():
     assert peak <= 1.5 * stack.nbytes, (peak, stack.nbytes)
 
 
-def generalized_ode_per_time(omega0, op, rho, times, h_fd):
+def generalized_ode_per_time(omega0, rates, times, h_fd):
     """The generator defect as a loop over times of the one-row flow, with
     rho (C - 1) applied through ``cyclic_apply``."""
+    [(_, rho)] = rates.entries
     worst = 0.0
     for t in times:
-        ahead = flow_at(omega0, op, rho, t + h_fd).weights
-        behind = flow_at(omega0, op, rho, t - h_fd).weights
-        middle = flow_at(omega0, op, rho, t)
-        generator = rho * (cyclic_apply(middle, op, 1).weights - middle.weights)
+        ahead = flow_at(omega0, rates, t + h_fd).weights
+        behind = flow_at(omega0, rates, t - h_fd).weights
+        middle = flow_at(omega0, rates, t)
+        generator = rho * (cyclic_apply(middle, rates, 1).weights - middle.weights)
         derivative = (ahead - behind) / (2.0 * h_fd)
         worst = max(worst, float(np.abs(derivative - generator).sum()))
     return worst
 
 
 def test_generalized_ode_matches_its_per_time_loop():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
     # 0.01 - 0.01 lands exactly on t = 0, where the flow is omega_0 itself.
     grid = [0.01, 0.25, 0.5, 1.0, 2.0]
     for rho, h_fd in ((1.0, 1e-2), (0.37, 5e-3)):
-        expected = generalized_ode_per_time(omega, op, rho, grid, h_fd)
-        got = check_generalized_ode(omega, op, rho, grid, h_fd)
+        expected = generalized_ode_per_time(omega, at_rate(rates, rho), grid, h_fd)
+        got = check_generalized_ode(omega, at_rate(rates, rho), grid, h_fd)
         assert abs(got - expected) <= 1e-15 * total_variation(omega) / h_fd
-    assert check_generalized_ode(omega, op, 1.0, [], 1e-2) == 0.0
+    assert check_generalized_ode(omega, rates, [], 1e-2) == 0.0
 
 
 def test_flow_validation():
-    op, omega = three_cycle()
+    rates, omega = three_cycle()
     with pytest.raises(ValueError):
-        generalized_flow_grid(omega, op, 0.0, [1.0])
+        generalized_flow_grid(omega, at_rate(rates, 0.0), [1.0])
     with pytest.raises(ValueError):
-        generalized_flow_grid(omega, op, 1.0, [-0.5])
-    signed = Measure(op.space, np.linspace(-1, 1, op.space.total_states))
+        generalized_flow_grid(omega, rates, [-0.5])
+    signed = Measure(omega.space, np.linspace(-1, 1, omega.space.total_states))
     with pytest.raises(ValueError):
-        generalized_flow_grid(signed, op, 1.0, [1.0])
-    for rho in (0.0, -1.0):
-        with pytest.raises(ValueError, match="rate must be positive"):
-            check_generalized_ode(omega, op, rho, [0.5], 1e-3)
+        generalized_flow_grid(signed, rates, [1.0])
+    with pytest.raises(ValueError, match="rate must be positive"):
+        check_generalized_ode(omega, at_rate(rates, 0.0), [0.5], 1e-3)
+    # A negative rate is no rate map at all.
+    with pytest.raises(ValueError, match=">= 0, got -1.0"):
+        at_rate(rates, -1.0)
+
+
+@pytest.mark.parametrize("h_fd", [0.0, -1e-3, math.nan, math.inf])
+def test_generalized_ode_rejects_a_bad_step_before_any_flow(h_fd):
+    # The step is checked first: the negative time, which the centre flow
+    # would reject, is never reached, and NaN or inf raise, not warn.
+    rates, omega = three_cycle()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite-difference step"):
+            check_generalized_ode(omega, rates, [0.5, -1.0], h_fd)

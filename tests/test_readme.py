@@ -64,3 +64,16 @@ def test_readme_call_forms_are_package_names():
     named -= {"exp", "NaN", "Infinity"}
     assert named
     assert sorted(n for n in named if not any(hasattr(m, n) for m in modules)) == []
+
+
+def test_readme_names_every_top_level_name():
+    # The reverse check: each name the top level exports appears backticked
+    # in the README, so the core-types list follows the package.
+    import recombdyn
+
+    text = README.read_text()
+    missing = [
+        name for name in recombdyn.__all__
+        if name != "__version__" and not re.search(rf"`{name}\b", text)
+    ]
+    assert missing == []
