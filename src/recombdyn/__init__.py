@@ -7,10 +7,12 @@ their closed-form nonlinear semigroups, the inclusion-exclusion transform
 that linearizes the single-crossover flow, a cyclically twisted
 generalization, and a fixed-step Runge-Kutta oracle to check all of it.
 
-The top level holds the core types, the closed form of each rate kind on a
-whole time grid (one row per time) and ``product_flow_apply``, the
-multi-parameter semigroup with one time per entry of a ``RateMap``, the one
-map that drives RK4, the product flows and the cyclic flow; every other
+The top level holds the core types, the closed forms on a whole time grid
+(one row per time) and ``product_flow_apply``, the multi-parameter semigroup
+with one time per entry of a ``RateMap``.  That map is the one rate input of
+RK4 and of every flow: ``RateMap.crossover`` builds the single-crossover one,
+which ``product_flow_grid`` takes, and a relabeled one takes the cyclic flow
+``generalized_flow_grid``; every other
 helper is imported from its submodule (``recombdyn.dynamics``, ``recombdyn.generalized``,
 ``recombdyn.lattice``, ``recombdyn.measure``, ``recombdyn.recombinator``).
 """
@@ -18,7 +20,6 @@ helper is imported from its submodule (``recombdyn.dynamics``, ``recombdyn.gener
 from .dynamics import (
     RateMap,
     Trajectory,
-    crossover_grid,
     product_flow_apply,
     product_flow_grid,
     rk4_integrate,
@@ -36,7 +37,6 @@ __all__ = [
     "ProductSpace",
     "RateMap",
     "Trajectory",
-    "crossover_grid",
     "generalized_flow_grid",
     "product_flow_apply",
     "product_flow_grid",

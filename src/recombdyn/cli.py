@@ -504,7 +504,7 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
         times.append(round(t, 12))
         t += args.t_step
     # Columns ascend by bitmask, as all_link_sets does.
-    table_a, table_b = expansion_coefficients(rates, times)
+    table_a, table_b = expansion_coefficients(RateMap.crossover(rates), times)
 
     with _atomic_stream(Path(args.out)) as stream:
         if args.format == "csv":

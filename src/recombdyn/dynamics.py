@@ -13,26 +13,26 @@ map.  With sigma = 1, three solvable regimes get closed forms here:
 * one cut set A:            omega_t = e^{-rho t} omega_0 + (1 - e^{-rho t}) R_A(omega_0)
 * cut sets with pairwise disjoint stretches (a map that passes
   ``require_stretch_system``): the product of the one-set flows
-* one rate per single link: singletons have disjoint stretches, so this is the
-  product of the n one-link flows.  Multiplied out, it is the paper's subset
-  expansion
+* one rate per single link (``RateMap.crossover``): singletons have disjoint
+  stretches, so this is the product of the n one-link flows.  Multiplied out,
+  it is the paper's subset expansion
       omega_t = sum_G a_G(t) R_G(omega_0),
       a_G(t)  = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t}),
   which the verify suite keeps as the reference for the product.
 
 Time enters these forms only through scalar coefficients, so every
 time-dependent function takes a whole time grid and returns one row per time:
-``product_flow_grid`` and ``crossover_grid`` apply each one-set flow
+``product_flow_grid`` applies each one-set flow
 W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the stack in place, one
 recombination per cut set and row block (``row_blocks``: rows do not depend on
 one another, so a block of them has each row's bits and only a block's
-temporaries), ``expansion_coefficients`` tabulates a_G(t) and b_G(t) for every
-cut set, ``recombination_table`` takes each R_H of a stack once, and
-``moebius_sum`` forms any transform of every row from it.
+temporaries), ``expansion_coefficients`` tabulates a_G(t) and b_G(t) of a
+crossover map for every cut set, ``recombination_table`` takes each R_H of a
+stack once, and ``moebius_sum`` forms any transform of every row from it.
 ``product_flow_apply`` keeps one time per entry of the map: it is the
 multi-parameter semigroup, and a one-entry map at one time is the one-set
-flow.  One ``RateMap`` drives RK4 and every closed form; ``nonnegative_times``
-checks the times of each.
+flow.  One ``RateMap`` drives RK4, every closed form and the expansion tables;
+``nonnegative_times`` checks the times of each.
 
 A fixed-step classical Runge-Kutta integrator doubles as an independent
 numerical oracle for every closed form: ``rk4_integrate`` on the field of any
@@ -125,7 +125,9 @@ class RateMap:
         if self.relabel is not None:
             relabel = tuple(int(i) for i in self.relabel)
             if sorted(relabel) != list(range(len(relabel))):
-                raise ValueError(f"relabel must permute 0, ..., {len(relabel) - 1}")
+                raise ValueError(
+                    f"permutation must reorder the first block's states 0, ..., {len(relabel) - 1}"
+                )
             object.__setattr__(self, "relabel", relabel)
         elif 0 in seen:  # bits 0: the empty cut set
             raise ValueError("the empty cut set generates no motion without a relabeling; drop it")
@@ -669,22 +671,15 @@ def product_flow_apply(omega0: Measure, rates: RateMap, ts: Sequence[float]) -> 
     return Measure(omega0.space, _one_set_flows(omega0, factors)[0], omega0.nodes)
 
 
-def _validated_link_rates(link_rates: Sequence[float], n_links: int) -> list[float]:
-    rates = [float(r) for r in link_rates]
-    if len(rates) != n_links:
-        raise ValueError(f"expected {n_links} per-link rates, got {len(rates)}")
-    if any(not math.isfinite(r) or r <= 0.0 for r in rates):
-        raise ValueError(f"per-link rates must be finite and > 0, got {rates}")
-    return rates
-
-
 def expansion_coefficients(
-    link_rates: Sequence[float], times: Sequence[float]
+    rates: RateMap, times: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The single-crossover expansion weights a_G(t) and b_G(t) on a time grid.
 
-    Returns two (len(times), 2^n) tables whose column G (a bitmask of links)
-    holds, row by row:
+    ``rates`` is a crossover map: a stretch system (``require_stretch_system``)
+    with one singleton entry per link, in any order, as ``RateMap.crossover``
+    builds it.  Returns two (len(times), 2^n) tables whose column G (a bitmask
+    of links) holds, row by row:
 
     * a_G(t) = prod_{a not in G} e^{-rho_a t} * prod_{b in G} (1 - e^{-rho_b t}),
       the weight of R_G(omega_0): the chance that by time t recombination has
@@ -694,32 +689,20 @@ def expansion_coefficients(
 
     Every cell is the product of its factors in link order, from 1.0.
     """
-    rates = _validated_link_rates(link_rates, len(link_rates))
+    require_stretch_system(rates)
+    entries = sorted(rates.entries, key=lambda entry: entry[0].bits)
+    if [links.bits for links, _ in entries] != [1 << i for i in range(rates.n_links)]:
+        raise ValueError("expansion coefficients need one singleton entry per link")
     times = nonnegative_times(times)
-    bits = np.arange(1 << len(rates))
+    bits = np.arange(1 << rates.n_links)
     a = np.ones((len(times), bits.size))
     b = np.ones((len(times), bits.size))
-    for i, rate in enumerate(rates):
+    for i, (_, rate) in enumerate(entries):
         decayed = np.array([math.exp(-rate * t) for t in times])[:, None]
         hit = bits & (1 << i) != 0
         a *= np.where(hit, 1.0 - decayed, decayed)
         b *= np.where(hit, 1.0, decayed)
     return a, b
-
-
-def crossover_grid(
-    omega0: Measure, link_rates: Sequence[float], times: Sequence[float]
-) -> np.ndarray:
-    """Closed-form single-crossover flow on a time grid: one row per time.
-
-    Singleton cut sets have disjoint stretches, so their flows commute and
-    the n of them compose to the solution: this is ``product_flow_grid`` of
-    the one-link system, one recombination per link for the whole grid.  The
-    paper's subset expansion over all 2^n cut sets gives the same measures;
-    the verify suite keeps it as the reference.
-    """
-    rates = _validated_link_rates(link_rates, omega0.space.n_links)
-    return product_flow_grid(omega0, RateMap.crossover(rates), times)
 
 
 # ---------------------------------------------------------------------------
@@ -771,25 +754,23 @@ def moebius_transform(omega: Measure, links: LinkSet) -> Measure:
 
 
 def check_linearization(
-    omega0: Measure, link_rates: Sequence[float], times: Sequence[float]
+    omega0: Measure, rates: RateMap, times: Sequence[float]
 ) -> np.ndarray:
     """Max defect of  T_G(omega_t) = exp(-t * sum_{a not in G} rho_a) T_G(omega_0)
     over the grid, for every cut set G: entry G (a bitmask) of a 2^n vector.
 
-    One ``crossover_grid`` trajectory serves every G: with omega_0 on top it
-    is one stack whose every R_H is taken once, and each transform is a
+    ``rates`` is a crossover map, as ``expansion_coefficients`` takes it.
+    One ``product_flow_grid`` trajectory serves every G: with omega_0 on top
+    it is one stack whose every R_H is taken once, and each transform is a
     ``moebius_sum`` of that table.  The comparison line is the decoupled
     linear decay the transform predicts, with the factor b_G(t) of
     ``expansion_coefficients``.
     """
-    rates = _validated_link_rates(link_rates, omega0.space.n_links)
-    require_positive(omega0, "check_linearization")
-    times = nonnegative_times(times)
-    states = np.vstack((omega0.weights, crossover_grid(omega0, rates, times)))
-    table = recombination_table(states, omega0.space)
     b = expansion_coefficients(rates, times)[1]
+    states = np.vstack((omega0.weights, product_flow_grid(omega0, rates, times)))
+    table = recombination_table(states, omega0.space)
     defects = np.empty(b.shape[1])
-    for links in all_link_sets(len(rates)):
+    for links in all_link_sets(rates.n_links):
         transformed = moebius_sum(links, lambda upper: table[upper.bits])
         base, defect = transformed[0], transformed[1:]
         defect -= np.multiply.outer(b[:, links.bits], base)
@@ -802,17 +783,11 @@ def check_linearization(
 # ---------------------------------------------------------------------------
 
 
-def trajectory_to_json_dict(traj: Trajectory) -> dict:
-    return {
-        "times": [float(t) for t in traj.times],
-        "states": traj.weights.tolist(),
-    }
-
-
 def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write ``trajectory_to_json_dict`` as compact JSON with sorted keys.
+    """Write a trajectory as compact JSON with sorted keys.
 
-    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    The bytes are those of ``json.dumps({"times": [float(t) for t in
+    traj.times], "states": traj.weights.tolist()}, sort_keys=True,
     separators=(",", ":"))`` plus a newline, but each state row is encoded
     and written on its own, so the text of at most one row exists at a time.
     """

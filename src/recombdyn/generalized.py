@@ -149,7 +149,10 @@ def require_cyclic_map(rates: RateMap, space: ProductSpace) -> None:
     block0 = partition_of(cuts, space.n_nodes).blocks[0]
     block0_states = math.prod(space.sizes[ax] for ax in block0)
     if len(rates.relabel) != block0_states:
-        raise ValueError(f"relabel must permute the {block0_states} states of the first block")
+        raise ValueError(
+            f"permutation must reorder the {block0_states} states of the first block, "
+            f"got {len(rates.relabel)} entries"
+        )
     if not rho > 0.0:
         raise ValueError(f"rate must be positive, got {rho}")
 

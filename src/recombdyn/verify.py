@@ -16,7 +16,6 @@ import numpy as np
 from .dynamics import (
     RateMap,
     check_linearization,
-    crossover_grid,
     expansion_coefficients,
     moebius_sum,
     product_flow_apply,
@@ -379,17 +378,14 @@ def suite_moebius(seed: int) -> list[dict]:
         n_links = int(rng.integers(2, 5))
         space = ProductSpace(tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1)))
         omega0 = random_probability(space, rng)
-        draws.append((omega0, rng.uniform(0.3, 1.5, size=n_links).tolist()))
-    trajectories = rk4_integrate_many(
-        [(omega0, RateMap.crossover(link_rates)) for omega0, link_rates in draws],
-        t_end=2.0, h=1e-3, store_stride=100,
-    )
-    for (omega0, link_rates), traj in zip(draws, trajectories):
-        product = crossover_grid(omega0, link_rates, traj.times)
+        draws.append((omega0, RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())))
+    trajectories = rk4_integrate_many(draws, t_end=2.0, h=1e-3, store_stride=100)
+    for (omega0, rates), traj in zip(draws, trajectories):
+        product = product_flow_grid(omega0, rates, traj.times)
         # The expansion on the grid: each R_G(omega_0) once, weighted by a_G(t).
         expanded = np.zeros_like(product)
-        a, _ = expansion_coefficients(link_rates, traj.times)
-        for ls in all_link_sets(len(link_rates)):
+        a, _ = expansion_coefficients(rates, traj.times)
+        for ls in all_link_sets(rates.n_links):
             expanded += np.multiply.outer(a[:, ls.bits], recombine(omega0, ls).weights)
         worst_closed = max(worst_closed, float(_row_tv(expanded - product).max()))
         worst_oracle = max(worst_oracle, float(_row_tv(product - traj.weights).max()))
@@ -398,7 +394,9 @@ def suite_moebius(seed: int) -> list[dict]:
 
     # Expansion weights sum to one; cumulative weights close the lattice.
     worst_sum = 0.0
-    a, b = expansion_coefficients([1.0, 0.4, 0.8], np.linspace(0.0, 5.0, 21).tolist())
+    a, b = expansion_coefficients(
+        RateMap.crossover([1.0, 0.4, 0.8]), np.linspace(0.0, 5.0, 21).tolist()
+    )
     for row_a, row_b in zip(a.tolist(), b.tolist()):
         # Columns ascend by bitmask, the order of all_link_sets; the last is
         # the full set.
@@ -412,10 +410,8 @@ def suite_moebius(seed: int) -> list[dict]:
         n_links = 3
         space = ProductSpace(tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1)))
         omega0 = random_probability(space, rng)
-        link_rates = rng.uniform(0.3, 1.5, size=n_links).tolist()
-        worst_linear = max(
-            worst_linear, float(check_linearization(omega0, link_rates, grid).max())
-        )
+        rates = RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())
+        worst_linear = max(worst_linear, float(check_linearization(omega0, rates, grid).max()))
     checks.append(_check("moebius.linearization", worst_linear, 1e-9))
 
     # Transform inversion and the cumulative-coefficient identity.  Row 0 of
@@ -426,10 +422,10 @@ def suite_moebius(seed: int) -> list[dict]:
         n_links = 3
         space = ProductSpace(tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1)))
         omega0 = random_probability(space, rng)
-        link_rates = rng.uniform(0.3, 1.5, size=n_links).tolist()
+        rates = RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())
         t = float(rng.uniform(0.2, 2.0))
-        pair = np.array([omega0.weights, crossover_grid(omega0, link_rates, [t])[0]])
-        b = expansion_coefficients(link_rates, [t])[1][0].tolist()
+        pair = np.array([omega0.weights, product_flow_grid(omega0, rates, [t])[0]])
+        b = expansion_coefficients(rates, [t])[1][0].tolist()
         table = recombination_table(pair, space)
         transforms = [
             moebius_sum(ls, lambda upper: table[upper.bits]) for ls in all_link_sets(n_links)

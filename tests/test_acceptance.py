@@ -9,7 +9,6 @@ import pytest
 from recombdyn.dynamics import (
     RateMap,
     check_linearization,
-    crossover_grid,
     expansion_coefficients,
     product_flow_apply,
     product_flow_grid,
@@ -57,11 +56,8 @@ def crossover_runs():
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1))
         space = ProductSpace(sizes)
         omega0 = random_probability(space, rng)
-        draws.append((omega0, rng.uniform(0.3, 1.5, size=n_links).tolist()))
-    trajectories = rk4_integrate_many(
-        [(omega0, RateMap.crossover(rates)) for omega0, rates in draws],
-        t_end=2.0, h=1e-3, store_stride=100,
-    )
+        draws.append((omega0, RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())))
+    trajectories = rk4_integrate_many(draws, t_end=2.0, h=1e-3, store_stride=100)
     return [(omega0, rates, traj) for (omega0, rates), traj in zip(draws, trajectories)]
 
 
@@ -172,12 +168,12 @@ def test_criterion_05_commuting_semigroups():
 
 
 def test_criterion_06_single_crossover_triple_agreement(crossover_runs):
-    # crossover_grid is the singleton product flow; the expansion is
-    # sum_G a_G(t) R_G(omega0), built here from expansion_coefficients and recombine.
+    # The crossover map's product flow is the singleton product; the expansion
+    # is sum_G a_G(t) R_G(omega0), built here from expansion_coefficients and recombine.
     worst_closed = worst_oracle = 0.0
     for omega0, rates, traj in crossover_runs:
-        n_links = len(rates)
-        products = crossover_grid(omega0, rates, traj.times)
+        n_links = rates.n_links
+        products = product_flow_grid(omega0, rates, traj.times)
         a, _ = expansion_coefficients(rates, traj.times)
         for row_a, row, state in zip(a.tolist(), products, traj.states):
             expansion = sum(
@@ -204,7 +200,7 @@ def test_criterion_07_moebius_linearization():
         n_links = 3
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1))
         omega0 = random_probability(ProductSpace(sizes), rng)
-        rates = rng.uniform(0.3, 1.5, size=n_links).tolist()
+        rates = RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())
         worst_residual = max(
             worst_residual, float(check_linearization(omega0, rates, grid).max())
         )

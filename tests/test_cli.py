@@ -22,13 +22,11 @@ from recombdyn.cli import (
 from recombdyn.dynamics import (
     RateMap,
     Trajectory,
-    crossover_grid,
     expansion_coefficients,
     output_grid,
     product_flow_grid,
     rk4_integrate,
     trajectory_to_csv,
-    trajectory_to_json_dict,
 )
 from recombdyn.generalized import generalized_flow_grid
 from recombdyn.lattice import LinkSet
@@ -50,6 +48,14 @@ def write_scenario(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return doc
+
+
+def trajectory_to_json_dict(traj):
+    """The whole document that ``trajectory_to_json`` streams row by row."""
+    return {
+        "times": [float(t) for t in traj.times],
+        "states": traj.weights.tolist(),
+    }
 
 
 def csv_text(traj):
@@ -93,9 +99,10 @@ def test_both_mode_gaps_in_row_blocks_are_the_row_at_a_time_sums(tmp_path):
     report = json.loads((tmp_path / "wide.csv.report.json").read_text())
     space = ProductSpace((4,) * 6)
     omega0 = random_probability(space, 11)
-    rk4 = rk4_integrate(omega0, RateMap.crossover(rates), 0.4, 0.01)
+    crossover = RateMap.crossover(rates)
+    rk4 = rk4_integrate(omega0, crossover, 0.4, 0.01)
     gaps = [
-        np.abs(crossover_grid(omega0, rates, [t])[0] - row).sum()
+        np.abs(product_flow_grid(omega0, crossover, [t])[0] - row).sum()
         for t, row in zip(rk4.times, rk4.weights)
     ]
     assert len(gaps) == 41
@@ -491,20 +498,10 @@ def test_run_cyclic_closed_form_is_generalized_flow_grid_of_the_relabeled_map(tm
     assert out.read_bytes() == csv_text(traj).encode()
 
 
-@pytest.mark.parametrize("rate", [0.0, -1.0])
-def test_run_cyclic_nonpositive_rate_is_validation_error(tmp_path, rate):
-    config = tmp_path / "cyclic.json"
-    write_scenario(config, sizes=[3, 2], solver="rk4",
-                   rates={"kind": "cyclic", "links": [0], "permutation": [1, 2, 0],
-                          "rate": rate})
-    out = tmp_path / "cyc.csv"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("sizes,links,perm,rate,message", [
-    ([3, 2], [0], [0, 0, 1], 1.0, "relabel must permute 0, ..., 2"),
-    ([3, 2], [0], [1, 0], 1.0, "relabel must permute the 3 states of the first block"),
+    ([3, 2], [0], [0, 0, 1], 1.0, "permutation must reorder the first block's states 0, ..., 2"),
+    ([3, 2], [0], [1, 0], 1.0,
+     "permutation must reorder the 3 states of the first block, got 2 entries"),
     ([3, 2], [1], [1, 2, 0], 1.0, "link index 1 out of range for 1 links"),
     ([3, 2], [0], [1, 2, 0], 0.0, "rate must be positive, got 0.0"),
     ([3, 2], [0], [1, 2, 0], -1.0, "rates must be finite and >= 0, got -1.0"),
@@ -812,7 +809,8 @@ def test_run_csv_artifact_is_the_library_csv(tmp_path):
     omega0 = random_probability(ProductSpace((2, 3, 2)), 11)
     grid = output_grid(0.5, 0.001, 50)
     traj = Trajectory(omega0.space, tuple(grid),
-                      np.array([crossover_grid(omega0, per_link, [t])[0] for t in grid]))
+                      np.array([product_flow_grid(omega0, RateMap.crossover(per_link), [t])[0]
+                                for t in grid]))
     assert out.read_text() == csv_text(traj)
 
 
@@ -1040,7 +1038,7 @@ def test_coefficients_csv_bytes_are_the_row_template(tmp_path):
     assert main(["coefficients", "--rates", ",".join(map(str, rates)), "--t-end", "2",
                  "--t-step", "0.25", "--out", str(out)]) == EXIT_OK
     times = [round(0.25 * k, 12) for k in range(9)]
-    table_a, table_b = expansion_coefficients(rates, times)
+    table_a, table_b = expansion_coefficients(RateMap.crossover(rates), times)
     subsets = range(1 << len(rates))
     header = ["t"] + [f"a{g}" for g in subsets] + [f"b{g}" for g in subsets]
     row = ",".join(["%.17g"] * len(header)) + "\n"

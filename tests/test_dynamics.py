@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,6 @@ from recombdyn.dynamics import (
     Trajectory,
     check_linearization,
     compile_field,
-    crossover_grid,
     expansion_coefficients,
     moebius_sum,
     moebius_transform,
@@ -27,7 +27,7 @@ from recombdyn.dynamics import (
     rk4_integrate_many,
     row_blocks,
     trajectory_to_csv,
-    trajectory_to_json_dict,
+    trajectory_to_json,
 )
 from recombdyn.generalized import generalized_flow_grid
 from recombdyn.lattice import LinkSet, all_link_sets, subsets_of
@@ -50,13 +50,15 @@ def one_set_flow(omega, links, rho, t):
 
 
 def crossover_at(omega, rates, t):
-    """The single-crossover flow at one time: the one-row ``crossover_grid``."""
-    return Measure(omega.space, crossover_grid(omega, rates, [t])[0])
+    """The single-crossover flow of per-link rates at one time: the one-row
+    ``product_flow_grid`` of their crossover map."""
+    return Measure(omega.space, product_flow_grid(omega, RateMap.crossover(rates), [t])[0])
 
 
 def coefficients_at(rates, t):
-    """Rows a(t) and b(t) of ``expansion_coefficients``, indexed by bitmask."""
-    a, b = expansion_coefficients(rates, [t])
+    """Rows a(t) and b(t) of ``expansion_coefficients`` for per-link rates,
+    indexed by bitmask."""
+    a, b = expansion_coefficients(RateMap.crossover(rates), [t])
     return a[0].tolist(), b[0].tolist()
 
 
@@ -266,12 +268,41 @@ def test_compile_field_rejects_mismatched_links():
         compile_field(ProductSpace((2, 2, 2)), RateMap.single(CUT, 1.0))
 
 
+def test_every_rate_parameter_takes_a_rate_map():
+    # One RateMap is the library's only rate input: every parameter named
+    # rates or system, or ending in _rates, of a public function or method of
+    # these modules is annotated with it.  RateMap.crossover alone reads a
+    # per-link rate sequence.
+    from recombdyn import generalized, verify
+
+    checked, offenders = set(), []
+    for module in (dynamics, generalized, verify):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            routines = [(name, obj)] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                routines += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                             if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr))]
+            for qualname, routine in routines:
+                if qualname == "RateMap.crossover":
+                    continue
+                for param in inspect.signature(routine).parameters.values():
+                    if param.name in ("rates", "system") or param.name.endswith("_rates"):
+                        checked.add(qualname)
+                        if param.annotation not in ("RateMap", RateMap):
+                            offenders.append(f"{module.__name__}.{qualname}({param.name})")
+    assert not offenders
+    assert {"expansion_coefficients", "check_linearization", "product_flow_grid",
+            "product_flow_apply", "rk4_integrate", "generalized_flow_grid"} <= checked
+
+
 def test_ratemap_validation():
     # The empty cut set moves nothing without a relabeling: the map rejects it.
     with pytest.raises(ValueError, match="no motion"):
         RateMap.single(LinkSet.empty(2), 1.0)
     for relabel in ((0, 0, 1), (1, 2, 3), (-1, 0)):
-        with pytest.raises(ValueError, match="permute 0, "):
+        with pytest.raises(ValueError, match="permutation must reorder the first block's"):
             RateMap(1, ((CUT, 1.0),), relabel)
     assert RateMap(2, ((LinkSet.empty(2), 1.0),), [1, 0]).relabel == (1, 0)
     with pytest.raises(ValueError):
@@ -490,13 +521,12 @@ def test_stretch_system_validation():
 @pytest.mark.parametrize("call", [
     lambda omega, ts: product_flow_grid(omega, RateMap.crossover([1.0, 0.5]), ts),
     lambda omega, ts: product_flow_apply(omega, RateMap.crossover([1.0, 0.5]), ts).weights,
-    lambda omega, ts: crossover_grid(omega, [1.0, 0.5], ts),
-    lambda omega, ts: expansion_coefficients([1.0, 0.5], ts),
+    lambda omega, ts: expansion_coefficients(RateMap.crossover([1.0, 0.5]), ts),
     lambda omega, ts: generalized_flow_grid(
         omega, RateMap(2, ((LinkSet.from_indices([0], 2), 1.0),), (1, 0)), ts
     ),
-], ids=["product_flow_grid", "product_flow_apply", "crossover_grid",
-        "expansion_coefficients", "generalized_flow_grid"])
+], ids=["product_flow_grid", "product_flow_apply", "expansion_coefficients",
+        "generalized_flow_grid"])
 def test_closed_forms_reject_a_nan_time_and_take_infinity(call):
     # NaN passes no comparison, so a "t < 0" test let it through into rows
     # of NaN; +inf is the flow's limit, as it always was.
@@ -571,7 +601,7 @@ def test_crossover_coefficients_at_log_two():
 def test_coefficient_a_limits():
     rates = [0.7, 1.1, 0.4]
     empty, full = LinkSet.empty(3).bits, LinkSet.full(3).bits
-    a, b = expansion_coefficients(rates, [0.0, 1.3, 2.0, 200.0])
+    a, b = expansion_coefficients(RateMap.crossover(rates), [0.0, 1.3, 2.0, 200.0])
     assert abs(a[2, empty] - math.exp(-2.0 * sum(rates))) <= 1e-14
     assert a[0, empty] == 1.0
     assert a[0, full] == 0.0
@@ -581,24 +611,37 @@ def test_coefficient_a_limits():
 
 
 def test_coefficient_sum_is_one():
-    a, _ = expansion_coefficients([1.0, 0.3, 0.8], np.linspace(0.0, 5.0, 11).tolist())
+    a, _ = expansion_coefficients(
+        RateMap.crossover([1.0, 0.3, 0.8]), np.linspace(0.0, 5.0, 11).tolist()
+    )
     assert a.shape == (11, 8)
     for row in a.tolist():
         assert abs(sum(row) - 1.0) <= 1e-12
 
 
 def test_coefficient_validation():
-    with pytest.raises(ValueError):
-        expansion_coefficients([1.0, 0.0], [1.0])
-    with pytest.raises(ValueError):
-        expansion_coefficients([1.0, math.inf], [1.0])
-    with pytest.raises(ValueError):
-        expansion_coefficients([1.0, 0.5], [0.5, -0.1])
+    # The tables and the linearization check take a crossover map: one
+    # singleton entry per link, each at a positive rate, and no relabeling.
+    link = [LinkSet.from_indices([i], 2) for i in range(2)]
     omega = random_probability(ProductSpace((2, 2, 2)), 0)
-    with pytest.raises(ValueError):
-        check_linearization(omega, [1.0], [1.0])
-    with pytest.raises(ValueError):
-        crossover_grid(omega, [1.0, -0.5], [1.0])
+    for rates, message in (
+        (RateMap(2, ((LinkSet.full(2), 1.0),)), "one singleton entry per link"),
+        (RateMap(2, ((link[1], 1.0),)), "one singleton entry per link"),
+        (RateMap(2, ((link[0], 1.0), (link[1], 0.5), (LinkSet.full(2), 0.3))), "overlap"),
+        (RateMap(2, ((link[0], 1.0), (link[1], 0.5)), (1, 0)), "carries no relabeling"),
+        (RateMap.crossover([1.0, 0.0]), "finite and > 0, got 0.0"),
+        (RateMap(2, ()), "at least one component"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            expansion_coefficients(rates, [1.0])
+        with pytest.raises(ValueError, match=message):
+            check_linearization(omega, rates, [1.0])
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        RateMap.crossover([1.0, math.inf])
+    with pytest.raises(ValueError, match="times must be nonnegative"):
+        expansion_coefficients(RateMap.crossover([1.0, 0.5]), [0.5, -0.1])
+    with pytest.raises(ValueError, match="link count"):
+        check_linearization(omega, RateMap.crossover([1.0]), [1.0])
 
 
 def subset_expansion(omega, rates, t):
@@ -633,16 +676,20 @@ def test_expansion_coefficients_are_bit_exact_products_in_link_order():
     rng = np.random.default_rng(4)
     for n in range(1, 9):
         rates = rng.uniform(0.05, 3.0, size=n).tolist()
-        a, b = expansion_coefficients(rates, times)
+        crossover = RateMap.crossover(rates)
+        a, b = expansion_coefficients(crossover, times)
         assert a.shape == b.shape == (len(times), 1 << n)
         assert (a.tolist(), b.tolist()) == reference_coefficients(rates, times)
-    a, b = expansion_coefficients([0.5, 2.0], [])
+        # A map that lists its singletons out of link order has the same tables.
+        a_any, b_any = expansion_coefficients(RateMap(n, crossover.entries[::-1]), times)
+        assert (a_any.tobytes(), b_any.tobytes()) == (a.tobytes(), b.tobytes())
+    a, b = expansion_coefficients(RateMap.crossover([0.5, 2.0]), [])
     assert a.shape == b.shape == (0, 4)
 
 
 def test_crossover_equals_singleton_product_flow():
-    # crossover_grid is the product of the one-link flows; the subset
-    # expansion is the independent second opinion.
+    # The crossover map's flow is the product of the one-link flows; the
+    # subset expansion is the independent second opinion.
     space = ProductSpace((2, 3, 2, 2))
     rates = [1.0, 0.4, 0.9]
     for seed in range(5):
@@ -654,7 +701,7 @@ def test_crossover_equals_singleton_product_flow():
 
 
 def test_coefficient_b_is_the_subset_sum_of_coefficient_a():
-    a, b = expansion_coefficients([1.0, 0.3, 0.8, 1.7], [0.0, 0.3, 1.0, 5.0])
+    a, b = expansion_coefficients(RateMap.crossover([1.0, 0.3, 0.8, 1.7]), [0.0, 0.3, 1.0, 5.0])
     for row_a, row_b in zip(a.tolist(), b.tolist()):
         for links in all_link_sets(4):
             subset_sum = math.fsum(row_a[sub.bits] for sub in subsets_of(links))
@@ -694,19 +741,19 @@ def test_moebius_inversion_round_trip():
 
 def test_linearization_full_set_is_constant():
     omega = random_probability(ProductSpace((2, 2, 2)), 2)
-    residual = check_linearization(omega, [1.0, 0.7], [0.0, 0.5, 1.0, 2.0])
+    residual = check_linearization(omega, RateMap.crossover([1.0, 0.7]), [0.0, 0.5, 1.0, 2.0])
     assert residual[LinkSet.full(2).bits] <= 1e-12
 
 
 def test_linearization_single_link_decay():
     omega = random_probability(ProductSpace((2, 3)), 6)
-    residual = check_linearization(omega, [0.9], [0.0, 0.3, 1.0, 2.0, 4.0])
+    residual = check_linearization(omega, RateMap.crossover([0.9]), [0.0, 0.3, 1.0, 2.0, 4.0])
     assert residual[LinkSet.empty(1).bits] <= 1e-12
 
 
 def test_linearization_three_links():
     omega = random_probability(ProductSpace((2, 2, 2, 2)), 14)
-    rates = [1.0, 0.5, 1.4]
+    rates = RateMap.crossover([1.0, 0.5, 1.4])
     grid = np.arange(0.0, 5.0 + 1e-9, 0.25).tolist()
     residuals = check_linearization(omega, rates, grid)
     assert residuals.shape == (8,) and (residuals <= 1e-9).all()
@@ -754,18 +801,18 @@ def test_product_flow_grid_is_its_one_row_case_at_every_time():
         product_flow_grid(omega, system, [0.5, -0.1])
 
 
-def test_crossover_grid_is_its_one_row_case_at_every_time():
+def test_crossover_map_grid_is_its_one_row_case_at_every_time():
     space = ProductSpace((2, 3, 2, 2))
     rates = [1.0, 0.4, 0.9]
     omega = random_probability(space, 22)
-    stack = crossover_grid(omega, rates, GRID)
+    stack = product_flow_grid(omega, RateMap.crossover(rates), GRID)
     np.testing.assert_array_equal(stack[0], omega.weights)
     assert_rows_match(stack, [crossover_at(omega, rates, t) for t in GRID], omega)
     # The subset expansion is the independent second opinion on every row.
     for row, t in zip(stack, GRID):
         assert np.abs(row - subset_expansion(omega, rates, t).weights).sum() <= 1e-10
     with pytest.raises(ValueError):
-        crossover_grid(omega, [1.0, 0.4], GRID)
+        product_flow_grid(omega, RateMap.crossover([1.0, 0.4]), GRID)
 
 
 # 4^6 states x 201 times: 16 rows a block, so the grid spans 13 blocks.
@@ -811,8 +858,7 @@ def test_moebius_rows_is_the_transform_of_each_row():
     # every row as moebius_transform does one.
     space = ProductSpace((2, 2, 3, 2))
     omega = random_probability(space, 23)
-    rates = [0.7, 1.2, 0.5]
-    states = crossover_grid(omega, rates, GRID)
+    states = product_flow_grid(omega, RateMap.crossover([0.7, 1.2, 0.5]), GRID)
     table = recombination_table(states, space)
     for links in all_link_sets(3):
         rows = moebius_sum(links, lambda upper: table[upper.bits])
@@ -834,14 +880,15 @@ def linearization_per_time(omega0, rates, links, times):
 def test_check_linearization_matches_its_per_time_loop():
     omega = random_probability(ProductSpace((2, 3, 2, 2)), 24)
     rates = [1.3, 0.6, 0.9]
-    defects = check_linearization(omega, rates, GRID)
+    crossover = RateMap.crossover(rates)
+    defects = check_linearization(omega, crossover, GRID)
     assert defects.shape == (8,)
     for links in all_link_sets(3):
         expected = linearization_per_time(omega, rates, links, GRID)
         assert abs(defects[links.bits] - expected) <= 1e-15
-    assert check_linearization(omega, rates, []).tolist() == [0.0] * 8
+    assert check_linearization(omega, crossover, []).tolist() == [0.0] * 8
     with pytest.raises(ValueError):
-        check_linearization(omega, rates, [1.0, -1.0])
+        check_linearization(omega, crossover, [1.0, -1.0])
 
 
 def test_trajectory_validation():
@@ -971,8 +1018,9 @@ def test_trajectory_csv_slices_join_into_whole_lines(sizes):
 def test_trajectory_json_mirror():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.2, h=0.1)
-    doc = trajectory_to_json_dict(traj)
-    assert set(doc) == {"times", "states"}
-    round_tripped = json.loads(json.dumps(doc))
+    buf = io.StringIO()
+    trajectory_to_json(traj, buf)
+    round_tripped = json.loads(buf.getvalue())
+    assert set(round_tripped) == {"times", "states"}
     assert round_tripped["times"] == list(traj.times)
     np.testing.assert_array_equal(round_tripped["states"][-1], traj.states[-1].weights)

@@ -201,10 +201,10 @@ def test_roots_of_unity_filter():
 def test_cyclic_map_validation():
     space = ProductSpace((3, 2))
     cuts = LinkSet.from_indices([0], 1)
-    with pytest.raises(ValueError, match="relabel must permute 0"):
+    with pytest.raises(ValueError, match="permutation must reorder the first block's states 0"):
         cyclic_map(cuts, (0, 0, 1))  # not a permutation
     for rates, message in (
-        (cyclic_map(cuts, (1, 0)), "permute the 3 states of the first block"),
+        (cyclic_map(cuts, (1, 0)), "reorder the 3 states of the first block, got 2 entries"),
         (cyclic_map(LinkSet.from_indices([0], 2), (1, 2, 0)), "link count"),
         (RateMap.single(cuts, 1.0), "needs a relabeling"),
         (RateMap(1, (), (1, 2, 0)), "one entry, got 0"),
