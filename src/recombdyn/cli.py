@@ -498,11 +498,7 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
         print(f"the table needs over {MAX_TABLE_CELLS} cells", file=sys.stderr)
         return EXIT_VALIDATION
     subsets = list(all_link_sets(n_links))
-    times = []
-    t = 0.0
-    while t <= args.t_end + args.t_step * 1e-9:
-        times.append(round(t, 12))
-        t += args.t_step
+    times = [round(k * args.t_step, 12) for k in range(math.floor(steps + 1e-9) + 1)]
     # Columns ascend by bitmask, as all_link_sets does.
     table_a, table_b = expansion_coefficients(RateMap.crossover(rates), times)
 

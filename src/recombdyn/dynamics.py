@@ -48,11 +48,10 @@ The integrator evaluates a field compiled once per rate map by
 ``bincount`` scatter back to the states, to relabeled targets for a cyclic
 field.  Larger spaces use a strided kernel: it reduces the flat weights as
 (left, block, right) arrays into one row of block marginals, divides that row
-by |omega| once, and adds each term's outer product to the output, a short
-last factor after a long leading product one column at a time (an outer
-product runs numpy's inner loop only as wide as its last factor).  RK4 forms
-its stages and its weighted sum in place, in the classical order of
-operations, so a trajectory has the bits of one new array per operation.
+by |omega| once, and adds each term's outer product to the output, each
+product of two factors one BLAS rank-1 product.  RK4 forms its stages and its
+weighted sum in place, in the classical order of operations, so a trajectory
+has the bits of one new array per operation.
 ``rk4_integrate_many`` integrates independent problems on one grid: the
 small ones laid end to end in one vector, under one stacked field with one
 |omega| per problem, so many tiny runs cost one run's interpreter overhead.
@@ -215,8 +214,9 @@ class Trajectory:
 # The marginal rows (one per block state, summed over the distinct blocks)
 # times the states of a problem.  Problems above this take the strided
 # kernel, whose few large numpy calls beat the stacked kernel's gathers there
-# (2^11 states, 10 crossover links: 193 vs 485 us per evaluation on one
-# shared CPU core); the others share one stacked vector.
+# (2^11 states, 10 crossover links: ~100-180 vs ~350-470 us per evaluation,
+# medians of three sittings on 2 shared CPU cores); the others share one
+# stacked vector.
 STACKED_FIELD_MAX_ENTRIES = 1 << 18
 
 
@@ -358,17 +358,6 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
     return stacked_field
 
 
-# A term's last factor of q <= _COLUMN_FACTOR entries, after a leading
-# product of at least _COLUMN_LEAD q^2 entries, is added to the output one
-# column at a time.  An outer product runs numpy's inner loop only q wide:
-# added to a vector, outer(16384, 4) took ~320 us and outer(4, 16384) ~50 us,
-# and four columns of 16384 took ~110 us.  Columns cost q strided passes; they
-# were 0.8x an outer product or less from 2 x 256, 4 x 1024 and 8 x 4096 on,
-# and no faster at 16 entries (timeit on one shared CPU core).
-_COLUMN_FACTOR = 8
-_COLUMN_LEAD = 64
-
-
 def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
     # Reduces the flat weights as (left, block, right) arrays into one row of
     # all block marginals and adds each term's outer product to the output;
@@ -399,6 +388,11 @@ def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
             else:
                 m[:] = w
         scaled /= tv
+        # Every outer product is one BLAS rank-1 product, full width whatever
+        # the last factor's length.  It rounds each cell once, as
+        # np.multiply.outer does, but writes +0 where that writes -0, so a
+        # value may differ only in the sign of an exact zero; RK4's sums with
+        # the state absorb it.
         buf = np.empty_like(out)
         for rate, ids in zip(terms.term_rates, terms.term_blocks):
             acc = (rate * tv) * factors[ids[0]][inverse]
@@ -406,15 +400,10 @@ def _strided_field(terms: _FieldTerms) -> Callable[[np.ndarray], np.ndarray]:
                 out += acc
                 continue
             for b in ids[1:-1]:
-                acc = np.multiply.outer(acc, factors[b]).ravel()
+                acc = np.dot(acc[:, None], factors[b][None, :]).ravel()
             last = factors[ids[-1]]
-            if last.size <= _COLUMN_FACTOR and acc.size >= _COLUMN_LEAD * last.size**2:
-                columns = out.reshape(acc.size, last.size)
-                for j, x in enumerate(last.tolist()):
-                    columns[:, j] += acc * x
-            else:
-                np.multiply.outer(acc, last, out=buf.reshape(acc.size, last.size))
-                out += buf
+            np.dot(acc[:, None], last[None, :], out=buf.reshape(acc.size, last.size))
+            out += buf
         return out
 
     return strided_field

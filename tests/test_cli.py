@@ -1047,6 +1047,19 @@ def test_coefficients_csv_bytes_are_the_row_template(tmp_path):
     assert out.read_bytes() == "".join(lines).encode()
 
 
+@pytest.mark.parametrize("t_end", [100, 1000])
+def test_coefficients_times_are_whole_steps_to_t_end(tmp_path, t_end):
+    # Time k is round(k * t_step, 12), up to t_end itself.  A running sum of
+    # 0.1 drifts: it ends at 99.999999999999005 for t_end 100, and at
+    # 999.900000000159 for t_end 1000, one row short.
+    out = tmp_path / "coef.json"
+    assert main(["coefficients", "--rates", "1", "--t-end", str(t_end), "--t-step", "0.1",
+                 "--format", "json", "--out", str(out)]) == EXIT_OK
+    times = json.loads(out.read_text())["times"]
+    assert times == [round(0.1 * k, 12) for k in range(10 * t_end + 1)]
+    assert times[-1] == t_end
+
+
 def test_coefficients_two_links_quarters(tmp_path):
     out = tmp_path / "coef.csv"
     step = math.log(2.0)

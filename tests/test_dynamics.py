@@ -161,7 +161,7 @@ def test_compile_field_zero_measure_and_empty_rates(sizes, kernel):
 
 
 def outer_product_field(space, rates):
-    """The strided kernel before its column rule, as the bit-level reference.
+    """The strided kernel with numpy's outer products, as the bit-level reference.
 
     Each block marginal is divided by |w| on its own, and each term is one
     chain of ``np.multiply.outer`` added to the output whole.  (Recomputing a
@@ -211,17 +211,16 @@ def _cut_sets(n_links, *cut_sets, relabel=None):
     return RateMap(n_links, tuple(entries), relabel)
 
 
-# Strided fields by the shape of their terms' last factors, on 4^7 (16,384)
-# states unless named otherwise.
+# Strided fields by the shapes of their terms, on 4^7 (16,384) states unless
+# named otherwise.  Each outer product of a term is one rank-1 product.
 STRIDED_PATHS = {
-    # [5]: 4,096 x 4 states, added four columns at a time.
+    # [5]: 4,096 x 4 states, a short last factor after a long lead.
     "short last factor, long lead": ((4,) * 7, _cut_sets(6, [5])),
-    # [0]: 4 x 4,096, one outer product into a buffer.
+    # [0]: 4 x 4,096 states.
     "long last factor": ((4,) * 7, _cut_sets(6, [0])),
-    # [1, 4]: 16 x 64 x 16 (buffer); [2, 5]: 64 x 64 x 4 (columns).
+    # [1, 4]: 16 x 64 x 16 states; [2, 5]: 64 x 64 x 4.
     "three-block terms": ((4,) * 7, _cut_sets(6, [1, 4], [2, 5])),
-    # Every shape of a 10-link crossover on 2^11 states: 1,024 x 2 by columns,
-    # 512 x 4 and 256 x 8 by outer products.
+    # Every shape of a 10-link crossover on 2^11 states, 2 x 1,024 to 1,024 x 2.
     "crossover": ((2,) * 11, _cut_sets(10, *([i] for i in range(10)))),
     # The empty cut set under a relabeling of all states: one block.
     "relabeled one-block term": (
@@ -229,6 +228,23 @@ STRIDED_PATHS = {
     ),
     "relabeled two-block term": ((4,) * 7, _cut_sets(6, [0], relabel=[2, 0, 3, 1])),
 }
+
+
+def zero_slab_states(space, signed, positive):
+    """States whose first-site row 0 and last-site column 0 weigh zero.
+
+    Every marginal of a block holding the first site is 0 at its states
+    that start with 0, and likewise at the end, so terms meet exact zeros
+    times factors of either sign; some of the zeros are -0.0.
+    """
+    states = []
+    for w, row, column in ((signed, 0.0, 0.0), (signed, -0.0, 0.0),
+                           (signed, -0.0, -0.0), (positive, -0.0, 0.0)):
+        cube = w.copy().reshape(space.sizes)
+        cube[0] = row
+        cube[..., 0] = column
+        states.append(cube.ravel())
+    return states
 
 
 @pytest.mark.parametrize("path", list(STRIDED_PATHS))
@@ -243,6 +259,10 @@ def test_strided_field_writes_the_outer_product_bits(path):
     below_zero_tv = 5e-301 * signed / np.abs(signed).sum()
     for w in (positive, signed, 1e-200 * signed, below_zero_tv):
         assert field(w).tobytes() == reference(w).tobytes()
+    # A rank-1 product writes +0 where np.multiply.outer writes -0: with
+    # zero marginals the values agree up to the sign of an exact zero.
+    for w in zero_slab_states(space, signed, positive):
+        assert (field(w) + 0.0).tobytes() == (reference(w) + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("path", list(STRIDED_PATHS))
@@ -254,13 +274,37 @@ def test_rk4_steps_write_the_reference_bits(path):
     field = compile_field(space, rates)
     reference = outer_product_field(space, rates)
     signed = np.random.default_rng(7).standard_normal(space.total_states)
-    for w in (random_probability(space, 4).weights, signed):
+    positive = random_probability(space, 4).weights
+    for w in (positive, signed, *zero_slab_states(space, signed, positive)):
         times, stack = dynamics._rk4_run(field, w, t_end=0.025, h=0.01, store_stride=1)
         expected = [w]
         for h in (0.01, 0.01, 0.025 - 2 * 0.01):
             expected.append(rk4_step_reference(reference, expected[-1], h))
         assert times[-1] == 0.025
         assert stack.tobytes() == np.stack(expected).tobytes()
+
+
+def test_strided_outer_products_are_one_dot_each(monkeypatch):
+    # The same bits come out of any loop over columns, so this counts the
+    # np.dot calls of one evaluation of the 10-link crossover: one per
+    # distinct block marginal (10 left, 10 right) and one per term.
+    sizes, rates = STRIDED_PATHS["crossover"]
+    space = ProductSpace(sizes)
+    field = compile_field(space, rates)
+    dots = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def dot(self, *args, **kwargs):
+            dots.append(args[0].shape)
+            return np.dot(*args, **kwargs)
+
+    w = random_probability(space, 3).weights
+    monkeypatch.setattr(dynamics, "np", CountingNumpy())
+    field(w)
+    assert len(dots) == 20 + 10, dots
 
 
 def test_compile_field_rejects_mismatched_links():
