@@ -2,6 +2,8 @@ import inspect
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -158,6 +160,130 @@ def test_compile_field_zero_measure_and_empty_rates(sizes, kernel):
         space, RateMap.single(LinkSet.from_indices([1], space.n_links), 0.0)
     )
     np.testing.assert_array_equal(only_zero_rate(w), zero)
+
+
+def stacked_reference_field(space, rates, w):
+    """The stacked kernel's field of one problem in plain float arithmetic,
+    as the bit-level reference.
+
+    |w| and each block marginal are sums from 0.0 in flat order; a term
+    multiplies its factors m/|w| in block order, then by rho |w|, and is
+    added at its relabeled targets, the terms in bitmask order from 0.0;
+    ``fsum(rates) w`` is subtracted last.  A problem whose |w| fails
+    ``>= ZERO_TOTAL_VARIATION`` (NaN included) has R = 0: its factors are
+    the marginals and the last one is rho 0.0, so a NaN factor stays NaN.
+    """
+    sizes, n = space.sizes, space.total_states
+    x = w.tolist()
+    tv = 0.0
+    for v in x:
+        tv += abs(v)
+    live = tv >= ZERO_TOTAL_VARIATION
+    terms = [(rate, links.blocks(space.n_nodes)) for links, rate in bitmask_order(rates) if rate != 0.0]
+    target = list(range(n))
+    if rates.relabel is not None:
+        rest = n // len(rates.relabel)
+        target = [rates.relabel[i // rest] * rest + i % rest for i in range(n)]
+    acc = [0.0] * n
+    for rate, blocks in terms:
+        factors = []
+        for block in blocks:
+            size = math.prod(sizes[block[0] : block[-1] + 1])
+            right = math.prod(sizes[block[-1] + 1 :])
+            m = [0.0] * size
+            for i, v in enumerate(x):
+                m[i // right % size] += v
+            factors.append(([v / tv if live else v for v in m], right, size))
+        scale = rate * (tv if live else 0.0)
+        for i in range(n):
+            (m, right, size), *others = factors
+            p = m[i // right % size]
+            for m, right, size in others:
+                p *= m[i // right % size]
+            acc[target[i]] += p * scale
+    total = math.fsum(rate for rate, _ in terms)
+    return np.array([a - total * v for a, v in zip(acc, x)])
+
+
+def _stacked_batch():
+    # Terms of 1 to 5 blocks, a zero-rate entry, a one-block term under a
+    # relabeling of all states, two-block terms under a first-node
+    # relabeling, an empty map, signed and positive states, and two idle
+    # problems: one below ZERO_TOTAL_VARIATION and one with a NaN weight.
+    rng = np.random.default_rng(25)
+
+    def signed(sizes):
+        return rng.standard_normal(math.prod(sizes))
+
+    def positive(sizes, seed):
+        return random_probability(ProductSpace(sizes), seed).weights
+
+    nan_state = signed((2, 2, 3))
+    nan_state[4] = np.nan
+    live = [
+        ((2, 2), RateMap.single(CUT, 1.3), positive((2, 2), 1)),
+        ((2, 3, 2, 2, 3), _cut_sets(4, [0, 1, 2, 3], [1, 3], [2]), signed((2, 3, 2, 2, 3))),
+        ((2, 3, 2, 3), _shared_block_rates(3), 2.5 * positive((2, 3, 2, 3), 2)),
+        ((3, 2, 2), _cut_sets(2, [], relabel=rng.permutation(12).tolist()), positive((3, 2, 2), 3)),
+        ((3, 2, 2, 2), _cut_sets(3, [0], [0, 1], [0, 2], relabel=[2, 0, 1]), signed((3, 2, 2, 2))),
+        ((2, 3), RateMap(1, ()), positive((2, 3), 4)),
+    ]
+    idle = [
+        ((2, 3, 2), RateMap.crossover([1.0, 0.5]), 1e-303 * signed((2, 3, 2))),
+        ((2, 2, 3), RateMap.crossover([0.7, 1.1]), nan_state),
+    ]
+    return live, idle
+
+
+@pytest.mark.parametrize("with_idle", [False, True])
+def test_stacked_field_writes_the_reference_bits(with_idle):
+    live, idle = _stacked_batch()
+    batch = live + idle if with_idle else live
+    parts = [dynamics._field_terms(ProductSpace(sizes), rates) for sizes, rates, _ in batch]
+    assert all(part.stacks for part in parts)
+    field = dynamics._stacked_field(parts)
+    assert field.__name__ == "stacked_field"
+    w = np.concatenate([state for _, _, state in batch])
+    out = field(w)
+    start = 0
+    for sizes, rates, state in batch:
+        stop = start + state.size
+        expected = stacked_reference_field(ProductSpace(sizes), rates, state)
+        assert out[start:stop].tobytes() == expected.tobytes(), (sizes, rates)
+        start = stop
+    assert np.isnan(out).any() == with_idle
+
+
+def test_one_stacked_field_serves_two_threads():
+    # compile_field promises a field that keeps nothing between calls: two
+    # threads evaluating one field on different states, with the interpreter
+    # switching between them as often as it can, get the serial bytes.  Eight
+    # copies of the batch make numpy's loops long enough to release the GIL.
+    live = _stacked_batch()[0] * 8
+    parts = [dynamics._field_terms(ProductSpace(sizes), rates) for sizes, rates, _ in live]
+    field = dynamics._stacked_field(parts)
+    w = np.concatenate([state for _, _, state in live])
+    states = [w, -0.5 * w[::-1].copy()]
+    expected = [field(state).tobytes() for state in states]
+    barrier = threading.Barrier(2)
+    mismatches = [0, 0]
+
+    def evaluate(k):
+        barrier.wait()
+        for _ in range(300):
+            mismatches[k] += field(states[k]).tobytes() != expected[k]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == [0, 0]
 
 
 def outer_product_field(space, rates):
@@ -432,9 +558,9 @@ def _assert_matches_separate_runs(problems, **grid):
     for (omega0, rates), traj in zip(problems, batch):
         alone = rk4_integrate(omega0, rates, **grid)
         assert traj.times == alone.times
-        for a, b in zip(traj.states, alone.states):
-            assert a.space == omega0.space and a.nodes == omega0.nodes
-            assert np.abs(a.weights - b.weights).max() <= 1e-15 * np.abs(b.weights).sum()
+        assert traj.weights.tobytes() == alone.weights.tobytes()
+        for state in traj.states:
+            assert state.space == omega0.space and state.nodes == omega0.nodes
     return batch
 
 
