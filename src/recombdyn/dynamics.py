@@ -44,14 +44,16 @@ form is claimed for them.
 The integrator evaluates a field compiled once per rate map by
 ``compile_field``.  Small spaces, whose block marginals have at most
 ``STACKED_FIELD_MAX_ENTRIES`` rows x states, use the stacked kernel: one
-``bincount`` for all marginals, one gather and product for all terms and one
-``bincount`` scatter back to the states, to relabeled targets for a cyclic
-field.  Larger spaces use a strided kernel: it reduces the flat weights as
-(left, block, right) arrays into one row of block marginals, divides that row
-by |omega| once, and adds each term's outer product to the output, each
-product of two factors one BLAS rank-1 product.  RK4 forms its stages and its
-weighted sum in place, in the classical order of operations, so a trajectory
-has the bits of one new array per operation.
+``bincount`` for all marginals, with every row's k-th addend before any
+row's (k+1)-th, one gather and product for all terms, whose last factor is
+the term's rho |omega|, and one ``bincount`` scatter back to the states, to
+relabeled targets for a cyclic field.  Larger spaces use a strided kernel:
+it reduces the flat weights as (left, block, right) arrays into one row of
+block marginals, divides that row by |omega| once, and adds each term's
+outer product to the output, each product of two factors one BLAS rank-1
+product.  RK4 forms its stages and its weighted sum in place, in the
+classical order of operations, so a trajectory has the bits of one new array
+per operation.
 ``rk4_integrate_many`` integrates independent problems on one grid: the
 small ones laid end to end in one vector, under one stacked field with one
 |omega| per problem, so many tiny runs cost one run's interpreter overhead.
@@ -214,7 +216,7 @@ class Trajectory:
 # The marginal rows (one per block state, summed over the distinct blocks)
 # times the states of a problem.  Problems above this take the strided
 # kernel, whose few large numpy calls beat the stacked kernel's gathers there
-# (2^11 states, 10 crossover links: ~100-180 vs ~350-470 us per evaluation,
+# (2^11 states, 10 crossover links: ~100-155 vs ~270-300 us per evaluation,
 # medians of three sittings on 2 shared CPU cores); the others share one
 # stacked vector.
 STACKED_FIELD_MAX_ENTRIES = 1 << 18
@@ -298,12 +300,13 @@ def compile_field(space: ProductSpace, rates: RateMap) -> Callable[[np.ndarray],
 def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.ndarray]:
     # Independent problems laid end to end: part p owns the next n_states
     # weights.  Index tables give every (block, state) pair its marginal row
-    # and every (term, state) pair the rows of its factors, so one call makes
-    # the same few numpy calls for any number of problems, blocks and terms.
+    # and every (term, state) pair the rows of its factors, the term's rho |w|
+    # last, so one call makes the same few numpy calls for any number of
+    # problems, blocks and terms.
     if not any(part.term_rates for part in parts):
         return lambda w: np.zeros_like(w)
-    marginal_rows, marginal_states, row_part = [], [], []
-    factor_rows, targets, target_rates, target_part = [], [], [], []
+    marginal_rows, marginal_states, ranks, row_part = [], [], [], []
+    factor_rows, targets, scale_rates, scale_part = [], [], [], []
     start = n_rows = 0
     for p, part in enumerate(parts):
         flat = np.arange(part.n_states)
@@ -315,6 +318,8 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
         rows = []
         for _, size, right in part.extents:
             rows.append(n_rows + (flat // right) % size)
+            # The state's place among its row's addends, in flat order.
+            ranks.append(flat // (size * right) * right + flat % right)
             row_part.append(np.full(size, p))
             n_rows += size
         marginal_rows += rows
@@ -322,37 +327,49 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
         for rate, ids in zip(part.term_rates, part.term_blocks):
             factor_rows.append([rows[b] for b in ids])
             targets.append(term_states)
-            target_rates.append(np.full(part.n_states, rate))
-            target_part.append(np.full(part.n_states, p))
+            scale_rates.append(rate)
+            scale_part.append(p)
         start += part.n_states
     n_states, n_parts = start, len(parts)
     counts = [part.n_states for part in parts]
     state_part = np.repeat(np.arange(n_parts), counts)
     state_rates = np.repeat([part.total_rate for part in parts], counts)
-    marginal_rows = np.concatenate(marginal_rows)
-    marginal_states = np.concatenate(marginal_states)
+    # Every row's k-th addend comes before any row's (k+1)-th: each row sums
+    # its addends in flat order, but consecutive adds of the marginal
+    # bincount land on different rows and do not wait on one another.
+    interleave = np.argsort(np.concatenate(ranks), kind="stable")
+    marginal_rows = np.concatenate(marginal_rows)[interleave]
+    marginal_states = np.concatenate(marginal_states)[interleave]
     row_part = np.concatenate(row_part)
     targets = np.concatenate(targets)
-    target_rates = np.concatenate(target_rates)
-    target_part = np.concatenate(target_part)
-    # One column per (term, state); slots past a term's last block point at
-    # the extra row after the marginals, which holds the neutral factor 1.
+    scale_rates = np.array(scale_rates)
+    scale_part = np.array(scale_part)
+    # One column per (term, state).  Slots past a term's last block point at
+    # the extra row after the marginals, which holds the neutral factor 1;
+    # the last slot points at the term's own row after that, which holds its
+    # rho |w|, so a column's product is (prod m/|w|) rho |w|.
     width = max(len(rows) for rows in factor_rows)
-    table = np.full((width, targets.size), n_rows)
+    table = np.full((width + 1, targets.size), n_rows)
     col = 0
-    for rows in factor_rows:
+    for t, rows in enumerate(factor_rows):
+        span = slice(col, col + rows[0].size)
         for j, row in enumerate(rows):
-            table[j, col : col + row.size] = row
-        col += rows[0].size
+            table[j, span] = row
+        table[width, span] = n_rows + 1 + t
+        col = span.stop
 
     def stacked_field(w: np.ndarray) -> np.ndarray:
         tv = np.bincount(state_part, weights=np.abs(w), minlength=n_parts)
-        live = tv >= ZERO_TOTAL_VARIATION
-        scaled = np.empty(n_rows + 1)
-        marginals = np.bincount(marginal_rows, weights=w[marginal_states], minlength=n_rows)
-        np.divide(marginals, np.where(live, tv, 1.0)[row_part], out=scaled[:n_rows])
+        divisor = scale = tv
+        if not tv.min() >= ZERO_TOTAL_VARIATION:  # an idle or a NaN part: R = 0
+            live = tv >= ZERO_TOTAL_VARIATION
+            divisor, scale = np.where(live, tv, 1.0), np.where(live, tv, 0.0)
+        scaled = np.empty(n_rows + 1 + scale_rates.size)
+        marginals = np.bincount(marginal_rows, weights=w.take(marginal_states), minlength=n_rows)
+        np.divide(marginals, divisor.take(row_part), out=scaled[:n_rows])
         scaled[n_rows] = 1.0
-        terms = scaled[table].prod(axis=0) * (target_rates * np.where(live, tv, 0.0)[target_part])
+        np.multiply(scale_rates, scale.take(scale_part), out=scaled[n_rows + 1 :])
+        terms = np.multiply.reduce(scaled.take(table), axis=0)
         return np.bincount(targets, weights=terms, minlength=n_states) - state_rates * w
 
     return stacked_field
