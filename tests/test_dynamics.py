@@ -210,7 +210,7 @@ def _stacked_batch():
     # relabeling of all states, two-block terms under a first-node
     # relabeling, an empty map, signed and positive states, and two idle
     # problems: one below ZERO_TOTAL_VARIATION and one with a NaN weight.
-    rng = np.random.default_rng(25)
+    rng = np.random.default_rng(11)
 
     def signed(sizes):
         return rng.standard_normal(math.prod(sizes))
@@ -266,12 +266,13 @@ def test_one_stacked_field_serves_two_threads():
     states = [w, -0.5 * w[::-1].copy()]
     expected = [field(state).tobytes() for state in states]
     barrier = threading.Barrier(2)
-    mismatches = [0, 0]
+    mismatches, calls = [0, 0], [0, 0]
 
     def evaluate(k):
-        barrier.wait()
+        barrier.wait(timeout=60)
         for _ in range(300):
             mismatches[k] += field(states[k]).tobytes() != expected[k]
+            calls[k] += 1
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -280,10 +281,11 @@ def test_one_stacked_field_serves_two_threads():
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert mismatches == [0, 0]
+    assert not any(thread.is_alive() for thread in threads)
+    assert calls == [300, 300] and mismatches == [0, 0]
 
 
 def outer_product_field(space, rates):
