@@ -14,7 +14,8 @@ RK4 and of every flow: ``RateMap.crossover`` builds the single-crossover one,
 which ``product_flow_grid`` takes, and a relabeled one takes the cyclic flow
 ``generalized_flow_grid``; every other
 helper is imported from its submodule (``recombdyn.dynamics``, ``recombdyn.generalized``,
-``recombdyn.lattice``, ``recombdyn.measure``, ``recombdyn.recombinator``).
+``recombdyn.lattice``, ``recombdyn.measure``, ``recombdyn.recombinator``,
+``recombdyn.writers``).
 """
 
 from .dynamics import (

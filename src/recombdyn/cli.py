@@ -32,13 +32,11 @@ from .dynamics import (
     require_stretch_system,
     rk4_integrate,
     row_blocks,
-    trajectory_to_csv,
-    trajectory_to_json,
-    write_csv_row,
 )
 from .generalized import cycle_lengths, generalized_flow_grid, require_cyclic_map
 from .lattice import LinkSet, all_link_sets
-from .measure import Measure, ProductSpace, is_positive, random_probability
+from .measure import Measure, ProductSpace, is_positive, random_probability, total_variation
+from .recombinator import ZERO_TOTAL_VARIATION
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -261,6 +259,12 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
             total = omega0.mass
         if not math.isfinite(total):
             raise ScenarioValidationError("initial weights must have a finite total")
+        # Below this total the flows treat the measure as zero (R = 0), so a
+        # run would only lose its mass and end in exit 4.
+        if total_variation(omega0) < ZERO_TOTAL_VARIATION:
+            raise ScenarioValidationError(
+                f"initial weights must total at least {ZERO_TOTAL_VARIATION:g}"
+            )
 
     # Every kind is input for one rate map: (cut set, rate) pairs in document
     # order, plus the block-0 permutation of a cyclic map.  The map, not its
@@ -377,6 +381,9 @@ def _report_path(out_path: Path) -> Path:
 
 
 def _write_trajectory(traj: Trajectory, out_path: Path, fmt: str) -> None:
+    # The writers and their word table load with the first artifact.
+    from .writers import trajectory_to_csv, trajectory_to_json
+
     with _atomic_stream(out_path) as stream:
         if fmt == "csv":
             trajectory_to_csv(traj, stream)
@@ -502,6 +509,8 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
     # Columns ascend by bitmask, as all_link_sets does.
     table_a, table_b = expansion_coefficients(RateMap.crossover(rates), times)
 
+    from .writers import write_csv_row, write_json
+
     with _atomic_stream(Path(args.out)) as stream:
         if args.format == "csv":
             header = ["t"]
@@ -511,9 +520,8 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
             for t, row in zip(times, np.hstack((table_a, table_b))):
                 write_csv_row(stream, "%.17g" % t, row)
         else:
-            table = {"times": times, "subsets": [ls.bits for ls in subsets],
-                     "a": table_a.tolist(), "b": table_b.tolist()}
-            stream.write(_dump_json(table))
+            write_json(stream, {"times": np.array(times), "subsets": [ls.bits for ls in subsets],
+                                "a": table_a, "b": table_b})
     return EXIT_OK
 
 

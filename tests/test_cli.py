@@ -2,6 +2,9 @@ import ast
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -26,11 +29,11 @@ from recombdyn.dynamics import (
     output_grid,
     product_flow_grid,
     rk4_integrate,
-    trajectory_to_csv,
 )
 from recombdyn.generalized import generalized_flow_grid
 from recombdyn.lattice import LinkSet
 from recombdyn.measure import ProductSpace, random_probability
+from recombdyn.writers import trajectory_to_csv
 
 
 def write_scenario(path, **overrides):
@@ -445,6 +448,21 @@ def test_run_signed_initial_is_validation_error(tmp_path):
     write_scenario(config, initial={"kind": "weights", "weights": weights})
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o.csv")]) \
         == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("total,code", [(1e-305, EXIT_VALIDATION), (1e-290, EXIT_OK)])
+def test_run_initial_total_below_the_zero_threshold_is_validation_error(tmp_path, capsys,
+                                                                        total, code):
+    # Below ZERO_TOTAL_VARIATION (1e-300) the flows take the measure for zero
+    # and could only lose its mass: such a total fails before any work.
+    config, out = tmp_path / "scenario.json", tmp_path / "o.csv"
+    write_scenario(config, initial={"kind": "weights", "weights": [total] + [0.0] * 11})
+    assert main(["run", "--config", str(config), "--out", str(out)]) == code
+    if code == EXIT_VALIDATION:
+        assert "initial weights must total at least 1e-300" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+    else:
+        assert out.exists()
 
 
 def test_run_cyclic_scenario_both_mode(tmp_path):
@@ -1096,6 +1114,38 @@ def test_coefficients_rejects_tables_past_the_cap(tmp_path, rates, t_step):
     assert main(["coefficients", "--rates", rates, "--t-end", "1",
                  "--t-step", t_step, "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
+
+
+def test_coefficients_json_bytes_are_the_whole_table_encoder(tmp_path):
+    # The table streams through the JSON cells; its bytes are those of
+    # encoding the whole table at once.
+    rates = [0.3, 1.0, 2.5, 0.05, 0.7, 1.1, 0.9, 1.6]
+    out = tmp_path / "coef.json"
+    assert main(["coefficients", "--rates", ",".join(map(str, rates)), "--t-end", "1",
+                 "--t-step", "0.1", "--format", "json", "--out", str(out)]) == EXIT_OK
+    times = [round(0.1 * k, 12) for k in range(11)]
+    table_a, table_b = expansion_coefficients(RateMap.crossover(rates), times)
+    table = {"times": times, "subsets": list(range(1 << len(rates))),
+             "a": table_a.tolist(), "b": table_b.tolist()}
+    assert out.read_text() == cli._dump_json(table)
+
+
+def test_cli_loads_the_writers_only_to_write_an_artifact():
+    # verify writes its report through json alone, so importing the CLI and
+    # running a suite builds no word table.
+    code = (
+        "import sys\n"
+        "import recombdyn.cli\n"
+        "recombdyn.cli.main(['verify', '--suite', 'generalized'])\n"
+        "assert 'recombdyn.writers' not in sys.modules, 'writers loaded'\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_coefficients_json_format(tmp_path):

@@ -19,7 +19,6 @@ from recombdyn.dynamics import (
     compile_field,
     expansion_coefficients,
     moebius_sum,
-    moebius_transform,
     output_grid,
     product_flow_apply,
     product_flow_grid,
@@ -28,8 +27,6 @@ from recombdyn.dynamics import (
     rk4_integrate,
     rk4_integrate_many,
     row_blocks,
-    trajectory_to_csv,
-    trajectory_to_json,
 )
 from recombdyn.generalized import generalized_flow_grid
 from recombdyn.lattice import LinkSet, all_link_sets, subsets_of
@@ -40,7 +37,13 @@ from recombdyn.measure import (
     tensor,
     total_variation,
 )
-from recombdyn.recombinator import ZERO_TOTAL_VARIATION, recombine, recombine_weights
+from recombdyn.recombinator import (
+    ZERO_TOTAL_VARIATION,
+    recombine,
+    recombine_rows,
+    recombine_weights,
+)
+from recombdyn.writers import trajectory_to_csv, trajectory_to_json
 
 SPACE = ProductSpace((2, 2))
 CUT = LinkSet.from_indices([0], 1)
@@ -55,6 +58,12 @@ def crossover_at(omega, rates, t):
     """The single-crossover flow of per-link rates at one time: the one-row
     ``product_flow_grid`` of their crossover map."""
     return Measure(omega.space, product_flow_grid(omega, RateMap.crossover(rates), [t])[0])
+
+
+def transform_of(omega, links):
+    """T_G(omega) as a measure: ``moebius_sum`` over one recombination per superset."""
+    w, space = omega.weights, omega.space
+    return Measure(space, moebius_sum(links, lambda h: recombine_rows(w, space, h)), omega.nodes)
 
 
 def coefficients_at(rates, t):
@@ -883,8 +892,8 @@ def test_coefficient_b_is_the_subset_sum_of_coefficient_a():
 def test_moebius_transform_two_point_lattice():
     omega = random_probability(ProductSpace((2, 3)), 11)
     cut = LinkSet.from_indices([0], 1)
-    t_empty = moebius_transform(omega, LinkSet.empty(1))
-    t_full = moebius_transform(omega, cut)
+    t_empty = transform_of(omega, LinkSet.empty(1))
+    t_full = transform_of(omega, cut)
     recombined = recombine(omega, cut)
     np.testing.assert_array_equal(t_full.weights, recombined.weights)
     np.testing.assert_array_equal(t_empty.weights, (omega - recombined).weights)
@@ -895,7 +904,7 @@ def test_moebius_transform_at_full_set_is_recombination():
     omega = random_probability(ProductSpace((2, 2, 2)), 13)
     full = LinkSet.full(2)
     np.testing.assert_array_equal(
-        moebius_transform(omega, full).weights, recombine(omega, full).weights
+        transform_of(omega, full).weights, recombine(omega, full).weights
     )
 
 
@@ -907,7 +916,7 @@ def test_moebius_inversion_round_trip():
 
         back = Measure.zero(space)
         for sup in supersets_of(links):
-            back = back + moebius_transform(omega, sup)
+            back = back + transform_of(omega, sup)
         assert total_variation(back - recombine(omega, links)) <= 1e-11
 
 
@@ -937,8 +946,8 @@ def test_transform_decay_matches_cumulative_coefficient():
     state = crossover_at(omega, rates, 0.85)
     _, b = coefficients_at(rates, 0.85)
     for links in all_link_sets(3):
-        predicted = b[links.bits] * moebius_transform(omega, links)
-        assert total_variation(moebius_transform(state, links) - predicted) <= 1e-10
+        predicted = b[links.bits] * transform_of(omega, links)
+        assert total_variation(transform_of(state, links) - predicted) <= 1e-10
 
 
 # -- closed forms on a whole grid ------------------------------------------------
@@ -1027,25 +1036,25 @@ def test_product_flow_grid_holds_its_stack_and_one_row_block():
 
 def test_moebius_rows_is_the_transform_of_each_row():
     # A moebius_sum over the recombination table of a stack transforms
-    # every row as moebius_transform does one.
+    # every row as a moebius_sum of the one measure does.
     space = ProductSpace((2, 2, 3, 2))
     omega = random_probability(space, 23)
     states = product_flow_grid(omega, RateMap.crossover([0.7, 1.2, 0.5]), GRID)
     table = recombination_table(states, space)
     for links in all_link_sets(3):
         rows = moebius_sum(links, lambda upper: table[upper.bits])
-        expected = [moebius_transform(Measure(space, w), links) for w in states]
+        expected = [transform_of(Measure(space, w), links) for w in states]
         assert_rows_match(rows, expected, omega)
 
 
 def linearization_per_time(omega0, rates, links, times):
     """The linearization defect as a loop over times of the one-row forms."""
-    base = moebius_transform(omega0, links)
+    base = transform_of(omega0, links)
     worst = 0.0
     for t in times:
         state = crossover_at(omega0, rates, t)
         predicted = coefficients_at(rates, t)[1][links.bits] * base
-        worst = max(worst, total_variation(moebius_transform(state, links) - predicted))
+        worst = max(worst, total_variation(transform_of(state, links) - predicted))
     return worst
 
 

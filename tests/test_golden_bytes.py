@@ -1,0 +1,87 @@
+"""Byte identity of the writers and reports, pinned by sha256 digests.
+
+The digests were recorded from the writers as they stood before the JSON
+cells left ``repr`` and the CSV near-ties left `%`; every later change to the
+text kernels must keep them.
+"""
+
+import hashlib
+import io
+import math
+
+import numpy as np
+import pytest
+
+from recombdyn.cli import EXIT_OK, main
+from recombdyn.dynamics import Trajectory
+from recombdyn.measure import ProductSpace
+from recombdyn.writers import trajectory_to_csv, trajectory_to_json
+
+
+def cells(n, seed):
+    # Kernel-range weights of both signs, ties, decade edges, powers of two
+    # and cells outside the kernel's range, shuffled into n cells.
+    rng = np.random.default_rng(seed)
+    ties = [m / 2**17 for m in range(13109, 131072, 2)][::151]
+    edges = [float(np.nextafter(10.0**-k, to)) for k in range(1, 13) for to in (0.0, 1.0)]
+    edges += [10.0**-k for k in range(1, 13)] + [2.0**-e for e in range(1, 40)]
+    odd = [0.0, -0.0, 1.0, -1.0, 1.5, 1e16, 1e17, 5e-324, 1e-300, math.inf, -math.inf, math.nan]
+    short = [float("%.*e" % (d, 10.0**u))
+             for d, u in zip(rng.integers(0, 16, 60).tolist(), rng.uniform(-11, 0, 60))]
+    fixed = np.array(ties + edges + odd + short)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, 0.3, n)
+    values[:fixed.size] = fixed[:n]
+    return rng.permutation(values)
+
+
+def trajectory(n_rows, n_cells, seed):
+    times = tuple(k / 7 for k in range(n_rows))
+    stack = np.array([cells(n_cells, seed + row) for row in range(n_rows)])
+    return Trajectory(ProductSpace((n_cells,)), times, stack)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# (rows, cells): rows wider than a slice of 2,048 cells, and narrow rows
+# that the JSON writer formats several at a time.
+SHAPES = {"wide": (3, 2500, 1), "narrow": (7, 300, 11)}
+
+WRITTEN = {
+    ("wide", "csv"):
+        "0de085a18da7c287eab1eb20075e939715dbc6cc4bb44fecee1c493770d352ec",
+    ("wide", "json"):
+        "00783ac3588c9cab09d5371f306e019b4b0488f48df4b1a2217a51449f21b99e",
+    ("narrow", "csv"):
+        "caeab0fe7a9037dea2112a67d0d28cb9b6dc4bcb1551bbf10289233c0822b54b",
+    ("narrow", "json"):
+        "c70e29838c0e4329b850fc679ffa96d1c6d193552c30f48bd42979d7de748872",
+}
+
+
+@pytest.mark.parametrize("shape,fmt", sorted(WRITTEN))
+def test_trajectory_bytes_are_golden(shape, fmt):
+    buf = io.StringIO()
+    (trajectory_to_csv if fmt == "csv" else trajectory_to_json)(trajectory(*SHAPES[shape]), buf)
+    assert digest(buf.getvalue().encode()) == WRITTEN[shape, fmt]
+
+
+COEFFICIENTS = ["coefficients", "--rates", "0.7,1.3,0.25,2.1,0.9", "--t-end", "2",
+                "--t-step", "0.125", "--format"]
+COMMANDS = {
+    "coefficients.csv": (COEFFICIENTS + ["csv"],
+                         "fa1db41dfc6c7d2e3528b89e0b7089efb46d35edfc73f14eee61bfb4d4285543"),
+    "coefficients.json": (COEFFICIENTS + ["json"],
+                          "5237d6175c7b21016e1eb91ded4ae0b3ea5ff0db1551ef28c367f69d35768da9"),
+    "verify-generalized.json": (["verify", "--suite", "generalized", "--seed", "3"],
+                                "b0c5cdc78e9402646e248fca6cdcf3ed134a552ec25a6a544eb969c91dc8a423"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_bytes_are_golden(tmp_path, name):
+    argv, expected = COMMANDS[name]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert digest(out.read_bytes()) == expected
