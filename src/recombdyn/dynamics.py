@@ -355,9 +355,11 @@ def _stacked_field(parts: Sequence[_FieldTerms]) -> Callable[[np.ndarray], np.nd
     def stacked_field(w: np.ndarray) -> np.ndarray:
         tv = np.bincount(state_part, weights=np.abs(w), minlength=n_parts)
         divisor = scale = tv
-        if not tv.min() >= ZERO_TOTAL_VARIATION:  # an idle or a NaN part: R = 0
+        if not tv.min() >= ZERO_TOTAL_VARIATION:
+            # An idle part has R = 0; a NaN part keeps its NaN scale, so that
+            # every cell of it with a term is NaN, as in the strided kernel.
             live = tv >= ZERO_TOTAL_VARIATION
-            divisor, scale = np.where(live, tv, 1.0), np.where(live, tv, 0.0)
+            divisor, scale = np.where(live, tv, 1.0), np.where(tv < ZERO_TOTAL_VARIATION, 0.0, tv)
         scaled = np.empty(n_rows + 1 + scale_rates.size)
         marginals = np.bincount(marginal_rows, weights=w.take(marginal_states), minlength=n_rows)
         np.divide(marginals, divisor.take(row_part), out=scaled[:n_rows])

@@ -3,21 +3,32 @@
 A CSV cell is exactly ``"%.17g" % x``, and a JSON cell exactly what
 ``json.dumps`` writes for x: ``repr(x)`` for a finite x.  Every line goes out
 in slices of ``_CHUNK_CELLS`` cells, so neither an artifact's text nor one
-wide row's is ever held whole; rows of a JSON stack much shorter than a slice
-share one.
+wide row's is ever held whole; rows of a stack much shorter than a slice
+share one, and a JSON vector of fewer than ``_FEW_CELLS`` cells goes to
+``json.dumps`` whole.
 
 Both kinds of cell come from one numpy kernel for 1e-11 <= |x| < 1, a slice
-at a time, in two stages.
+at a time, in two stages, in float64 alone.
 
 The digit stage gives each cell its decade X, k = 16 - X, the 17-digit
-integer D = round(|x| 10^k) (ties to even) and the sign of |x| 10^k - D.
-One long double product y = 128 |x| 10^k (10^k is exact there for k <= 27)
-lies within 1/2 of the exact one, so y / 128 rounds to D, and y - 128 D has
-the sign of |x| 10^k - D, unless y / 128 lies within 1/128 of a half-integer
-or of an integer.  Those ~3 % of cells take Dekker's error-free product of
-|x| and the double 10^k instead: |x| 10^k = p + e exactly, with the integer
-p and the double e, which decide D and the sign.  10^k is a double only for
-k <= 22, so past that such a cell is left to Python's formatting.
+integer D = round(|x| 10^k) (ties to even) and the remainder
+f = |x| 10^k - D.  10^k = P + L in doubles, with L = 0 for k <= 22.
+Dekker's error-free product of |x| and P gives |x| P = p + e exactly.  The
+product lies in [10^16, 10^17) but for a few ulps (log10 may miss the
+decade next to a power of ten, and then D falls outside and the cell is
+left to Python), so the double p is an even integer above 2^53 and below
+2^57, and |e| <= ulp(p) / 2 <= 8.  With s = e + |x| L, D = p + rint(s)
+(ties to even, as p is even) and f = s - rint(s), both exact whenever s
+is: for every k <= 22.
+
+For k = 23..27, |L| < 9.1e-17 P, so |x| L lies below 9.1 and its product
+errs by at most 2^-50; |s| < 18 and its sum errs by at most 2^-49.  So s
+lies within 2^-48 of |x| 10^k - p, and then f within 2^-48 of the true
+remainder while rint(s) is the true rounding.  ``_DOUBT`` = 2^-46 is the
+doubt band: a cell with k > 22 is proven only when |f| lies more than
+``_DOUBT`` inside 1/2 (then rint(s) is right), and for JSON also more than
+``_DOUBT`` away from 0 (then so is the sign of f) and its distances more
+than ``_DOUBT`` away from the half-ulp radius below.
 
 The render stage writes each cell as a record of 7 four-byte words with NUL
 pad bytes: ",-0." or ",-d.", the zeros of fixed notation and the first
@@ -29,21 +40,31 @@ A JSON cell is the shortest digit string that reads back as x, and of those
 the nearest to x, laid out as `%.17g` lays out its digits: in this range
 `repr` and `%.17g` switch to exponent notation below the same decade and
 drop trailing zeros alike.  So its digits are D rounded to 16, 15, ...
-digits (to nearest, ties to even), for as long as the rounding lies within
-half an ulp of |x| (times 10^k): a shorter string that reads back lies
-within that radius, and then so does the nearest one.  The distance is known
-to within 1/128 from y, and a cell whose distance lies that close to the
-radius goes to ``json.dumps``, as do zeros, |x| >= 1, non-finite values,
-powers of two (whose lower neighbour is nearer than their upper one),
-roundings that carry into the next decade and the few cells still being
-shortened once fewer than ``_FEW_CELLS`` are.
+digits (to nearest, ties to even, a tie of D split by the sign of f), for
+as long as the rounding C lies within the radius R, half an ulp of |x|
+times 10^k: a shorter string that reads back lies within R, and then so
+does the nearest one.  The distance |C - D - f| is a multiple of
+2^(E-53+k), where |x| = m 2^E with 1/2 <= m < 1, and R = 2^(E-54) 10^k.  A
+distance below 2R is below 5^k such multiples, so for k <= 22 it is an
+exact double, and so is its difference with R = 2^(E-54) P.  That
+difference is never 0: C 10^-k, with denominator 10^k, cannot equal
+|x| +- 2^(E-54), whose denominator 2^(54-E) does not divide 10^k
+(54 - E > 27 >= k).  For k > 22 f errs by under 2^-48, the distance's
+rounding by 2^-50 and R by 2^-49, under 2^-47 in all, inside the doubt
+band.  ``json.dumps`` writes the cells in doubt,
+zeros, |x| >= 1, non-finite values, powers of two (whose lower neighbour is
+nearer than their upper one), roundings that carry into the next decade and
+the few cells still being shortened once fewer than ``_FEW_CELLS`` are.
+
+The CSV header's indices come from the same table, 4 digits a word, the
+leading word without its leading zeros.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,13 +74,11 @@ _CHUNK_CELLS = 2048
 # Below this many cells a JSON rounding step costs more than json.dumps does.
 _FEW_CELLS = 16
 
-_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
-_POW10 = np.cumprod(np.array([128] + [10] * 27, np.longdouble))  # 128 * 10^k
-assert not _LONG_DOUBLE or all(int(p) == 128 * 10**k for k, p in enumerate(_POW10))
-
-# 10^k as a double and its Dekker halves (26 and 27 bits), exact for k <= 22.
+# 10^k = _P10[k] + _P10_REST[k] in doubles for k <= 27, the rest 0 while
+# k <= _EXACT_K; the Dekker halves of _P10 (26 and 27 bits); the doubt band.
 _EXACT_K = 22
 _SPLIT = 134217729.0  # 2^27 + 1
+_DOUBT = 2.0**-46
 
 
 def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,9 +87,11 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, v - hi
 
 
-_P10 = np.array([float(10**k) for k in range(_EXACT_K + 1)])
+_P10 = np.array([float(10**k) for k in range(28)])
+_P10_REST = np.array([float(10**k - int(p)) for k, p in enumerate(_P10)])
 _P10_HI, _P10_LO = _halves(_P10)
-_P10_256 = np.array([256.0 * 10**k for k in range(28)])  # rounded past k = 22
+_BAND = np.where(np.arange(28) > _EXACT_K, _DOUBT, 0.0)
+assert not _P10_REST[: _EXACT_K + 1].any()
 
 
 def _words(*chars) -> np.ndarray:
@@ -84,58 +105,63 @@ _x, _d0, _e = _x - 11, _d0 + 48, np.arange(11, 0, -1)
 _fixed = _x > -5
 # Words at these offsets: 4 digits of v without (v) and with (10000 + v)
 # their trailing zeros, the head words (20000 and 20440, + 220 neg + 110 dot
-# + 10 (X + 11) + first digit) and "e-XX" (20880 + X + 11).
+# + 10 (X + 11) + first digit), "e-XX" (20880 + X + 11) and 4 digits of v
+# without their leading zeros (_LEAD + v; none at all for v = 0).
+_LEAD = 20891
 _WORDS = np.concatenate((
     _words(*np.where(np.logical_and.accumulate(_d[::-1] == 0)[::-1], 0, _d + 48)),
     _words(*_d + 48),
     _words(44, 45 * _neg, np.where(_fixed, 48, _d0), 46 * (_fixed | _dot)),
     _words(*(_fixed * c for c in (48 * (_x < -3), 48 * (_x < -2), 48 * (_x < -1), _d0))),
     _words(*((_e > 4) * c for c in (101, 45, 48 + _e // 10, 48 + _e % 10))),
+    _words(*np.where(np.logical_and.accumulate(_d == 0), 0, _d + 48)),
 ))
 del _d, _neg, _dot, _x, _d0, _e, _fixed
 
 
 def _digits(x: np.ndarray, signed: bool):
-    # The digit stage: (fast, D, k, sign, floor(y)).  ``fast`` marks the cells
-    # with 1e-11 <= |x| < 1 whose D (and, if ``signed``, whose sign) is
-    # proven; ``sign`` is None unless ``signed``.
+    # The digit stage: (fast, D, k, f).  ``fast`` marks the cells with
+    # 1e-11 <= |x| < 1 whose D (and, if ``signed``, the sign of f and the
+    # distances of ``_shortest``) are proven.
     a = np.abs(x)
     fast = (a >= 1e-11) & (a < 1.0)
-    if not _LONG_DOUBLE:
-        fast[:] = False
     np.copyto(a, 0.5, where=~fast)
-    k = np.minimum(16 - np.floor(np.log10(a)).astype(np.int32), 27)
-    y = _POW10.take(k)
-    y *= a
-    q = y.astype(np.uint64)  # y < 1.3e19 cannot overflow
-    del y
-    d = (q + 64) >> 7
-    # q = floor(y): y / 128 lies within 1/128 of a half-integer when
-    # 64 <= band <= 65, and of an integer when band <= 1.
-    band = (q + 1) & 127
-    near = (band | 1) == 65
-    sign = None
+    k = np.minimum(16 - np.floor(np.log10(a)).astype(np.intp), 27)
+    p = _P10.take(k, mode="clip")
+    p *= a
+    hi = a * _SPLIT  # the halves of |x|
+    lo = hi - a
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+    a *= _P10_REST.take(k, mode="clip")
+    # e = ((hi P_hi - p) + lo P_hi + hi P_lo) + lo P_lo, each sum but the
+    # last exact, and that one exact too.
+    part = _P10_HI.take(k, mode="clip")
+    e = hi * part
+    e -= p
+    part *= lo
+    e += part
+    _P10_LO.take(k, out=part, mode="clip")
+    hi *= part
+    e += hi
+    lo *= part
+    e += lo
+    del hi, lo, part
+    e += a  # s
+    np.rint(e, out=a)
+    e -= a  # f
+    d = p.astype(np.int64)
+    d += a.astype(np.int64)
+    del p
+    np.abs(e, out=a)
+    band = _BAND.take(k, mode="clip")
     if signed:
-        sign = np.where(band < 64, 1, -1)
-        near |= band <= 1
-    fast &= (k <= _EXACT_K) | ~near
-    cells = np.flatnonzero(fast & near)
-    if cells.size:
-        b, kk = a[cells], k[cells]
-        p = b * _P10[kk]
-        b_hi, b_lo = _halves(b)
-        hi, lo = _P10_HI[kk], _P10_LO[kk]
-        e = ((b_hi * hi - p) + b_hi * lo + b_lo * hi) + b_lo * lo
-        # |x| 10^k = p + e exactly, and p >= 10^16 > 2^53 is an integer.
-        whole = np.floor(e)
-        frac = e - whole
-        n = p.astype(np.int64) + whole.astype(np.int64)
-        up = (frac > 0.5) | ((frac == 0.5) & (n & 1 == 1))
-        d[cells] = n + up
-        if signed:
-            sign[cells] = np.where(up, -1, np.sign(frac))
+        np.minimum(a, 0.5 - a, out=a)
+    else:
+        np.subtract(0.5, a, out=a)
+    fast &= a >= band
     fast &= (d > 10**16) & (d < 10**17)
-    return fast, d, k, sign, q
+    return fast, d, k, e
 
 
 def _render(x: np.ndarray, stage: Callable[[], tuple],
@@ -145,7 +171,7 @@ def _render(x: np.ndarray, stage: Callable[[], tuple],
     # ``slow_cells`` (28 characters a cell) for the others.  The stage runs
     # here, so that its arrays are freed before the text is made.
     fast, d, k = stage()
-    d = d.view(np.int64)
+    k = k.astype(np.int32)
     top = d // 100_000_000  # the first 9 of the 17 digits
     d -= top * 100_000_000
     low = d.astype(np.int32)  # the last 8
@@ -212,38 +238,52 @@ def _json_cells(x: np.ndarray) -> str:
 def _shortest(x: np.ndarray) -> tuple:
     # The JSON stage: (fast, digits, k), where the digits are the shortest
     # that read back as x, padded with zeros to 17.
-    fast, d, k, sign, q = _digits(x, signed=True)
+    fast, d, k, f = _digits(x, signed=True)
     mantissa, exponent = np.frexp(x)
     fast &= np.abs(mantissa) != 0.5
     cells = np.flatnonzero(fast)
-    d_live = d[cells].view(np.int64)
-    # y lies in [q, q + 1) and within 1/2 of 128 |x| 10^k, so 256 (|x| 10^k - D)
-    # lies within 2 of ``excess``; 256 half an ulp of |x|, times 10^k, lies
-    # within 1/16 of ``radius``.  A rounding C of D reads back as x when
-    # 256 |C - |x| 10^k| is below that radius and not when it is above: so C
-    # is kept when 256 (C - D) lies within ``inner`` = radius - 2 - 1/16 of
-    # ``excess``, dropped beyond ``inner`` + 5 and otherwise sends x to
-    # json.dumps.
-    radius = np.ldexp(_P10_256.take(k[cells]), exponent[cells] - 54)
-    live = np.stack((cells, d_live, 2 * d_live + sign[cells],
-                     2 * (q[cells] - (d[cells] << 7)).view(np.int64) + 1,
-                     np.ceil(radius - 2.0625).astype(np.int64)))
-    shortest = d.view(np.int64).copy()
+    d_live, k_live, f_live = d[cells], k[cells], f[cells]
+    # Per live cell: D, 2 D + sign(f), and f, the radius R and the doubt
+    # band, as the bits of doubles.
+    radius = np.ldexp(_P10.take(k_live), exponent[cells] - 54)
+    live = np.stack((cells, d_live, 2 * d_live + np.sign(f_live).astype(np.int64),
+                     f_live.view(np.int64), radius.view(np.int64),
+                     _BAND.take(k_live).view(np.int64)))
+    shortest = d.copy()
     for j in range(1, 17):  # the rounding to 17 - j digits, nearest, ties to even
         if live.shape[1] <= _FEW_CELLS:
             fast[live[0]] = False
             break
-        cells, d_live, twice, excess, inner = live
+        cells, d_live, twice, f_live, radius, band = live
         unit = 10**j
         head = d_live // unit
         c = (head + (twice + (head & 1) > (2 * head + 1) * unit)) * unit
-        over = np.abs(256 * (c - d_live) - excess) - inner
-        shortest[cells[over.view(np.uint64) <= 5]] = 0
-        keep = np.flatnonzero(over < 0)
+        over = np.abs((c - d_live) - f_live.view(np.float64))
+        over -= radius.view(np.float64)
+        band = band.view(np.float64)
+        shortest[cells[np.abs(over) <= band]] = 0
+        keep = np.flatnonzero(over < -band)
         live = live.take(keep, axis=1)
         shortest[live[0]] = c.take(keep)
     fast &= (shortest >= 10**16) & (shortest < 10**17)
     return fast, shortest, k
+
+
+def _index_cells(lo: int, hi: int) -> str:
+    # ",%d" % i for each i in range(lo, hi), joined: 4 digits a word, the
+    # leading word without its leading zeros.
+    i = np.arange(lo, hi)
+    rec = np.empty((hi - lo, (len(str(max(hi - 1, 0))) + 7) // 4), "<u4")
+    rec[:, 0] = 44  # ","
+    for col in range(rec.shape[1] - 1, 0, -1):
+        rest = i // 10_000
+        i -= rest * 10_000
+        i += np.where(rest > 0, 10_000, _LEAD)
+        rec[:, col] = _WORDS.take(i)
+        i = rest
+    if lo == 0 < hi:
+        rec[0, -1] = 48  # "0": the one index whose leading word is 0
+    return rec.tobytes().translate(None, b"\0").decode()
 
 
 def _write_line(stream: io.TextIOBase, head: str, n_cells: int,
@@ -255,42 +295,66 @@ def _write_line(stream: io.TextIOBase, head: str, n_cells: int,
         stream.write((head if lo == 0 else "") + cells(lo, hi) + (tail if hi == n_cells else ""))
 
 
+def _row_groups(rows: np.ndarray, cells: Callable[[np.ndarray], str]
+                ) -> Iterator[tuple[int, list[str] | None]]:
+    # (first row, texts) per group of the rows of a (T, S) stack.  Rows of at
+    # most half a slice share one call of ``cells``, as many as fill a slice,
+    # and its text is split at the commas into each row's cells, joined by
+    # commas; a longer row is a group of its own, with texts None.
+    n_rows, n_cols = rows.shape
+    if not 0 < n_cols <= _CHUNK_CELLS // 2:
+        yield from ((r, None) for r in range(n_rows))
+        return
+    group = _CHUNK_CELLS // n_cols
+    for lo in range(0, n_rows, group):
+        text = cells(rows[lo:lo + group].ravel()).split(",")
+        yield lo, [",".join(text[i:i + n_cols]) for i in range(1, len(text), n_cols)]
+
+
 def write_csv_row(stream: io.TextIOBase, head: str, values: np.ndarray) -> None:
     """Write ``head``, ``",%.17g" % v`` per float64 v of ``values`` and a newline."""
     _write_line(stream, head, len(values), lambda lo, hi: _csv_cells(values[lo:hi]), "\n")
 
 
+def write_csv_rows(stream: io.TextIOBase, times: Sequence[float], rows: np.ndarray) -> None:
+    """Write ``write_csv_row(stream, "%.17g" % t, row)`` for each time and row
+    of the (T, S) stack ``rows``; short rows share a slice of cells.
+    """
+    for lo, texts in _row_groups(rows, _csv_cells):
+        if texts is None:
+            write_csv_row(stream, "%.17g" % times[lo], rows[lo])
+        else:
+            for t, text in zip(times[lo:], texts):
+                stream.write("%.17g,%s\n" % (t, text))
+
+
 def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write `t,<flat-index columns>` rows of `%.17g` cells by ``write_csv_row``."""
-    n_cells = traj.space.total_states
-    _write_line(stream, "t", n_cells, lambda lo, hi: ",%d" * (hi - lo) % tuple(range(lo, hi)), "\n")
-    for t, w in zip(traj.times, traj.weights):
-        write_csv_row(stream, "%.17g" % t, w)
+    """Write `t,<flat-index columns>` rows of `%.17g` cells by ``write_csv_rows``."""
+    _write_line(stream, "t", traj.space.total_states, _index_cells, "\n")
+    write_csv_rows(stream, traj.times, traj.weights)
 
 
 def _write_json_array(stream: io.TextIOBase, values: np.ndarray) -> None:
     # ``json.dumps(values.tolist())``, compact, of a float64 vector.  Every
     # cell's text starts with a comma, and the bracket takes the first one's.
+    if len(values) < _FEW_CELLS:
+        stream.write(json.dumps(values.tolist(), separators=(",", ":")))
+        return
     _write_line(stream, "[", len(values),
                 lambda lo, hi: _json_cells(values[lo:hi])[1 if lo == 0 else 0:], "]")
 
 
 def _write_json_stack(stream: io.TextIOBase, rows: np.ndarray) -> None:
-    # The list of the row lists of a (T, S) stack.  Rows of at most half a
-    # slice share the kernel, as many as fill a slice, and their text is
-    # split at the commas; a longer row is written on its own.
-    n_rows, n_cols = rows.shape
-    group = _CHUNK_CELLS // n_cols if 0 < n_cols <= _CHUNK_CELLS // 2 else 1
+    # The list of the row lists of a (T, S) stack, short rows several to a
+    # slice of cells.
     stream.write("[")
-    for lo in range(0, n_rows, group):
+    for lo, texts in _row_groups(rows, _json_cells):
         if lo:
             stream.write(",")
-        if group == 1:
+        if texts is None:
             _write_json_array(stream, rows[lo])
         else:
-            cells = _json_cells(rows[lo:lo + group].ravel()).split(",")
-            stream.write(",".join("[" + ",".join(cells[i:i + n_cols]) + "]"
-                                  for i in range(1, len(cells), n_cols)))
+            stream.write(",".join("[" + text + "]" for text in texts))
     stream.write("]")
 
 

@@ -90,6 +90,21 @@ def test_run_both_mode_within_tolerance(tmp_path):
     assert float(cell) == float(f"{float(cell):.17g}")
 
 
+@pytest.mark.parametrize("mass", [1.0, 1e-8])
+def test_both_mode_tolerance_scales_with_the_initial_mass(tmp_path, mass):
+    # RK4 at step 0.5 misses the closed form by ~2.3e-5 |omega_0|: over the
+    # tolerance 1e-6 |omega_0| at any mass, so both masses fail alike.
+    config = tmp_path / "coarse.json"
+    write_scenario(config, sizes=[2, 2], rk4_step=0.5, time={"t_end": 2.0, "stride": 1},
+                   initial={"kind": "weights", "weights": [mass * w for w in (0.1, 0.2, 0.3, 0.4)]},
+                   rates={"kind": "crossover", "per_link": [1.0]})
+    out = tmp_path / "coarse.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_NUMERIC
+    report = json.loads((tmp_path / "coarse.csv.report.json").read_text())
+    assert report["tolerance"] == 1e-6 * math.fsum(mass * w for w in (0.1, 0.2, 0.3, 0.4))
+    assert not report["passed"] and 20 < report["max_gap"] / report["tolerance"] < 30
+
+
 def test_both_mode_gaps_in_row_blocks_are_the_row_at_a_time_sums(tmp_path):
     # 4^6 states x 41 stored times: 16 rows a block, so the gaps span three
     # blocks.  Each gap is the sum of one row's differences taken on its own.
@@ -167,6 +182,64 @@ def test_run_general_rates_need_rk4(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "e.csv")]) \
         == EXIT_VALIDATION
     assert not (tmp_path / "e.csv").exists()
+
+
+HOMOGENEITY_CASES = {
+    "crossover": ({"kind": "crossover", "per_link": [0.7, 1.3]},
+                  ("closed-form", "rk4", "both"), "csv"),
+    "disjoint-stretch": ({"kind": "disjoint-stretch",
+                          "entries": [{"links": [0], "rate": 1.0}, {"links": [1], "rate": 0.5}]},
+                         ("closed-form", "rk4", "both"), "json"),
+    "general": ({"kind": "general",
+                 "entries": [{"links": [0, 1], "rate": 0.8}, {"links": [1], "rate": 0.6}]},
+                ("rk4",), "json"),
+    "cyclic": ({"kind": "cyclic", "links": [0], "permutation": [1, 0], "rate": 0.9},
+               ("closed-form", "rk4", "both"), "csv"),
+}
+
+
+def written_values(path):
+    # Every number of a trajectory, exactly, without its times.
+    if path.suffix == ".json":
+        return np.array(json.loads(path.read_text())["states"])
+    return np.array([[float(v) for v in line.split(",")[1:]]
+                     for line in path.read_text().splitlines()[1:]])
+
+
+@pytest.mark.parametrize("kind", sorted(HOMOGENEITY_CASES))
+def test_runs_are_homogeneous_in_the_initial_weights(tmp_path, kind):
+    # The flows, RK4 and every check are homogeneous of degree 1: at 2^k
+    # omega_0 (k = +-40) a run gives the same exit code and `both` verdict,
+    # and every written weight and gap is 2^k times the one at omega_0.
+    rates, solvers, fmt = HOMOGENEITY_CASES[kind]
+    weights = random_probability(ProductSpace((2, 3, 2)), 5).weights
+    for solver in solvers:
+        # rk4_step 0.25 is too coarse for `both` on the crossover map.
+        step = 0.25 if kind == "crossover" else 0.05
+        runs = {}
+        for k in (0, 40, -40):
+            config = tmp_path / f"{solver}{k}.json"
+            write_scenario(config, sizes=[2, 3, 2], rates=rates, solver=solver, rk4_step=step,
+                           time={"t_end": 1.0, "stride": 4},
+                           initial={"kind": "weights", "weights": np.ldexp(weights, k).tolist()})
+            out = tmp_path / f"{solver}{k}.{fmt}"
+            code, _ = run_quietly(["run", "--config", str(config), "--out", str(out),
+                                   "--format", fmt])
+            report = out.with_name(out.name + ".report.json")
+            runs[k] = code, written_values(out), json.loads(report.read_text()) \
+                if report.exists() else None
+        code, values, report = runs[0]
+        assert values.size and (solver != "both" or report is not None)
+        for k in (40, -40):
+            assert runs[k][0] == code, (solver, k)
+            assert runs[k][1].tobytes() == np.ldexp(values, k).tobytes(), (solver, k)
+            if report is not None:
+                scaled = runs[k][2]
+                assert scaled["passed"] == report["passed"] and scaled["times"] == report["times"]
+                for key in ("gaps", "max_gap", "tolerance"):
+                    assert np.array_equal(scaled[key], np.ldexp(report[key], k)), (key, k)
+        if kind == "crossover" and solver == "both":
+            assert code == EXIT_NUMERIC and not report["passed"]
 
 
 def general_rates(*entries):

@@ -178,9 +178,10 @@ def stacked_reference_field(space, rates, w):
     |w| and each block marginal are sums from 0.0 in flat order; a term
     multiplies its factors m/|w| in block order, then by rho |w|, and is
     added at its relabeled targets, the terms in bitmask order from 0.0;
-    ``fsum(rates) w`` is subtracted last.  A problem whose |w| fails
-    ``>= ZERO_TOTAL_VARIATION`` (NaN included) has R = 0: its factors are
-    the marginals and the last one is rho 0.0, so a NaN factor stays NaN.
+    ``fsum(rates) w`` is subtracted last.  A problem whose |w| is below
+    ``ZERO_TOTAL_VARIATION`` has R = 0: its factors are the marginals and the
+    last one is rho 0.0.  One whose |w| is NaN keeps its factors the
+    marginals and its last one rho NaN, so every term is NaN.
     """
     sizes, n = space.sizes, space.total_states
     x = w.tolist()
@@ -203,7 +204,7 @@ def stacked_reference_field(space, rates, w):
             for i, v in enumerate(x):
                 m[i // right % size] += v
             factors.append(([v / tv if live else v for v in m], right, size))
-        scale = rate * (tv if live else 0.0)
+        scale = rate * (0.0 if tv < ZERO_TOTAL_VARIATION else tv)
         for i in range(n):
             (m, right, size), *others = factors
             p = m[i // right % size]
@@ -261,6 +262,21 @@ def test_stacked_field_writes_the_reference_bits(with_idle):
         assert out[start:stop].tobytes() == expected.tobytes(), (sizes, rates)
         start = stop
     assert np.isnan(out).any() == with_idle
+
+
+def test_a_nan_state_is_nan_alike_in_both_kernels(monkeypatch):
+    # One NaN weight makes |w| NaN, and every cell with a nonzero-rate term
+    # NaN in either kernel, as in recombine_weights.
+    space = ProductSpace((2, 2, 3))
+    w = np.random.default_rng(4).standard_normal(space.total_states)
+    w[4] = np.nan
+    masks = []
+    for kernel, cap in (("stacked_field", 1 << 40), ("strided_field", 0)):
+        monkeypatch.setattr(dynamics, "STACKED_FIELD_MAX_ENTRIES", cap)
+        field = compile_field(space, RateMap.crossover([0.7, 1.1]))
+        assert field.__name__ == kernel
+        masks.append(np.isnan(field(w)).tolist())
+    assert masks[0] == masks[1] == [True] * space.total_states
 
 
 def test_one_stacked_field_serves_two_threads():

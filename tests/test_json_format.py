@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from recombdyn import writers
 from recombdyn.writers import write_json
-from test_csv_format import FAST, decade_neighbours, dyadic_ties
+from test_csv_format import (FAST, OUTSIDE, decade_neighbours, dyadic_ties, outside_values,
+                             ties_past_a_double_power_of_ten, wholes_past_a_double_power_of_ten)
 
 
 def written(values):
@@ -25,12 +26,17 @@ def expected(values):
 
 
 def assert_cells_match(values):
-    # Cell by cell, so a failure names the value.
+    # Cell by cell, so a failure names the value; the kernel's text too, as
+    # a vector of fewer than _FEW_CELLS cells is written without it.
     got = written(values)
     assert got.startswith('{"x":[') and got.endswith("]}\n")
     for v, cell in zip(values, got[6:-3].split(",")):
         assert cell == json.dumps(v), (v, cell)
     assert got == expected(values)
+    kernel = writers._json_cells(np.array(values, dtype=np.float64))
+    for v, cell in zip(values, kernel.split(",")[1:]):
+        assert cell == json.dumps(v), (v, cell)
+    assert kernel == "".join("," + json.dumps(v) for v in values)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -87,31 +93,72 @@ def test_wide_rows_and_stacks_are_json_dumps():
             sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@pytest.mark.parametrize("width", [6, writers._CHUNK_CELLS + 1])
-def test_cells_without_long_double_are_all_json_dumps(monkeypatch, width):
-    # As on platforms whose long double is a double: every cell takes the
-    # json encoder.
-    rng = np.random.default_rng(7)
-    values = (rng.random(width) * 10.0 ** rng.integers(-14, 2, width)).tolist()
-    values[:6] = [0.0, -0.0, 5e-324, float("nan"), float("inf"), 1e300]
+def test_exact_ties_past_a_double_power_of_ten(monkeypatch):
+    # Both the ties and the wholes, whose sign the doubt band hides, reach
+    # json's encoder.
+    values = ties_past_a_double_power_of_ten() + wholes_past_a_double_power_of_ten()
     encoded = []
 
     def counting(cells):
-        encoded.append(cells.size)
+        encoded.extend(cells.tolist())
         return dumps(cells)
 
     dumps = writers._json_dumps_cells
-    monkeypatch.setattr(writers, "_LONG_DOUBLE", False)
+    monkeypatch.setattr(writers, "_json_dumps_cells", counting)
+    assert_cells_match(values + [-v for v in values])
+    assert set(values) <= set(encoded)
+
+
+def test_a_wider_doubt_band_moves_no_byte(monkeypatch):
+    # A band of 1/20 at every k sends cells near a tie, near an integer and
+    # with a distance near half an ulp to json's encoder, and every cell
+    # still reads as json.dumps writes it.
+    monkeypatch.setattr(writers, "_BAND", np.full(28, 0.05))
+    values = 10.0 ** np.random.default_rng(13).uniform(-11.0, 0.0, writers._CHUNK_CELLS)
+    assert_cells_match(values.tolist())
+
+
+@pytest.mark.parametrize("width", [len(OUTSIDE), writers._CHUNK_CELLS + 1])
+def test_cells_outside_the_kernel_range_take_json_dumps(monkeypatch, width):
+    # The cells outside [1e-11, 1) reach json's encoder, in a vector the
+    # kernel writes and in the kernel's own text.  Near the end of the
+    # shortening a few more cells may go there too.
+    values = outside_values(width)
+    encoded = []
+
+    def counting(cells):
+        encoded.extend(cells.tolist())
+        return dumps(cells)
+
+    dumps = writers._json_dumps_cells
     monkeypatch.setattr(writers, "_json_dumps_cells", counting)
     assert written(values) == expected(values)
-    assert sum(encoded) == width
+    assert writers._json_cells(np.array(values)) == "".join("," + json.dumps(v) for v in values)
+    assert {repr(v) for v in values if not 1e-11 <= abs(v) < 1.0} <= {repr(v) for v in encoded}
+
+
+def test_short_vectors_skip_the_kernel(monkeypatch):
+    # A trajectory's few times cost less in json.dumps than in the kernel.
+    calls = []
+
+    def counting(cells):
+        calls.append(cells.size)
+        return kernel(cells)
+
+    kernel = writers._json_cells
+    monkeypatch.setattr(writers, "_json_cells", counting)
+    short = np.linspace(0.0, 1.0, writers._FEW_CELLS - 1)
+    assert written(short) == expected(short) and calls == []
+    longer = np.linspace(0.0, 1.0, writers._FEW_CELLS)
+    assert written(longer) == expected(longer) and calls == [writers._FEW_CELLS]
 
 
 def test_kernel_range_cells_take_the_fast_path(monkeypatch):
     # Only cells the kernel cannot prove reach json's encoder: powers of two,
-    # near-ties and near-integers of weights below ~1e-6, and distances too
-    # close to half an ulp, ~2-3 % of weights in [1e-11, 1).  A kernel that
-    # proves none still writes the same bytes, so this counts them.
+    # distances within the doubt band of half an ulp (k > 22) and the last
+    # few cells still being shortened, under 1 % of weights in [1e-11, 1)
+    # (0 of these 2,048).  A kernel that proves none still writes the same
+    # bytes, so this counts them.
     slow = []
 
     def counting(cells):
@@ -122,4 +169,4 @@ def test_kernel_range_cells_take_the_fast_path(monkeypatch):
     values = 10.0 ** np.random.default_rng(11).uniform(-11.0, 0.0, writers._CHUNK_CELLS)
     monkeypatch.setattr(writers, "_json_dumps_cells", counting)
     assert written(values) == expected(values)
-    assert len(slow) == 1 and slow[0] <= 0.05 * values.size, slow
+    assert len(slow) <= 1 and sum(slow) <= 0.05 * values.size, slow
