@@ -105,17 +105,18 @@ _x, _d0, _e = _x - 11, _d0 + 48, np.arange(11, 0, -1)
 _fixed = _x > -5
 # Words at these offsets: 4 digits of v without (v) and with (10000 + v)
 # their trailing zeros, the head words (20000 and 20440, + 220 neg + 110 dot
-# + 10 (X + 11) + first digit), "e-XX" (20880 + X + 11) and 4 digits of v
-# without their leading zeros (_LEAD + v; none at all for v = 0).
-_LEAD = 20891
+# + 10 (X + 11) + first digit) and "e-XX" (20880 + X + 11).
 _WORDS = np.concatenate((
     _words(*np.where(np.logical_and.accumulate(_d[::-1] == 0)[::-1], 0, _d + 48)),
     _words(*_d + 48),
     _words(44, 45 * _neg, np.where(_fixed, 48, _d0), 46 * (_fixed | _dot)),
     _words(*(_fixed * c for c in (48 * (_x < -3), 48 * (_x < -2), 48 * (_x < -1), _d0))),
     _words(*((_e > 4) * c for c in (101, 45, 48 + _e // 10, 48 + _e % 10))),
-    _words(*np.where(np.logical_and.accumulate(_d == 0), 0, _d + 48)),
 ))
+# The bytes of a 4-digit word that show its last n digits, n = 0..4, and the
+# least v with 1, 2, 3 and 4 digits.
+_SHOWN = np.array([0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], "<u4")
+_DECADES = np.array([1, 10, 100, 1000])
 del _d, _neg, _dot, _x, _d0, _e, _fixed
 
 
@@ -134,8 +135,8 @@ def _digits(x: np.ndarray, signed: bool):
     hi -= lo
     np.subtract(a, hi, out=lo)
     a *= _P10_REST.take(k, mode="clip")
-    # e = ((hi P_hi - p) + lo P_hi + hi P_lo) + lo P_lo, each sum but the
-    # last exact, and that one exact too.
+    # e = ((hi P_hi - p) + lo P_hi + hi P_lo) + lo P_lo, in this order, is
+    # exact at every step (Dekker).
     part = _P10_HI.take(k, mode="clip")
     e = hi * part
     e -= p
@@ -278,8 +279,10 @@ def _index_cells(lo: int, hi: int) -> str:
     for col in range(rec.shape[1] - 1, 0, -1):
         rest = i // 10_000
         i -= rest * 10_000
-        i += np.where(rest > 0, 10_000, _LEAD)
-        rec[:, col] = _WORDS.take(i)
+        shown = np.searchsorted(_DECADES, i, side="right")
+        np.putmask(shown, rest > 0, 4)
+        i += 10_000
+        rec[:, col] = _WORDS.take(i) & _SHOWN.take(shown)
         i = rest
     if lo == 0 < hi:
         rec[0, -1] = 48  # "0": the one index whose leading word is 0
