@@ -7,7 +7,8 @@ weight below -1e-9 |omega_0|, or has drifted in mass by more than
 by more than 1e-6 |omega_0|.
 
 Every artifact is streamed into a temporary file next to its target and
-renamed over it only once complete.
+renamed over it only once complete.  A closed form is computed, checked and
+compared one row block at a time as it is streamed, never held whole.
 """
 
 from __future__ import annotations
@@ -20,21 +21,22 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator, TextIO
 
 import numpy as np
 
 from .dynamics import (
     RateMap,
+    RowBlocks,
     Trajectory,
     expansion_coefficients,
     output_grid,
-    product_flow_grid,
+    product_flow_blocks,
     require_stretch_system,
     rk4_integrate,
-    row_blocks,
 )
-from .generalized import cycle_lengths, generalized_flow_grid, require_cyclic_map
+from .generalized import cycle_lengths, generalized_flow_blocks, require_cyclic_map
 from .lattice import LinkSet, all_link_sets
 from .measure import Measure, ProductSpace, is_positive, random_probability, total_variation
 from .recombinator import ZERO_TOTAL_VARIATION
@@ -56,17 +58,16 @@ BOTH_MODE_TOLERANCE = 1e-6
 INVARIANT_TOLERANCE = 1e-9
 
 # Memory bounds of one run, checked before any state is allocated: states of
-# the space, and weights of one stored trajectory (grid points x states).  At
-# its peak a run holds that stack and the temporaries of one row block (see
-# ``row_blocks``), and in `both` mode the RK4 stack as well.
+# the space, and weights of one stored trajectory (grid points x states).  A
+# closed form holds one row block of it (``row_blocks``) at a time, and RK4
+# the whole stack.
 MAX_STATES = 1 << 24
 MAX_STORED_WEIGHTS = 1 << 27
 
 # Work bound of one cyclic run, checked once the rate map has passed its
 # checks and before any flow runs: the closed form's passes over the stored
 # stack grow with (longest cycle + 1) x grid points x states.  Its memory is
-# the stored stack, one row block's products and omega_0 with its powers, one
-# state each.
+# one row block, its products and omega_0 with its powers, one state each.
 MAX_CYCLIC_CELLS = 1 << 27
 
 # Work bound of one `coefficients` table: times x link sets.  The largest
@@ -315,64 +316,69 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
 # ---------------------------------------------------------------------------
 
 
+class _NumericDefect(Exception):
+    """A numerical contract violation: exit 4, its message on stderr."""
+
+
 def _run_one(config: str, out_path: Path, fmt: str) -> int:
     scenario = load_scenario(config)
     runtime = _build_runtime(scenario)
-    solver = scenario.solver
-
-    rk4_traj = closed_traj = gaps = None
-    if solver in ("rk4", "both"):
-        rk4_traj = rk4_integrate(
-            runtime.omega0, runtime.rates, scenario.t_end, scenario.rk4_step, scenario.stride
-        )
-    if solver in ("closed-form", "both"):
-        flow = product_flow_grid if runtime.rates.relabel is None else generalized_flow_grid
-        closed = flow(runtime.omega0, runtime.rates, runtime.grid)
-        if rk4_traj is not None:
-            # Row-wise sums of the differences, one row block at a time.
-            gaps = []
-            for rows in row_blocks(*closed.shape):
-                diff = np.subtract(closed[rows], rk4_traj.weights[rows])
-                gaps += np.abs(diff, out=diff).sum(axis=1).tolist()
-        closed_traj = Trajectory(runtime.omega0.space, runtime.grid, closed)
-
-    # A state that breaks an invariant is no result: nothing is written.
-    for name, traj in (("rk4", rk4_traj), ("closed-form", closed_traj)):
-        defect = None if traj is None else _invariant_defect(traj, runtime.omega0)
-        if defect:
-            print(f"{config}: the {name} trajectory {defect}", file=sys.stderr)
-            return EXIT_NUMERIC
-
-    primary = closed_traj if closed_traj is not None else rk4_traj
-    _write_trajectory(primary, out_path, fmt)
-
-    if gaps is not None:
-        tolerance = BOTH_MODE_TOLERANCE * total_variation(runtime.omega0)
-        report = {
-            "times": list(closed_traj.times),
-            "gaps": gaps,
-            "max_gap": max(gaps),
-            "tolerance": tolerance,
-            "passed": max(gaps) <= tolerance,
-        }
-        with _atomic_stream(_report_path(out_path)) as stream:
-            stream.write(_dump_json(report))
-        if not report["passed"]:
-            print(
-                f"{config}: closed form and rk4 disagree by {max(gaps):.3e} "
-                f"(tolerance {tolerance:.3e})",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERIC
+    try:
+        _run_checked(scenario, runtime, out_path, fmt)
+    except _NumericDefect as exc:
+        print(f"{config}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
-def _invariant_defect(traj: Trajectory, omega0: Measure) -> str | None:
+def _run_checked(scenario: Scenario, runtime: _Runtime, out_path: Path, fmt: str) -> None:
+    # A state that breaks an invariant is no result: nothing is written.  RK4
+    # is checked whole.  The closed form runs one row block at a time as its
+    # artifact is written, so the stream opens first, and a block that
+    # breaks an invariant discards it.
+    omega0, grid, rates = runtime.omega0, runtime.grid, runtime.rates
     bound = INVARIANT_TOLERANCE * total_variation(omega0)
-    for t, w in zip(traj.times, traj.weights):
+    rk4 = None
+    if scenario.solver != "closed-form":
+        rk4 = rk4_integrate(omega0, rates, scenario.t_end, scenario.rk4_step, scenario.stride)
+        if defect := _invariant_defect(grid, rk4.weights, omega0.mass, bound):
+            raise _NumericDefect(f"the rk4 trajectory {defect}")
+        if scenario.solver == "rk4":
+            return _write_trajectory(rk4, out_path, fmt)
+    flow = product_flow_blocks if rates.relabel is None else generalized_flow_blocks
+    blocks, gaps = flow(omega0, rates, grid), []
+
+    def checked() -> RowBlocks:
+        for rows, block in blocks:
+            if rk4 is not None:
+                diff = np.subtract(block, rk4.weights[rows])
+                gaps.extend(np.abs(diff, out=diff).sum(axis=1).tolist())
+            if defect := _invariant_defect(grid[rows], block, omega0.mass, bound):
+                raise _NumericDefect(f"the closed-form trajectory {defect}")
+            yield rows, block
+
+    # The writers take the blocks as a trajectory's, each as it is computed.
+    streamed = SimpleNamespace(space=omega0.space, times=grid, blocks=checked())
+    _write_trajectory(streamed, out_path, fmt)
+    if rk4 is not None:
+        tolerance, max_gap = BOTH_MODE_TOLERANCE * total_variation(omega0), max(gaps)
+        report = {"times": grid, "gaps": gaps, "max_gap": max_gap, "tolerance": tolerance,
+                  "passed": max_gap <= tolerance}
+        with _atomic_stream(_report_path(out_path)) as stream:
+            stream.write(_dump_json(report))
+        if not report["passed"]:
+            raise _NumericDefect(
+                f"closed form and rk4 disagree by {max_gap:.3e} (tolerance {tolerance:.3e})"
+            )
+
+
+def _invariant_defect(times: list, rows: np.ndarray, mass: float, bound: float) -> str | None:
+    # What is wrong with the first row, in time order, that is not finite,
+    # has a weight below -bound or has drifted in mass by more than bound.
+    for t, w in zip(times, rows):
         if not np.isfinite(w).all():
             return "is not finite"
-        low, drift = float(w.min()), abs(float(w.sum()) - omega0.mass)
+        low, drift = float(w.min()), abs(float(w.sum()) - mass)
         if low < -bound:
             return f"has weight {low:.3e} at t={t:g}, below {-bound:.3e}"
         if drift > bound:
@@ -384,7 +390,7 @@ def _report_path(out_path: Path) -> Path:
     return out_path.with_suffix(out_path.suffix + ".report.json")
 
 
-def _write_trajectory(traj: Trajectory, out_path: Path, fmt: str) -> None:
+def _write_trajectory(traj: Trajectory | SimpleNamespace, out_path: Path, fmt: str) -> None:
     # The writers and their word table load with the first artifact.
     from .writers import trajectory_to_csv, trajectory_to_json
 

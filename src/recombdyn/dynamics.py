@@ -22,11 +22,11 @@ map.  With sigma = 1, three solvable regimes get closed forms here:
 
 Time enters these forms only through scalar coefficients, so every
 time-dependent function takes a whole time grid and returns one row per time:
-``product_flow_grid`` applies each one-set flow
-W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) to the stack in place, one
-recombination per cut set and row block (``row_blocks``: rows do not depend on
-one another, so a block of them has each row's bits and only a block's
-temporaries), ``expansion_coefficients`` tabulates a_G(t) and b_G(t) of a
+``product_flow_blocks`` applies each one-set flow
+W <- e^{-rho t} W + (1 - e^{-rho t}) R_G(W) in place to one block of rows and
+yields it before the next (``row_blocks``: rows do not depend on one another,
+so a block has each row's bits), and ``product_flow_grid`` stacks the blocks.
+``expansion_coefficients`` tabulates a_G(t) and b_G(t) of a
 crossover map for every cut set, ``recombination_table`` takes each R_H of a
 stack once, and ``moebius_sum`` forms any transform of every row from it.
 ``product_flow_apply`` keeps one time per entry of the map: it is the
@@ -192,6 +192,11 @@ class Trajectory:
             raise ValueError(f"need a stack of shape {shape}, got {w.shape}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @property
+    def blocks(self) -> tuple[tuple[slice, np.ndarray]]:
+        """The stack as one (rows, block) pair, as the writers take it."""
+        return ((slice(0, len(self.times)), self.weights),)
 
     @property
     def states(self) -> tuple[Measure, ...]:
@@ -592,6 +597,9 @@ def rk4_integrate_many(
 # temporaries replace the stack-sized ones.
 ROW_BLOCK_CELLS = 1 << 16
 
+# What the block iterators yield: (rows, block), a row slice and its rows.
+RowBlocks = Iterator[tuple[slice, np.ndarray]]
+
 
 def row_blocks(n_rows: int, row_cells: int) -> Iterator[slice]:
     """Slices of consecutive rows of an (n_rows, row_cells) stack, in order,
@@ -609,27 +617,28 @@ def nonnegative_times(ts: Sequence[float]) -> list[float]:
     return times
 
 
-def _one_set_flows(
-    omega0: Measure,
-    factors: Sequence[tuple[LinkSet, float, Sequence[float]]],
-) -> np.ndarray:
-    # The (links, rate, times) factors applied in turn to a stack of omega0,
-    # one row per time:  W <- s W + (1 - s) R_G(W)  with each row's own
-    # survival s = e^{-rate t}.  Each row block takes every factor in place,
-    # so the temporaries are one block's.
-    stack = np.tile(omega0.weights, (len(factors[0][2]), 1))
+def _flow_blocks(omega0: Measure, factors: Sequence[tuple[LinkSet, float, list]]) -> RowBlocks:
+    # The (links, rate, times) factors applied in turn to rows of omega0, one
+    # row per time:  W <- s W + (1 - s) R_G(W)  with each row's own survival
+    # s = e^{-rate t}, in one block buffer and one recombination buffer.
+    n_rows, space = len(factors[0][2]), omega0.space
     # math.exp as in expansion_coefficients; np.exp may round differently.
     survivals = [
         np.array([math.exp(-rate * t) for t in times])[:, None] for _, rate, times in factors
     ]
-    for rows in row_blocks(*stack.shape):
-        block = stack[rows]
+    blocks = list(row_blocks(n_rows, space.total_states))
+    buffer, recombined = np.empty((2, blocks[0].stop if blocks else 0, space.total_states))
+    for rows in blocks:
+        block = buffer[: rows.stop - rows.start]
+        block[:] = omega0.weights
         for (links, _, _), survival in zip(factors, survivals):
-            recombined = recombine_rows(block, omega0.space, links)
+            part = recombine_rows(block, space, links, recombined[: len(block)])
             block *= survival[rows]
-            recombined *= 1.0 - survival[rows]
-            block += recombined
-    return stack
+            part *= 1.0 - survival[rows]
+            block += part
+        block = block.view()
+        block.flags.writeable = False
+        yield rows, block
 
 
 def _check_system(omega0: Measure, rates: RateMap) -> None:
@@ -639,19 +648,28 @@ def _check_system(omega0: Measure, rates: RateMap) -> None:
     require_positive(omega0, "the product flow")
 
 
-def product_flow_grid(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.ndarray:
+def product_flow_blocks(omega0: Measure, rates: RateMap, times: Sequence[float]) -> RowBlocks:
     """The combined flow of a stretch system (``require_stretch_system``) on a
-    whole time grid, its one-set flows applied in the map's order.
+    time grid, one row block at a time.
 
-    Returns the (len(times), states) stack whose row k is the state at
-    ``times[k]``.  Each one-set flow acts on a block of rows at once, so the
-    grid costs one recombination per cut set and row block, not one per cut
-    set and time, and the stack is the only grid-sized array.  A row at
-    t = 0 is omega_0 exactly.
+    Checks its input when called, then yields ``(rows, block)`` for each
+    ``row_blocks`` slice of the (len(times), states) stack, in order; the
+    block is read-only, and its buffer is reused for the next one.  The
+    one-set flows act in the map's order on a block at once: one
+    recombination per cut set and row block.  A row at t = 0 is omega_0.
     """
     times = nonnegative_times(times)
     _check_system(omega0, rates)
-    return _one_set_flows(omega0, [(links, rate, times) for links, rate in rates.entries])
+    return _flow_blocks(omega0, [(links, rate, times) for links, rate in rates.entries])
+
+
+def product_flow_grid(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.ndarray:
+    """The stack of ``product_flow_blocks``: row k is the state at ``times[k]``."""
+    blocks = product_flow_blocks(omega0, rates, times)
+    stack = np.empty((len(times), omega0.space.total_states))
+    for rows, block in blocks:
+        stack[rows] = block
+    return stack
 
 
 def product_flow_apply(omega0: Measure, rates: RateMap, ts: Sequence[float]) -> Measure:
@@ -670,7 +688,8 @@ def product_flow_apply(omega0: Measure, rates: RateMap, ts: Sequence[float]) -> 
             f"{len(rates.entries)} components"
         )
     factors = [(links, rate, [t]) for (links, rate), t in zip(rates.entries, times)]
-    return Measure(omega0.space, _one_set_flows(omega0, factors)[0], omega0.nodes)
+    [(_, block)] = _flow_blocks(omega0, factors)
+    return Measure(omega0.space, block[0], omega0.nodes)
 
 
 def expansion_coefficients(

@@ -25,11 +25,11 @@ Summed over k = j (mod L), the order-n coefficients are the order-L ones
 (at L = 1, F_0(t) = e^t: the one-set flow).  So the flow folds by cycle
 length: each block-0 state takes ``flow_coefficients(L, rho t)`` of its own
 cycle, and no work grows with the lcm of the cycle lengths.
-``generalized_flow_grid`` forms R(omega_0) and its relabelings C^1, ..., C^L
+``generalized_flow_blocks`` forms R(omega_0) and its relabelings C^1, ..., C^L
 of each cycle-length group once for a whole time grid, one row per time, and
-their weighted sums one row block at a time; a single time is its one-row
-grid.  ``gfun`` likewise tabulates F_0, ..., F_{n-1}
-over a whole vector of times.
+yields their weighted sums one row block at a time; a single time is the
+one-row grid of ``generalized_flow_grid``.  ``gfun`` likewise tabulates
+F_0, ..., F_{n-1} over a whole vector of times.
 
 The flow's one input is the ``RateMap`` of the one cut set at rate rho with
 g as its relabeling: ``require_cyclic_map`` checks it, every function here
@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import RateMap, compile_field, nonnegative_times, row_blocks
+from .dynamics import RateMap, RowBlocks, compile_field, nonnegative_times, row_blocks
 from .lattice import partition_of
 from .measure import Measure, ProductSpace
 from .recombinator import recombine, require_positive
@@ -206,33 +206,39 @@ def cyclic_apply(omega: Measure, rates: RateMap, power: int) -> Measure:
     return Measure(omega.space, _relabel_block0(base.weights, image), omega.nodes)
 
 
-def generalized_flow_grid(
-    omega0: Measure, rates: RateMap, times: Sequence[float]
-) -> np.ndarray:
+def generalized_flow_blocks(omega0: Measure, rates: RateMap, times: Sequence[float]) -> RowBlocks:
     """Closed-form flow of  d/dt x = rho (C - 1)(x)  of a cyclic map
-    (``require_cyclic_map``) on a whole time grid.
+    (``require_cyclic_map``) in row blocks, as ``product_flow_blocks`` yields
+    them: a block's buffer is reused for the next one.
 
-    Returns the (len(times), states) stack whose row k is the state at
-    ``times[k]``: omega_0 and its powers C^1, ..., C^L, weighted state by
-    state by ``flow_coefficients(L, rho t)`` of the state's block-0 cycle
-    length L.  One time is the one-row grid.  Coefficients sum to one, so mass is conserved;
-    they are nonnegative for all t >= 0, so positivity is preserved as well.
-    A row at t = 0 is omega_0 exactly.
+    Row k is omega_0 and its powers C^1, ..., C^L, weighted state by state by
+    ``flow_coefficients(L, rho t_k)`` of the state's block-0 cycle length L.
+    Coefficients sum to one, so mass is conserved; they are nonnegative for
+    all t >= 0, so positivity is preserved as well.  A row at t = 0 is omega_0.
     """
     require_cyclic_map(rates, omega0.space)
     times = nonnegative_times(times)
     require_positive(omega0, "generalized_flow_grid")
-    return _flow_rows(omega0, rates, times)
+    return _flow_blocks(omega0, rates, times)
 
 
-def _flow_rows(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.ndarray:
+def generalized_flow_grid(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.ndarray:
+    """The stack of ``generalized_flow_blocks``; one time is the one-row grid."""
+    blocks = generalized_flow_blocks(omega0, rates, times)
+    stack = np.empty((len(times), omega0.space.total_states))
+    for rows, block in blocks:
+        stack[rows] = block
+    return stack
+
+
+def _flow_blocks(omega0: Measure, rates: RateMap, times: Sequence[float]) -> RowBlocks:
     # Internal, for a checked map: no sign restriction on t (the ODE check
     # differentiates through t = 0); rows at t == 0 are omega_0 exactly.
     # The block-0 states on cycles of length L share the order-L coefficients,
     # so each group's rows are outer products of one coefficient column with
     # omega_0 and C^1, ..., C^L restricted to the group.  The coefficients
     # and powers are taken once for the grid, the products one row block at
-    # a time.
+    # a time in one buffer for the block and its products.
     # A rate times t past the float maximum is clamped to it, where every
     # coefficient has long reached its limit; a finite tau keeps its bits.
     [(cuts, rho)], perm = rates.entries, rates.relabel
@@ -240,26 +246,33 @@ def _flow_rows(omega0: Measure, rates: RateMap, times: Sequence[float]) -> np.nd
         taus = np.minimum(rho * np.asarray(times, dtype=np.float64), np.finfo(np.float64).max)
     cycle_length = cycle_lengths(perm)
     lengths = np.asarray(cycle_length)
-    rows = (lengths.size, omega0.space.total_states // lengths.size)
+    shape = (lengths.size, omega0.space.total_states // lengths.size)
     base = recombine(omega0, cuts).weights
     groups = []
     for n in set(cycle_length):
         group = lengths == n
-        powers, power = [omega0.weights.reshape(rows)[group]], base
+        powers, power = [omega0.weights.reshape(shape)[group]], base
         for _ in range(n):
             power = _relabel_block0(power, perm)
-            powers.append(power.reshape(rows)[group])
+            powers.append(power.reshape(shape)[group])
         groups.append((group, flow_coefficients(n, taus), powers))
-    stack = np.empty((taus.size, *rows))
-    for block in row_blocks(taus.size, omega0.space.total_states):
+    blocks = list(row_blocks(taus.size, omega0.space.total_states))
+    buffer, parts, terms = np.empty((3, blocks[0].stop if blocks else 0, *shape))
+    for rows in blocks:
+        block = buffer[: rows.stop - rows.start]
         for group, coeffs, powers in groups:
-            part = np.multiply.outer(coeffs[block, 0], powers[0])
+            size = len(block) * powers[0].size
+            part = parts.reshape(-1)[:size].reshape(len(block), *powers[0].shape)
+            term = terms.reshape(-1)[:size].reshape(part.shape)
+            np.multiply.outer(coeffs[rows, 0], powers[0], out=part)
             for k, power in enumerate(powers[1:], 1):
-                part += np.multiply.outer(coeffs[block, k], power)
-            stack[block, group] = part
-    stack = stack.reshape(taus.size, omega0.space.total_states)
-    stack[[t == 0.0 for t in times]] = omega0.weights
-    return stack
+                part += np.multiply.outer(coeffs[rows, k], power, out=term)
+            block[:, group] = part
+        block = block.reshape(len(block), omega0.space.total_states)
+        block[[t == 0.0 for t in times[rows]]] = omega0.weights
+        block = block.view()
+        block.flags.writeable = False
+        yield rows, block
 
 
 def check_flow_commutation(omega0: Measure, rates: RateMap, t: float) -> float:
@@ -278,18 +291,21 @@ def check_generalized_ode(
 
     Returns max_t | (phi_{t+h} - phi_{t-h}) / 2h - rho (C - 1)(phi_t) | in
     total variation; second order in h, so halving h divides it by about 4.
-    The three flows act on the whole grid at once, and the compiled field of
-    the map on each row.  The centre rows come from
-    ``generalized_flow_grid``, which validates the map, the times and omega_0.
+    The three flows go through the grid in step, a row block at a time, and
+    the map's compiled field acts on each row.  The centre rows come from
+    ``generalized_flow_blocks``, which validates the map, times and omega_0.
     """
     if not (math.isfinite(h_fd) and h_fd > 0.0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h_fd}")
     times = [float(t) for t in t_grid]
-    centre = generalized_flow_grid(omega0, rates, times)
+    centre = generalized_flow_blocks(omega0, rates, times)
     generator = compile_field(omega0.space, rates)
-    ahead = _flow_rows(omega0, rates, [t + h_fd for t in times])
-    behind = _flow_rows(omega0, rates, [t - h_fd for t in times])
-    defect = (ahead - behind) / (2.0 * h_fd)
-    for row, state in zip(defect, centre):
-        row -= generator(state)
-    return float(np.abs(defect).sum(axis=1).max(initial=0.0))
+    ahead = _flow_blocks(omega0, rates, [t + h_fd for t in times])
+    behind = _flow_blocks(omega0, rates, [t - h_fd for t in times])
+    worst = 0.0
+    for (_, states), (_, forward), (_, backward) in zip(centre, ahead, behind):
+        defect = (forward - backward) / (2.0 * h_fd)
+        for row, state in zip(defect, states):
+            row -= generator(state)
+        worst = np.maximum(worst, np.abs(defect).sum(axis=1).max())  # NaN stays
+    return float(worst)

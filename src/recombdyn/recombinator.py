@@ -59,16 +59,21 @@ def recombine_weights(
     w: np.ndarray,
     sizes: tuple[int, ...],
     blocks: tuple[tuple[int, ...], ...],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Raw-array recombination along precomputed axis blocks (hot path).
 
     ``w`` is one flat weight vector or a (T, S) stack of them.  Every row is
     recombined in the same pass with its own |w|: its own zero rule and its
     own division of the later factors by |w|.  A vector is the one-row case.
+    The result goes into ``out``, a contiguous array of ``w``'s shape that
+    does not overlap ``w``, when one is given.
     """
     rows = w.reshape(-1, w.shape[-1])
     n_rows = rows.shape[0]
-    tv = np.abs(rows).sum(axis=1)
+    # |w| is summed from the result's buffer, which the product overwrites.
+    result = np.empty(rows.shape) if out is None else out.reshape(rows.shape)
+    tv = np.abs(rows, out=result).sum(axis=1)
     tensor_view = rows.reshape((n_rows, *sizes))
     marginals = []
     for axes in blocks:
@@ -76,26 +81,30 @@ def recombine_weights(
         reduced = tensor_view.sum(axis=drop) if drop else tensor_view
         marginals.append(reduced.reshape(n_rows, math.prod(reduced.shape[1:])))
     if len(marginals) == 1:
-        out = marginals[0].copy()
+        result[:] = marginals[0]
     else:
         # Dividing each later factor by its row's |omega| keeps every
         # intermediate on the scale of |omega| instead of forming tv**p,
         # which could overflow.  A row below the zero rule has marginals
         # below it too, so the floor on the divisor cannot overflow either.
         scale = np.maximum(tv, ZERO_TOTAL_VARIATION)[:, None]
-        out = marginals[0]
-        for m in marginals[1:]:
-            width = out.shape[1] * m.shape[1]
-            out = (out[:, :, None] * (m / scale)[:, None, :]).reshape(n_rows, width)
-    out[tv < ZERO_TOTAL_VARIATION] = 0.0
-    return out.reshape(w.shape)
+        head = marginals[0]
+        for m in marginals[1:-1]:
+            width = head.shape[1] * m.shape[1]
+            head = (head[:, :, None] * (m / scale)[:, None, :]).reshape(n_rows, width)
+        last = marginals[-1] / scale
+        np.multiply(head[:, :, None], last[:, None, :],
+                    out=result.reshape(n_rows, head.shape[1], last.shape[1]))
+    result[tv < ZERO_TOTAL_VARIATION] = 0.0
+    return result.reshape(w.shape)
 
 
-def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.ndarray:
+def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """``recombine`` on raw weights of ``space``: a vector or a (T, S) stack.
 
-    Each row is recombined on its own, as ``recombine_weights`` does.  The
-    empty cut set is the identity and returns ``w`` itself.
+    Each row is recombined on its own, as ``recombine_weights`` does, into
+    ``out`` if given.  The empty cut set is the identity and returns ``w``.
     """
     if links.n_links != space.n_links:
         raise ValueError(
@@ -104,7 +113,7 @@ def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet) -> np.nda
         )
     if len(links) == 0:
         return w
-    return recombine_weights(w, space.sizes, links.blocks(space.n_nodes))
+    return recombine_weights(w, space.sizes, links.blocks(space.n_nodes), out)
 
 
 def recombine(omega: Measure, links: LinkSet) -> Measure:

@@ -5,7 +5,8 @@ A CSV cell is exactly ``"%.17g" % x``, and a JSON cell exactly what
 in slices of ``_CHUNK_CELLS`` cells, so neither an artifact's text nor one
 wide row's is ever held whole; rows of a stack much shorter than a slice
 share one, and a JSON vector of fewer than ``_FEW_CELLS`` cells goes to
-``json.dumps`` whole.
+``json.dumps`` whole.  A trajectory's stack comes as its row ``blocks``,
+each written before the next is read; the bytes do not depend on them.
 
 Both kinds of cell come from one numpy kernel for 1e-11 <= |x| < 1, a slice
 at a time, in two stages, in float64 alone.
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -334,7 +335,8 @@ def write_csv_rows(stream: io.TextIOBase, times: Sequence[float], rows: np.ndarr
 def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
     """Write `t,<flat-index columns>` rows of `%.17g` cells by ``write_csv_rows``."""
     _write_line(stream, "t", traj.space.total_states, _index_cells, "\n")
-    write_csv_rows(stream, traj.times, traj.weights)
+    for rows, block in traj.blocks:
+        write_csv_rows(stream, traj.times[rows], block)
 
 
 def _write_json_array(stream: io.TextIOBase, values: np.ndarray) -> None:
@@ -347,43 +349,50 @@ def _write_json_array(stream: io.TextIOBase, values: np.ndarray) -> None:
                 lambda lo, hi: _json_cells(values[lo:hi])[1 if lo == 0 else 0:], "]")
 
 
-def _write_json_stack(stream: io.TextIOBase, rows: np.ndarray) -> None:
-    # The list of the row lists of a (T, S) stack, short rows several to a
-    # slice of cells.
+def _write_json_stack(stream: io.TextIOBase, blocks: Iterable[np.ndarray]) -> None:
+    # The list of the row lists of a stack given as its (t, S) row blocks in
+    # order, short rows of a block several to a slice of cells.
     stream.write("[")
-    for lo, texts in _row_groups(rows, _json_cells):
-        if lo:
-            stream.write(",")
-        if texts is None:
-            _write_json_array(stream, rows[lo])
-        else:
-            stream.write(",".join("[" + text + "]" for text in texts))
+    comma = ""
+    for block in blocks:
+        for lo, texts in _row_groups(block, _json_cells):
+            stream.write(comma)
+            comma = ","
+            if texts is None:
+                _write_json_array(stream, block[lo])
+            else:
+                stream.write(",".join("[" + text + "]" for text in texts))
     stream.write("]")
 
 
 def write_json(stream: io.TextIOBase, fields: dict) -> None:
     """Write ``json.dumps(fields, sort_keys=True, separators=(",", ":"))`` and a
-    newline, where a float64 vector or (T, S) stack stands for its
-    ``tolist()`` and is written a slice of cells at a time.
+    newline, where a float64 vector or (T, S) stack, or an iterator of the
+    (t, S) row blocks of a stack, stands for its ``tolist()`` and is written
+    a slice of cells at a time.
     """
     for n, key in enumerate(sorted(fields)):
         stream.write(("," if n else "{") + json.dumps(key) + ":")
         value = fields[key]
-        if not isinstance(value, np.ndarray):
+        if isinstance(value, Iterator):
+            _write_json_stack(stream, value)
+        elif not isinstance(value, np.ndarray):
             stream.write(json.dumps(value, separators=(",", ":")))
         elif value.ndim == 1:
             _write_json_array(stream, value)
         else:
-            _write_json_stack(stream, value)
+            _write_json_stack(stream, [value])
     stream.write("}\n")
 
 
 def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write a trajectory as compact JSON with sorted keys, by ``write_json``.
+    """Write a trajectory as compact JSON with sorted keys, by ``write_json``,
+    one row block of ``traj.blocks`` at a time.
 
     The bytes are those of ``json.dumps({"times": [float(t) for t in
     traj.times], "states": traj.weights.tolist()}, sort_keys=True,
     separators=(",", ":"))`` plus a newline, but the text of at most one
     slice of cells exists at a time.
     """
-    write_json(stream, {"states": traj.weights, "times": np.array(traj.times, np.float64)})
+    write_json(stream, {"states": (block for _, block in traj.blocks),
+                        "times": np.array(traj.times, np.float64)})

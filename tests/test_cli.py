@@ -871,23 +871,62 @@ def test_interrupt_in_mid_stream_leaves_no_partial_file(tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == ["traj.csv"]
 
 
-def test_run_closed_form_trajectory_is_the_grid_stack(tmp_path, monkeypatch):
-    # The closed form's grid stack is the written trajectory's weights: no copy.
-    stacks, written = [], []
-    grid = cli.product_flow_grid
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_form_run_holds_one_row_block_not_its_stack(tmp_path, fmt):
+    # 4^8 states x 11 times: a 5.77 MB stack of one-row blocks.  The run
+    # checks and writes each block before it computes the next, so its
+    # traced peak is omega_0 and a few blocks' buffers (~1.9 MB); holding
+    # the stack peaked at 7.6 MB.
+    config = tmp_path / "s.json"
+    write_scenario(config, sizes=[4] * 8, solver="closed-form", rk4_step=0.1,
+                   time={"t_end": 1.0, "stride": 1},
+                   rates={"kind": "disjoint-stretch",
+                          "entries": [{"links": [0], "rate": 0.9}, {"links": [2, 3], "rate": 0.5},
+                                      {"links": [6], "rate": 1.2}]})
+    stack_bytes = 11 * 4**8 * 8
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / f"o.{fmt}"), "--format", fmt]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 2, (peak, stack_bytes)
 
-    def recorded_grid(*args):
-        stacks.append(grid(*args))
-        return stacks[-1]
 
-    monkeypatch.setattr(cli, "product_flow_grid", recorded_grid)
-    monkeypatch.setattr(cli, "_write_trajectory", lambda traj, *_: written.append(traj))
-    write_scenario(tmp_path / "s.json", solver="closed-form")
-    assert main(["run", "--config", str(tmp_path / "s.json"),
-                 "--out", str(tmp_path / "o.csv")]) == EXIT_OK
-    (stack,), (traj,) = stacks, written
-    assert np.shares_memory(traj.weights, stack)
-    assert not traj.weights.flags.writeable
+@pytest.mark.parametrize("target", ["o.csv", "file/o.csv"], ids=["writable", "under-a-file"])
+def test_invariant_failure_in_a_late_block_discards_the_stream(tmp_path, capsys, monkeypatch,
+                                                               target):
+    # 4^6 states x 40 times: blocks of 16, 16 and 8 rows, the last with a
+    # NaN row.  The first two blocks reach the temp file before the third is
+    # computed; the defect then discards it, and no report is written.  The
+    # stream opens before the closed form runs, so a target whose temp file
+    # cannot be made is exit 3 however the closed form would end.
+    flow = cli.product_flow_blocks
+
+    def nan_in_last_block(*args):
+        for rows, block in flow(*args):
+            if rows.stop == 40:
+                (temp,) = tmp_path.glob(".o.csv.*.tmp")
+                assert temp.stat().st_size > 2_000_000  # 32 rows of ~95 KB
+                block = block.copy()
+                block[-1, 5] = math.nan
+            yield rows, block
+
+    monkeypatch.setattr(cli, "product_flow_blocks", nan_in_last_block)
+    config = tmp_path / "s.json"
+    write_scenario(config, sizes=[4] * 6, solver="both", rk4_step=0.01,
+                   time={"t_end": 0.39, "stride": 1})
+    (tmp_path / "file").write_text("a regular file")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / target)])
+    err = capsys.readouterr().err
+    if target == "o.csv":
+        assert code == EXIT_NUMERIC
+        assert err == f"{config}: the closed-form trajectory is not finite\n"
+    else:
+        assert code == EXIT_VALIDATION
+        assert err.startswith(f"validation error: cannot write {tmp_path / target}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "s.json"]
 
 
 def test_run_csv_artifact_is_the_library_csv(tmp_path):

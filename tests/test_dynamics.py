@@ -21,6 +21,7 @@ from recombdyn.dynamics import (
     moebius_sum,
     output_grid,
     product_flow_apply,
+    product_flow_blocks,
     product_flow_grid,
     recombination_table,
     require_stretch_system,
@@ -1034,6 +1035,39 @@ def test_product_flow_grid_in_row_blocks_has_the_row_at_a_time_bytes():
     stack = product_flow_grid(omega, BLOCK_SYSTEM, BLOCK_GRID)
     rows = np.array([product_flow_grid(omega, BLOCK_SYSTEM, [t])[0] for t in BLOCK_GRID])
     assert stack.tobytes() == rows.tobytes()
+
+
+def assert_blocks_make_up(blocks, stack):
+    """The (rows, block) pairs, each copied as it comes, are the row blocks
+    of ``stack`` byte for byte; every block is read-only, and all share one
+    buffer."""
+    seen = []
+    for rows, block in blocks:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        if seen:
+            assert np.shares_memory(block, seen[0][2])
+        seen.append((rows, block.copy(), block))
+    assert [rows for rows, _, _ in seen] == list(row_blocks(*stack.shape))
+    assert np.concatenate([copy for _, copy, _ in seen]).tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("times", [BLOCK_GRID[:40], [0.0]], ids=["three-blocks", "one-row"])
+def test_product_flow_blocks_are_the_grid_stack(times):
+    # 40 rows of 16-row blocks: 16, 16 and 8; and the one-row grid of t_end 0.
+    omega = random_probability(BLOCK_SPACE, 27)
+    blocks = product_flow_blocks(omega, BLOCK_SYSTEM, times)
+    assert_blocks_make_up(blocks, product_flow_grid(omega, BLOCK_SYSTEM, times))
+    assert "reused for the next one" in " ".join(product_flow_blocks.__doc__.split())
+
+
+def test_product_flow_blocks_check_their_input_when_called():
+    omega = random_probability(BLOCK_SPACE, 28)
+    with pytest.raises(ValueError, match="nonnegative"):
+        product_flow_blocks(omega, BLOCK_SYSTEM, [0.0, -1.0])
+    with pytest.raises(ValueError, match="link count"):
+        product_flow_blocks(omega, RateMap.crossover([1.0]), [0.0])
 
 
 def test_product_flow_grid_holds_its_stack_and_one_row_block():

@@ -12,6 +12,7 @@ from recombdyn.generalized import (
     cycle_lengths,
     cyclic_apply,
     flow_coefficients,
+    generalized_flow_blocks,
     generalized_flow_grid,
     gfun,
     gfun_asymptotic_check,
@@ -518,6 +519,29 @@ def test_flow_grid_in_row_blocks_has_the_row_at_a_time_bytes():
     stack = generalized_flow_grid(omega, rates, grid)
     rows = np.array([generalized_flow_grid(omega, rates, [t])[0] for t in grid])
     assert stack.tobytes() == rows.tobytes()
+
+
+def test_flow_blocks_are_the_grid_stack_with_rows_at_time_zero():
+    # 25 rows of 10-row blocks, with t == 0 at rows 0, 12 and 24: one in
+    # each block, and each is omega_0 exactly.
+    rates, omega, _ = block_cycle(33)
+    times = [0.02 * (k % 12) for k in range(25)]
+    stack = generalized_flow_grid(omega, rates, times)
+    for k in (0, 12, 24):
+        assert stack[k].tobytes() == omega.weights.tobytes()
+    seen = []
+    for rows, block in generalized_flow_blocks(omega, rates, times):
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+        if seen:
+            assert np.shares_memory(block, seen[0][2])
+        seen.append((rows, block.copy(), block))
+    assert [(rows.start, rows.stop) for rows, _, _ in seen] == [(0, 10), (10, 20), (20, 25)]
+    assert np.concatenate([copy for _, copy, _ in seen]).tobytes() == stack.tobytes()
+    assert "reused for the next one" in " ".join(generalized_flow_blocks.__doc__.split())
+    with pytest.raises(ValueError, match="nonnegative"):
+        generalized_flow_blocks(omega, rates, [0.0, -1.0])
 
 
 def test_flow_grid_holds_its_stack_and_one_row_block():
