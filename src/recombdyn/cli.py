@@ -7,8 +7,9 @@ weight below -1e-9 |omega_0|, or has drifted in mass by more than
 by more than 1e-6 |omega_0|.
 
 Every artifact is streamed into a temporary file next to its target and
-renamed over it only once complete.  A closed form is computed, checked and
-compared one row block at a time as it is streamed, never held whole.
+renamed over it only once complete.  The writers take the time grid and the
+stack's row blocks: a closed form is computed, checked and compared one row
+block at a time as it is streamed, never held whole.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .dynamics import (
     RateMap,
-    RowBlocks,
-    Trajectory,
     expansion_coefficients,
     output_grid,
     product_flow_blocks,
@@ -344,22 +342,20 @@ def _run_checked(scenario: Scenario, runtime: _Runtime, out_path: Path, fmt: str
         if defect := _invariant_defect(grid, rk4.weights, omega0.mass, bound):
             raise _NumericDefect(f"the rk4 trajectory {defect}")
         if scenario.solver == "rk4":
-            return _write_trajectory(rk4, out_path, fmt)
+            return _write_trajectory(rk4.times, out_path, fmt, [rk4.weights], rk4.space)
     flow = product_flow_blocks if rates.relabel is None else generalized_flow_blocks
     blocks, gaps = flow(omega0, rates, grid), []
 
-    def checked() -> RowBlocks:
+    def checked() -> Iterator[np.ndarray]:
         for rows, block in blocks:
             if rk4 is not None:
                 diff = np.subtract(block, rk4.weights[rows])
                 gaps.extend(np.abs(diff, out=diff).sum(axis=1).tolist())
             if defect := _invariant_defect(grid[rows], block, omega0.mass, bound):
                 raise _NumericDefect(f"the closed-form trajectory {defect}")
-            yield rows, block
+            yield block
 
-    # The writers take the blocks as a trajectory's, each as it is computed.
-    streamed = SimpleNamespace(space=omega0.space, times=grid, blocks=checked())
-    _write_trajectory(streamed, out_path, fmt)
+    _write_trajectory(grid, out_path, fmt, checked(), omega0.space)
     if rk4 is not None:
         tolerance, max_gap = BOTH_MODE_TOLERANCE * total_variation(omega0), max(gaps)
         report = {"times": grid, "gaps": gaps, "max_gap": max_gap, "tolerance": tolerance,
@@ -390,15 +386,16 @@ def _report_path(out_path: Path) -> Path:
     return out_path.with_suffix(out_path.suffix + ".report.json")
 
 
-def _write_trajectory(traj: Trajectory | SimpleNamespace, out_path: Path, fmt: str) -> None:
+def _write_trajectory(times: Sequence[float], out_path: Path, fmt: str,
+                      blocks: Iterable[np.ndarray], space: ProductSpace) -> None:
     # The writers and their word table load with the first artifact.
     from .writers import trajectory_to_csv, trajectory_to_json
 
     with _atomic_stream(out_path) as stream:
         if fmt == "csv":
-            trajectory_to_csv(traj, stream)
+            trajectory_to_csv(stream, times, blocks, space.total_states)
         else:
-            trajectory_to_json(traj, stream)
+            trajectory_to_json(stream, times, blocks)
 
 
 @contextmanager
@@ -495,12 +492,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_coefficients(args: argparse.Namespace) -> int:
-    try:
-        rates = [float(part) for part in args.rates.split(",") if part.strip()]
-    except ValueError:
-        print(f"cannot parse --rates {args.rates!r}", file=sys.stderr)
-        return EXIT_PARSE
-    if not rates or any(r <= 0 or not math.isfinite(r) for r in rates):
+    rates = []
+    for n, part in enumerate(args.rates.split(","), 1):
+        try:
+            rates.append(float(part))
+        except ValueError:
+            what = f"{part!r} is not a number" if part.strip() else "is empty"
+            raise ScenarioParseError(f"--rates {args.rates!r}: field {n} {what}") from None
+    if any(r <= 0 or not math.isfinite(r) for r in rates):
         print("per-link rates must all be positive", file=sys.stderr)
         return EXIT_VALIDATION
     if not (math.isfinite(args.t_end) and math.isfinite(args.t_step)) \
@@ -514,8 +513,10 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
     if cells > MAX_TABLE_CELLS:
         print(f"the table needs over {MAX_TABLE_CELLS} cells", file=sys.stderr)
         return EXIT_VALIDATION
-    subsets = list(all_link_sets(n_links))
     times = [round(k * args.t_step, 12) for k in range(math.floor(steps + 1e-9) + 1)]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ScenarioValidationError(f"t-step {args.t_step:g} repeats times rounded to 12 decimals")
+    subsets = list(all_link_sets(n_links))
     # Columns ascend by bitmask, as all_link_sets does.
     table_a, table_b = expansion_coefficients(RateMap.crossover(rates), times)
 
@@ -527,7 +528,7 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
             header += [f"a{ls.bits}" for ls in subsets]
             header += [f"b{ls.bits}" for ls in subsets]
             stream.write(",".join(header) + "\n")
-            write_csv_rows(stream, times, np.hstack((table_a, table_b)))
+            write_csv_rows(stream, times, [np.hstack((table_a, table_b))])
         else:
             write_json(stream, {"times": np.array(times), "subsets": [ls.bits for ls in subsets],
                                 "a": table_a, "b": table_b})

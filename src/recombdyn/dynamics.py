@@ -194,11 +194,6 @@ class Trajectory:
         object.__setattr__(self, "weights", w)
 
     @property
-    def blocks(self) -> tuple[tuple[slice, np.ndarray]]:
-        """The stack as one (rows, block) pair, as the writers take it."""
-        return ((slice(0, len(self.times)), self.weights),)
-
-    @property
     def states(self) -> tuple[Measure, ...]:
         """Each row as a ``Measure``, copied when read."""
         return tuple(Measure(self.space, row) for row in self.weights)

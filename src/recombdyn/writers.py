@@ -5,8 +5,9 @@ A CSV cell is exactly ``"%.17g" % x``, and a JSON cell exactly what
 in slices of ``_CHUNK_CELLS`` cells, so neither an artifact's text nor one
 wide row's is ever held whole; rows of a stack much shorter than a slice
 share one, and a JSON vector of fewer than ``_FEW_CELLS`` cells goes to
-``json.dumps`` whole.  A trajectory's stack comes as its row ``blocks``,
-each written before the next is read; the bytes do not depend on them.
+``json.dumps`` whole.  One function writes the rows of CSV and JSON alike.
+The writers take a time grid and a stack as its (t, S) row blocks in order,
+each written before the next is read; the bytes do not depend on the split.
 
 Both kinds of cell come from one numpy kernel for 1e-11 <= |x| < 1, a slice
 at a time, in two stages, in float64 alone.
@@ -64,12 +65,11 @@ leading word without its leading zeros.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-from .dynamics import Trajectory
 
 _CHUNK_CELLS = 2048
 # Below this many cells a JSON rounding step costs more than json.dumps does.
@@ -290,79 +290,54 @@ def _index_cells(lo: int, hi: int) -> str:
     return rec.tobytes().translate(None, b"\0").decode()
 
 
-def _write_line(stream: io.TextIOBase, head: str, n_cells: int,
-                cells: Callable[[int, int], str], tail: str) -> None:
-    # ``head``, the text ``cells(lo, hi)`` of each slice of the n_cells cells
-    # and ``tail``; a line of at most _CHUNK_CELLS cells is one write.
-    for lo in range(0, max(n_cells, 1), _CHUNK_CELLS):
-        hi = min(lo + _CHUNK_CELLS, n_cells)
-        stream.write((head if lo == 0 else "") + cells(lo, hi) + (tail if hi == n_cells else ""))
-
-
-def _row_groups(rows: np.ndarray, cells: Callable[[np.ndarray], str]
-                ) -> Iterator[tuple[int, list[str] | None]]:
-    # (first row, texts) per group of the rows of a (T, S) stack.  Rows of at
-    # most half a slice share one call of ``cells``, as many as fill a slice,
-    # and its text is split at the commas into each row's cells, joined by
-    # commas; a longer row is a group of its own, with texts None.
-    n_rows, n_cols = rows.shape
-    if not 0 < n_cols <= _CHUNK_CELLS // 2:
-        yield from ((r, None) for r in range(n_rows))
-        return
-    group = _CHUNK_CELLS // n_cols
-    for lo in range(0, n_rows, group):
-        text = cells(rows[lo:lo + group].ravel()).split(",")
-        yield lo, [",".join(text[i:i + n_cols]) for i in range(1, len(text), n_cols)]
-
-
-def write_csv_row(stream: io.TextIOBase, head: str, values: np.ndarray) -> None:
-    """Write ``head``, ``",%.17g" % v`` per float64 v of ``values`` and a newline."""
-    _write_line(stream, head, len(values), lambda lo, hi: _csv_cells(values[lo:hi]), "\n")
-
-
-def write_csv_rows(stream: io.TextIOBase, times: Sequence[float], rows: np.ndarray) -> None:
-    """Write ``write_csv_row(stream, "%.17g" % t, row)`` for each time and row
-    of the (T, S) stack ``rows``; short rows share a slice of cells.
-    """
-    for lo, texts in _row_groups(rows, _csv_cells):
-        if texts is None:
-            write_csv_row(stream, "%.17g" % times[lo], rows[lo])
-        else:
-            for t, text in zip(times[lo:], texts):
-                stream.write("%.17g,%s\n" % (t, text))
-
-
-def trajectory_to_csv(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write `t,<flat-index columns>` rows of `%.17g` cells by ``write_csv_rows``."""
-    _write_line(stream, "t", traj.space.total_states, _index_cells, "\n")
-    for rows, block in traj.blocks:
-        write_csv_rows(stream, traj.times[rows], block)
-
-
-def _write_json_array(stream: io.TextIOBase, values: np.ndarray) -> None:
-    # ``json.dumps(values.tolist())``, compact, of a float64 vector.  Every
-    # cell's text starts with a comma, and the bracket takes the first one's.
-    if len(values) < _FEW_CELLS:
-        stream.write(json.dumps(values.tolist(), separators=(",", ":")))
-        return
-    _write_line(stream, "[", len(values),
-                lambda lo, hi: _json_cells(values[lo:hi])[1 if lo == 0 else 0:], "]")
-
-
-def _write_json_stack(stream: io.TextIOBase, blocks: Iterable[np.ndarray]) -> None:
-    # The list of the row lists of a stack given as its (t, S) row blocks in
-    # order, short rows of a block several to a slice of cells.
-    stream.write("[")
-    comma = ""
+def _write_rows(stream: io.TextIOBase, blocks: Iterable[np.ndarray],
+                cells: Callable[[np.ndarray], str], heads: Iterable[str], tail: str,
+                sep: str = "") -> None:
+    # Each row of the (t, S) row blocks in order: ``sep`` before every row
+    # but the first, its head from ``heads``, the text of its cells from
+    # ``cells`` without the first comma, and ``tail``.  Rows of at most half
+    # a slice share one call of ``cells``, as many as fill a slice, and each
+    # is one write; a wider row is one write per slice, with its head on the
+    # first and its tail on the last.
+    heads, lead = iter(heads), ""
     for block in blocks:
-        for lo, texts in _row_groups(block, _json_cells):
-            stream.write(comma)
-            comma = ","
-            if texts is None:
-                _write_json_array(stream, block[lo])
-            else:
-                stream.write(",".join("[" + text + "]" for text in texts))
-    stream.write("]")
+        n_rows, n_cols = block.shape
+        if 0 < n_cols <= _CHUNK_CELLS // 2:
+            group = _CHUNK_CELLS // n_cols
+            for lo in range(0, n_rows, group):
+                text = cells(block[lo:lo + group].ravel()).split(",")
+                for i, head in zip(range(1, len(text), n_cols), heads):
+                    stream.write(lead + head + ",".join(text[i:i + n_cols]) + tail)
+                    lead = sep
+            continue
+        for row in block:
+            head = lead + next(heads)
+            for lo in range(0, max(n_cols, 1), _CHUNK_CELLS):
+                hi = min(lo + _CHUNK_CELLS, n_cols)
+                end = tail if hi == n_cols else ""
+                stream.write(head + cells(row[lo:hi])[1 if lo == 0 else 0:] + end)
+                head = ""
+            lead = sep
+
+
+def write_csv_rows(stream: io.TextIOBase, times: Iterable[float],
+                   blocks: Iterable[np.ndarray]) -> None:
+    """Write ``"%.17g" % t``, ``",%.17g" % v`` per cell and a newline for each
+    time t and row of a stack given as its (t, S) row blocks in order.
+    """
+    _write_rows(stream, blocks, _csv_cells, ("%.17g," % t for t in times), "\n")
+
+
+def trajectory_to_csv(stream: io.TextIOBase, times: Sequence[float],
+                      blocks: Iterable[np.ndarray], n_states: int) -> None:
+    """Write a ``t,0,1,...`` header of ``n_states`` indices, then the rows of
+    ``write_csv_rows``; the header is written before the first block is read.
+    """
+    for lo in range(0, max(n_states, 1), _CHUNK_CELLS):
+        hi = min(lo + _CHUNK_CELLS, n_states)
+        end = "\n" if hi == n_states else ""
+        stream.write(("t" if lo == 0 else "") + _index_cells(lo, hi) + end)
+    write_csv_rows(stream, times, blocks)
 
 
 def write_json(stream: io.TextIOBase, fields: dict) -> None:
@@ -374,25 +349,27 @@ def write_json(stream: io.TextIOBase, fields: dict) -> None:
     for n, key in enumerate(sorted(fields)):
         stream.write(("," if n else "{") + json.dumps(key) + ":")
         value = fields[key]
+        if isinstance(value, np.ndarray) and value.ndim == 2:
+            value = iter([value])
         if isinstance(value, Iterator):
-            _write_json_stack(stream, value)
-        elif not isinstance(value, np.ndarray):
-            stream.write(json.dumps(value, separators=(",", ":")))
-        elif value.ndim == 1:
-            _write_json_array(stream, value)
-        else:
-            _write_json_stack(stream, [value])
+            stream.write("[")
+            _write_rows(stream, value, _json_cells, itertools.repeat("["), "]", ",")
+            stream.write("]")
+        elif isinstance(value, np.ndarray) and len(value) >= _FEW_CELLS:
+            _write_rows(stream, [value[None]], _json_cells, ["["], "]")
+        else:  # a short vector goes to json.dumps as its list
+            stream.write(json.dumps(value, separators=(",", ":"), default=np.ndarray.tolist))
     stream.write("}\n")
 
 
-def trajectory_to_json(traj: Trajectory, stream: io.TextIOBase) -> None:
-    """Write a trajectory as compact JSON with sorted keys, by ``write_json``,
-    one row block of ``traj.blocks`` at a time.
+def trajectory_to_json(stream: io.TextIOBase, times: Sequence[float],
+                       blocks: Iterable[np.ndarray]) -> None:
+    """Write a trajectory, its times and the (t, S) row blocks of its stack in
+    order, as compact JSON with sorted keys, by ``write_json``.
 
-    The bytes are those of ``json.dumps({"times": [float(t) for t in
-    traj.times], "states": traj.weights.tolist()}, sort_keys=True,
-    separators=(",", ":"))`` plus a newline, but the text of at most one
-    slice of cells exists at a time.
+    The bytes are those of ``json.dumps({"times": [float(t) for t in times],
+    "states": np.vstack(blocks).tolist()}, sort_keys=True, separators=(",",
+    ":"))`` plus a newline, but the text of at most one slice of cells exists
+    at a time.
     """
-    write_json(stream, {"states": (block for _, block in traj.blocks),
-                        "times": np.array(traj.times, np.float64)})
+    write_json(stream, {"states": iter(blocks), "times": np.array(times, np.float64)})

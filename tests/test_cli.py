@@ -63,7 +63,7 @@ def trajectory_to_json_dict(traj):
 
 def csv_text(traj):
     buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
+    trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     return buf.getvalue()
 
 
@@ -954,7 +954,7 @@ def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
     out = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
-        cli._write_trajectory(traj, out, "csv")
+        cli._write_trajectory(traj.times, out, "csv", [traj.weights], traj.space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -973,7 +973,7 @@ def test_wide_csv_rows_are_written_in_slices(tmp_path):
     out = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
-        cli._write_trajectory(traj, out, "csv")
+        cli._write_trajectory(traj.times, out, "csv", [traj.weights], traj.space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -995,7 +995,7 @@ def test_json_artifact_is_streamed_with_the_whole_text_bytes(tmp_path):
     out = tmp_path / "traj.json"
     tracemalloc.start()
     try:
-        cli._write_trajectory(traj, out, "json")
+        cli._write_trajectory(traj.times, out, "json", [traj.weights], traj.space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1017,7 +1017,7 @@ def test_json_artifact_bytes_follow_the_whole_text_encoder_on_odd_values(tmp_pat
         Trajectory(ProductSpace((1,)), (0.0, 1.0), np.array([[1.0]] * 2)),
     ):
         out = tmp_path / "traj.json"
-        cli._write_trajectory(traj, out, "json")
+        cli._write_trajectory(traj.times, out, "json", [traj.weights], traj.space)
         assert out.read_text() == cli._dump_json(trajectory_to_json_dict(traj))
 
 
@@ -1269,3 +1269,34 @@ def test_coefficients_json_format(tmp_path):
     assert doc["subsets"] == [0, 1, 2, 3]
     for row in doc["a"]:
         assert abs(sum(row) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t_end,t_step", [("1e-12", "1e-13"), ("1e-9", "7e-13")])
+def test_coefficients_rejects_a_step_whose_rounded_times_repeat(tmp_path, capsys, t_end, t_step):
+    # Time k is round(k * t_step, 12): below 1e-12 a step writes rows at
+    # repeated times (1e-9 in steps of 7e-13: 1,429 rows, 1,001 times).
+    out = tmp_path / "c.csv"
+    assert main(["coefficients", "--rates", "1", "--t-end", t_end, "--t-step", t_step,
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert "repeats times" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_end,t_step,n_rows", [("1e-9", "1e-12", 1001), ("0", "1e-13", 1),
+                                                 ("0", "1e-300", 1)])
+def test_coefficients_times_rounded_to_12_decimals_increase(tmp_path, t_end, t_step, n_rows):
+    out = tmp_path / "c.json"
+    assert main(["coefficients", "--rates", "1", "--t-end", t_end, "--t-step", t_step,
+                 "--format", "json", "--out", str(out)]) == EXIT_OK
+    times = json.loads(out.read_text())["times"]
+    assert len(times) == n_rows and times[0] == 0.0
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("rates,field", [("1,,2", 2), (",", 1), ("1,2,", 3), ("1, ,2", 2)])
+def test_coefficients_rejects_an_empty_rate_field(tmp_path, capsys, rates, field):
+    out = tmp_path / "c.csv"
+    assert main(["coefficients", "--rates", rates, "--t-end", "1", "--t-step", "0.5",
+                 "--out", str(out)]) == EXIT_PARSE
+    assert f"field {field} is empty" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""CSV cells: ``write_csv_row`` writes the bytes of ``",%.17g" % v`` per cell."""
+"""CSV cells: ``write_csv_rows`` writes the bytes of ``",%.17g" % v`` per cell."""
 
 import io
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from recombdyn import writers
 from recombdyn.dynamics import Trajectory
 from recombdyn.measure import ProductSpace
-from recombdyn.writers import trajectory_to_csv, write_csv_row
+from recombdyn.writers import trajectory_to_csv, write_csv_rows
 
 # The kernel's range, |x| = 10^u for u uniform in [-12, 0], with either sign.
 FAST = st.builds(lambda neg, u: (-1.0) ** neg * 10.0**u, st.booleans(), st.floats(-12.0, 0.0))
@@ -20,12 +20,12 @@ FAST = st.builds(lambda neg, u: (-1.0) ** neg * 10.0**u, st.booleans(), st.float
 
 def written(values):
     buf = io.StringIO()
-    write_csv_row(buf, "t", np.array(values, dtype=np.float64))
+    write_csv_rows(buf, [0.0], [np.array([values], dtype=np.float64)])
     return buf.getvalue()
 
 
 def expected(values):
-    return "t" + "".join(",%.17g" % v for v in values) + "\n"
+    return "0" + "".join(",%.17g" % v for v in values) + "\n"
 
 
 def assert_cells_match(values):
@@ -221,7 +221,7 @@ def test_short_rows_share_one_kernel_call(monkeypatch):
     cells = writers._csv_cells
     monkeypatch.setattr(writers, "_csv_cells", counting)
     buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
+    trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     assert calls == [12 * 51]
     assert buf.getvalue() == "t" + "".join(",%d" % i for i in range(12)) + "\n" + "".join(
         "%.17g" % t + "".join(",%.17g" % v for v in row) + "\n" for t, row in zip(times, traj.weights))
@@ -229,7 +229,7 @@ def test_short_rows_share_one_kernel_call(monkeypatch):
     calls.clear()
     rows = rng.dirichlet(np.ones(300), 13)
     buf = io.StringIO()
-    writers.write_csv_rows(buf, times[:13], rows)
+    writers.write_csv_rows(buf, times[:13], [rows])
     assert calls == [1800, 1800, 300]
     assert buf.getvalue() == "".join(
         "%.17g" % t + "".join(",%.17g" % v for v in row) + "\n" for t, row in zip(times, rows))

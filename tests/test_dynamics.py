@@ -1189,7 +1189,7 @@ def test_rk4_step_holds_no_early_stage_through_the_last():
 
 def csv_text(traj):
     buf = io.StringIO()
-    trajectory_to_csv(traj, buf)
+    trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     return buf.getvalue()
 
 
@@ -1250,7 +1250,7 @@ def test_trajectory_json_mirror():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.2, h=0.1)
     buf = io.StringIO()
-    trajectory_to_json(traj, buf)
+    trajectory_to_json(buf, traj.times, [traj.weights])
     round_tripped = json.loads(buf.getvalue())
     assert set(round_tripped) == {"times", "states"}
     assert round_tripped["times"] == list(traj.times)
