@@ -500,19 +500,16 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
             what = f"{part!r} is not a number" if part.strip() else "is empty"
             raise ScenarioParseError(f"--rates {args.rates!r}: field {n} {what}") from None
     if any(r <= 0 or not math.isfinite(r) for r in rates):
-        print("per-link rates must all be positive", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioValidationError("per-link rates must all be positive")
     if not (math.isfinite(args.t_end) and math.isfinite(args.t_step)) \
             or args.t_end < 0 or args.t_step <= 0:
-        print("need finite t-end >= 0 and t-step > 0", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioValidationError("need finite t-end >= 0 and t-step > 0")
     n_links = len(rates)
     # An upper bound of the time count below, checked before any loop runs.
     steps = args.t_end / args.t_step
     cells = (math.floor(steps) + 2) << n_links if math.isfinite(steps) else math.inf
     if cells > MAX_TABLE_CELLS:
-        print(f"the table needs over {MAX_TABLE_CELLS} cells", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ScenarioValidationError(f"the table needs over {MAX_TABLE_CELLS} cells")
     times = [round(k * args.t_step, 12) for k in range(math.floor(steps + 1e-9) + 1)]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ScenarioValidationError(f"t-step {args.t_step:g} repeats times rounded to 12 decimals")

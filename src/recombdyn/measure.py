@@ -194,6 +194,7 @@ def random_probability(space: ProductSpace, seed: int | np.random.Generator) -> 
     """Strictly positive probability measure, deterministic in the seed; a
     ``np.random.Generator`` given as the seed is drawn from as it is."""
     rng = np.random.default_rng(seed)
-    w = rng.random(space.total_states) + 0.05
+    w = rng.random(space.total_states)
+    w += 0.05
     w /= w.sum()
     return Measure(space, w)

@@ -55,6 +55,54 @@ def _require_full_chain(omega: Measure, operation: str) -> None:
         raise ValueError(f"{operation} acts on measures over the full chain")
 
 
+# numpy sums fewer addends than this in a plain loop, first to last; see
+# ``recombine_weights`` for the column paths below it.
+_SHORT_LOOP = 8
+# A column costs one numpy call (~1 us), and each cell's short inner loop it
+# saves ~5-15 ns, so a column of fewer cells is left to numpy's one call.
+_COLUMN_CELLS = 1024
+
+
+def _block_marginal(tensor_view: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Each row's marginal on the contiguous axes ``axes`` of a (T, *sizes)
+    view, as (T, S): ``tensor_view.sum`` over the other axes, bit for bit.
+
+    Seen as (T, L, S, R), a block with 2 <= R < 8, S > 1 and at least
+    1,024 cells in T * L * S adds its R trailing columns first to last and
+    leaves L to ``sum``, whose +0.0 start also turns an all -0.0 cell into
+    numpy's +0.0.  With S = 1 numpy folds L and R into one pairwise sum, so
+    that block stays numpy's.
+    """
+    shape = tensor_view.shape
+    first, stop = axes[0] + 1, axes[-1] + 2
+    size, trail = math.prod(shape[first:stop]), math.prod(shape[stop:])
+    if 1 < trail < _SHORT_LOOP and size > 1 and tensor_view.size >= trail * _COLUMN_CELLS:
+        v = tensor_view.reshape(shape[0], -1, size, trail)
+        cells = np.add(v[..., 0], v[..., 1])
+        for j in range(2, trail):
+            cells += v[..., j]
+        return cells.sum(axis=1)
+    drop = (*range(1, first), *range(stop, len(shape)))
+    reduced = tensor_view.sum(axis=drop) if drop else tensor_view
+    return reduced.reshape(shape[0], size)
+
+
+def _outer_rows(head: np.ndarray, factor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's outer product of a (T, H) head and a (T, F) factor, flat
+    as (T, H * F), into ``out`` if given.  A factor of fewer than 8 states
+    is written one column per state when the head has 1,024 cells or more;
+    every cell is the same one rounded product either way."""
+    (n_rows, h), f = head.shape, factor.shape[1]
+    if f >= _SHORT_LOOP or head.size < _COLUMN_CELLS:
+        cells = None if out is None else out.reshape(n_rows, h, f)
+        return np.multiply(head[:, :, None], factor[:, None, :], out=cells).reshape(n_rows, h * f)
+    out = np.empty((n_rows, h * f)) if out is None else out
+    cells = out.reshape(n_rows, h, f)
+    for j in range(f):
+        np.multiply(head, factor[:, j:j + 1], out=cells[..., j])
+    return out
+
+
 def recombine_weights(
     w: np.ndarray,
     sizes: tuple[int, ...],
@@ -68,6 +116,17 @@ def recombine_weights(
     own division of the later factors by |w|.  A vector is the one-row case.
     The result goes into ``out``, a contiguous array of ``w``'s shape that
     does not overlap ``w``, when one is given.
+
+    Short axes go column by column, with numpy's arithmetic in numpy's
+    order, so every cell keeps the bits of ``sum`` and of the broadcast
+    product.  A block followed by 2-7 states per cell (a cut near the end
+    of a small alphabet's chain) adds those trailing columns one by one,
+    and a middle or last factor of 1-7 states is multiplied in one column
+    per state.  8 is where numpy stops summing in a plain loop and starts
+    its pairwise sum, so a longer extent, and the last block's own marginal
+    (a sum over the leading axes), stay numpy's.  So does a column of fewer
+    than 1,024 cells (a small space, few rows), where one numpy call per
+    column costs more than the short loops it saves.
     """
     rows = w.reshape(-1, w.shape[-1])
     n_rows = rows.shape[0]
@@ -75,11 +134,7 @@ def recombine_weights(
     result = np.empty(rows.shape) if out is None else out.reshape(rows.shape)
     tv = np.abs(rows, out=result).sum(axis=1)
     tensor_view = rows.reshape((n_rows, *sizes))
-    marginals = []
-    for axes in blocks:
-        drop = tuple(1 + ax for ax in range(len(sizes)) if ax not in axes)
-        reduced = tensor_view.sum(axis=drop) if drop else tensor_view
-        marginals.append(reduced.reshape(n_rows, math.prod(reduced.shape[1:])))
+    marginals = [_block_marginal(tensor_view, axes) for axes in blocks]
     if len(marginals) == 1:
         result[:] = marginals[0]
     else:
@@ -90,11 +145,8 @@ def recombine_weights(
         scale = np.maximum(tv, ZERO_TOTAL_VARIATION)[:, None]
         head = marginals[0]
         for m in marginals[1:-1]:
-            width = head.shape[1] * m.shape[1]
-            head = (head[:, :, None] * (m / scale)[:, None, :]).reshape(n_rows, width)
-        last = marginals[-1] / scale
-        np.multiply(head[:, :, None], last[:, None, :],
-                    out=result.reshape(n_rows, head.shape[1], last.shape[1]))
+            head = _outer_rows(head, m / scale)
+        _outer_rows(head, marginals[-1] / scale, result)
     result[tv < ZERO_TOTAL_VARIATION] = 0.0
     return result.reshape(w.shape)
 

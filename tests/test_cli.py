@@ -1202,17 +1202,20 @@ def test_coefficients_two_links_quarters(tmp_path):
     assert abs(sum(a_values) - 1.0) <= 1e-12
 
 
-def test_coefficients_rejects_nonpositive_rate(tmp_path):
+def test_coefficients_rejects_nonpositive_rate(tmp_path, capsys):
     assert main(["coefficients", "--rates", "1.0,0.0", "--t-end", "1",
                  "--t-step", "0.5", "--out", str(tmp_path / "c.csv")]) \
         == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: per-link rates must all be positive\n"
 
 
 @pytest.mark.parametrize("t_end,t_step", [("inf", "0.5"), ("1", "nan")])
-def test_coefficients_rejects_non_finite_times(tmp_path, t_end, t_step):
+def test_coefficients_rejects_non_finite_times(tmp_path, capsys, t_end, t_step):
     assert main(["coefficients", "--rates", "1.0", "--t-end", t_end,
                  "--t-step", t_step, "--out", str(tmp_path / "c.csv")]) \
         == EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        "validation error: need finite t-end >= 0 and t-step > 0\n"
 
 
 @pytest.mark.parametrize(
@@ -1220,12 +1223,14 @@ def test_coefficients_rejects_non_finite_times(tmp_path, t_end, t_step):
     [(",".join(["1.0"] * 25), "0.5"), ("1.0", "1e-9")],
     ids=["25-links", "tiny-t-step"],
 )
-def test_coefficients_rejects_tables_past_the_cap(tmp_path, rates, t_step):
+def test_coefficients_rejects_tables_past_the_cap(tmp_path, capsys, rates, t_step):
     # The bound is checked before any time or link set is enumerated.
     out = tmp_path / "c.csv"
     assert main(["coefficients", "--rates", rates, "--t-end", "1",
                  "--t-step", t_step, "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
+    assert capsys.readouterr().err == \
+        f"validation error: the table needs over {cli.MAX_TABLE_CELLS} cells\n"
 
 
 def test_coefficients_json_bytes_are_the_whole_table_encoder(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from recombdyn import recombinator
 from recombdyn.lattice import LinkSet, all_link_sets, partition_of
 from recombdyn.measure import Measure, ProductSpace, random_probability, total_variation
 from recombdyn.recombinator import (
@@ -301,3 +302,101 @@ def test_recombine_rows_matches_recombine_row_by_row():
     assert recombine_rows(stack, space, LinkSet.empty(2)) is stack
     with pytest.raises(ValueError):
         recombine_rows(stack, space, LinkSet.full(3))
+
+
+def numpy_recombination(w, sizes, blocks):
+    """The recombinator as numpy alone forms it: each marginal one
+    ``sum`` over the dropped axes, each product one broadcast multiply."""
+    rows = w.reshape(-1, w.shape[-1])
+    n_rows = rows.shape[0]
+    tv = np.abs(rows).sum(axis=1)
+    tensor_view = rows.reshape((n_rows, *sizes))
+    marginals = []
+    for axes in blocks:
+        drop = tuple(1 + ax for ax in range(len(sizes)) if ax not in axes)
+        marginals.append(tensor_view.sum(axis=drop).reshape(n_rows, -1))
+    scale = np.maximum(tv, ZERO_TOTAL_VARIATION)[:, None]
+    head = marginals[0]
+    for m in marginals[1:-1]:
+        head = (head[:, :, None] * (m / scale)[:, None, :]).reshape(n_rows, -1)
+    last = marginals[-1] / scale
+    result = (head[:, :, None] * last[:, None, :]).reshape(n_rows, -1)
+    result[tv < ZERO_TOTAL_VARIATION] = 0.0
+    return result.reshape(w.shape)
+
+
+def column_weights(sizes, n_rows, signed, seed):
+    """Rows whose sums depend on the order of their addends: magnitudes over
+    20 decades, signed or positive.  A signed stack has a slab of -0.0 where
+    axes 2 and 3 are (0, 0), so the marginal there is a sum of -0.0 alone."""
+    rng = np.random.default_rng(seed)
+    n_states = int(np.prod(sizes))
+    w = rng.random((n_rows, n_states)) * 10.0 ** rng.uniform(-10, 10, (n_rows, n_states))
+    if signed:
+        w *= rng.choice([-1.0, 1.0], w.shape)
+        w.reshape((n_rows, *sizes))[:, :, :, 0, 0] = -0.0
+    return w if n_rows > 1 else w[0]
+
+
+def assert_recombines_as_numpy(w, sizes, cut):
+    blocks = partition_of(LinkSet.from_indices(cut, len(sizes) - 1), len(sizes)).blocks
+    expected = numpy_recombination(w, sizes, blocks)
+    out = np.full_like(w, np.nan)
+    for got in (recombine_weights(w, sizes, blocks), recombine_weights(w, sizes, blocks, out)):
+        assert got.tobytes() == expected.tobytes()
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.fixture
+def every_column(monkeypatch):
+    """Columns of any length take the column paths, so that these small
+    stacks test them, not numpy's own call."""
+    monkeypatch.setattr(recombinator, "_COLUMN_CELLS", 1)
+
+
+@pytest.mark.usefixtures("every_column")
+@pytest.mark.parametrize("trail", [(2, 2), (2, 3), (3, 2), (7,)], ids=str)
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("n_rows", [1, 5])
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+def test_short_trailing_sums_keep_numpy_bits(trail, position, n_rows, signed):
+    # A (3, 4) block followed by 2-7 trailing states sums them column by
+    # column: as the first block, or as a middle one after a cut-off (2, 3)
+    # lead.  "last" cuts every link, so that the blocks just before the
+    # chain's last block sum short trailing extents too, and the last
+    # block's own marginal (a sum over its leading axes) follows them.
+    sizes = (2, 3, 3, 4) + trail
+    cut = {"first": [3], "middle": [1, 3], "last": range(len(sizes) - 1)}[position]
+    w = column_weights(sizes, n_rows, signed, seed=len(trail) + 10 * n_rows)
+    assert_recombines_as_numpy(w, sizes, cut)
+    # The order of the addends shows in these weights: adding a cell's
+    # trailing states last to first gives other bits than numpy's first to
+    # last, so a numpy that changed its order would fail above.
+    v = w.reshape(-1, int(np.prod(trail)))
+    assert v.cumsum(axis=1)[:, -1].tobytes() != v[:, ::-1].cumsum(axis=1)[:, -1].tobytes()
+
+
+@pytest.mark.usefixtures("every_column")
+@pytest.mark.parametrize("states", range(1, 8))
+@pytest.mark.parametrize("position", ["middle", "last"])
+def test_short_factors_keep_numpy_bits(states, position):
+    # A middle or last factor of 1-7 states is multiplied one column per
+    # state; each cell is the broadcast's one rounded product.  A middle
+    # block of one state sums its 12 x 5 other states as numpy does, in
+    # one pairwise sum, not as 12 short trailing sums.
+    sizes, cut = {"middle": ((3, 4, states, 5), [1, 2]), "last": ((3, 4, 9, states), [2])}[position]
+    for n_rows in (1, 5):
+        for signed in (False, True):
+            w = column_weights(sizes, n_rows, signed, seed=states + 10 * n_rows)
+            assert_recombines_as_numpy(w, sizes, cut)
+
+
+@pytest.mark.parametrize("sizes,cut", [((4,) * 7, [5]), ((4,) * 7, [4, 5]), ((2,) * 11, [8, 9])],
+                         ids=["4^7-[5]", "4^7-[4,5]", "2^11-[8,9]"])
+def test_wide_columns_keep_numpy_bits(sizes, cut):
+    # Two rows of these spaces give every short column 1,024 cells or more,
+    # so blocks followed by 2 or 4 states and factors of 2 or 4 states take
+    # the column paths without the ``every_column`` fixture.
+    for signed in (False, True):
+        w = column_weights(sizes, 2, signed, seed=len(cut))
+        assert_recombines_as_numpy(w, sizes, cut)
