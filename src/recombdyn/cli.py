@@ -6,8 +6,9 @@ weight below -1e-9 |omega_0|, or has drifted in mass by more than
 1e-9 |omega_0| (then nothing is written), or `both` mode's solvers disagree
 by more than 1e-6 |omega_0|.
 
-Every artifact is streamed into a temporary file next to its target and
-renamed over it only once complete.  The writers take the time grid and the
+Every artifact is streamed as bytes into a temporary file next to its target
+and renamed over it only once complete; a target that exists and is not a
+regular file is a validation error.  The writers take the time grid and the
 stack's row blocks: a closed form is computed, checked and compared one row
 block at a time as it is streamed, never held whole.
 """
@@ -18,11 +19,12 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -194,9 +196,11 @@ def _float_range_int(text: str) -> int:
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"{path}: not UTF-8 at byte {exc.start}") from exc
     try:
         doc = json.loads(
             text,
@@ -210,6 +214,9 @@ def load_scenario(path: str | Path) -> Scenario:
         ) from exc
     except ValueError as exc:
         raise ScenarioParseError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        # The parser recurses once per level of nesting.
+        raise ScenarioParseError(f"{path}: JSON nested too deeply") from exc
     return Scenario.from_dict(doc)
 
 
@@ -361,7 +368,7 @@ def _run_checked(scenario: Scenario, runtime: _Runtime, out_path: Path, fmt: str
         report = {"times": grid, "gaps": gaps, "max_gap": max_gap, "tolerance": tolerance,
                   "passed": max_gap <= tolerance}
         with _atomic_stream(_report_path(out_path)) as stream:
-            stream.write(_dump_json(report))
+            stream.write(_dump_json(report).encode())
         if not report["passed"]:
             raise _NumericDefect(
                 f"closed form and rk4 disagree by {max_gap:.3e} (tolerance {tolerance:.3e})"
@@ -399,16 +406,27 @@ def _write_trajectory(times: Sequence[float], out_path: Path, fmt: str,
 
 
 @contextmanager
-def _atomic_stream(path: Path) -> Iterator[TextIO]:
-    # The whole artifact or nothing: the block writes to a temp file that
-    # replaces ``path`` only when the block completes, so readers never see a
-    # partial file, and an interrupted write leaves neither a truncated
-    # artifact nor its temp file.  A path that cannot be written (a directory,
-    # or under a regular file) is a validation error naming it.
+def _atomic_stream(path: Path) -> Iterator[BinaryIO]:
+    # The whole artifact or nothing: the block writes to a binary temp file
+    # that replaces ``path`` only when the block completes, so readers never
+    # see a partial file, and an interrupted write leaves neither a truncated
+    # artifact nor its temp file.  A path that cannot be written (a
+    # directory, or under a regular file) or that names anything but a
+    # regular file (a FIFO, a device or a symlink, which the rename would
+    # replace) is a validation error naming it.
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        stream = open(tmp, "x")
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+    else:
+        if not stat.S_ISREG(mode):
+            raise ScenarioValidationError(f"cannot write {path}: not a regular file")
+    try:
+        stream = open(tmp, "xb")
     except OSError as exc:
         raise _unwritable(path, exc) from exc
     try:
@@ -480,7 +498,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     text = _dump_json(report)
     if args.out:
         with _atomic_stream(Path(args.out)) as stream:
-            stream.write(text)
+            stream.write(text.encode())
     else:
         sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_PROPERTY
@@ -524,7 +542,7 @@ def _cmd_coefficients(args: argparse.Namespace) -> int:
             header = ["t"]
             header += [f"a{ls.bits}" for ls in subsets]
             header += [f"b{ls.bits}" for ls in subsets]
-            stream.write(",".join(header) + "\n")
+            stream.write((",".join(header) + "\n").encode())
             write_csv_rows(stream, times, [np.hstack((table_a, table_b))])
         else:
             write_json(stream, {"times": np.array(times), "subsets": [ls.bits for ls in subsets],

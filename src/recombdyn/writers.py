@@ -1,13 +1,22 @@
 """Text writers: trajectories and coefficient tables as CSV and JSON.
 
-A CSV cell is exactly ``"%.17g" % x``, and a JSON cell exactly what
-``json.dumps`` writes for x: ``repr(x)`` for a finite x.  Every line goes out
-in slices of ``_CHUNK_CELLS`` cells, so neither an artifact's text nor one
-wide row's is ever held whole; rows of a stack much shorter than a slice
-share one, and a JSON vector of fewer than ``_FEW_CELLS`` cells goes to
-``json.dumps`` whole.  One function writes the rows of CSV and JSON alike.
-The writers take a time grid and a stack as its (t, S) row blocks in order,
-each written before the next is read; the bytes do not depend on the split.
+The writers write ASCII bytes to a binary stream.  A CSV cell is exactly
+``"%.17g" % x``, and a JSON cell exactly what ``json.dumps`` writes for x:
+``repr(x)`` for a finite x.  Every line goes out in slices of
+``_CHUNK_CELLS`` cells, so neither an artifact's text nor one wide row's is
+ever held whole; rows of a stack much shorter than a slice share one, and a
+JSON vector of fewer than ``_FEW_CELLS`` cells goes to ``json.dumps`` whole.
+One function writes the rows of CSV and JSON alike.  The writers take a time
+grid and a stack as its (t, S) row blocks in order, each written before the
+next is read; the bytes do not depend on the split.
+
+Memory, not arithmetic, sets the slice: the kernel below holds at most ~56
+bytes a cell at once.  Its digit stage holds seven arrays of a cell's size,
+six of them float64 (~49 bytes); its render stage fills a 28-byte record a
+cell, and ``bytearray.translate`` allocates its output at the record's
+length before it shrinks to the ~23 bytes of text, so that the record and
+the output make 56.  A slice of 3,072 cells then holds ~172 KB, under an
+eighth of the text of a 4^8 row; 4,096 cells would hold ~230 KB.
 
 Both kinds of cell come from one numpy kernel for 1e-11 <= |x| < 1, a slice
 at a time, in two stages, in float64 alone.
@@ -36,7 +45,9 @@ The render stage writes each cell as a record of 7 four-byte words with NUL
 pad bytes: ",-0." or ",-d.", the zeros of fixed notation and the first
 digit, four 4-digit words (the last nonzero one without its trailing zeros)
 and "e-XX", each from a table.  Python's formatting fills the records of the
-cells the kernel does not prove, space-padded, and the pads are dropped.
+cells the kernel does not prove, space-padded, and the pads are dropped: the
+record is a bytearray, and its translation is the slice's text as it is
+written.
 
 A JSON cell is the shortest digit string that reads back as x, and of those
 the nearest to x, laid out as `%.17g` lays out its digits: in this range
@@ -64,14 +75,13 @@ leading word without its leading zeros.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-_CHUNK_CELLS = 2048
+_CHUNK_CELLS = 3072
 # Below this many cells a JSON rounding step costs more than json.dumps does.
 _FEW_CELLS = 16
 
@@ -118,27 +128,34 @@ _WORDS = np.concatenate((
 # least v with 1, 2, 3 and 4 digits.
 _SHOWN = np.array([0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], "<u4")
 _DECADES = np.array([1, 10, 100, 1000])
+# The "e-XX" word by k = 16 - X (NUL for the fixed notation).
+_E_WORDS = _WORDS.take(20907 - np.arange(28), mode="clip")
 del _d, _neg, _dot, _x, _d0, _e, _fixed
 
 
 def _digits(x: np.ndarray, signed: bool):
     # The digit stage: (fast, D, k, f).  ``fast`` marks the cells with
     # 1e-11 <= |x| < 1 whose D (and, if ``signed``, the sign of f and the
-    # distances of ``_shortest``) are proven.
+    # distances of ``_shortest``) are proven.  At most seven arrays of a
+    # cell's size are alive at once: the mask and six of 8 bytes.
     a = np.abs(x)
     fast = (a >= 1e-11) & (a < 1.0)
     np.copyto(a, 0.5, where=~fast)
     k = np.minimum(16 - np.floor(np.log10(a)).astype(np.intp), 27)
     p = _P10.take(k, mode="clip")
     p *= a
-    hi = a * _SPLIT  # the halves of |x|
-    lo = hi - a
-    hi -= lo
-    np.subtract(a, hi, out=lo)
-    a *= _P10_REST.take(k, mode="clip")
+    # |x| L, on the cells with k > 22 alone: elsewhere L = 0, and adding
+    # 0 changes no bit of D or f.
+    far = np.flatnonzero(k > _EXACT_K)
+    rest = a[far] * _P10_REST.take(k[far])
+    hi = a * _SPLIT  # the halves of |x|; a becomes the low one
+    part = hi - a
+    hi -= part
+    a -= hi
+    lo = a
     # e = ((hi P_hi - p) + lo P_hi + hi P_lo) + lo P_lo, in this order, is
     # exact at every step (Dekker).
-    part = _P10_HI.take(k, mode="clip")
+    _P10_HI.take(k, out=part, mode="clip")
     e = hi * part
     e -= p
     part *= lo
@@ -148,91 +165,98 @@ def _digits(x: np.ndarray, signed: bool):
     e += hi
     lo *= part
     e += lo
-    del hi, lo, part
-    e += a  # s
-    np.rint(e, out=a)
-    e -= a  # f
+    del hi, part
+    e[far] += rest  # s
+    np.rint(e, out=lo)
+    e -= lo  # f
     d = p.astype(np.int64)
-    d += a.astype(np.int64)
     del p
-    np.abs(e, out=a)
+    d += lo.astype(np.int64)
+    np.abs(e, out=lo)
     band = _BAND.take(k, mode="clip")
     if signed:
-        np.minimum(a, 0.5 - a, out=a)
+        np.minimum(lo, 0.5 - lo, out=lo)
     else:
-        np.subtract(0.5, a, out=a)
-    fast &= a >= band
+        np.subtract(0.5, lo, out=lo)
+    fast &= lo >= band
     fast &= (d > 10**16) & (d < 10**17)
     return fast, d, k, e
 
 
 def _render(x: np.ndarray, stage: Callable[[], tuple],
-            slow_cells: Callable[[np.ndarray], str]) -> str:
+            slow_cells: Callable[[np.ndarray], bytes]) -> bytearray:
     # The render stage: the text of each cell of x, from the 17 digits D and
     # the k of the cells that ``stage()`` = (fast, D, k) proves, and from
-    # ``slow_cells`` (28 characters a cell) for the others.  The stage runs
-    # here, so that its arrays are freed before the text is made.
+    # ``slow_cells`` (a 28-byte record a cell) for the others.  The stage
+    # runs here, so that its arrays are freed before the record exists.
+    # While the record is filled a cell holds at most 26 more bytes, fewer
+    # than the 28 that translating it takes.
     fast, d, k = stage()
-    k = k.astype(np.int32)
     top = d // 100_000_000  # the first 9 of the 17 digits
     d -= top * 100_000_000
     low = d.astype(np.int32)  # the last 8
-    top = top.astype(np.int32)
     del d
-    rec = np.empty((len(x), 7), "<u4")
     first = top // 100_000_000
-    mid = top
-    mid -= first * 100_000_000  # the 8 digits after the first
-    low_nz = low != 0
+    top -= first * 100_000_000
+    mid = top.astype(np.int32)  # the 8 digits after the first
+    del top
     # The head word has its point when any digit after the first is nonzero.
-    i = 20270 - 10 * k  # + 220 neg + 110 point + first digit
+    k8 = k.astype(np.int8)  # k in a byte while the record is filled
+    i = k  # 20270 - 10 k + 220 neg + 110 point + first digit
+    i *= -10
+    i += 20270
     i += first
-    np.add(i, 110, out=i, where=low_nz | (mid != 0))
-    np.add(i, 220, out=i, where=np.signbit(x))
-    del first
+    del k, first
+    i += 110 * ((low != 0) | (mid != 0))
+    i += 220 * np.signbit(x)
+    record = bytearray(28 * len(x))
+    rec = np.frombuffer(record, "<u4").reshape(-1, 7)
     rec[:, 0] = _WORDS.take(i, mode="clip")
     i += 440
     rec[:, 1] = _WORDS.take(i, mode="clip")
-    np.subtract(20907, k, out=i)
-    rec[:, 6] = _WORDS.take(i, mode="clip")
-    del k, i
+    del i
+    rec[:, 6] = _E_WORDS.take(k8.astype(np.intp), mode="clip")
+    del k8
     # A word keeps its trailing zeros (offset 10000) when a later digit is
     # nonzero.
     later = np.int32(10000)
-    hi = low // 10_000
-    low -= hi * 10_000
+    word = low // 10_000
+    low -= word * 10_000
     rec[:, 5] = _WORDS.take(low)
-    rec[:, 4] = _WORDS.take(hi + (low != 0) * later)
-    hi = mid // 10_000
-    mid -= hi * 10_000
-    rec[:, 3] = _WORDS.take(mid + low_nz * later)
-    rec[:, 2] = _WORDS.take(hi + (low_nz | (mid != 0)) * later)
-    del hi, low, mid, low_nz
+    word += (low != 0) * later
+    rec[:, 4] = _WORDS.take(word)
+    low_nz = word != 0
+    del low
+    word = mid // 10_000
+    mid -= word * 10_000
+    mid += low_nz * later
+    rec[:, 3] = _WORDS.take(mid)
+    word += (mid != 0) * later
+    rec[:, 2] = _WORDS.take(word)
+    del word, mid, low_nz
     slow = np.flatnonzero(~fast)
     del fast
     if slow.size:
-        rec[slow] = np.frombuffer(slow_cells(x[slow]).encode(), "<u4").reshape(-1, 7)
-    data = rec.tobytes()
+        rec[slow] = np.frombuffer(slow_cells(x[slow]), "<u4").reshape(-1, 7)
     del rec
-    data = data.translate(None, b"\0 ")
-    return data.decode()
+    return record.translate(None, b"\0 ")
 
 
-def _percent_cells(values: np.ndarray) -> str:
-    return ",%-27.17g" * len(values) % tuple(values.tolist())
+def _percent_cells(values: np.ndarray) -> bytes:
+    return (",%-27.17g" * len(values) % tuple(values.tolist())).encode()
 
 
-def _json_dumps_cells(values: np.ndarray) -> str:
+def _json_dumps_cells(values: np.ndarray) -> bytes:
     cells = json.dumps(values.tolist(), separators=(",", ":"))[1:-1].split(",")
-    return ",%-27s" * len(cells) % tuple(cells)
+    return (",%-27s" * len(cells) % tuple(cells)).encode()
 
 
-def _csv_cells(x: np.ndarray) -> str:
+def _csv_cells(x: np.ndarray) -> bytearray:
     # ``",%.17g" % v`` for each float64 v of x, joined.
     return _render(x, lambda: _digits(x, signed=False)[:3], _percent_cells)
 
 
-def _json_cells(x: np.ndarray) -> str:
+def _json_cells(x: np.ndarray) -> bytearray:
     # "," + ``json.dumps(v)`` for each float64 v of x, joined.
     return _render(x, lambda: _shortest(x), _json_dumps_cells)
 
@@ -271,8 +295,8 @@ def _shortest(x: np.ndarray) -> tuple:
     return fast, shortest, k
 
 
-def _index_cells(lo: int, hi: int) -> str:
-    # ",%d" % i for each i in range(lo, hi), joined: 4 digits a word, the
+def _index_cells(lo: int, hi: int) -> bytes:
+    # b",%d" % i for each i in range(lo, hi), joined: 4 digits a word, the
     # leading word without its leading zeros.
     i = np.arange(lo, hi)
     rec = np.empty((hi - lo, (len(str(max(hi - 1, 0))) + 7) // 4), "<u4")
@@ -287,82 +311,85 @@ def _index_cells(lo: int, hi: int) -> str:
         i = rest
     if lo == 0 < hi:
         rec[0, -1] = 48  # "0": the one index whose leading word is 0
-    return rec.tobytes().translate(None, b"\0").decode()
+    return rec.tobytes().translate(None, b"\0")
 
 
-def _write_rows(stream: io.TextIOBase, blocks: Iterable[np.ndarray],
-                cells: Callable[[np.ndarray], str], heads: Iterable[str], tail: str,
-                sep: str = "") -> None:
+def _write_rows(stream: BinaryIO, blocks: Iterable[np.ndarray],
+                cells: Callable[[np.ndarray], bytearray], heads: Iterable[bytes], tail: bytes,
+                sep: bytes = b"") -> None:
     # Each row of the (t, S) row blocks in order: ``sep`` before every row
     # but the first, its head from ``heads``, the text of its cells from
     # ``cells`` without the first comma, and ``tail``.  Rows of at most half
     # a slice share one call of ``cells``, as many as fill a slice, and each
-    # is one write; a wider row is one write per slice, with its head on the
-    # first and its tail on the last.
-    heads, lead = iter(heads), ""
+    # is one write; a wider row writes its head, the text of each slice and
+    # its tail, and copies none of them.
+    heads, lead = iter(heads), b""
     for block in blocks:
         n_rows, n_cols = block.shape
         if 0 < n_cols <= _CHUNK_CELLS // 2:
             group = _CHUNK_CELLS // n_cols
             for lo in range(0, n_rows, group):
-                text = cells(block[lo:lo + group].ravel()).split(",")
-                for i, head in zip(range(1, len(text), n_cols), heads):
-                    stream.write(lead + head + ",".join(text[i:i + n_cols]) + tail)
+                text = memoryview(cells(block[lo:lo + group].ravel()))
+                # The comma before each row's first cell: no cell holds one.
+                starts = np.flatnonzero(np.frombuffer(text, np.uint8) == 44)[::n_cols].tolist()
+                for start, end, head in zip(starts, starts[1:] + [len(text)], heads):
+                    stream.write(b"".join((lead, head, text[start + 1:end], tail)))
                     lead = sep
+                del text  # before the next slice is made
             continue
         for row in block:
-            head = lead + next(heads)
+            stream.write(lead + next(heads))
             for lo in range(0, max(n_cols, 1), _CHUNK_CELLS):
-                hi = min(lo + _CHUNK_CELLS, n_cols)
-                end = tail if hi == n_cols else ""
-                stream.write(head + cells(row[lo:hi])[1 if lo == 0 else 0:] + end)
-                head = ""
+                stream.write(memoryview(cells(row[lo:lo + _CHUNK_CELLS]))[0 if lo else 1:])
+            stream.write(tail)
             lead = sep
 
 
-def write_csv_rows(stream: io.TextIOBase, times: Iterable[float],
+def write_csv_rows(stream: BinaryIO, times: Iterable[float],
                    blocks: Iterable[np.ndarray]) -> None:
     """Write ``"%.17g" % t``, ``",%.17g" % v`` per cell and a newline for each
-    time t and row of a stack given as its (t, S) row blocks in order.
+    time t and row of a stack given as its (t, S) row blocks in order, to a
+    binary stream.
     """
-    _write_rows(stream, blocks, _csv_cells, ("%.17g," % t for t in times), "\n")
+    _write_rows(stream, blocks, _csv_cells, (b"%.17g," % t for t in times), b"\n")
 
 
-def trajectory_to_csv(stream: io.TextIOBase, times: Sequence[float],
+def trajectory_to_csv(stream: BinaryIO, times: Sequence[float],
                       blocks: Iterable[np.ndarray], n_states: int) -> None:
     """Write a ``t,0,1,...`` header of ``n_states`` indices, then the rows of
     ``write_csv_rows``; the header is written before the first block is read.
     """
     for lo in range(0, max(n_states, 1), _CHUNK_CELLS):
         hi = min(lo + _CHUNK_CELLS, n_states)
-        end = "\n" if hi == n_states else ""
-        stream.write(("t" if lo == 0 else "") + _index_cells(lo, hi) + end)
+        end = b"\n" if hi == n_states else b""
+        stream.write((b"t" if lo == 0 else b"") + _index_cells(lo, hi) + end)
     write_csv_rows(stream, times, blocks)
 
 
-def write_json(stream: io.TextIOBase, fields: dict) -> None:
+def write_json(stream: BinaryIO, fields: dict) -> None:
     """Write ``json.dumps(fields, sort_keys=True, separators=(",", ":"))`` and a
-    newline, where a float64 vector or (T, S) stack, or an iterator of the
-    (t, S) row blocks of a stack, stands for its ``tolist()`` and is written
-    a slice of cells at a time.
+    newline to a binary stream, where a float64 vector or (T, S) stack, or an
+    iterator of the (t, S) row blocks of a stack, stands for its ``tolist()``
+    and is written a slice of cells at a time.
     """
     for n, key in enumerate(sorted(fields)):
-        stream.write(("," if n else "{") + json.dumps(key) + ":")
+        stream.write((b"," if n else b"{") + json.dumps(key).encode() + b":")
         value = fields[key]
         if isinstance(value, np.ndarray) and value.ndim == 2:
             value = iter([value])
         if isinstance(value, Iterator):
-            stream.write("[")
-            _write_rows(stream, value, _json_cells, itertools.repeat("["), "]", ",")
-            stream.write("]")
+            stream.write(b"[")
+            _write_rows(stream, value, _json_cells, itertools.repeat(b"["), b"]", b",")
+            stream.write(b"]")
         elif isinstance(value, np.ndarray) and len(value) >= _FEW_CELLS:
-            _write_rows(stream, [value[None]], _json_cells, ["["], "]")
+            _write_rows(stream, [value[None]], _json_cells, [b"["], b"]")
         else:  # a short vector goes to json.dumps as its list
-            stream.write(json.dumps(value, separators=(",", ":"), default=np.ndarray.tolist))
-    stream.write("}\n")
+            text = json.dumps(value, separators=(",", ":"), default=np.ndarray.tolist)
+            stream.write(text.encode())
+    stream.write(b"}\n")
 
 
-def trajectory_to_json(stream: io.TextIOBase, times: Sequence[float],
+def trajectory_to_json(stream: BinaryIO, times: Sequence[float],
                        blocks: Iterable[np.ndarray]) -> None:
     """Write a trajectory, its times and the (t, S) row blocks of its stack in
     order, as compact JSON with sorted keys, by ``write_json``.

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -62,7 +63,7 @@ def trajectory_to_json_dict(traj):
 
 
 def csv_text(traj):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     return buf.getvalue()
 
@@ -337,7 +338,7 @@ def test_run_product_flow_keeps_the_document_order(tmp_path, kind):
     rates = RateMap(4, tuple((LinkSet.from_indices(l, 4), r) for l, r in entries))
     grid = output_grid(1.0, 0.001, 100)
     flow = product_flow_grid(random_probability(space, 11), rates, grid)
-    assert out.read_text() == csv_text(Trajectory(space, grid, flow))
+    assert out.read_bytes() == csv_text(Trajectory(space, grid, flow))
 
 
 def test_run_parse_failures(tmp_path):
@@ -569,7 +570,7 @@ def test_run_cyclic_rk4_is_rk4_integrate_of_the_relabeled_map(tmp_path):
     space = ProductSpace((6, 2, 2))
     rates = RateMap(2, ((LinkSet.from_indices([0], 2), 0.8),), perm)
     traj = rk4_integrate(random_probability(space, 11), rates, 0.3, 0.01, 10)
-    assert out.read_bytes() == csv_text(traj).encode()
+    assert out.read_bytes() == csv_text(traj)
 
 
 def test_run_cyclic_closed_form_is_generalized_flow_grid_of_the_relabeled_map(tmp_path):
@@ -586,7 +587,7 @@ def test_run_cyclic_closed_form_is_generalized_flow_grid_of_the_relabeled_map(tm
     rates = RateMap(2, ((LinkSet.from_indices([0], 2), 0.8),), perm)
     grid = output_grid(0.3, 0.01, 10)
     traj = Trajectory(omega0.space, grid, generalized_flow_grid(omega0, rates, grid))
-    assert out.read_bytes() == csv_text(traj).encode()
+    assert out.read_bytes() == csv_text(traj)
 
 
 @pytest.mark.parametrize("sizes,links,perm,rate,message", [
@@ -725,6 +726,25 @@ def test_run_batch_reports_failures_in_config_order(tmp_path, capsys):
     assert lines[1].startswith(f"{second}: validation error")
 
 
+def test_run_batch_reports_undecodable_and_deeply_nested_documents(tmp_path, capsys):
+    # A document nested past the parser's recursion limit and one that is
+    # not UTF-8 are parse errors of their own scenarios, listed first; the
+    # valid scenario after them still writes its artifact.
+    deep, latin, good = tmp_path / "deep.json", tmp_path / "latin.json", tmp_path / "ok.json"
+    deep.write_text("[" * 1000 + "]" * 1000)
+    latin.write_bytes(b'{"sizes": [2, 2], "note": "caf\xe9"}')
+    write_scenario(good)
+    out_dir = tmp_path / "batch"
+    code = main(["run", "--out", str(out_dir), "--config", str(deep), "--config", str(latin),
+                 "--config", str(good)])
+    assert code == EXIT_PARSE
+    assert sorted(p.name for p in out_dir.iterdir()) == ["ok.csv", "ok.csv.report.json"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == f"{deep}: parse error: {deep}: JSON nested too deeply"
+    assert lines[1] == f"{latin}: parse error: {latin}: not UTF-8 at byte 30"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_run_batch_rejects_colliding_outputs(tmp_path, capsys, fmt):
     (tmp_path / "a").mkdir()
@@ -831,6 +851,36 @@ def test_unwritable_output_is_validation_error(tmp_path, capsys, argv, target):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"validation error: cannot write {out / target}")
     assert sorted(p.name for p in out.rglob("*")) == ["file", "taken"]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{cfg}", "--out", "{target}"],
+        ["verify", "--suite", "generalized", "--out", "{target}"],
+        ["coefficients", "--rates", "1,2", "--t-end", "1", "--t-step", "0.5", "--out", "{target}"],
+    ],
+    ids=["run", "verify", "coefficients"],
+)
+def test_output_that_is_no_regular_file_is_validation_error(tmp_path, capsys, kind, argv):
+    # Renaming the temp file over a FIFO or a symlink would replace it with
+    # a regular file: the target is left as it was.
+    write_scenario(tmp_path / "s.json", solver="closed-form")
+    target, real = tmp_path / "target", tmp_path / "real.csv"
+    real.write_text("old")
+    if kind == "fifo":
+        os.mkfifo(target)
+    else:
+        target.symlink_to(real)
+    argv = [a.format(cfg=tmp_path / "s.json", target=target) for a in argv]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"validation error: cannot write {target}: not a regular file"]
+    mode = os.lstat(target).st_mode
+    assert stat.S_ISFIFO(mode) if kind == "fifo" else os.readlink(target) == str(real)
+    assert real.read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["real.csv", "s.json", "target"]
 
 
 def test_batch_unwritable_output_fails_only_its_scenario(tmp_path, capsys):
@@ -941,7 +991,7 @@ def test_run_csv_artifact_is_the_library_csv(tmp_path):
     traj = Trajectory(omega0.space, tuple(grid),
                       np.array([product_flow_grid(omega0, RateMap.crossover(per_link), [t])[0]
                                 for t in grid]))
-    assert out.read_text() == csv_text(traj)
+    assert out.read_bytes() == csv_text(traj)
 
 
 def test_csv_artifact_is_streamed_not_built_in_memory(tmp_path):
@@ -977,9 +1027,9 @@ def test_wide_csv_rows_are_written_in_slices(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    text = out.read_text()
+    text = out.read_bytes()
     assert text == csv_text(traj)
-    row = len(text.split("\n")[1])
+    row = len(text.split(b"\n")[1])
     assert row > 1_000_000
     assert peak < row / 8, (peak, row)
 

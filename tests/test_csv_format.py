@@ -19,21 +19,21 @@ FAST = st.builds(lambda neg, u: (-1.0) ** neg * 10.0**u, st.booleans(), st.float
 
 
 def written(values):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_csv_rows(buf, [0.0], [np.array([values], dtype=np.float64)])
     return buf.getvalue()
 
 
 def expected(values):
-    return "0" + "".join(",%.17g" % v for v in values) + "\n"
+    return ("0" + "".join(",%.17g" % v for v in values) + "\n").encode()
 
 
 def assert_cells_match(values):
     # Cell by cell, so a failure names the value.
     got = written(values)
-    assert got.endswith("\n")
-    for v, cell in zip(values, got[:-1].split(",")[1:]):
-        assert cell == "%.17g" % v, (v, cell)
+    assert got.endswith(b"\n")
+    for v, cell in zip(values, got[:-1].split(b",")[1:]):
+        assert cell == b"%.17g" % v, (v, cell)
     assert got == expected(values)
 
 
@@ -95,10 +95,11 @@ def outside_values(width):
     return values[:width]
 
 
-@pytest.mark.parametrize("width", [len(OUTSIDE), writers._CHUNK_CELLS + 1])
+# 2,049 cells spanned two slices of the first slice width, 2,048.
+@pytest.mark.parametrize("width", sorted({len(OUTSIDE), 2049, writers._CHUNK_CELLS + 1}))
 def test_cells_outside_the_kernel_range_take_percent(monkeypatch, width):
     # Exactly the cells outside [1e-11, 1) reach `%`, in order, in a short
-    # row and in one that spans two slices.
+    # row, in one wider than half a slice and in one that spans two slices.
     values = outside_values(width)
     slow = []
 
@@ -202,7 +203,7 @@ def test_index_header_cells_are_percent_d():
     # from short ranges only.
     for lo, hi in ((0, 0), (0, 1), (0, 12), (9_990, 10_010), (99_999_990, 100_000_010),
                    (123_456_789_000, 123_456_789_003), (10**12 - 2, 10**12 + 2)):
-        assert writers._index_cells(lo, hi) == "".join(",%d" % i for i in range(lo, hi)), (lo, hi)
+        assert writers._index_cells(lo, hi) == b"".join(b",%d" % i for i in range(lo, hi)), (lo, hi)
 
 
 def test_short_rows_share_one_kernel_call(monkeypatch):
@@ -220,16 +221,17 @@ def test_short_rows_share_one_kernel_call(monkeypatch):
 
     cells = writers._csv_cells
     monkeypatch.setattr(writers, "_csv_cells", counting)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     assert calls == [12 * 51]
-    assert buf.getvalue() == "t" + "".join(",%d" % i for i in range(12)) + "\n" + "".join(
-        "%.17g" % t + "".join(",%.17g" % v for v in row) + "\n" for t, row in zip(times, traj.weights))
-    # Rows of 300 cells, six to a slice of at most 2,048.
+    assert buf.getvalue() == b"t" + b"".join(b",%d" % i for i in range(12)) + b"\n" + b"".join(
+        b"%.17g" % t + b"".join(b",%.17g" % v for v in row) + b"\n" for t, row in zip(times, traj.weights))
+    # Rows of 300 cells, as many to a slice as fit in one.
     calls.clear()
     rows = rng.dirichlet(np.ones(300), 13)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     writers.write_csv_rows(buf, times[:13], [rows])
-    assert calls == [1800, 1800, 300]
-    assert buf.getvalue() == "".join(
-        "%.17g" % t + "".join(",%.17g" % v for v in row) + "\n" for t, row in zip(times, rows))
+    group = writers._CHUNK_CELLS // 300
+    assert calls == [300 * min(group, 13 - lo) for lo in range(0, 13, group)]
+    assert buf.getvalue() == b"".join(
+        b"%.17g" % t + b"".join(b",%.17g" % v for v in row) + b"\n" for t, row in zip(times, rows))

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from recombdyn import dynamics
+from recombdyn import dynamics, writers
 from recombdyn.dynamics import (
     ROW_BLOCK_CELLS,
     RateMap,
@@ -1188,7 +1188,7 @@ def test_rk4_step_holds_no_early_stage_through_the_last():
 
 
 def csv_text(traj):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     return buf.getvalue()
 
@@ -1197,11 +1197,11 @@ def test_trajectory_csv_round_trip():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.3, h=0.1)
     text = csv_text(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t," + ",".join(str(i) for i in range(4))
+    lines = text.strip().split(b"\n")
+    assert lines[0] == b"t," + b",".join(b"%d" % i for i in range(4))
     assert len(lines) == len(traj) + 1
     for line, (t, state) in zip(lines[1:], zip(traj.times, traj.states)):
-        cells = [float(x) for x in line.split(",")]
+        cells = [float(x) for x in line.split(b",")]
         assert cells[0] == t
         np.testing.assert_array_equal(np.array(cells[1:]), state.weights)
 
@@ -1224,15 +1224,21 @@ def test_trajectory_csv_golden_format():
     expected = "t," + ",".join(str(i) for i in range(12)) + "\n"
     for t, w in zip(times, rows):
         expected += ",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in np.asarray(w)]) + "\n"
-    assert csv_text(traj) == expected
+    assert csv_text(traj) == expected.encode()
     first_row = expected.split("\n")[1].split(",")
     assert first_row[1:8] == ["0", "-0", "4.9406564584124654e-324", "1e-300",
                               "1.0000000000000001e-05", "9.9999999999999991e-05", "0.0001"]
     assert first_row[9:] == ["1", "10000000000000000", "1e+17", "-3.2000000000000002e-17"]
 
 
-@pytest.mark.parametrize("sizes", [(1023,), (1024,), (1025,), (3,) * 7],
-                         ids=["1023", "1024", "1025", "2187"])
+# Widths next to half a slice and a slice of cells: of 2,048 cells, the first
+# slice width, and of the writers' own.
+SLICE_EDGES = sorted({1023, 1024, 1025, writers._CHUNK_CELLS // 2, writers._CHUNK_CELLS // 2 + 1,
+                      writers._CHUNK_CELLS, writers._CHUNK_CELLS + 1})
+
+
+@pytest.mark.parametrize("sizes", [(n,) for n in SLICE_EDGES] + [(3,) * 7],
+                         ids=[str(n) for n in SLICE_EDGES] + ["2187"])
 def test_trajectory_csv_slices_join_into_whole_lines(sizes):
     # Lines narrower, as wide as and wider than one slice of cells are the
     # per-element formatting of the whole line, golden values included.
@@ -1243,13 +1249,13 @@ def test_trajectory_csv_slices_join_into_whole_lines(sizes):
     expected = "t," + ",".join(str(i) for i in range(space.total_states)) + "\n"
     for t, w in zip(traj.times, rows):
         expected += ",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in w]) + "\n"
-    assert csv_text(traj) == expected
+    assert csv_text(traj) == expected.encode()
 
 
 def test_trajectory_json_mirror():
     omega = random_probability(SPACE, 1)
     traj = rk4_integrate(omega, RateMap.single(CUT, 1.0), t_end=0.2, h=0.1)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     trajectory_to_json(buf, traj.times, [traj.weights])
     round_tripped = json.loads(buf.getvalue())
     assert set(round_tripped) == {"times", "states"}

@@ -48,15 +48,21 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# (rows, cells): rows wider than a slice of 2,048 cells, and narrow rows
-# that the JSON writer formats several at a time.
-SHAPES = {"wide": (3, 2500, 1), "narrow": (7, 300, 11)}
+# (rows, cells): rows wider than a slice of 2,048 cells, the slice width when
+# these digests were recorded; rows wider than two slices of 3,072 cells,
+# recorded with the text writers of 2,048-cell slices; and narrow rows that
+# the writers format several at a time.
+SHAPES = {"wide": (3, 2500, 1), "wider": (2, 7000, 21), "narrow": (7, 300, 11)}
 
 WRITTEN = {
     ("wide", "csv"):
         "0de085a18da7c287eab1eb20075e939715dbc6cc4bb44fecee1c493770d352ec",
     ("wide", "json"):
         "00783ac3588c9cab09d5371f306e019b4b0488f48df4b1a2217a51449f21b99e",
+    ("wider", "csv"):
+        "e19be9f13003317cb75004780864d77f291640b82ce7c4d2a6b67184b2b5c330",
+    ("wider", "json"):
+        "b884a78c76ff91a84b7aab6951e51845a5f3093405d58235ee11aa6ebc313f68",
     ("narrow", "csv"):
         "caeab0fe7a9037dea2112a67d0d28cb9b6dc4bcb1551bbf10289233c0822b54b",
     ("narrow", "json"):
@@ -66,13 +72,13 @@ WRITTEN = {
 
 @pytest.mark.parametrize("shape,fmt", sorted(WRITTEN))
 def test_trajectory_bytes_are_golden(shape, fmt):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     traj = trajectory(*SHAPES[shape])
     if fmt == "csv":
         trajectory_to_csv(buf, traj.times, [traj.weights], traj.space.total_states)
     else:
         trajectory_to_json(buf, traj.times, [traj.weights])
-    assert digest(buf.getvalue().encode()) == WRITTEN[shape, fmt]
+    assert digest(buf.getvalue()) == WRITTEN[shape, fmt]
 
 
 COEFFICIENTS = ["coefficients", "--rates", "0.7,1.3,0.25,2.1,0.9", "--t-end", "2",

@@ -16,27 +16,27 @@ from test_csv_format import (FAST, OUTSIDE, decade_neighbours, dyadic_ties, outs
 
 
 def written(values):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_json(buf, {"x": np.array(values, dtype=np.float64)})
     return buf.getvalue()
 
 
 def expected(values):
-    return json.dumps({"x": [float(v) for v in values]}, separators=(",", ":")) + "\n"
+    return (json.dumps({"x": [float(v) for v in values]}, separators=(",", ":")) + "\n").encode()
 
 
 def assert_cells_match(values):
     # Cell by cell, so a failure names the value; the kernel's text too, as
     # a vector of fewer than _FEW_CELLS cells is written without it.
     got = written(values)
-    assert got.startswith('{"x":[') and got.endswith("]}\n")
-    for v, cell in zip(values, got[6:-3].split(",")):
-        assert cell == json.dumps(v), (v, cell)
+    assert got.startswith(b'{"x":[') and got.endswith(b"]}\n")
+    for v, cell in zip(values, got[6:-3].split(b",")):
+        assert cell == json.dumps(v).encode(), (v, cell)
     assert got == expected(values)
     kernel = writers._json_cells(np.array(values, dtype=np.float64))
-    for v, cell in zip(values, kernel.split(",")[1:]):
-        assert cell == json.dumps(v), (v, cell)
-    assert kernel == "".join("," + json.dumps(v) for v in values)
+    for v, cell in zip(values, kernel.split(b",")[1:]):
+        assert cell == json.dumps(v).encode(), (v, cell)
+    assert kernel == "".join("," + json.dumps(v) for v in values).encode()
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -82,15 +82,17 @@ def test_wide_rows_and_stacks_are_json_dumps():
     # Rows longer than a slice, stacks whose rows share the kernel (and the
     # split of its text), and empty ones.
     rng = np.random.default_rng(9)
+    half = writers._CHUNK_CELLS // 2
     for rows, cols in ((3, 2 * writers._CHUNK_CELLS + 3), (40, 7), (5, 1024), (2, 1025),
+                       (5, half), (2, half + 1), (2, 2 * half), (2, 2 * half + 1),
                        (1, 1), (0, 4), (3, 0)):
         stack = rng.dirichlet(np.ones(max(cols, 1)), rows)[:, :cols]
-        buf = io.StringIO()
+        buf = io.BytesIO()
         sums = stack.sum(axis=1)
         write_json(buf, {"b": stack, "a": [rows, cols], "t": sums})
-        assert buf.getvalue() == json.dumps(
+        assert buf.getvalue() == (json.dumps(
             {"b": stack.tolist(), "a": [rows, cols], "t": sums.tolist()},
-            sort_keys=True, separators=(",", ":")) + "\n"
+            sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def test_exact_ties_past_a_double_power_of_ten(monkeypatch):
@@ -118,7 +120,8 @@ def test_a_wider_doubt_band_moves_no_byte(monkeypatch):
     assert_cells_match(values.tolist())
 
 
-@pytest.mark.parametrize("width", [len(OUTSIDE), writers._CHUNK_CELLS + 1])
+# 2,049 cells spanned two slices of the first slice width, 2,048.
+@pytest.mark.parametrize("width", sorted({len(OUTSIDE), 2049, writers._CHUNK_CELLS + 1}))
 def test_cells_outside_the_kernel_range_take_json_dumps(monkeypatch, width):
     # The cells outside [1e-11, 1) reach json's encoder, in a vector the
     # kernel writes and in the kernel's own text.  Near the end of the
@@ -133,7 +136,8 @@ def test_cells_outside_the_kernel_range_take_json_dumps(monkeypatch, width):
     dumps = writers._json_dumps_cells
     monkeypatch.setattr(writers, "_json_dumps_cells", counting)
     assert written(values) == expected(values)
-    assert writers._json_cells(np.array(values)) == "".join("," + json.dumps(v) for v in values)
+    assert writers._json_cells(np.array(values)) == "".join(
+        "," + json.dumps(v) for v in values).encode()
     assert {repr(v) for v in values if not 1e-11 <= abs(v) < 1.0} <= {repr(v) for v in encoded}
 
 
@@ -157,7 +161,7 @@ def test_kernel_range_cells_take_the_fast_path(monkeypatch):
     # Only cells the kernel cannot prove reach json's encoder: powers of two,
     # distances within the doubt band of half an ulp (k > 22) and the last
     # few cells still being shortened, under 1 % of weights in [1e-11, 1)
-    # (0 of these 2,048).  A kernel that proves none still writes the same
+    # (0 of these 3,072).  A kernel that proves none still writes the same
     # bytes, so this counts them.
     slow = []
 

@@ -46,6 +46,13 @@ def test_readme_caps_are_the_code_caps():
     }
 
 
+def test_readme_slice_width_is_the_writers_slice_width():
+    from recombdyn import writers
+
+    stated = re.findall(r"slices of ([\d,]+) cells", " ".join(README.read_text().split()))
+    assert stated and {int(n.replace(",", "")) for n in stated} == {writers._CHUNK_CELLS}, stated
+
+
 def test_readme_call_forms_are_package_names():
     # Every `name(...)` and every backticked type name `Name` of the prose
     # names something the package defines, so a deleted or renamed function

@@ -16,7 +16,10 @@ from recombdyn import writers
 from recombdyn.writers import trajectory_to_csv, trajectory_to_json, write_csv_rows
 
 # Rows per width: enough for several groups of short rows, or a few wide rows.
-WIDTHS = {7: 700, 1024: 9, 1025: 4, 2048: 3, 2049: 3}
+# The widths next to half a slice and a slice follow the slice width.
+HALF = writers._CHUNK_CELLS // 2
+WIDTHS = {7: 700, 1024: 9, 1025: 4, 2048: 3, 2049: 3,
+          HALF: 9, HALF + 1: 4, 2 * HALF: 3, 2 * HALF + 1: 3}
 
 
 def stack(n_rows, width, seed):
@@ -46,7 +49,7 @@ WRITERS = ["trajectory_to_csv", "trajectory_to_json", "write_csv_rows"]
 
 
 def written(writer, times, blocks, width):
-    buf = io.StringIO()
+    buf = io.BytesIO()
     if writer == "trajectory_to_csv":
         trajectory_to_csv(buf, times, blocks, width)
     elif writer == "trajectory_to_json":
@@ -64,8 +67,8 @@ def test_any_split_into_row_blocks_writes_the_one_block_bytes(writer, width):
     times = [k / 7 for k in range(n_rows)]
     whole = written(writer, times, [rows], width)
     if writer == "trajectory_to_json":
-        assert whole == json.dumps({"times": times, "states": rows.tolist()},
-                                   sort_keys=True, separators=(",", ":")) + "\n"
+        assert whole == (json.dumps({"times": times, "states": rows.tolist()},
+                                    sort_keys=True, separators=(",", ":")) + "\n").encode()
     rng = np.random.default_rng(width + 1)
     for counts in splits(n_rows, width, rng):
         assert sum(counts) == n_rows and min(counts) > 0
