@@ -39,7 +39,7 @@ from .dynamics import (
 from .generalized import cycle_lengths, generalized_flow_blocks, require_cyclic_map
 from .lattice import LinkSet, all_link_sets
 from .measure import Measure, ProductSpace, is_positive, random_probability, total_variation
-from .recombinator import ZERO_TOTAL_VARIATION
+from .recombinator import POSITIVITY_TOL, ZERO_TOTAL_VARIATION
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -262,7 +262,7 @@ def _build_runtime(scenario: Scenario) -> _Runtime:
                 f"space has {space.total_states} states"
             )
         omega0 = Measure(space, np.asarray(weights, dtype=np.float64))
-        if not is_positive(omega0, 1e-12):
+        if not is_positive(omega0, POSITIVITY_TOL):
             raise ScenarioValidationError("initial weights must form a positive measure")
         with np.errstate(over="ignore"):  # an overflowing total is the error below
             total = omega0.mass

@@ -76,7 +76,6 @@ from .lattice import (
     LinkSet,
     all_link_sets,
     moebius_sign,
-    partition_of,
     stretches_disjoint,
     supersets_of,
 )
@@ -245,7 +244,7 @@ def _field_terms(space: ProductSpace, rates: RateMap) -> _FieldTerms:
     # In bitmask order, whatever the map's order: the field's sums take
     # their terms in this order, so it fixes the bits.
     terms = [
-        (rate, partition_of(links, space.n_nodes).blocks)
+        (rate, links.blocks)
         for links, rate in sorted(rates.entries, key=lambda entry: entry[0].bits)
         if rate != 0.0
     ]

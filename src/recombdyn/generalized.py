@@ -47,7 +47,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dynamics import RateMap, RowBlocks, compile_field, nonnegative_times, row_blocks
-from .lattice import partition_of
 from .measure import Measure, ProductSpace
 from .recombinator import recombine, require_positive
 
@@ -146,8 +145,7 @@ def require_cyclic_map(rates: RateMap, space: ProductSpace) -> None:
     if rates.relabel is None:
         raise ValueError("a cyclic map needs a relabeling")
     [(cuts, rho)] = rates.entries
-    block0 = partition_of(cuts, space.n_nodes).blocks[0]
-    block0_states = math.prod(space.sizes[ax] for ax in block0)
+    block0_states = math.prod(space.sizes[ax] for ax in cuts.blocks[0])
     if len(rates.relabel) != block0_states:
         raise ValueError(
             f"permutation must reorder the {block0_states} states of the first block, "
@@ -218,7 +216,7 @@ def generalized_flow_blocks(omega0: Measure, rates: RateMap, times: Sequence[flo
     """
     require_cyclic_map(rates, omega0.space)
     times = nonnegative_times(times)
-    require_positive(omega0, "generalized_flow_grid")
+    require_positive(omega0, "the cyclic flow")
     return _flow_blocks(omega0, rates, times)
 
 

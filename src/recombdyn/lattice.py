@@ -3,7 +3,9 @@
 A chain of ``n + 1`` nodes has ``n`` links, one between each adjacent pair;
 link ``i`` separates node ``i`` from node ``i + 1``.  Link subsets are stored
 as bitmasks and correspond one-to-one to ordered partitions of the node range
-into contiguous blocks: cut the chain at every link in the subset.  The
+into contiguous blocks: cut the chain at every link in the subset.
+``LinkSet.blocks`` gives a set's blocks, cached per set, and
+``refines(fine, coarse)`` orders two partitions of one chain.  The
 Boolean lattice of link subsets carries the inclusion-exclusion combinatorics
 used by the flow expansions downstream.
 """
@@ -82,9 +84,11 @@ class LinkSet:
         self._require_same_universe(other)
         return self.bits & ~other.bits == 0
 
-    def blocks(self, n_nodes: int) -> tuple[tuple[int, ...], ...]:
-        """Node blocks of ``partition_of(self, n_nodes)``, cached per set."""
-        return _cached_blocks(self.bits, n_nodes)
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The contiguous node blocks of the chain of ``n_links + 1`` nodes
+        cut at the set's links, in chain order, cached per set."""
+        return _cached_blocks(self.bits, self.n_links)
 
     __or__ = union
 
@@ -92,59 +96,13 @@ class LinkSet:
         return f"LinkSet({list(self.indices)}, n_links={self.n_links})"
 
 
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Contiguous ordered blocks covering the node range ``{0, ..., n-1}``."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("a partition needs at least one block")
-        expected = 0
-        for block in self.blocks:
-            if not block:
-                raise ValueError("blocks must be nonempty")
-            if list(block) != list(range(expected, expected + len(block))):
-                raise ValueError(
-                    f"block {block} breaks the contiguous ordered coverage"
-                )
-            expected = block[-1] + 1
-
-    @property
-    def n_nodes(self) -> int:
-        return self.blocks[-1][-1] + 1
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def refines(self, coarser: "OrderedPartition") -> bool:
-        """True iff every block of self lies inside one block of ``coarser``."""
-        if self.n_nodes != coarser.n_nodes:
-            raise ValueError("partitions cover different node ranges")
-        owner = {}
-        for b, block in enumerate(coarser.blocks):
-            for node in block:
-                owner[node] = b
-        return all(owner[block[0]] == owner[block[-1]] for block in self.blocks)
-
-
-def partition_of(links: LinkSet, n_nodes: int) -> OrderedPartition:
-    """Ordered partition of ``{0, ..., n_nodes-1}`` cut at the given links."""
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be at least 1")
-    if links.n_links != n_nodes - 1:
-        raise ValueError(
-            f"a chain of {n_nodes} nodes has {n_nodes - 1} links, "
-            f"got a set over {links.n_links}"
-        )
-    blocks = []
-    start = 0
-    for cut in links.indices:
-        blocks.append(tuple(range(start, cut + 1)))
-        start = cut + 1
-    blocks.append(tuple(range(start, n_nodes)))
-    return OrderedPartition(tuple(blocks))
+def refines(fine: tuple[tuple[int, ...], ...], coarse: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff every block of ``fine`` lies inside one block of ``coarse``;
+    both are the ``LinkSet.blocks`` of one chain."""
+    if fine[-1][-1] != coarse[-1][-1]:
+        raise ValueError("partitions cover different node ranges")
+    owner = {node: b for b, block in enumerate(coarse) for node in block}
+    return all(owner[block[0]] == owner[block[-1]] for block in fine)
 
 
 def stretches_disjoint(a: LinkSet, b: LinkSet) -> bool:
@@ -193,6 +151,7 @@ def all_link_sets(n_links: int) -> Iterator[LinkSet]:
 
 
 @lru_cache(maxsize=8192)
-def _cached_blocks(bits: int, n_nodes: int) -> tuple[tuple[int, ...], ...]:
-    # Shared by the recombination hot paths; keyed on plain ints for hashing.
-    return partition_of(LinkSet(bits, n_nodes - 1), n_nodes).blocks
+def _cached_blocks(bits: int, n_links: int) -> tuple[tuple[int, ...], ...]:
+    # Shared by every block lookup; keyed on plain ints for hashing.
+    bounds = [0, *(i + 1 for i in range(n_links) if bits >> i & 1), n_links + 1]
+    return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))

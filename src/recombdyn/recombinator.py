@@ -36,14 +36,12 @@ ZERO_TOTAL_VARIATION = 1e-300
 POSITIVITY_TOL = 1e-12
 
 
-def require_positive(
-    omega: Measure | np.ndarray, operation: str, tol: float = POSITIVITY_TOL
-) -> None:
+def require_positive(omega: Measure | np.ndarray, operation: str) -> None:
     """Raise unless every weight of a measure, a weight vector or a (T, S)
-    stack is at least ``-tol``."""
+    stack is at least ``-POSITIVITY_TOL``."""
     w = omega.weights if isinstance(omega, Measure) else omega
     low = float(w.min())
-    if not low >= -tol:
+    if not low >= -POSITIVITY_TOL:
         raise ValueError(
             f"{operation} is defined on positive measures only "
             f"(min weight {low:.3e})"
@@ -109,7 +107,8 @@ def recombine_weights(
     blocks: tuple[tuple[int, ...], ...],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw-array recombination along precomputed axis blocks (hot path).
+    """Raw-array recombination along precomputed axis blocks, a cut set's
+    ``LinkSet.blocks`` (hot path).
 
     ``w`` is one flat weight vector or a (T, S) stack of them.  Every row is
     recombined in the same pass with its own |w|: its own zero rule and its
@@ -165,7 +164,7 @@ def recombine_rows(w: np.ndarray, space: ProductSpace, links: LinkSet,
         )
     if len(links) == 0:
         return w
-    return recombine_weights(w, space.sizes, links.blocks(space.n_nodes), out)
+    return recombine_weights(w, space.sizes, links.blocks, out)
 
 
 def recombine(omega: Measure, links: LinkSet) -> Measure:

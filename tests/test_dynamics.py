@@ -112,7 +112,7 @@ def reference_field(space, rates, w):
     """sum_G rho_G (R_G(w) - w), one recombine_weights call per term."""
     out = np.zeros_like(w)
     for links, rate in bitmask_order(rates):
-        out += rate * (recombine_weights(w, space.sizes, links.blocks(space.n_nodes)) - w)
+        out += rate * (recombine_weights(w, space.sizes, links.blocks) - w)
     return out
 
 
@@ -190,7 +190,7 @@ def stacked_reference_field(space, rates, w):
     for v in x:
         tv += abs(v)
     live = tv >= ZERO_TOTAL_VARIATION
-    terms = [(rate, links.blocks(space.n_nodes)) for links, rate in bitmask_order(rates) if rate != 0.0]
+    terms = [(rate, links.blocks) for links, rate in bitmask_order(rates) if rate != 0.0]
     target = list(range(n))
     if rates.relabel is not None:
         rest = n // len(rates.relabel)
@@ -322,7 +322,7 @@ def outer_product_field(space, rates):
     shared block's marginal per term gives the same bits.)
     """
     sizes = space.sizes
-    terms = [(rate, links.blocks(space.n_nodes)) for links, rate in bitmask_order(rates) if rate != 0.0]
+    terms = [(rate, links.blocks) for links, rate in bitmask_order(rates) if rate != 0.0]
     total_rate = math.fsum(rate for rate, _ in terms)
     inverse = slice(None) if rates.relabel is None else np.argsort(rates.relabel)
 

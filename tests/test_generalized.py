@@ -544,6 +544,14 @@ def test_flow_blocks_are_the_grid_stack_with_rows_at_time_zero():
         generalized_flow_blocks(omega, rates, [0.0, -1.0])
 
 
+def test_cyclic_flow_names_itself_on_a_signed_measure():
+    rates, omega, grid = block_cycle(34)
+    signed = Measure(omega.space, omega.weights - 2.0 / omega.space.total_states)
+    for flow in (generalized_flow_blocks, generalized_flow_grid):
+        with pytest.raises(ValueError, match="^the cyclic flow is defined on positive measures only"):
+            flow(signed, rates, grid)
+
+
 def test_flow_grid_holds_its_stack_and_one_row_block():
     # The stack and one block of each group's outer products, with the
     # powers C^k of one state each.  Whole-grid products held 2.1 stacks.

@@ -2,42 +2,69 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from recombdyn.dynamics import RateMap, compile_field
+from recombdyn.generalized import require_cyclic_map
 from recombdyn.lattice import (
     MAX_LINKS,
     LinkSet,
+    _cached_blocks,
     all_link_sets,
     moebius_sign,
-    partition_of,
+    refines,
     stretches_disjoint,
     subsets_of,
     supersets_of,
 )
+from recombdyn.measure import ProductSpace, random_probability
+from recombdyn.recombinator import recombine_rows
 
 
 def test_partition_empty_set_is_single_block():
-    part = partition_of(LinkSet.empty(3), 4)
-    assert part.blocks == ((0, 1, 2, 3),)
+    assert LinkSet.empty(3).blocks == ((0, 1, 2, 3),)
 
 
 def test_partition_full_set_is_singletons():
-    part = partition_of(LinkSet.full(3), 4)
-    assert part.blocks == ((0,), (1,), (2,), (3,))
+    assert LinkSet.full(3).blocks == ((0,), (1,), (2,), (3,))
 
 
 def test_partition_single_cut():
     # one cut between nodes 1 and 2
-    part = partition_of(LinkSet.from_indices([1], 3), 4)
-    assert part.blocks == ((0, 1), (2, 3))
+    assert LinkSet.from_indices([1], 3).blocks == ((0, 1), (2, 3))
+    # the set's own link count fixes the chain: 2 links, 3 nodes
+    assert LinkSet.from_indices([0], 2).blocks == ((0,), (1, 2))
 
 
 def test_blocks_are_the_partition_blocks():
+    # The blocks cover the chain of n_links + 1 nodes in order, and a block
+    # ends exactly at each cut; equal sets share one cached tuple.
     for links in all_link_sets(4):
-        assert links.blocks(5) == partition_of(links, 5).blocks
+        blocks = links.blocks
+        assert [node for block in blocks for node in block] == list(range(5))
+        assert all(list(b) == list(range(b[0], b[-1] + 1)) for b in blocks)
+        assert tuple(b[-1] for b in blocks[:-1]) == links.indices
+        assert LinkSet(links.bits, 4).blocks is blocks
 
 
-def test_partition_rejects_mismatched_link_count():
-    with pytest.raises(ValueError):
-        partition_of(LinkSet.empty(2), 4)
+def test_refines_rejects_blocks_of_different_chains():
+    with pytest.raises(ValueError, match="different node ranges"):
+        refines(LinkSet.empty(2).blocks, LinkSet.empty(3).blocks)
+
+
+def test_block_lookups_of_the_hot_paths_go_through_the_cache():
+    # The benchmark's lattice.blocks_cache metrics read this cache, so each
+    # of these must look its blocks up there.
+    space = ProductSpace((2, 3, 2))
+    cut = LinkSet.from_indices([1], 2)
+    lookups = [
+        lambda: recombine_rows(random_probability(space, 0).weights, space, cut),
+        lambda: compile_field(space, RateMap(2, ((cut, 1.0),))),
+        lambda: require_cyclic_map(RateMap(2, ((cut, 1.0),), (1, 2, 3, 4, 5, 0)), space),
+    ]
+    for lookup in lookups:
+        before = _cached_blocks.cache_info()
+        lookup()
+        after = _cached_blocks.cache_info()
+        assert after.hits + after.misses > before.hits + before.misses
 
 
 def test_linkset_rejects_bits_beyond_universe():
@@ -101,16 +128,13 @@ def test_subsets_enumeration():
 
 def test_block_count_matches_cut_count():
     for links in all_link_sets(5):
-        assert len(partition_of(links, 6)) == len(links) + 1
+        assert len(links.blocks) == len(links) + 1
 
 
 def test_refinement_duality_exhaustive():
-    n_nodes = 5
-    for a in all_link_sets(n_nodes - 1):
-        part_a = partition_of(a, n_nodes)
-        for b in all_link_sets(n_nodes - 1):
-            part_b = partition_of(b, n_nodes)
-            assert a.issubset(b) == part_b.refines(part_a)
+    for a in all_link_sets(4):
+        for b in all_link_sets(4):
+            assert a.issubset(b) == refines(b.blocks, a.blocks)
 
 
 @given(st.integers(0, 63), st.integers(0, 63))

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from recombdyn import recombinator
-from recombdyn.lattice import LinkSet, all_link_sets, partition_of
+from recombdyn.lattice import LinkSet, all_link_sets
 from recombdyn.measure import Measure, ProductSpace, random_probability, total_variation
 from recombdyn.recombinator import (
     ZERO_TOTAL_VARIATION,
@@ -23,7 +23,7 @@ def brute_recombine(omega, links):
     tv = float(np.abs(omega.weights).sum())
     if tv == 0.0:
         return np.zeros_like(omega.weights)
-    blocks = partition_of(links, space.n_nodes).blocks
+    blocks = links.blocks
     out = np.empty_like(omega.weights)
     for flat in range(space.total_states):
         coords = np.unravel_index(flat, space.sizes)
@@ -278,7 +278,7 @@ def test_recombine_weights_on_a_stack_is_the_per_row_recombination():
     assert np.abs(stack[4]).sum() < ZERO_TOTAL_VARIATION
     stack[5, :3] = -stack[5, :3]
     for links in all_link_sets(space.n_links):
-        blocks = partition_of(links, space.n_nodes).blocks
+        blocks = links.blocks
         rows = recombine_weights(stack, space.sizes, blocks)
         assert rows.shape == stack.shape
         for w, got in zip(stack, rows):
@@ -339,7 +339,7 @@ def column_weights(sizes, n_rows, signed, seed):
 
 
 def assert_recombines_as_numpy(w, sizes, cut):
-    blocks = partition_of(LinkSet.from_indices(cut, len(sizes) - 1), len(sizes)).blocks
+    blocks = LinkSet.from_indices(cut, len(sizes) - 1).blocks
     expected = numpy_recombination(w, sizes, blocks)
     out = np.full_like(w, np.nan)
     for got in (recombine_weights(w, sizes, blocks), recombine_weights(w, sizes, blocks, out)):

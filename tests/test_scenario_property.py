@@ -1,12 +1,15 @@
 """Property: any scenario document runs or fails with a documented exit code.
 
 Documents are drawn near the schema: every field is either a plausible value
-or junk, so most reach validation or a solver.  Sizes and grids stay small
+or junk, so most reach validation or a solver.  Files far from it (raw bytes,
+deeply nested arrays and objects) must fail with a one-line message.  Sizes and grids stay small
 whenever a document can pass validation; the caps are exercised only with
 values that validation rejects before anything is allocated.
 """
 
+import contextlib
 import functools
+import io
 import json
 import math
 import tempfile
@@ -152,3 +155,31 @@ def test_any_scenario_document_gives_a_documented_exit_code(doc, fmt):
             else:
                 values = list(_numbers(json.loads(text, parse_constant=float)))
             assert all(math.isfinite(v) for v in values), path.name
+
+
+@st.composite
+def nested(draw):
+    # 1 to 100,000 levels of arrays and objects, a short pattern of the two
+    # repeated from the outside in; the innermost level is empty.
+    depth = draw(st.integers(1, 100_000))
+    kinds = st.sampled_from([("[", "]"), ('{"sizes":', "}")])
+    pattern = draw(st.lists(kinds, min_size=1, max_size=3))
+    levels = [pattern[i % len(pattern)] for i in range(depth)]
+    inner = "[]" if levels[-1][0] == "[" else "{}"
+    opens = "".join(o for o, _ in levels[:-1])
+    closes = "".join(c for _, c in reversed(levels[:-1]))
+    return (opens + inner + closes).encode()
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.one_of(st.binary(), nested()))
+def test_any_scenario_file_fails_with_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "s.json"
+        config.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out.csv")])
+        assert code in (EXIT_PARSE, EXIT_VALIDATION)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+        assert "Traceback" not in err.getvalue()
