@@ -54,14 +54,17 @@ outer product to the output, each product of two factors one BLAS rank-1
 product.  RK4 forms its stages and its weighted sum in place, in the
 classical order of operations, so a trajectory has the bits of one new array
 per operation.
-``rk4_integrate_many`` integrates independent problems on one grid: the
-small ones laid end to end in one vector, under one stacked field with one
-|omega| per problem, so many tiny runs cost one run's interpreter overhead.
-``recombine_weights`` remains the reference the field is tested against.
+``rk4_integrate_many`` integrates independent problems, each on its own
+grid, with one step size: the small ones laid end to end in one vector,
+under one stacked field with one |omega| per problem, so many tiny runs cost
+one run's interpreter overhead.  Each problem leaves the vector after its
+own last full step, and the field is compiled again for the ones that
+remain.  ``recombine_weights`` remains the reference the field is tested
+against.
 
 A ``Trajectory`` is a time grid and one read-only stack, one row per time.
-RK4 writes each stored state into its row of a preallocated stack, and each
-problem of ``rk4_integrate_many`` gets its column slice of the stacked run.
+RK4 writes each stored state into its row of a preallocated stack, one per
+problem of ``rk4_integrate_many``, from that problem's columns of the vector.
 """
 
 from __future__ import annotations
@@ -497,27 +500,21 @@ def output_grid(t_end: float, h: float, stride: int) -> list[float]:
 
 def _rk4_run(
     field: Callable[[np.ndarray], np.ndarray],
-    w0: np.ndarray,
-    t_end: float,
+    w: np.ndarray,
     h: float,
-    store_stride: int,
-) -> tuple[list[float], np.ndarray]:
-    n_full, stored, remainder = _step_plan(t_end, h, store_stride)
-    times = output_grid(t_end, h, store_stride)
-    stack = np.empty((len(times), w0.size))
-    stack[0] = w0
-    rows = {step: row for row, step in enumerate(stored, 1)}
-    w = w0
+    n_steps: int,
+    saves: dict[int, list[tuple[np.ndarray, slice]]],
+) -> np.ndarray:
+    # n_steps steps of h from w, under one field; after step i, every
+    # (row, cols) of saves[i] gets w[cols].  Returns the last state.
     # A run that leaves the float range goes on in inf and NaN, which its
     # trajectory shows (the CLI exits 4 on it); numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_full + 1):
+        for i in range(1, n_steps + 1):
             w = _rk4_step(field, w, h)
-            if i in rows:
-                stack[rows[i]] = w
-        if remainder > 0.0:
-            stack[-1] = _rk4_step(field, w, remainder)
-    return times, stack
+            for row, cols in saves.get(i, ()):
+                row[:] = w[cols]
+    return w
 
 
 def rk4_integrate(
@@ -536,47 +533,83 @@ def rk4_integrate(
     defects remain visible to the checks downstream.  This is
     ``rk4_integrate_many`` with one problem.
     """
-    return rk4_integrate_many([(omega0, rates)], t_end, h, store_stride)[0]
+    return rk4_integrate_many([(omega0, rates, t_end, store_stride)], h)[0]
 
 
 def rk4_integrate_many(
-    problems: Sequence[tuple[Measure, RateMap]],
-    t_end: float,
+    problems: Sequence[tuple[Measure, RateMap, float, int]],
     h: float,
-    store_stride: int = 1,
 ) -> list[Trajectory]:
-    """``rk4_integrate`` for independent ``(omega0, rates)`` problems on one grid.
+    """``rk4_integrate`` for independent ``(omega0, rates, t_end, store_stride)``
+    problems, each on its own grid, all with the step size ``h``.
 
-    The problems the stacked kernel takes (see ``STACKED_FIELD_MAX_ENTRIES``)
-    are concatenated into one flat vector, which one compiled field and one
-    RK4 run step together; each larger problem runs alone on the strided
-    kernel.  Every problem keeps its own |w|, so each trajectory is the one
-    ``rk4_integrate`` gives for that problem alone.  A run of one problem
-    starts from its ``omega0.weights`` itself, which RK4 never writes.
+    Every grid is checked before anything is allocated.  The problems the
+    stacked kernel takes (see ``STACKED_FIELD_MAX_ENTRIES``) are laid end to
+    end in one flat vector, later end times first, and stepped together; each
+    leaves the vector after its own last full step, and the field is compiled
+    again for the problems that remain.  A problem whose grid ends in a
+    shortened step takes that step alone, on its own field.  Each larger
+    problem runs alone on the strided kernel.  Every problem keeps its own
+    |w|, so each trajectory is the one ``rk4_integrate`` gives for that
+    problem alone.  A run of one problem starts from its ``omega0.weights``
+    itself, which RK4 never writes.
     """
     problems = list(problems)
     if not problems:
         raise ValueError("rk4_integrate_many needs at least one problem")
+    h = float(h)
+    grids = [(float(t_end), stride) for _, _, t_end, stride in problems]
+    plans = [_step_plan(t_end, h, stride) for t_end, stride in grids]
     terms = []
-    for omega0, rates in problems:
+    for omega0, rates, _, _ in problems:
         require_positive(omega0, "rk4_integrate")
         terms.append(_field_terms(omega0.space, rates))
+    fields: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}
+
+    def field_of(members: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+        # The field of the problems stepped together; the last one left of a
+        # run may take its shortened step on the field it ran on.
+        key = tuple(members)
+        if key not in fields:
+            parts = [terms[i] for i in key]
+            fields[key] = _stacked_field(parts) if parts[0].stacks else _strided_field(parts[0])
+        return fields[key]
+
     stacked = [i for i, part in enumerate(terms) if part.stacks]
-    runs = [(stacked, _stacked_field([terms[i] for i in stacked]))] if stacked else []
-    runs += [([i], _strided_field(part)) for i, part in enumerate(terms) if not part.stacks]
-    trajectories: list[Trajectory] = [None] * len(problems)
-    for members, field in runs:
-        w0 = [problems[i][0].weights for i in members]
-        w0 = w0[0] if len(w0) == 1 else np.concatenate(w0)
-        times, stack = _rk4_run(field, w0, float(t_end), float(h), store_stride)
-        start = 0
-        for i in members:
-            space = problems[i][0].space
-            stop = start + space.total_states
-            # Each problem's trajectory is its column slice of the stacked run.
-            trajectories[i] = Trajectory(space, times, stack[:, start:stop])
-            start = stop
-    return trajectories
+    runs = [stacked] if stacked else []
+    runs += [[i] for i, part in enumerate(terms) if not part.stacks]
+    stacks = [np.empty((len(output_grid(t_end, h, stride)), omega0.space.total_states))
+              for (omega0, *_), (t_end, stride) in zip(problems, grids)]
+    for members in runs:
+        # Later ends first, so the problems still stepping are a prefix of
+        # the vector; saves[step] lists the stack rows that take a problem's
+        # columns of the vector then.
+        members.sort(key=lambda i: -grids[i][0])
+        bounds = np.cumsum([0] + [stacks[i].shape[1] for i in members]).tolist()
+        saves: dict[int, list[tuple[np.ndarray, slice]]] = {}
+        for k, i in enumerate(members):
+            stacks[i][0] = problems[i][0].weights
+            for row, step in enumerate(plans[i][1], 1):
+                saves.setdefault(step, []).append((stacks[i][row], slice(bounds[k], bounds[k + 1])))
+        w = [problems[i][0].weights for i in members]
+        w = w[0] if len(w) == 1 else np.concatenate(w)
+        done = 0
+        for live in range(len(members), 0, -1):
+            # members[live - 1] leaves the vector's tail after its last full
+            # step, and takes its shortened step, if any, alone.
+            i = members[live - 1]
+            n_full, _, remainder = plans[i]
+            if n_full > done:
+                segment = {step - done: saved for step, saved in saves.items() if done < step <= n_full}
+                w = _rk4_run(field_of(members[:live]), w[: bounds[live]], h, n_full - done, segment)
+                done = n_full
+            if remainder > 0.0:
+                state = w[bounds[live - 1] : bounds[live]]
+                stacks[i][-1] = _rk4_run(field_of([i]), state, remainder, 1, {})
+    return [
+        Trajectory(omega0.space, output_grid(t_end, h, stride), stack)
+        for (omega0, *_), (t_end, stride), stack in zip(problems, grids, stacks)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,26 @@ Each suite returns a list of check records {name, value, tolerance, passed};
 a report bundles them with the seed.  Checks are deterministic for a fixed
 seed.  The report's ``tolerance_scale`` is always 1.0: every check runs at its
 own tolerance.
+
+The semigroup and moebius suites check against an RK4 oracle.  At the first
+of them, ``run_suite`` draws the oracle problems of every suite it runs, each
+suite's from a generator of its own, and integrates all of them in one
+``rk4_integrate_many`` call: one RK4 run per invocation.  Each suite then
+draws the same problems again from its generator, takes their trajectories
+and draws on.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .dynamics import (
     RateMap,
+    Trajectory,
     check_linearization,
     expansion_coefficients,
     moebius_sum,
@@ -267,22 +276,28 @@ def suite_algebra(seed: int) -> list[dict]:
 # -- semigroup ------------------------------------------------------------------
 
 
-def suite_semigroup(seed: int) -> list[dict]:
+def _semigroup_problems(rng: np.random.Generator) -> list[tuple]:
+    # Random disjoint-stretch systems for the RK4 oracle, to t = 5, every
+    # 50th step stored.
+    draws = []
+    for scenario in range(20):
+        space = random_space(rng)
+        omega0 = random_probability(space, rng)
+        draws.append((omega0, sample_disjoint_system(rng, space.n_links), 5.0, 50))
+    return draws
+
+
+def suite_semigroup(seed: int, trajectories: list[Trajectory]) -> list[dict]:
     rng = np.random.default_rng(seed)
     checks = []
 
     # Closed form against the RK4 oracle over random disjoint-stretch systems,
     # with conservation of mass and positivity along the stored states.
-    # Every system is drawn first and all of them are integrated as one
-    # stacked problem; integration draws nothing from the generator.
+    # ``trajectories`` are the runs of ``_semigroup_problems`` from a new
+    # generator of this seed, whose draws are repeated here.
     worst_gap = worst_drift = worst_negative = 0.0
-    draws = []
-    for scenario in range(20):
-        space = random_space(rng)
-        omega0 = random_probability(space, rng)
-        draws.append((omega0, sample_disjoint_system(rng, space.n_links)))
-    trajectories = rk4_integrate_many(draws, t_end=5.0, h=1e-3, store_stride=50)
-    for (omega0, system), traj in zip(draws, trajectories):
+    draws = _semigroup_problems(rng)
+    for (omega0, system, _, _), traj in zip(draws, trajectories, strict=True):
         states = traj.weights
         closed = product_flow_grid(omega0, system, traj.times)
         worst_gap = max(worst_gap, float(_row_tv(closed - states).max()))
@@ -359,20 +374,28 @@ def suite_semigroup(seed: int) -> list[dict]:
 # -- moebius --------------------------------------------------------------------
 
 
-def suite_moebius(seed: int) -> list[dict]:
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    # Singleton product flow vs the paper's subset expansion vs RK4.
-    worst_closed = worst_oracle = 0.0
+def _moebius_problems(rng: np.random.Generator) -> list[tuple]:
+    # Random crossover maps for the RK4 oracle, to t = 2, every 100th step
+    # stored.
     draws = []
     for scenario in range(3):
         n_links = int(rng.integers(2, 5))
         space = ProductSpace(tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1)))
         omega0 = random_probability(space, rng)
-        draws.append((omega0, RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())))
-    trajectories = rk4_integrate_many(draws, t_end=2.0, h=1e-3, store_stride=100)
-    for (omega0, rates), traj in zip(draws, trajectories):
+        rates = RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())
+        draws.append((omega0, rates, 2.0, 100))
+    return draws
+
+
+def suite_moebius(seed: int, trajectories: list[Trajectory]) -> list[dict]:
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    # Singleton product flow vs the paper's subset expansion vs RK4, on the
+    # runs of ``_moebius_problems`` (see ``suite_semigroup``).
+    worst_closed = worst_oracle = 0.0
+    draws = _moebius_problems(rng)
+    for (omega0, rates, _, _), traj in zip(draws, trajectories, strict=True):
         product = product_flow_grid(omega0, rates, traj.times)
         # The expansion on the grid: each R_G(omega_0) once, weighted by a_G(t).
         expanded = np.zeros_like(product)
@@ -611,17 +634,43 @@ _SUITES = {
     "generalized": suite_generalized,
 }
 
+# The suites that check against RK4, and the problems each draws first from
+# its own generator; every oracle steps with the same h.
+_ORACLES = {"semigroup": _semigroup_problems, "moebius": _moebius_problems}
+_RK4_STEP = 1e-3
+
+
+def _oracle_runs(names: tuple[str, ...], seed: int) -> dict[str, list[Trajectory]]:
+    # The trajectories of every oracle suite among ``names``, by suite, from
+    # one ``rk4_integrate_many`` call.
+    drawn = {n: _ORACLES[n](np.random.default_rng(seed)) for n in names if n in _ORACLES}
+    runs = iter(rk4_integrate_many([p for ps in drawn.values() for p in ps], _RK4_STEP))
+    return {n: list(itertools.islice(runs, len(ps))) for n, ps in drawn.items()}
+
 
 def run_suite(name: str, seed: int) -> dict:
-    """Run one named suite (or `all`) and bundle the outcome as a report."""
+    """Run one named suite (or `all`) and bundle the outcome as a report.
+
+    The RK4 problems of every suite run are integrated in one
+    ``rk4_integrate_many`` call; each suite then takes its trajectories.
+    """
     if name == "all":
-        checks = []
-        for suite_name in SUITE_NAMES:
-            checks.extend(_SUITES[suite_name](seed))
+        names = SUITE_NAMES
     elif name in _SUITES:
-        checks = _SUITES[name](seed)
+        names = (name,)
     else:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    oracles = None
+    checks = []
+    for suite_name in names:
+        if suite_name not in _ORACLES:
+            checks.extend(_SUITES[suite_name](seed))
+            continue
+        if oracles is None:
+            # At the first oracle suite, so the suites before it run without
+            # the trajectories in memory; each suite's are freed after it.
+            oracles = _oracle_runs(names, seed)
+        checks.extend(_SUITES[suite_name](seed, oracles.pop(suite_name)))
     return {
         "suite": name,
         "seed": int(seed),

@@ -33,22 +33,17 @@ def report(num, label, ok, detail):
     return ok
 
 
-@pytest.fixture(scope="module")
-def disjoint_runs():
-    # shared by criteria 3 and 8; all systems are drawn, then integrated at once
+def _disjoint_draws():
     rng = np.random.default_rng(20260801)
     draws = []
     for _ in range(20):
         space = random_space(rng)
         omega0 = random_probability(space, rng)
-        draws.append((omega0, sample_disjoint_system(rng, space.n_links)))
-    trajectories = rk4_integrate_many(draws, t_end=5.0, h=1e-3, store_stride=50)
-    return [(omega0, system, traj) for (omega0, system), traj in zip(draws, trajectories)]
+        draws.append((omega0, sample_disjoint_system(rng, space.n_links), 5.0, 50))
+    return draws
 
 
-@pytest.fixture(scope="module")
-def crossover_runs():
-    # shared by criteria 6 and 8; all maps are drawn, then integrated at once
+def _crossover_draws():
     rng = np.random.default_rng(20260806)
     draws = []
     for i in range(10):
@@ -56,9 +51,30 @@ def crossover_runs():
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_links + 1))
         space = ProductSpace(sizes)
         omega0 = random_probability(space, rng)
-        draws.append((omega0, RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist())))
-    trajectories = rk4_integrate_many(draws, t_end=2.0, h=1e-3, store_stride=100)
-    return [(omega0, rates, traj) for (omega0, rates), traj in zip(draws, trajectories)]
+        draws.append((omega0, RateMap.crossover(rng.uniform(0.3, 1.5, size=n_links).tolist()),
+                      2.0, 100))
+    return draws
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    # Both draws, then one RK4 run of all 30 problems: the 10 crossovers
+    # leave it at t = 2.
+    draws = _disjoint_draws() + _crossover_draws()
+    trajectories = rk4_integrate_many(draws, h=1e-3)
+    return [(omega0, rates, traj) for (omega0, rates, _, _), traj in zip(draws, trajectories)]
+
+
+@pytest.fixture(scope="module")
+def disjoint_runs(oracle_runs):
+    # shared by criteria 3 and 8
+    return oracle_runs[:20]
+
+
+@pytest.fixture(scope="module")
+def crossover_runs(oracle_runs):
+    # shared by criteria 6 and 8
+    return oracle_runs[20:]
 
 
 def test_criterion_01_recombinator_algebra():

@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` wraps functions by module and name, and skips a name
 the package no longer has, so a rename would silently read 0 in its
 per-layer metrics; ``cli.write.bytes`` reads the size of the path passed as
-``cli._write_trajectory``'s second argument.  These tests read the tracer's
+``cli._write_trajectory``'s second argument, and ``dynamics.field`` wraps the
+first argument of ``dynamics._rk4_run``.  These tests read the tracer's
 tables and change nothing under ``perfbench/``.
 """
 
@@ -13,10 +14,13 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from recombdyn import cli
+from recombdyn import cli, dynamics
 from recombdyn.cli import EXIT_OK, main
+from recombdyn.dynamics import RateMap
+from recombdyn.measure import ProductSpace, random_probability
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -72,3 +76,24 @@ def test_write_trajectory_takes_the_artifact_path_second(tracer, tmp_path, monke
         "time": {"t_end": 0.2, "stride": 10}, "solver": "closed-form", "rk4_step": 0.01}))
     assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
     assert written == [out.stat().st_size] and written[0] > 0
+
+
+def test_rk4_run_takes_the_field_first():
+    # The tracer wraps this argument as the ``dynamics.field`` span; a
+    # reordered signature would time something else under that name.
+    assert list(inspect.signature(dynamics._rk4_run).parameters)[0] == "field"
+
+
+def test_traced_rk4_steps_take_four_field_evaluations_each(tracer):
+    # Problems that leave the stacked run early, with and without a
+    # shortened last step, step under fields the tracer still sees.
+    space = ProductSpace((2, 3, 2))
+    rates = RateMap.crossover([0.7, 1.2])
+    problems = [(random_probability(space, seed), rates, t_end, 1)
+                for seed, t_end in enumerate((0.5, 0.25, 0.2, 0.05))]
+    rec = tracer.Recorder()
+    with tracer.instrument(rec):
+        dynamics.rk4_integrate_many(problems, 0.1)
+    names = np.array(rec.names)[rec.spans()["names"]]
+    assert rec.counts()["rk4.steps"] == 5 + 1 + 1
+    assert (names == "dynamics.field").sum() == 4 * 7

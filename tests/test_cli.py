@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import io
 import json
 import math
@@ -1131,6 +1132,9 @@ def test_verify_all_runs_every_suite(tmp_path):
     for prefix in ("lattice.", "measure.", "recombinator.", "semigroup.",
                    "moebius.", "gfun.", "cyclic."):
         assert any(n.startswith(prefix) for n in names)
+    # The report's bytes, recorded when each RK4 suite made its own run.
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == (
+        "9781068287e4a30b811157ed04266c34ad36727c392f7b22ea03a0f7d878a675")
 
 
 def test_verify_negative_seed_is_validation_error(capsys):

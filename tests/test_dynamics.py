@@ -430,12 +430,14 @@ def test_rk4_steps_write_the_reference_bits(path):
     signed = np.random.default_rng(7).standard_normal(space.total_states)
     positive = random_probability(space, 4).weights
     for w in (positive, signed, *zero_slab_states(space, signed, positive)):
-        times, stack = dynamics._rk4_run(field, w, t_end=0.025, h=0.01, store_stride=1)
+        stack = np.empty((3, space.total_states))
+        saves = {1: [(stack[0], slice(None))], 2: [(stack[1], slice(None))]}
+        last = dynamics._rk4_run(field, w, 0.01, 2, saves)
+        stack[2] = dynamics._rk4_run(field, last, 0.025 - 2 * 0.01, 1, {})
         expected = [w]
         for h in (0.01, 0.01, 0.025 - 2 * 0.01):
             expected.append(rk4_step_reference(reference, expected[-1], h))
-        assert times[-1] == 0.025
-        assert stack.tobytes() == np.stack(expected).tobytes()
+        assert stack.tobytes() == np.stack(expected[1:]).tobytes()
 
 
 def test_strided_outer_products_are_one_dot_each(monkeypatch):
@@ -580,11 +582,11 @@ def test_rk4_argument_validation():
         rk4_integrate(signed, rates, t_end=1.0, h=0.1)
 
 
-def _assert_matches_separate_runs(problems, **grid):
-    batch = rk4_integrate_many(problems, **grid)
+def _assert_matches_separate_runs(problems, h):
+    batch = rk4_integrate_many(problems, h)
     assert len(batch) == len(problems)
-    for (omega0, rates), traj in zip(problems, batch):
-        alone = rk4_integrate(omega0, rates, **grid)
+    for (omega0, rates, t_end, stride), traj in zip(problems, batch):
+        alone = rk4_integrate(omega0, rates, t_end, h, stride)
         assert traj.times == alone.times
         assert traj.weights.tobytes() == alone.weights.tobytes()
         for state in traj.states:
@@ -611,7 +613,7 @@ def test_rk4_integrate_many_matches_separate_runs():
         (0.5 * random_probability(ProductSpace((2, 3, 2)), 5), RateMap.crossover([0.4, 1.7])),
         (random_probability(ProductSpace((2, 2, 2, 2)), 6), RateMap.single(LinkSet.full(3), 0.9)),
     ]
-    batch = _assert_matches_separate_runs(problems, t_end=0.35, h=0.1, store_stride=2)
+    batch = _assert_matches_separate_runs([(*p, 0.35, 2) for p in problems], h=0.1)
     assert batch[0].times == (0.0, 0.2, 0.35)
     # The batch moves every problem: none is left at its initial state.
     for (omega0, _), traj in zip(problems, batch):
@@ -631,7 +633,7 @@ def test_rk4_integrate_many_idle_problems_next_to_live_ones():
         (live, RateMap(2, ((LinkSet.from_indices([0], 2), 0.0),
                            (LinkSet.from_indices([1], 2), 2.0)))),
     ]
-    batch = _assert_matches_separate_runs(problems, t_end=0.3, h=0.1)
+    batch = _assert_matches_separate_runs([(*p, 0.3, 1) for p in problems], h=0.1)
     for index in (1, 3):
         for state in batch[index].states:
             np.testing.assert_array_equal(state.weights, problems[index][0].weights)
@@ -642,19 +644,86 @@ def test_rk4_integrate_many_idle_problems_next_to_live_ones():
     assert total_variation(batch[0].states[-1] - live) > 1e-3
 
 
+def _counting_steps(monkeypatch):
+    # The size of the vector each RK4 step takes, in order.
+    sizes = []
+    step = dynamics._rk4_step
+
+    def counting(field, w, h):
+        sizes.append(w.size)
+        return step(field, w, h)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", counting)
+    return sizes
+
+
+def test_rk4_integrate_many_each_problem_on_its_own_grid(monkeypatch):
+    # h = 0.1.  Stacked: one ends at t = 0, one at 0.05 (a shortened step
+    # only), one at 0.35 (3 full steps and a shortened one), one at 0.2, six
+    # steps before the others, and three at 0.8 with strides 2 and 3, one of
+    # them idle; the 4^6 problem runs alone on the strided kernel.
+    big = ProductSpace((4,) * 6)
+    space = ProductSpace((2, 3, 2))
+    crossover = RateMap.crossover([0.9, 0.6])
+    problems = [
+        (random_probability(SPACE, 1), RateMap.single(CUT, 1.2), 0.0, 1),
+        (random_probability(space, 2), crossover, 0.05, 1),
+        (random_probability(big, 3), _shared_block_rates(big.n_links), 0.45, 2),
+        (random_probability(ProductSpace((2, 2, 2, 2)), 4), RateMap.single(LinkSet.full(3), 0.8),
+         0.35, 1),
+        (random_probability(space, 5), crossover, 0.8, 2),
+        (random_probability(SPACE, 6), RateMap.single(CUT, 1.5), 0.2, 1),
+        (random_probability(space, 7), RateMap(2, ()), 0.8, 3),
+        (2.0 * random_probability(ProductSpace((3, 2, 2)), 8), crossover, 0.8, 3),
+    ]
+    sizes = _counting_steps(monkeypatch)
+    batch = _assert_matches_separate_runs(problems, h=0.1)
+    assert [traj.times for traj in batch] == [
+        (0.0,), (0.0, 0.05), (0.0, 0.2, 0.4, 0.45), (0.0, 0.1, 0.2, 0.30000000000000004, 0.35),
+        (0.0, 0.2, 0.4, 0.6000000000000001, 0.8), (0.0, 0.1, 0.2),
+        (0.0, 0.30000000000000004, 0.6000000000000001, 0.8),
+        (0.0, 0.30000000000000004, 0.6000000000000001, 0.8),
+    ]
+    for state in batch[6].states:
+        np.testing.assert_array_equal(state.weights, problems[6][0].weights)
+    # The batch's steps, before the lone runs': each problem leaves the
+    # stacked vector after its own last full step.
+    n = [omega0.space.total_states for omega0, *_ in problems]
+    late, mid = n[4] + n[6] + n[7], n[4] + n[6] + n[7] + n[3]
+    assert sizes[:15] == (
+        [n[1]]  # 0.05 alone, before any full step
+        + [mid + n[5]] * 2 + [mid] + [n[3]] + [late] * 5  # the stacked run
+        + [big.total_states] * 5  # four full steps and the shortened one
+    )
+
+
+def test_rk4_integrate_many_checks_every_grid_before_stepping(monkeypatch):
+    omega = random_probability(SPACE, 5)
+    rates = RateMap.single(CUT, 1.0)
+    sizes = _counting_steps(monkeypatch)
+    # The bad grid comes last, after two good ones.
+    bad = [(1e308, 1, "cap"), (math.nan, 1, "end time"), (2e5, 1, "grid points"),
+           (1.0, 0, "stride")]
+    for t_end, stride, message in bad:
+        with pytest.raises(ValueError, match=message):
+            rk4_integrate_many([(omega, rates, 1.0, 1), (omega, rates, 0.5, 2),
+                                (omega, rates, t_end, stride)], h=0.1)
+    assert sizes == []
+
+
 def test_rk4_integrate_many_validation():
     omega = random_probability(SPACE, 5)
     rates = RateMap.single(CUT, 1.0)
     with pytest.raises(ValueError, match="at least one"):
-        rk4_integrate_many([], t_end=1.0, h=0.1)
+        rk4_integrate_many([], h=0.1)
     with pytest.raises(ValueError, match="link count"):
-        rk4_integrate_many([(omega, rates), (omega, RateMap.crossover([1.0, 1.0]))],
-                           t_end=1.0, h=0.1)
+        rk4_integrate_many([(omega, rates, 1.0, 1),
+                            (omega, RateMap.crossover([1.0, 1.0]), 1.0, 1)], h=0.1)
     signed = Measure(SPACE, [0.5, 0.6, -0.1, 0.0])
     with pytest.raises(ValueError, match="positive"):
-        rk4_integrate_many([(omega, rates), (signed, rates)], t_end=1.0, h=0.1)
+        rk4_integrate_many([(omega, rates, 1.0, 1), (signed, rates, 1.0, 1)], h=0.1)
     with pytest.raises(ValueError, match="cap"):
-        rk4_integrate_many([(omega, rates)], t_end=1e308, h=1e-3)
+        rk4_integrate_many([(omega, rates, 1e308, 1)], h=1e-3)
 
 
 def test_semigroup_time_zero_is_identity():

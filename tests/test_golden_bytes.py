@@ -140,6 +140,8 @@ COMMANDS = {
                           "5237d6175c7b21016e1eb91ded4ae0b3ea5ff0db1551ef28c367f69d35768da9"),
     "verify-generalized.json": (["verify", "--suite", "generalized", "--seed", "3"],
                                 "b0c5cdc78e9402646e248fca6cdcf3ed134a552ec25a6a544eb969c91dc8a423"),
+    "verify-moebius.json": (["verify", "--suite", "moebius", "--seed", "3"],
+                            "da14ceb0fddb289e1542c53250d6097de4fa6010fc91a880049bb265ed732be2"),
 }
 
 
