@@ -502,15 +502,16 @@ def _rk4_run(
     field: Callable[[np.ndarray], np.ndarray],
     w: np.ndarray,
     h: float,
-    n_steps: int,
+    first: int,
+    last: int,
     saves: dict[int, list[tuple[np.ndarray, slice]]],
 ) -> np.ndarray:
-    # n_steps steps of h from w, under one field; after step i, every
-    # (row, cols) of saves[i] gets w[cols].  Returns the last state.
+    # Steps first + 1 to last of h from w, under one field; after step i,
+    # every (row, cols) of saves[i] gets w[cols].  Returns the last state.
     # A run that leaves the float range goes on in inf and NaN, which its
     # trajectory shows (the CLI exits 4 on it); numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_steps + 1):
+        for i in range(first + 1, last + 1):
             w = _rk4_step(field, w, h)
             for row, cols in saves.get(i, ()):
                 row[:] = w[cols]
@@ -560,6 +561,7 @@ def rk4_integrate_many(
     h = float(h)
     grids = [(float(t_end), stride) for _, _, t_end, stride in problems]
     plans = [_step_plan(t_end, h, stride) for t_end, stride in grids]
+    times = [output_grid(t_end, h, stride) for t_end, stride in grids]
     terms = []
     for omega0, rates, _, _ in problems:
         require_positive(omega0, "rk4_integrate")
@@ -578,8 +580,8 @@ def rk4_integrate_many(
     stacked = [i for i, part in enumerate(terms) if part.stacks]
     runs = [stacked] if stacked else []
     runs += [[i] for i, part in enumerate(terms) if not part.stacks]
-    stacks = [np.empty((len(output_grid(t_end, h, stride)), omega0.space.total_states))
-              for (omega0, *_), (t_end, stride) in zip(problems, grids)]
+    stacks = [np.empty((len(grid), omega0.space.total_states))
+              for (omega0, *_), grid in zip(problems, times)]
     for members in runs:
         # Later ends first, so the problems still stepping are a prefix of
         # the vector; saves[step] lists the stack rows that take a problem's
@@ -600,15 +602,14 @@ def rk4_integrate_many(
             i = members[live - 1]
             n_full, _, remainder = plans[i]
             if n_full > done:
-                segment = {step - done: saved for step, saved in saves.items() if done < step <= n_full}
-                w = _rk4_run(field_of(members[:live]), w[: bounds[live]], h, n_full - done, segment)
+                w = _rk4_run(field_of(members[:live]), w[: bounds[live]], h, done, n_full, saves)
                 done = n_full
             if remainder > 0.0:
                 state = w[bounds[live - 1] : bounds[live]]
-                stacks[i][-1] = _rk4_run(field_of([i]), state, remainder, 1, {})
+                stacks[i][-1] = _rk4_run(field_of([i]), state, remainder, 0, 1, {})
     return [
-        Trajectory(omega0.space, output_grid(t_end, h, stride), stack)
-        for (omega0, *_), (t_end, stride), stack in zip(problems, grids, stacks)
+        Trajectory(omega0.space, grid, stack)
+        for (omega0, *_), grid, stack in zip(problems, times, stacks)
     ]
 
 

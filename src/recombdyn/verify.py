@@ -9,8 +9,7 @@ The semigroup and moebius suites check against an RK4 oracle.  At the first
 of them, ``run_suite`` draws the oracle problems of every suite it runs, each
 suite's from a generator of its own, and integrates all of them in one
 ``rk4_integrate_many`` call: one RK4 run per invocation.  Each suite then
-draws the same problems again from its generator, takes their trajectories
-and draws on.
+takes its generator, its problems and their trajectories, and draws on.
 """
 
 from __future__ import annotations
@@ -287,16 +286,16 @@ def _semigroup_problems(rng: np.random.Generator) -> list[tuple]:
     return draws
 
 
-def suite_semigroup(seed: int, trajectories: list[Trajectory]) -> list[dict]:
-    rng = np.random.default_rng(seed)
+def suite_semigroup(
+    rng: np.random.Generator, draws: list[tuple], trajectories: list[Trajectory]
+) -> list[dict]:
     checks = []
 
     # Closed form against the RK4 oracle over random disjoint-stretch systems,
     # with conservation of mass and positivity along the stored states.
-    # ``trajectories`` are the runs of ``_semigroup_problems`` from a new
-    # generator of this seed, whose draws are repeated here.
+    # ``draws`` are ``_semigroup_problems(rng)`` and ``trajectories`` their
+    # runs; ``rng`` draws on from there.
     worst_gap = worst_drift = worst_negative = 0.0
-    draws = _semigroup_problems(rng)
     for (omega0, system, _, _), traj in zip(draws, trajectories, strict=True):
         states = traj.weights
         closed = product_flow_grid(omega0, system, traj.times)
@@ -387,14 +386,14 @@ def _moebius_problems(rng: np.random.Generator) -> list[tuple]:
     return draws
 
 
-def suite_moebius(seed: int, trajectories: list[Trajectory]) -> list[dict]:
-    rng = np.random.default_rng(seed)
+def suite_moebius(
+    rng: np.random.Generator, draws: list[tuple], trajectories: list[Trajectory]
+) -> list[dict]:
     checks = []
 
     # Singleton product flow vs the paper's subset expansion vs RK4, on the
-    # runs of ``_moebius_problems`` (see ``suite_semigroup``).
+    # runs of ``_moebius_problems(rng)`` (see ``suite_semigroup``).
     worst_closed = worst_oracle = 0.0
-    draws = _moebius_problems(rng)
     for (omega0, rates, _, _), traj in zip(draws, trajectories, strict=True):
         product = product_flow_grid(omega0, rates, traj.times)
         # The expansion on the grid: each R_G(omega_0) once, weighted by a_G(t).
@@ -640,19 +639,22 @@ _ORACLES = {"semigroup": _semigroup_problems, "moebius": _moebius_problems}
 _RK4_STEP = 1e-3
 
 
-def _oracle_runs(names: tuple[str, ...], seed: int) -> dict[str, list[Trajectory]]:
-    # The trajectories of every oracle suite among ``names``, by suite, from
-    # one ``rk4_integrate_many`` call.
-    drawn = {n: _ORACLES[n](np.random.default_rng(seed)) for n in names if n in _ORACLES}
+def _oracle_runs(names: tuple[str, ...], seed: int) -> dict[str, tuple]:
+    # Each oracle suite among ``names``: its generator of ``seed``, drawn on
+    # past its RK4 problems, the problems, and their trajectories, all of
+    # them from one ``rk4_integrate_many`` call.
+    rngs = {n: np.random.default_rng(seed) for n in names if n in _ORACLES}
+    drawn = {n: _ORACLES[n](rng) for n, rng in rngs.items()}
     runs = iter(rk4_integrate_many([p for ps in drawn.values() for p in ps], _RK4_STEP))
-    return {n: list(itertools.islice(runs, len(ps))) for n, ps in drawn.items()}
+    return {n: (rngs[n], ps, list(itertools.islice(runs, len(ps)))) for n, ps in drawn.items()}
 
 
 def run_suite(name: str, seed: int) -> dict:
     """Run one named suite (or `all`) and bundle the outcome as a report.
 
     The RK4 problems of every suite run are integrated in one
-    ``rk4_integrate_many`` call; each suite then takes its trajectories.
+    ``rk4_integrate_many`` call; each suite then takes its generator, its
+    problems and their trajectories.
     """
     if name == "all":
         names = SUITE_NAMES
@@ -670,7 +672,7 @@ def run_suite(name: str, seed: int) -> dict:
             # At the first oracle suite, so the suites before it run without
             # the trajectories in memory; each suite's are freed after it.
             oracles = _oracle_runs(names, seed)
-        checks.extend(_SUITES[suite_name](seed, oracles.pop(suite_name)))
+        checks.extend(_SUITES[suite_name](*oracles.pop(suite_name)))
     return {
         "suite": name,
         "seed": int(seed),

@@ -421,23 +421,30 @@ def test_strided_field_writes_the_outer_product_bits(path):
 
 @pytest.mark.parametrize("path", list(STRIDED_PATHS))
 def test_rk4_steps_write_the_reference_bits(path):
-    # Two steps and a shortened third, from a positive and a signed state;
-    # rk4_integrate takes positive states only, so _rk4_run steps them.
+    # Two steps and a shortened third, from a positive and a signed state:
+    # rk4_integrate plans and runs the positive one; it takes positive
+    # states only, so _rk4_run steps the others by hand.
     sizes, rates = STRIDED_PATHS[path]
     space = ProductSpace(sizes)
     field = compile_field(space, rates)
     reference = outer_product_field(space, rates)
     signed = np.random.default_rng(7).standard_normal(space.total_states)
-    positive = random_probability(space, 4).weights
-    for w in (positive, signed, *zero_slab_states(space, signed, positive)):
+    positive = random_probability(space, 4)
+    for w in (positive.weights, signed, *zero_slab_states(space, signed, positive.weights)):
         stack = np.empty((3, space.total_states))
-        saves = {1: [(stack[0], slice(None))], 2: [(stack[1], slice(None))]}
-        last = dynamics._rk4_run(field, w, 0.01, 2, saves)
-        stack[2] = dynamics._rk4_run(field, last, 0.025 - 2 * 0.01, 1, {})
+        saves = {1: [(stack[1], slice(None))], 2: [(stack[2], slice(None))]}
+        stack[0] = w
+        last = dynamics._rk4_run(field, w, 0.01, 0, 2, saves)
         expected = [w]
         for h in (0.01, 0.01, 0.025 - 2 * 0.01):
             expected.append(rk4_step_reference(reference, expected[-1], h))
-        assert stack.tobytes() == np.stack(expected[1:]).tobytes()
+        expected = np.stack(expected).tobytes()
+        shortened = dynamics._rk4_run(field, last, 0.025 - 2 * 0.01, 0, 1, {})
+        assert np.vstack([stack, shortened]).tobytes() == expected
+        if w is positive.weights:
+            traj = rk4_integrate(positive, rates, t_end=0.025, h=0.01)
+            assert traj.times[-1] == 0.025
+            assert traj.weights.tobytes() == expected
 
 
 def test_strided_outer_products_are_one_dot_each(monkeypatch):
