@@ -504,17 +504,18 @@ def _rk4_run(
     h: float,
     first: int,
     last: int,
-    saves: dict[int, list[tuple[np.ndarray, slice]]],
+    saves: dict[int, list[tuple[np.ndarray, int, slice]]],
 ) -> np.ndarray:
     # Steps first + 1 to last of h from w, under one field; after step i,
-    # every (row, cols) of saves[i] gets w[cols].  Returns the last state.
+    # every (stack, row, cols) of saves[i] puts w[cols] in stack[row].
+    # Returns the last state.
     # A run that leaves the float range goes on in inf and NaN, which its
     # trajectory shows (the CLI exits 4 on it); numpy's warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(first + 1, last + 1):
             w = _rk4_step(field, w, h)
-            for row, cols in saves.get(i, ()):
-                row[:] = w[cols]
+            for stack, row, cols in saves.get(i, ()):
+                stack[row] = w[cols]
     return w
 
 
@@ -569,10 +570,12 @@ def rk4_integrate_many(
     fields: dict[tuple[int, ...], Callable[[np.ndarray], np.ndarray]] = {}
 
     def field_of(members: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-        # The field of the problems stepped together; the last one left of a
-        # run may take its shortened step on the field it ran on.
+        # The field of the problems stepped together, the last one compiled
+        # kept: the last problem left of a run may take its shortened step on
+        # the field it ran on.
         key = tuple(members)
         if key not in fields:
+            fields.clear()
             parts = [terms[i] for i in key]
             fields[key] = _stacked_field(parts) if parts[0].stacks else _strided_field(parts[0])
         return fields[key]
@@ -588,11 +591,12 @@ def rk4_integrate_many(
         # columns of the vector then.
         members.sort(key=lambda i: -grids[i][0])
         bounds = np.cumsum([0] + [stacks[i].shape[1] for i in members]).tolist()
-        saves: dict[int, list[tuple[np.ndarray, slice]]] = {}
+        saves: dict[int, list[tuple[np.ndarray, int, slice]]] = {}
         for k, i in enumerate(members):
             stacks[i][0] = problems[i][0].weights
+            cols = slice(bounds[k], bounds[k + 1])
             for row, step in enumerate(plans[i][1], 1):
-                saves.setdefault(step, []).append((stacks[i][row], slice(bounds[k], bounds[k + 1])))
+                saves.setdefault(step, []).append((stacks[i], row, cols))
         w = [problems[i][0].weights for i in members]
         w = w[0] if len(w) == 1 else np.concatenate(w)
         done = 0

@@ -432,7 +432,7 @@ def test_rk4_steps_write_the_reference_bits(path):
     positive = random_probability(space, 4)
     for w in (positive.weights, signed, *zero_slab_states(space, signed, positive.weights)):
         stack = np.empty((3, space.total_states))
-        saves = {1: [(stack[1], slice(None))], 2: [(stack[2], slice(None))]}
+        saves = {1: [(stack, 1, slice(None))], 2: [(stack, 2, slice(None))]}
         stack[0] = w
         last = dynamics._rk4_run(field, w, 0.01, 0, 2, saves)
         expected = [w]
