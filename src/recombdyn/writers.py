@@ -69,6 +69,25 @@ zeros, |x| >= 1, non-finite values, powers of two (whose lower neighbour is
 nearer than their upper one), roundings that carry into the next decade and
 the few cells still being shortened once fewer than ``_FEW_CELLS`` are.
 
+Most slices need only part of the above.  Each of these full-slice passes
+runs only when some cell of the slice needs it, as the arrays the kernel
+already holds show, and skipping it moves no byte:
+
+- the out-of-range substitution, when the least or greatest |x| lies
+  outside [1e-11, 1) (a NaN fails both tests);
+- the rest term |x| L and the doubt band, when some k exceeds 22, that is
+  |x| < 1e-6.  Elsewhere L = 0 and the band is 0, so s and f are exact and
+  |f| <= 1/2, and neither the CSV check nor the JSON one can fail; nor can
+  ``_shortest``'s, as no distance then equals R, so its sign alone keeps a
+  cell;
+- the head word's minus offset, when the least x is negative or NaN (a
+  -0.0 or a NaN is never proven, so its head word is overwritten anyway),
+  and its point mask, when some cell has no nonzero digit after the first;
+- the gather of the cells the kernel does not prove, when there is one.
+
+A slice of positive weights in [1e-6, 1), each proven and with a nonzero
+digit after its first, runs none of them.  An empty slice has no text.
+
 The CSV header's indices come from the same table, 4 digits a word, the
 leading word without its leading zeros.
 """
@@ -128,26 +147,35 @@ _WORDS = np.concatenate((
 # least v with 1, 2, 3 and 4 digits.
 _SHOWN = np.array([0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], "<u4")
 _DECADES = np.array([1, 10, 100, 1000])
-# The "e-XX" word by k = 16 - X (NUL for the fixed notation).
+# The "e-XX" word by k = 16 - X (NUL for the fixed notation), and the offset
+# 20270 - 10 k of the head words of a positive k.
 _E_WORDS = _WORDS.take(20907 - np.arange(28), mode="clip")
+_HEADS = 20270 - 10 * np.arange(28)
 del _d, _neg, _dot, _x, _d0, _e, _fixed
 
 
-def _digits(x: np.ndarray, signed: bool):
-    # The digit stage: (fast, D, k, f).  ``fast`` marks the cells with
-    # 1e-11 <= |x| < 1 whose D (and, if ``signed``, the sign of f and the
-    # distances of ``_shortest``) are proven.  At most seven arrays of a
-    # cell's size are alive at once: the mask and six of 8 bytes.
+def _digits(x: np.ndarray, signed: bool = False):
+    # The digit stage of a nonempty slice: (fast, D, k, f, doubt).  ``fast``
+    # marks the cells with 1e-11 <= |x| < 1 whose D (and, if ``signed``, the
+    # sign of f and the distances of ``_shortest``) are proven; ``doubt`` says
+    # that some cell has k > 22, and only then do the rest term |x| L and the
+    # doubt band run.  At most seven arrays of a cell's size are alive at
+    # once: the mask and six of 8 bytes.
     a = np.abs(x)
-    fast = (a >= 1e-11) & (a < 1.0)
-    np.copyto(a, 0.5, where=~fast)
+    if a.min() >= 1e-11 and a.max() < 1.0:  # False on a NaN
+        inside = None  # every cell is in the kernel's range
+    else:
+        inside = (a >= 1e-11) & (a < 1.0)
+        np.copyto(a, 0.5, where=~inside)
     k = np.minimum(16 - np.floor(np.log10(a)).astype(np.intp), 27)
     p = _P10.take(k, mode="clip")
     p *= a
     # |x| L, on the cells with k > 22 alone: elsewhere L = 0, and adding
     # 0 changes no bit of D or f.
-    far = np.flatnonzero(k > _EXACT_K)
-    rest = a[far] * _P10_REST.take(k[far])
+    doubt = k.max() > _EXACT_K
+    if doubt:
+        far = np.flatnonzero(k > _EXACT_K)
+        rest = a[far] * _P10_REST.take(k[far])
     hi = a * _SPLIT  # the halves of |x|; a becomes the low one
     part = hi - a
     hi -= part
@@ -166,32 +194,41 @@ def _digits(x: np.ndarray, signed: bool):
     lo *= part
     e += lo
     del hi, part
-    e[far] += rest  # s
+    if doubt:
+        e[far] += rest  # s
     np.rint(e, out=lo)
     e -= lo  # f
     d = p.astype(np.int64)
     del p
     d += lo.astype(np.int64)
-    np.abs(e, out=lo)
-    band = _BAND.take(k, mode="clip")
-    if signed:
-        np.minimum(lo, 0.5 - lo, out=lo)
-    else:
-        np.subtract(0.5, lo, out=lo)
-    fast &= lo >= band
-    fast &= (d > 10**16) & (d < 10**17)
-    return fast, d, k, e
+    fast = (d > 10**16) & (d < 10**17)
+    if inside is not None:
+        fast &= inside
+        del inside
+    if doubt:
+        # Without a cell past k = 22 the band is 0 and |f| <= 1/2 exactly,
+        # so no cell fails this check.
+        np.abs(e, out=lo)
+        band = _BAND.take(k, mode="clip")
+        if signed:
+            np.minimum(lo, 0.5 - lo, out=lo)
+        else:
+            np.subtract(0.5, lo, out=lo)
+        fast &= lo >= band
+    return fast, d, k, e, doubt
 
 
-def _render(x: np.ndarray, stage: Callable[[], tuple],
+def _render(x: np.ndarray, stage: Callable[[np.ndarray], tuple],
             slow_cells: Callable[[np.ndarray], bytes]) -> bytearray:
     # The render stage: the text of each cell of x, from the 17 digits D and
-    # the k of the cells that ``stage()`` = (fast, D, k) proves, and from
+    # the k of the cells that ``stage(x)`` = (fast, D, k, ...) proves, and from
     # ``slow_cells`` (a 28-byte record a cell) for the others.  The stage
     # runs here, so that its arrays are freed before the record exists.
     # While the record is filled a cell holds at most 26 more bytes, fewer
     # than the 28 that translating it takes.
-    fast, d, k = stage()
+    if not len(x):
+        return bytearray()
+    fast, d, k = stage(x)[:3]
     top = d // 100_000_000  # the first 9 of the 17 digits
     d -= top * 100_000_000
     low = d.astype(np.int32)  # the last 8
@@ -200,15 +237,19 @@ def _render(x: np.ndarray, stage: Callable[[], tuple],
     top -= first * 100_000_000
     mid = top.astype(np.int32)  # the 8 digits after the first
     del top
-    # The head word has its point when any digit after the first is nonzero.
     k8 = k.astype(np.int8)  # k in a byte while the record is filled
-    i = k  # 20270 - 10 k + 220 neg + 110 point + first digit
-    i *= -10
-    i += 20270
+    i = _HEADS.take(k, mode="clip")  # + 220 neg + 110 point + first digit
+    del k
     i += first
-    del k, first
-    i += 110 * ((low != 0) | (mid != 0))
-    i += 220 * np.signbit(x)
+    del first
+    # The head word has its point when any digit after the first is nonzero,
+    # and its minus when x is negative: the mask of either runs only when
+    # some cell of the slice needs it.
+    point = (low != 0) | (mid != 0)
+    i += 110 if point.all() else 110 * point
+    del point
+    if not x.min() >= 0:  # a negative or NaN cell
+        i += 220 * np.signbit(x)
     record = bytearray(28 * len(x))
     rec = np.frombuffer(record, "<u4").reshape(-1, 7)
     rec[:, 0] = _WORDS.take(i, mode="clip")
@@ -234,9 +275,9 @@ def _render(x: np.ndarray, stage: Callable[[], tuple],
     word += (mid != 0) * later
     rec[:, 2] = _WORDS.take(word)
     del word, mid, low_nz
-    slow = np.flatnonzero(~fast)
+    slow = None if fast.all() else np.flatnonzero(~fast)
     del fast
-    if slow.size:
+    if slow is not None:
         rec[slow] = np.frombuffer(slow_cells(x[slow]), "<u4").reshape(-1, 7)
     del rec
     return record.translate(None, b"\0 ")
@@ -253,42 +294,50 @@ def _json_dumps_cells(values: np.ndarray) -> bytes:
 
 def _csv_cells(x: np.ndarray) -> bytearray:
     # ``",%.17g" % v`` for each float64 v of x, joined.
-    return _render(x, lambda: _digits(x, signed=False)[:3], _percent_cells)
+    return _render(x, _digits, _percent_cells)
 
 
 def _json_cells(x: np.ndarray) -> bytearray:
     # "," + ``json.dumps(v)`` for each float64 v of x, joined.
-    return _render(x, lambda: _shortest(x), _json_dumps_cells)
+    return _render(x, _shortest, _json_dumps_cells)
 
 
 def _shortest(x: np.ndarray) -> tuple:
     # The JSON stage: (fast, digits, k), where the digits are the shortest
     # that read back as x, padded with zeros to 17.
-    fast, d, k, f = _digits(x, signed=True)
+    fast, shortest, k, f, doubt = _digits(x, signed=True)
     mantissa, exponent = np.frexp(x)
     fast &= np.abs(mantissa) != 0.5
+    del mantissa
     cells = np.flatnonzero(fast)
-    d_live, k_live, f_live = d[cells], k[cells], f[cells]
-    # Per live cell: D, 2 D + sign(f), and f, the radius R and the doubt
-    # band, as the bits of doubles.
+    d_live, k_live, f_live = shortest[cells], k[cells], f[cells]
+    del f
+    # Per live cell: D, 2 D + sign(f), and f, the radius R and, if some cell
+    # has k > 22, the doubt band, as the bits of doubles.
     radius = np.ldexp(_P10.take(k_live), exponent[cells] - 54)
-    live = np.stack((cells, d_live, 2 * d_live + np.sign(f_live).astype(np.int64),
-                     f_live.view(np.int64), radius.view(np.int64),
-                     _BAND.take(k_live).view(np.int64)))
-    shortest = d.copy()
+    del exponent
+    rows = [cells, d_live, 2 * d_live + np.sign(f_live).astype(np.int64),
+            f_live.view(np.int64), radius.view(np.int64)]
+    if doubt:
+        rows.append(_BAND.take(k_live).view(np.int64))
+    live = np.stack(rows)
+    del rows, cells, d_live, k_live, f_live, radius
     for j in range(1, 17):  # the rounding to 17 - j digits, nearest, ties to even
         if live.shape[1] <= _FEW_CELLS:
             fast[live[0]] = False
             break
-        cells, d_live, twice, f_live, radius, band = live
+        cells, d_live, twice, f_live, radius = live[:5]
         unit = 10**j
         head = d_live // unit
         c = (head + (twice + (head & 1) > (2 * head + 1) * unit)) * unit
         over = np.abs((c - d_live) - f_live.view(np.float64))
         over -= radius.view(np.float64)
-        band = band.view(np.float64)
-        shortest[cells[np.abs(over) <= band]] = 0
-        keep = np.flatnonzero(over < -band)
+        if doubt:
+            band = live[5].view(np.float64)
+            shortest[cells[np.abs(over) <= band]] = 0
+            keep = np.flatnonzero(over < -band)
+        else:  # the band is 0, and no distance equals R
+            keep = np.flatnonzero(over < 0)
         live = live.take(keep, axis=1)
         shortest[live[0]] = c.take(keep)
     fast &= (shortest >= 10**16) & (shortest < 10**17)

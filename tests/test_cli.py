@@ -1035,6 +1035,25 @@ def test_wide_csv_rows_are_written_in_slices(tmp_path):
     assert peak < row / 8, (peak, row)
 
 
+def test_wide_json_rows_are_written_in_slices(tmp_path):
+    # The same two 4^8 rows as JSON: a slice's shortening holds more bytes a
+    # cell than the CSV kernel, but still a small fraction of one row.
+    space = ProductSpace((4,) * 8)
+    states = np.array([random_probability(space, seed).weights for seed in range(2)])
+    traj = Trajectory(space, (0.0, 1.0), states)
+    out = tmp_path / "traj.json"
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(traj.times, out, "json", [traj.weights], traj.space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == cli._dump_json(trajectory_to_json_dict(traj))
+    row = len(json.dumps(states[0].tolist(), separators=(",", ":")))
+    assert row > 1_000_000
+    assert peak < row / 2, (peak, row)
+
+
 def test_json_artifact_is_streamed_with_the_whole_text_bytes(tmp_path):
     # Same 4^6 states x 11 rows.  Streaming holds one row's floats and its
     # encoded pieces at a time (~0.6 of this artifact); the whole-text

@@ -198,6 +198,65 @@ def test_a_wider_doubt_band_moves_no_byte(monkeypatch):
     assert 0.4 * values.size < sum(slow) < 0.6 * values.size, slow
 
 
+# The kernel runs the rest term and the doubt band only on a slice with a cell
+# past k = 22, the out-of-range substitution only on one with a cell outside
+# [1e-11, 1), the minus offset only on one with a negative or NaN cell, and the
+# slow-cell gather only when some cell is not proven.  Each row below takes a
+# different set of these passes.
+PATH_SPLITS = ("in-range", "far-first", "far-last", "negative", "outside")
+
+
+def path_split_row(case, width):
+    # Positive weights in [1e-6, 1), where k <= 22, with the case's cells.
+    row = 10.0 ** np.random.default_rng(width).uniform(-6.0, 0.0, width)
+    far = 3.7e-9  # k = 25
+    assert 16 - math.floor(math.log10(far)) > 22
+    if case == "far-first":
+        row[0] = far
+    elif case == "far-last":
+        row[-1] = far
+    elif case == "negative":
+        row[width // 2] *= -1.0
+    elif case == "outside":
+        row[np.linspace(0, width - 1, 5).astype(int)] = [0.0, -0.0, 1.0, math.nan, math.inf]
+    return row.tolist()
+
+
+# A short row, one wider than half a slice and one that spans two slices.
+PATH_WIDTHS = (40, writers._CHUNK_CELLS // 2 + 1, writers._CHUNK_CELLS + writers._CHUNK_CELLS // 2)
+
+
+@pytest.mark.parametrize("width", PATH_WIDTHS)
+@pytest.mark.parametrize("case", PATH_SPLITS)
+def test_every_path_split_writes_percent_17g(case, width):
+    values = path_split_row(case, width)
+    assert_cells_match(values)
+    assert writers._csv_cells(np.array(values)) == expected(values)[1:-1]
+
+
+def test_an_empty_slice_has_no_text():
+    assert writers._csv_cells(np.empty(0)) == b""
+
+
+class Unread:
+    # A table that fails when the kernel reads it.
+    def take(self, *args, **kwargs):
+        pytest.fail("the kernel read a table that a slice with k <= 22 does not need")
+
+
+def lean_values():
+    # Weights in [1e-6, 1), both ends included: no cell has k > 22.
+    values = 10.0 ** np.random.default_rng(14).uniform(-6.0, 0.0, writers._CHUNK_CELLS)
+    values[:2] = 1e-6, np.nextafter(1.0, 0.0)
+    return values.tolist()
+
+
+def test_a_slice_without_k_past_22_reads_no_rest_or_band(monkeypatch):
+    monkeypatch.setattr(writers, "_P10_REST", Unread())
+    monkeypatch.setattr(writers, "_BAND", Unread())
+    assert_cells_match(lean_values())
+
+
 def test_index_header_cells_are_percent_d():
     # ",%d" % i for ranges across the word boundaries of the header, built
     # from short ranges only.

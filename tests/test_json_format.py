@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from recombdyn import writers
 from recombdyn.writers import write_json
-from test_csv_format import (FAST, OUTSIDE, decade_neighbours, dyadic_ties, outside_values,
+from test_csv_format import (FAST, OUTSIDE, PATH_SPLITS, PATH_WIDTHS, Unread, decade_neighbours,
+                             dyadic_ties, lean_values, outside_values, path_split_row,
                              ties_past_a_double_power_of_ten, wholes_past_a_double_power_of_ten)
 
 
@@ -93,6 +94,30 @@ def test_wide_rows_and_stacks_are_json_dumps():
         assert buf.getvalue() == (json.dumps(
             {"b": stack.tolist(), "a": [rows, cols], "t": sums.tolist()},
             sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+@pytest.mark.parametrize("width", PATH_WIDTHS)
+@pytest.mark.parametrize("case", PATH_SPLITS)
+def test_every_path_split_writes_json_dumps(case, width):
+    # The kernel's own text, a vector and a one-row stack.
+    values = path_split_row(case, width)
+    assert_cells_match(values)
+    buf = io.BytesIO()
+    write_json(buf, {"x": np.array([values])})
+    assert buf.getvalue() == (json.dumps({"x": [values]}, separators=(",", ":")) + "\n").encode()
+
+
+def test_an_empty_slice_has_no_text():
+    assert writers._json_cells(np.empty(0)) == b""
+    buf = io.BytesIO()
+    write_json(buf, {"x": np.empty((2, 0))})
+    assert buf.getvalue() == b'{"x":[[],[]]}\n'
+
+
+def test_a_slice_without_k_past_22_reads_no_rest_or_band(monkeypatch):
+    monkeypatch.setattr(writers, "_P10_REST", Unread())
+    monkeypatch.setattr(writers, "_BAND", Unread())
+    assert_cells_match(lean_values())
 
 
 def test_exact_ties_past_a_double_power_of_ten(monkeypatch):
