@@ -109,9 +109,6 @@ def test_every_path_split_writes_json_dumps(case, width):
 
 def test_an_empty_slice_has_no_text():
     assert writers._json_cells(np.empty(0)) == b""
-    buf = io.BytesIO()
-    write_json(buf, {"x": np.empty((2, 0))})
-    assert buf.getvalue() == b'{"x":[[],[]]}\n'
 
 
 def test_a_slice_without_k_past_22_reads_no_rest_or_band(monkeypatch):
